@@ -43,7 +43,12 @@ print("gradient matches 2AP + 2D(P'D):",
 # The same objective from the catalog, with its alignment rule attached.
 cat = build(ProblemSpec("quad_lin2", n, k, {"A": A, "D": D}))
 print("catalog value agrees:", np.isclose(cat.value(P), obj.value(P)))
-print("alignment rule:", type(cat.alignment).__name__)
+rule = cat.alignment
+if rule.blocks is None:
+    driver = "scriptD(P_prev)" if rule.D is None else "a fixed D"
+    print(f"alignment rule: polar rotation on all {k} columns, driven by {driver}")
+else:
+    print("alignment rule: one polar block per linear term", rule.blocks)
 
 # Every builder's gradient survives a central-difference check.
 for family, mats, extra in [

@@ -39,6 +39,7 @@ from .alignment import (
     BlockOverlapError,
     BlockPolarAlignment,
     IdentityAlignment,
+    PolarAlignment,
     PolarOfDAlignment,
     ScriptDPolarAlignment,
     align_rotation,
@@ -59,7 +60,6 @@ from .nepv import (
     nepv_residual,
     nepv_scf,
     nepv_scf_step,
-    reduced_field,
 )
 from .problems import (
     MLifting,

@@ -1,24 +1,27 @@
-"""Rotation rules mapping subproblem solutions back into the feasible subset.
+"""Rotation rule mapping subproblem solutions back into the feasible subset.
 
 After the inner linear-algebra step produces an orthonormal P_hat, the
 solvers apply a k-by-k orthogonal rotation Q so that P_next = P_hat @ Q lands
-in the feasible subset the theory requires (typically {P : P'D >= 0}).  Each
-rule also reports the positive-semidefiniteness margin it maintains, which
-feeds the exit certificates.
+in the feasible subset the theory requires (typically {P : P'D >= 0}).  One
+rule covers every family: Q is block-diagonal with the orthogonal polar
+factor of P_hat[:, C_j]' D_j on each column block C_j and the identity off
+the blocks.  The rule also reports the positive-semidefiniteness margin it
+maintains, which feeds the exit certificates.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .kernels import as_matrix, polar_factor, sym_part
+from .kernels import polar_factor, sym_part
 
 __all__ = [
     "BlockOverlapError",
     "BlockPolarAlignment",
     "IdentityAlignment",
+    "PolarAlignment",
     "PolarOfDAlignment",
     "ScriptDPolarAlignment",
     "align_rotation",
@@ -47,138 +50,94 @@ def _is_psd_matrix(S: np.ndarray, scale: float, tol: float = 1e-10) -> bool:
 
 
 @dataclass(frozen=True)
-class IdentityAlignment:
-    """No rotation: Q = I. For right-unitarily invariant objectives."""
+class PolarAlignment:
+    """Q = blockdiag_j polar(P_hat[:, C_j]' D_j), the identity off the blocks.
 
-    def rotate(self, P_hat, obj, P_prev):
-        P_hat = as_matrix(P_hat, "P_hat")
-        return np.eye(P_hat.shape[1]), P_hat
-
-    def psd_margin(self, obj, P):
-        return None
-
-    def is_feasible(self, obj, P):
-        return True
-
-    def transform(self, T):
-        return self
-
-
-@dataclass(frozen=True)
-class PolarOfDAlignment:
-    """Q = orthogonal polar factor of P_hat' D for a fixed matrix D.
-
-    Guarantees P_next' D >= 0, the feasible subset for objectives that
-    increase with tr((P'D)^m).
+    With ``blocks=None`` there is one block over all columns, driven by the
+    fixed matrix ``D`` or, when ``D`` is None, by the objective's
+    scriptD(P_prev) (the partial-weighted sum of its linear matrices, which
+    makes the rotation also increase f).  Otherwise ``blocks`` lists linear
+    terms of the objective, one block each over that term's selector,
+    driven by the term's matrix weighted by its outer partial and scale at
+    P_prev; the selectors must be pairwise column-disjoint.  ``blocks=()``
+    means no rotation, for right-unitarily invariant objectives.  Each
+    block guarantees P_next[:, C_j]' D_j >= 0.
     """
 
-    D: np.ndarray
+    D: np.ndarray | None = None
+    blocks: tuple[int, ...] | None = None
 
-    def rotate(self, P_hat, obj, P_prev):
-        P_hat = as_matrix(P_hat, "P_hat")
-        Q = _polar_square(P_hat.T @ self.D)
-        return Q, P_hat @ Q
-
-    def psd_margin(self, obj, P):
-        S = sym_part(P.T @ self.D)
-        return float(np.linalg.eigvalsh(S)[0]), float(np.linalg.norm(self.D, 2))
-
-    def is_feasible(self, obj, P):
-        return _is_psd_matrix(P.T @ self.D, np.linalg.norm(self.D, 2))
-
-    def transform(self, T):
-        return PolarOfDAlignment(as_matrix(T, "T").T @ self.D)
-
-
-@dataclass(frozen=True)
-class ScriptDPolarAlignment:
-    """Q = orthogonal polar factor of P_hat' scriptD(P_prev).
-
-    scriptD is the objective's partial-derivative-weighted sum of its linear
-    matrices, recomputed at the previous iterate; the rotation additionally
-    increases the objective beyond the plain ascent guarantee and makes
-    P_next' scriptD(P_prev) >= 0.
-    """
-
-    def rotate(self, P_hat, obj, P_prev):
-        P_hat = as_matrix(P_hat, "P_hat")
-        Q = _polar_square(P_hat.T @ obj.script_d(P_prev))
-        return Q, P_hat @ Q
-
-    def psd_margin(self, obj, P):
-        D = obj.script_d(P)
-        S = sym_part(P.T @ D)
-        return float(np.linalg.eigvalsh(S)[0]), float(np.linalg.norm(D, 2))
-
-    def is_feasible(self, obj, P):
-        D = obj.script_d(P)
-        return _is_psd_matrix(P.T @ D, np.linalg.norm(D, 2))
-
-    def transform(self, T):
-        return self
-
-
-@dataclass(frozen=True)
-class BlockPolarAlignment:
-    """Per-block polar rotations for column-disjoint linear terms.
-
-    ``term_indices`` lists which linear terms of the objective drive a block
-    each; their selectors must be pairwise column-disjoint.  Q is assembled
-    block-diagonally from the per-block polar factors of the (weighted)
-    P_hat_j' D_j, with identity on unselected columns.
-    """
-
-    term_indices: tuple[int, ...]
-
-    def _blocks(self, obj):
+    def _drivers(self, obj, P):
+        # (columns or None for all, weight, D_j) per block, evaluated at P.
+        if self.blocks is None:
+            return [(None, 1.0, obj.script_d(P) if self.D is None else self.D)]
+        if not self.blocks:
+            return []
+        phi = obj.outer.partials(obj.term_values(P))
         seen: set[int] = set()
-        blocks = []
-        for idx in self.term_indices:
+        drivers = []
+        for idx in self.blocks:
             t = obj.terms[idx]
-            cols = tuple(range(obj.k)) if t.cols is None else t.cols
+            cols = list(range(obj.k)) if t.cols is None else list(t.cols)
             if seen.intersection(cols):
                 raise BlockOverlapError(
                     f"alignment blocks overlap at term {idx} (columns {cols})")
             seen.update(cols)
-            blocks.append((list(cols), t))
-        return blocks
+            drivers.append((cols, phi[idx] * t.c, t.matrix))
+        return drivers
 
     def rotate(self, P_hat, obj, P_prev):
-        P_hat = as_matrix(P_hat, "P_hat")
-        k = P_hat.shape[1]
-        phi = obj.outer.partials(obj.term_values(P_prev))
-        Q = np.eye(k)
-        for idx, (cols, t) in zip(self.term_indices, self._blocks(obj)):
-            w = phi[idx] * t.c
-            S = _polar_square(w * (P_hat[:, cols].T @ t.matrix))
-            Q[np.ix_(cols, cols)] = S
+        Q = np.eye(P_hat.shape[1])
+        drivers = self._drivers(obj, P_prev)
+        if not drivers:
+            return Q, P_hat
+        for cols, w, D in drivers:
+            if cols is None:
+                Q = _polar_square(w * (P_hat.T @ D))
+            else:
+                Q[np.ix_(cols, cols)] = _polar_square(w * (P_hat[:, cols].T @ D))
         return Q, P_hat @ Q
 
+    def _weighted(self, obj, P):
+        # (P[:, C_j], w_j D_j) per block, evaluated at P.
+        return [(P if cols is None else P[:, cols], w * D)
+                for cols, w, D in self._drivers(obj, P)]
+
     def psd_margin(self, obj, P):
-        phi = obj.outer.partials(obj.term_values(P))
-        margin = np.inf
-        norm = 0.0
-        for idx, (cols, t) in zip(self.term_indices, self._blocks(obj)):
-            Dw = phi[idx] * t.c * t.matrix
-            S = sym_part(P[:, cols].T @ Dw)
-            margin = min(margin, float(np.linalg.eigvalsh(S)[0]))
-            norm = max(norm, float(np.linalg.norm(Dw, 2)))
-        return (0.0 if margin is np.inf else margin), norm
+        blocks = self._weighted(obj, P)
+        if not blocks:
+            return None
+        margin = min(float(np.linalg.eigvalsh(sym_part(P_j.T @ D_j))[0])
+                     for P_j, D_j in blocks)
+        return margin, max(float(np.linalg.norm(D_j, 2)) for _, D_j in blocks)
 
     def is_feasible(self, obj, P):
-        phi = obj.outer.partials(obj.term_values(P))
-        for idx, (cols, t) in zip(self.term_indices, self._blocks(obj)):
-            Dw = phi[idx] * t.c * t.matrix
-            if not _is_psd_matrix(P[:, cols].T @ Dw, np.linalg.norm(Dw, 2)):
-                return False
-        return True
+        return all(_is_psd_matrix(P_j.T @ D_j, np.linalg.norm(D_j, 2))
+                   for P_j, D_j in self._weighted(obj, P))
 
     def transform(self, T):
-        return self
+        return self if self.D is None else replace(self, D=T.T @ self.D)
+
+
+# The rule's former per-case names, kept as constructors.
+def IdentityAlignment():
+    return PolarAlignment(blocks=())
+
+
+def PolarOfDAlignment(D):
+    return PolarAlignment(D=D)
+
+
+def ScriptDPolarAlignment():
+    return PolarAlignment()
+
+
+def BlockPolarAlignment(term_indices):
+    return PolarAlignment(blocks=tuple(term_indices))
 
 
 def align_rotation(rule, P_hat, obj, P_prev):
     """Apply an alignment rule: returns (Q, P_next = P_hat @ Q)."""
     if rule is None:
-        rule = IdentityAlignment()
+        return np.eye(P_hat.shape[1]), P_hat
     return rule.rotate(P_hat, obj, P_prev)

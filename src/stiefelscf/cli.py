@@ -180,6 +180,10 @@ def run_audits(which: set[str], obj, report, spec, framework: str) -> tuple[dict
     if "theta" in which:
         if obj.theta_data is None:
             raise ProblemFileError("theta audit requested for a non-ratio problem")
+        if report.solver != "nepv":
+            # Only the plain eigenvector route records the alignment terms
+            # the per-step bound replays.
+            raise ProblemFileError("theta audit needs --solver nepv")
         res = theta_step_audit(report, obj.theta_data.B, obj.theta_data.D,
                                obj.theta_data.theta)
         diag["theta_step"] = res
@@ -242,7 +246,8 @@ def run_one(args) -> int:
     if args.audit:
         which = ({"grad", "series", "theta", "certs"} if args.audit == "all"
                  else {args.audit})
-        if "theta" in which and obj.theta_data is None and args.audit == "all":
+        if args.audit == "all" and (obj.theta_data is None
+                                    or args.solver != "nepv"):
             which.discard("theta")
         try:
             diag, audits_ok = run_audits(which, obj, report, spec, framework)

@@ -9,24 +9,24 @@ field is W' H(WZ) W, which inherits the ascent guarantee.
 
 from __future__ import annotations
 
-import logging
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .alignment import _polar_square, align_rotation
-from .kernels import canonical_sin_theta, require_stiefel, top_k_eigenpairs, trace_norm
+from .kernels import require_stiefel, top_k_eigenpairs, trace_norm
 from .npdo import (
-    MONOTONE_SLACK,
-    STAGNATION_LIMIT,
     ZERO_GRAD_FLOOR,
-    IterationRecord,
     NpdoConfig,
     SolveReport,
-    _locg_loop,
-    project_feasible,
-    reduced_objective,
+    _alignment_certificates,
+    _certified,
+    _landing,
+    _one_step,
+    _scf,
+    _Step,
+    _SubspaceStep,
 )
 from .objective import ComposedObjective
 
@@ -36,10 +36,7 @@ __all__ = [
     "nepv_residual",
     "nepv_scf",
     "nepv_scf_step",
-    "reduced_field",
 ]
-
-logger = logging.getLogger("stiefelscf")
 
 
 @dataclass(frozen=True)
@@ -65,71 +62,91 @@ def _nepv_residual_from_field(P, H, normalization) -> float:
     return float(np.linalg.norm(HP - P @ (P.T @ HP)) / xi)
 
 
-def _step_core(obj, P, field, gap_warn_threshold):
-    H = field.H
-    spect = top_k_eigenpairs(H, obj.k)
-    eta = float(spect.eigenvalues.sum() - np.trace(P.T @ (H @ P)))
-    basis = spect.eigenbasis
-    if obj.field_recipe == "generic":
-        # With the generic field the ascent proof goes through a two-stage
-        # rotation: first align the eigenbasis to the polar frame of the
-        # gradient, then apply the objective's own rule.
-        basis = basis @ _polar_square(basis.T @ obj.euclidean_grad(P))
-    _, P_next = align_rotation(obj.alignment, basis, obj, P)
-    rec_extra = {}
-    if obj.theta_data is not None:
-        PhD = spect.eigenbasis.T @ obj.theta_data.D
-        rec_extra["d_trace_norm"] = trace_norm(PhD)
-        rec_extra["d_cross"] = float(
-            np.trace(PhD @ (P.T @ spect.eigenbasis)))
-    degenerate = spect.gap < gap_warn_threshold
-    return P_next, spect, eta, degenerate, rec_extra
+class _EigenStep(_Step):
+    """Top-k eigenbasis of the field H(P), then alignment.
+
+    For a ratio exponent strictly between 0 and 1 the sign condition
+    tr(P'AP + P'D) >= 0 is checked before each step; a violation warns and
+    disables the debug-mode ascent assertion for the rest of the solve.  A
+    gap below ``gap_warn_threshold`` flags the record and warns once per
+    solve.  Warnings point at the caller of the public solver or step
+    function.
+    """
+
+    name = "nepv"
+    budget_warning = "eigenvector SCF hit the iteration budget before tolerance"
+
+    def __init__(self, obj: ComposedObjective, cfg: NepvConfig):
+        self.obj, self.cfg = obj, cfg
+        self.monotone = obj.nepv_monotone
+        self.sign_guard = (obj.theta_data is not None
+                           and 0.0 < obj.theta_data.theta < 1.0)
+        self.warned_gap = False
+
+    def residual(self, P):
+        field = self.obj.field(P)
+        eps = _nepv_residual_from_field(P, field.H, self.cfg.normalization)
+        return eps, (field, eps)
+
+    def step(self, P, f, ctx):
+        obj, (field, eps) = self.obj, ctx
+        if self.sign_guard and self.monotone and not obj.theta_sign_ok(P):
+            warnings.warn(
+                "trace-ratio sign condition tr(P'AP + P'D) >= 0 violated; "
+                "per-step ascent is no longer guaranteed", stacklevel=5)
+            self.monotone = False
+        H = field.H
+        spect = top_k_eigenpairs(H, obj.k)
+        eta = float(spect.eigenvalues.sum() - np.trace(P.T @ (H @ P)))
+        basis = spect.eigenbasis
+        if obj.field_recipe == "generic":
+            # With the generic field the ascent proof goes through a two-stage
+            # rotation: first align the eigenbasis to the polar frame of the
+            # gradient, then apply the objective's own rule.
+            basis = basis @ _polar_square(basis.T @ obj.euclidean_grad(P))
+        _, P_next = align_rotation(obj.alignment, basis, obj, P)
+        degenerate = spect.gap < self.cfg.gap_warn_threshold
+        if degenerate and not self.warned_gap:
+            warnings.warn(
+                f"eigenvalue gap {spect.gap:.3e} below "
+                f"{self.cfg.gap_warn_threshold:.1e}: whole-sequence convergence "
+                "is not guaranteed (per-step ascent still holds)", stacklevel=5)
+            self.warned_gap = True
+        fields = dict(_landing(obj, P, P_next), eps_nepv=eps, gap=spect.gap,
+                      eta=eta, m_asymmetry=field.asymmetry,
+                      gap_degenerate=degenerate)
+        if obj.theta_data is not None:
+            PhD = spect.eigenbasis.T @ obj.theta_data.D
+            fields["d_trace_norm"] = trace_norm(PhD)
+            fields["d_cross"] = float(np.trace(PhD @ (P.T @ spect.eigenbasis)))
+        return P_next, fields
+
+    def certificates(self, P) -> dict:
+        field = self.obj.field(P)
+        H = field.H
+        omega = P.T @ (H @ P)
+        omega_eigs = np.sort(np.linalg.eigvalsh(0.5 * (omega + omega.T)))[::-1]
+        top = top_k_eigenpairs(H, self.obj.k)
+        return _alignment_certificates(self.obj, P, {
+            "omega_vs_topk_max_dev": float(np.max(np.abs(omega_eigs - top.eigenvalues))),
+            "field_norm": float(np.linalg.norm(H, 2)),
+            "mismatch_asymmetry": field.asymmetry,
+            "gap": top.gap,
+            "eps_nepv": _nepv_residual_from_field(P, H, self.cfg.normalization),
+        })
 
 
 def nepv_scf_step(obj: ComposedObjective, P,
                   gap_warn_threshold: float = 1e-10):
     """One eigenvector-SCF step: top-k eigenbasis of H(P), then alignment.
 
-    Returns ``(P_next, record)``; the record's residual is evaluated at the
-    incoming P, its f at P_next, and it carries the eigenvalue gap plus a
-    degeneracy flag when the gap falls below ``gap_warn_threshold``.
+    Returns ``(P_next, record)``, exactly as iteration 0 of ``nepv_scf``
+    from P: the record's residual is evaluated at the incoming P, its f at
+    P_next, and it carries the eigenvalue gap plus a degeneracy flag when
+    the gap falls below ``gap_warn_threshold``.
     """
-    P = require_stiefel(P)
-    field = obj.field(P)
-    eps = _nepv_residual_from_field(P, field.H, None)
-    P_next, spect, eta, degenerate, extra = _step_core(
-        obj, P, field, gap_warn_threshold)
-    f_next = obj.value(P_next)
-    _, step_angle = canonical_sin_theta(P, P_next)
-    if __debug__ and obj.nepv_monotone:
-        f_here = obj.value(P)
-        assert f_next >= f_here - MONOTONE_SLACK * max(1.0, abs(f_here)), (
-            f"ascent violated: {f_here} -> {f_next}")
-    rec = IterationRecord(
-        0, f_next, eps_nepv=eps, gap=spect.gap, eta=eta,
-        step_angle=step_angle, m_asymmetry=field.asymmetry,
-        gap_degenerate=degenerate, **extra)
-    return P_next, rec
-
-
-def _nepv_certificates(obj: ComposedObjective, P, normalization) -> dict:
-    field = obj.field(P)
-    H = field.H
-    omega = P.T @ (H @ P)
-    omega_eigs = np.sort(np.linalg.eigvalsh(0.5 * (omega + omega.T)))[::-1]
-    top = top_k_eigenpairs(H, obj.k)
-    certs = {
-        "omega_vs_topk_max_dev": float(np.max(np.abs(omega_eigs - top.eigenvalues))),
-        "field_norm": float(np.linalg.norm(H, 2)),
-        "mismatch_asymmetry": field.asymmetry,
-        "gap": top.gap,
-        "eps_nepv": _nepv_residual_from_field(P, H, normalization),
-    }
-    if obj.alignment is not None:
-        margin = obj.alignment.psd_margin(obj, P)
-        if margin is not None:
-            certs["alignment_psd_margin"], certs["alignment_matrix_norm"] = margin
-    return certs
+    cfg = NepvConfig(gap_warn_threshold=gap_warn_threshold)
+    return _one_step(_EigenStep(obj, cfg), P)
 
 
 def nepv_scf(obj: ComposedObjective, P0, cfg: NepvConfig | None = None,
@@ -146,77 +163,8 @@ def nepv_scf(obj: ComposedObjective, P0, cfg: NepvConfig | None = None,
     ascent assertion for the rest of the run.
     """
     cfg = cfg or NepvConfig()
-    P = project_feasible(obj, P0)
-    f0 = obj.value(P)
-    f_prev = f0
-    records: list[IterationRecord] = []
-    converged = False
-    stop = "max_iter"
-    stagnant = 0
-    warned_gap = False
-    theta_interior = (obj.theta_data is not None
-                      and 0.0 < obj.theta_data.theta < 1.0)
-    monotone_guard = obj.nepv_monotone
-    for i in range(cfg.max_iter):
-        field = obj.field(P)
-        eps = _nepv_residual_from_field(P, field.H, cfg.normalization)
-        if eps <= cfg.tol:
-            converged, stop = True, "converged"
-            break
-        if theta_interior and monotone_guard and not obj.theta_sign_ok(P):
-            warnings.warn(
-                "trace-ratio sign condition tr(P'AP + P'D) >= 0 violated; "
-                "per-step ascent is no longer guaranteed", stacklevel=2)
-            monotone_guard = False
-        P_next, spect, eta, degenerate, extra = _step_core(
-            obj, P, field, cfg.gap_warn_threshold)
-        if degenerate and not warned_gap:
-            warnings.warn(
-                f"eigenvalue gap {spect.gap:.3e} below "
-                f"{cfg.gap_warn_threshold:.1e}: whole-sequence convergence "
-                "is not guaranteed (per-step ascent still holds)", stacklevel=2)
-            warned_gap = True
-        f_next = obj.value(P_next)
-        _, step_angle = canonical_sin_theta(P, P_next)
-        if __debug__ and monotone_guard:
-            assert f_next >= f_prev - MONOTONE_SLACK * max(1.0, abs(f_prev)), (
-                f"ascent violated at iteration {i}: {f_prev} -> {f_next}")
-        records.append(IterationRecord(
-            i, f_next, eps_nepv=eps, gap=spect.gap, eta=eta,
-            step_angle=step_angle, m_asymmetry=field.asymmetry,
-            gap_degenerate=degenerate, **extra))
-        if callback is not None:
-            callback(i, P_next)
-        logger.debug("nepv iter %d: f=%.12g eps=%.3e gap=%.3e",
-                     i, f_next, eps, spect.gap)
-        if f_next - f_prev < 1e-16 * max(1.0, abs(f_next)):
-            stagnant += 1
-            if stagnant >= STAGNATION_LIMIT:
-                P, f_prev = P_next, f_next
-                stop = "stagnated"
-                break
-        else:
-            stagnant = 0
-        P, f_prev = P_next, f_next
-    report = SolveReport(
-        point=P, f_final=obj.value(P), f_initial=f0, converged=converged,
-        stop_reason=stop, iterations=records,
-        certificates=_nepv_certificates(obj, P, cfg.normalization),
-        solver="nepv")
-    if stop == "max_iter":
-        warnings.warn("eigenvector SCF hit the iteration budget before tolerance",
-                      stacklevel=2)
-    return report
-
-
-def reduced_field(obj: ComposedObjective, W) -> ComposedObjective:
-    """Objective whose field realizes the subspace restriction of H.
-
-    For orthonormal W the returned objective g(Z) = f(WZ) produces
-    H~(Z) = W' H(WZ) W and mismatch M~(Z) = M(WZ), because the recipe
-    formulas are structural in the substituted matrices.
-    """
-    return reduced_objective(obj, W)
+    step = _EigenStep(obj, cfg)
+    return _certified(_scf(obj, P0, cfg, step, callback), step)
 
 
 def nepv_locg(obj: ComposedObjective, P0, cfg: NepvConfig | None = None,
@@ -229,10 +177,5 @@ def nepv_locg(obj: ComposedObjective, P0, cfg: NepvConfig | None = None,
     residual.
     """
     cfg = cfg or NepvConfig()
-
-    def residual(o, P):
-        return nepv_residual(o, P, cfg.normalization)
-
-    report = _locg_loop(obj, P0, cfg, residual, nepv_scf, "nepv-locg", callback)
-    report.certificates = _nepv_certificates(obj, report.point, cfg.normalization)
-    return report
+    step = _SubspaceStep(obj, cfg, _EigenStep, nepv_scf)
+    return _certified(_scf(obj, P0, cfg, step, callback), step)

@@ -6,6 +6,12 @@ ascends f monotonically whenever the objective declares the framework's
 ascent guarantee.  The accelerated variant maximizes over the subspace
 spanned by [P, Riemannian gradient, previous iterate], solving the reduced
 problem with the plain iteration.
+
+Every solver in the package, the eigenvector route of ``stiefelscf.nepv``
+included, runs one SCF loop (``_scf``) over a step kind: the polar step
+here, the eigen step there, and the subspace step, whose inner solve
+re-enters the same loop through the plain solver.  The public single-step functions run the same
+step code as iteration 0 of their solver.
 """
 
 from __future__ import annotations
@@ -45,8 +51,9 @@ ZERO_GRAD_FLOOR = 1e-300
 # Monotonicity slack: ascent is exact in theory, rounding only in practice.
 MONOTONE_SLACK = 1e-12
 
-# Stagnation guard: stop after this many consecutive steps whose f-increase
-# is below 1e-16 * |f| while the residual stays above tolerance.
+# Stagnation guard of the plain steps: stop after this many consecutive
+# steps whose f-increase is below 1e-16 * |f| while the residual stays above
+# tolerance.
 STAGNATION_LIMIT = 50
 
 
@@ -167,53 +174,213 @@ def project_feasible(obj: ComposedObjective, P0) -> np.ndarray:
     return P
 
 
-def npdo_scf_step(obj: ComposedObjective, P):
-    """One polar-SCF step: polar factor of the gradient, then alignment.
+def reduced_objective(obj: ComposedObjective, W) -> ComposedObjective:
+    """Restriction f~(Z) = f(W Z) to an orthonormal subspace basis W.
 
-    Returns ``(P_next, record)`` with the record's residuals evaluated at the
-    incoming P and its f evaluated at P_next.  A vanished gradient returns P
-    unchanged with a record flagging the degenerate stationarity.
+    The atomic structure survives the substitution (linear matrices become
+    W'D, quadratic ones W'AW), so the reduced problem is again a composed
+    objective over m-by-k Stiefel points; its field is H~(Z) = W' H(WZ) W
+    with mismatch M~(Z) = M(WZ), because the recipe formulas are structural
+    in the substituted matrices.
     """
-    P = require_stiefel(P)
-    G = obj.euclidean_grad(P)
-    eps_kkt, eps_sym = _kkt_residuals_from_grad(P, G, None)
-    if np.linalg.norm(G) < ZERO_GRAD_FLOOR:
-        rec = IterationRecord(0, obj.value(P), eps_kkt=0.0, eps_sym=0.0,
-                              sigma_min=0.0)
-        return P, rec
-    pol = polar_factor(G)
-    sigma_min = float(np.linalg.eigvalsh(pol.psd_factor)[0])
-    eta = pol.trace_norm - float(np.trace(P.T @ G))
-    _, P_next = align_rotation(obj.alignment, pol.orthogonal_factor, obj, P)
-    f_next = obj.value(P_next)
-    _, step_angle = canonical_sin_theta(P, P_next)
-    if __debug__ and obj.npdo_monotone:
-        f_here = obj.value(P)
-        assert f_next >= f_here - MONOTONE_SLACK * max(1.0, abs(f_here)), (
-            f"ascent violated: {f_here} -> {f_next}")
-    rec = IterationRecord(0, f_next, eps_kkt=eps_kkt, eps_sym=eps_sym,
-                          sigma_min=sigma_min, eta=eta, step_angle=step_angle)
-    return P_next, rec
+    W = require_stiefel(W, name="W")
+    return obj.transform(W)
 
 
-def _npdo_certificates(obj: ComposedObjective, P, normalization) -> dict:
-    G = obj.euclidean_grad(P)
-    Lam = P.T @ G
-    sym_lam = sym_part(Lam)
-    eigs = np.linalg.eigvalsh(sym_lam)
-    eps_kkt, eps_sym = _kkt_residuals_from_grad(P, G, normalization)
-    certs = {
-        "lambda_min_of_multiplier": float(eigs[0]),
-        "multiplier_norm": float(np.linalg.norm(sym_lam, 2)),
-        "multiplier_asymmetry": float(np.linalg.norm(Lam - Lam.T)),
-        "eps_kkt": eps_kkt,
-        "eps_sym": eps_sym,
-    }
+def _alignment_certificates(obj: ComposedObjective, P, certs: dict) -> dict:
     if obj.alignment is not None:
         margin = obj.alignment.psd_margin(obj, P)
         if margin is not None:
             certs["alignment_psd_margin"], certs["alignment_matrix_norm"] = margin
     return certs
+
+
+def _landing(obj: ComposedObjective, P, P_next) -> dict:
+    # Record fields every step kind shares: f at the new point and the
+    # Frobenius sine distance between the two column spaces.
+    return {"f": obj.value(P_next), "step_angle": canonical_sin_theta(P, P_next)[1]}
+
+
+def _sigma_min(pol) -> float:
+    return float(np.linalg.eigvalsh(pol.psd_factor)[0])
+
+
+class _Step:
+    """One kind of SCF step, as the driver ``_scf`` sees it.
+
+    ``residual(P)`` returns ``(residual, ctx)``, where ``ctx`` carries what
+    the residual computed (gradient or field) on to ``step(P, f, ctx)``,
+    which returns ``(P_next, record fields)`` given f = f(P).  ``monotone``
+    switches the debug-mode ascent assertion on; ``done(f, f_next)`` names a
+    stop reason after a step, or returns None.  ``certificates(P)`` gives
+    the exit certificates, and ``budget_warning`` the message a solver
+    warns with when it runs out of iterations.  Steps keep per-solve state,
+    so every solve builds its own.
+    """
+
+    monotone = False
+    budget_warning: str | None = None
+    _stagnant = 0
+
+    def done(self, f, f_next):
+        if f_next - f < 1e-16 * max(1.0, abs(f_next)):
+            self._stagnant += 1
+            return "stagnated" if self._stagnant >= STAGNATION_LIMIT else None
+        self._stagnant = 0
+        return None
+
+
+class _PolarStep(_Step):
+    """Polar factor of the Euclidean gradient, then alignment."""
+
+    name = "npdo"
+    budget_warning = "polar SCF hit the iteration budget before tolerance"
+
+    def __init__(self, obj: ComposedObjective, cfg: NpdoConfig):
+        self.obj, self.normalization = obj, cfg.normalization
+        self.monotone = obj.npdo_monotone
+
+    def residual(self, P):
+        G = self.obj.euclidean_grad(P)
+        eps_kkt, eps_sym = _kkt_residuals_from_grad(P, G, self.normalization)
+        return eps_kkt + eps_sym, (G, eps_kkt, eps_sym)
+
+    def step(self, P, f, ctx):
+        G, eps_kkt, eps_sym = ctx
+        pol = polar_factor(G)
+        eta = pol.trace_norm - float(np.trace(P.T @ G))
+        _, P_next = align_rotation(self.obj.alignment, pol.orthogonal_factor,
+                                   self.obj, P)
+        return P_next, dict(_landing(self.obj, P, P_next), eps_kkt=eps_kkt,
+                            eps_sym=eps_sym, sigma_min=_sigma_min(pol), eta=eta)
+
+    def certificates(self, P) -> dict:
+        G = self.obj.euclidean_grad(P)
+        Lam = P.T @ G
+        sym_lam = sym_part(Lam)
+        eps_kkt, eps_sym = _kkt_residuals_from_grad(P, G, self.normalization)
+        return _alignment_certificates(self.obj, P, {
+            "lambda_min_of_multiplier": float(np.linalg.eigvalsh(sym_lam)[0]),
+            "multiplier_norm": float(np.linalg.norm(sym_lam, 2)),
+            "multiplier_asymmetry": float(np.linalg.norm(Lam - Lam.T)),
+            "eps_kkt": eps_kkt,
+            "eps_sym": eps_sym,
+        })
+
+
+class _SubspaceStep(_Step):
+    """Maximize f over range([P, Riemannian gradient, previous iterate]).
+
+    The reduced problem f(WZ), W an orthonormal basis of that subspace, is
+    solved by ``solve``, the public plain solver of the step kind ``plain``,
+    from Z0 = the first k columns of the identity (the previous-iterate
+    block is absent on the first step), to ``tolerance_fraction`` of the
+    outer residual.  Residual and certificates are the plain step's.  The
+    record keeps the realized f-gain as ``eta`` and the inner iteration
+    count.
+    """
+
+    def __init__(self, obj: ComposedObjective, cfg: NpdoConfig, plain, solve):
+        self.obj, self.cfg, self.solve = obj, cfg, solve
+        self.outer = plain(obj, cfg)
+        self.name = f"{plain.name}-locg"
+        self.certificates = self.outer.certificates
+        self.P_before = None
+        self.stalled = False
+
+    def residual(self, P):
+        res, _ = self.outer.residual(P)
+        return res, res
+
+    def step(self, P, f, res):
+        obj, cfg = self.obj, self.cfg
+        G = obj.euclidean_grad(P)
+        R = G - P @ sym_part(P.T @ G)
+        V = R if self.P_before is None else np.hstack([R, self.P_before])
+        W_extra = orthonormalize_against(P, V)
+        W = np.hstack([P, W_extra]) if W_extra.shape[1] else P.copy()
+        red = reduced_objective(obj, W)
+        Z0 = np.eye(W.shape[1], obj.k)
+        inner_cfg = replace(cfg, tol=max(cfg.tolerance_fraction * res, 1e-15),
+                            max_iter=cfg.inner_max_iter)
+        with warnings.catch_warnings():
+            # The reduced problem only needs an approximate solve; its
+            # warnings are not worth surfacing.
+            warnings.simplefilter("ignore")
+            inner = self.solve(red, Z0, inner_cfg)
+        P_next = W @ inner.point
+        fields = _landing(obj, P, P_next)
+        gain = fields["f"] - f
+        # A step that cannot move means the Riemannian gradient vanishes on
+        # range(W), so P is already a KKT point.
+        self.stalled = (np.linalg.norm(inner.point - Z0) <= 1e-14
+                        and gain <= 1e-14 * max(1.0, abs(f)))
+        self.P_before = P
+        return P_next, dict(fields, eps_kkt=res, eta=gain,
+                            sigma_min=_sigma_min(polar_factor(G)),
+                            inner_iters=inner.num_iterations)
+
+    def done(self, f, f_next):
+        return "converged" if self.stalled else None
+
+
+def _take_step(step: _Step, P, f, ctx, i: int):
+    P_next, fields = step.step(P, f, ctx)
+    if __debug__ and step.monotone:
+        assert fields["f"] >= f - MONOTONE_SLACK * max(1.0, abs(f)), (
+            f"ascent violated at iteration {i}: {f} -> {fields['f']}")
+    return P_next, IterationRecord(i, **fields)
+
+
+def _scf(obj: ComposedObjective, P0, cfg: NpdoConfig, step: _Step,
+         callback=None) -> SolveReport:
+    # The one SCF loop: project the start, then test the residual, step,
+    # check ascent, record and test for a stop until the budget runs out.
+    P = project_feasible(obj, P0)
+    f0 = f = obj.value(P)
+    records: list[IterationRecord] = []
+    stop = "max_iter"
+    for i in range(cfg.max_iter):
+        res, ctx = step.residual(P)
+        if res <= cfg.tol:
+            stop = "converged"
+            break
+        P_next, rec = _take_step(step, P, f, ctx, i)
+        records.append(rec)
+        if callback is not None:
+            callback(i, P_next)
+        logger.debug("%s iter %d: f=%.12g res=%.3e", step.name, i, rec.f, res)
+        reason = step.done(f, rec.f)
+        P, f = P_next, rec.f
+        if reason is not None:
+            stop = reason
+            break
+    return SolveReport(
+        point=P, f_final=f, f_initial=f0, converged=stop == "converged",
+        stop_reason=stop, iterations=records, solver=step.name)
+
+
+def _one_step(step: _Step, P):
+    P = require_stiefel(P)
+    _, ctx = step.residual(P)
+    return _take_step(step, P, step.obj.value(P), ctx, 0)
+
+
+def _certified(report: SolveReport, step: _Step) -> SolveReport:
+    report.certificates = step.certificates(report.point)
+    if report.stop_reason == "max_iter" and step.budget_warning:
+        warnings.warn(step.budget_warning, stacklevel=3)
+    return report
+
+
+def npdo_scf_step(obj: ComposedObjective, P):
+    """One polar-SCF step: polar factor of the gradient, then alignment.
+
+    Returns ``(P_next, record)``, exactly as iteration 0 of ``npdo_scf``
+    from P: the record's residuals are evaluated at the incoming P and its
+    f at P_next.
+    """
+    return _one_step(_PolarStep(obj, NpdoConfig()), P)
 
 
 def npdo_scf(obj: ComposedObjective, P0, cfg: NpdoConfig | None = None,
@@ -226,124 +393,8 @@ def npdo_scf(obj: ComposedObjective, P0, cfg: NpdoConfig | None = None,
     given, is called as callback(i, P_next) after every step.
     """
     cfg = cfg or NpdoConfig()
-    P = project_feasible(obj, P0)
-    f0 = obj.value(P)
-    f_prev = f0
-    records: list[IterationRecord] = []
-    converged = False
-    stop = "max_iter"
-    stagnant = 0
-    for i in range(cfg.max_iter):
-        G = obj.euclidean_grad(P)
-        eps_kkt, eps_sym = _kkt_residuals_from_grad(P, G, cfg.normalization)
-        if eps_kkt + eps_sym <= cfg.tol:
-            converged, stop = True, "converged"
-            break
-        if np.linalg.norm(G) < ZERO_GRAD_FLOOR:
-            converged, stop = True, "zero_gradient"
-            break
-        pol = polar_factor(G)
-        sigma_min = float(np.linalg.eigvalsh(pol.psd_factor)[0])
-        eta = pol.trace_norm - float(np.trace(P.T @ G))
-        _, P_next = align_rotation(obj.alignment, pol.orthogonal_factor, obj, P)
-        f_next = obj.value(P_next)
-        _, step_angle = canonical_sin_theta(P, P_next)
-        if __debug__ and obj.npdo_monotone:
-            assert f_next >= f_prev - MONOTONE_SLACK * max(1.0, abs(f_prev)), (
-                f"ascent violated at iteration {i}: {f_prev} -> {f_next}")
-        records.append(IterationRecord(
-            i, f_next, eps_kkt=eps_kkt, eps_sym=eps_sym, sigma_min=sigma_min,
-            eta=eta, step_angle=step_angle))
-        if callback is not None:
-            callback(i, P_next)
-        logger.debug("npdo iter %d: f=%.12g eps=%.3e", i, f_next, eps_kkt + eps_sym)
-        if f_next - f_prev < 1e-16 * max(1.0, abs(f_next)):
-            stagnant += 1
-            if stagnant >= STAGNATION_LIMIT:
-                P, f_prev = P_next, f_next
-                stop = "stagnated"
-                break
-        else:
-            stagnant = 0
-        P, f_prev = P_next, f_next
-    report = SolveReport(
-        point=P, f_final=obj.value(P), f_initial=f0, converged=converged,
-        stop_reason=stop, iterations=records,
-        certificates=_npdo_certificates(obj, P, cfg.normalization),
-        solver="npdo")
-    if stop == "max_iter":
-        warnings.warn("polar SCF hit the iteration budget before tolerance",
-                      stacklevel=2)
-    return report
-
-
-def reduced_objective(obj: ComposedObjective, W) -> ComposedObjective:
-    """Restriction f~(Z) = f(W Z) to an orthonormal subspace basis W.
-
-    The atomic structure survives the substitution (linear matrices become
-    W'D, quadratic ones W'AW), so the reduced problem is again a composed
-    objective over m-by-k Stiefel points.
-    """
-    W = require_stiefel(W, name="W")
-    return obj.transform(W)
-
-
-def _locg_loop(obj, P0, cfg, residual_fn, inner_solver, solver_name,
-               callback=None) -> SolveReport:
-    # Shared outer loop for both accelerated solvers: build the subspace
-    # basis [P | gradient | previous iterate], solve the reduced problem,
-    # lift back.  residual_fn(obj, P) -> (scalar residual, parts...).
-    P = project_feasible(obj, P0)
-    f0 = obj.value(P)
-    f_prev = f0
-    P_before = None
-    records: list[IterationRecord] = []
-    converged = False
-    stop = "max_iter"
-    k = obj.k
-    for i in range(cfg.max_iter):
-        res = residual_fn(obj, P)
-        if res <= cfg.tol:
-            converged, stop = True, "converged"
-            break
-        R = obj.riemannian_grad(P)
-        V = R if P_before is None else np.hstack([R, P_before])
-        W_extra = orthonormalize_against(P, V)
-        W = np.hstack([P, W_extra]) if W_extra.shape[1] else P.copy()
-        red = reduced_objective(obj, W)
-        Z0 = np.eye(W.shape[1], k)
-        inner_cfg = replace(cfg, tol=max(cfg.tolerance_fraction * res, 1e-15),
-                            max_iter=cfg.inner_max_iter)
-        with warnings.catch_warnings():
-            # The reduced problem only needs an approximate solve; a spent
-            # inner budget is not worth surfacing.
-            warnings.simplefilter("ignore")
-            inner = inner_solver(red, Z0, inner_cfg)
-        P_next = W @ inner.point
-        f_next = obj.value(P_next)
-        _, step_angle = canonical_sin_theta(P, P_next)
-        G = obj.euclidean_grad(P)
-        sigma_min = float(np.linalg.eigvalsh(polar_factor(G).psd_factor)[0])
-        records.append(IterationRecord(
-            i, f_next, eps_kkt=res, sigma_min=sigma_min,
-            eta=f_next - f_prev, step_angle=step_angle,
-            inner_iters=inner.num_iterations))
-        if callback is not None:
-            callback(i, P_next)
-        logger.debug("%s outer %d: f=%.12g res=%.3e inner=%d",
-                     solver_name, i, f_next, res, inner.num_iterations)
-        stalled = (np.linalg.norm(inner.point - Z0) <= 1e-14
-                   and f_next - f_prev <= 1e-14 * max(1.0, abs(f_prev)))
-        P_before, P, f_prev = P, P_next, f_next
-        if stalled:
-            # The subspace step could not move: the Riemannian gradient
-            # vanishes on range(W), so P is already a KKT point.
-            converged, stop = True, "converged"
-            break
-    return SolveReport(
-        point=P, f_final=obj.value(P), f_initial=f0, converged=converged,
-        stop_reason=stop, iterations=records, certificates={},
-        solver=solver_name)
+    step = _PolarStep(obj, cfg)
+    return _certified(_scf(obj, P0, cfg, step, callback), step)
 
 
 def npdo_locg(obj: ComposedObjective, P0, cfg: NpdoConfig | None = None,
@@ -356,11 +407,5 @@ def npdo_locg(obj: ComposedObjective, P0, cfg: NpdoConfig | None = None,
     step).  The inner tolerance is a fraction of the current outer residual.
     """
     cfg = cfg or NpdoConfig()
-
-    def residual(o, P):
-        e1, e2 = kkt_residuals(o, P, cfg.normalization)
-        return e1 + e2
-
-    report = _locg_loop(obj, P0, cfg, residual, npdo_scf, "npdo-locg", callback)
-    report.certificates = _npdo_certificates(obj, report.point, cfg.normalization)
-    return report
+    step = _SubspaceStep(obj, cfg, _PolarStep, npdo_scf)
+    return _certified(_scf(obj, P0, cfg, step, callback), step)

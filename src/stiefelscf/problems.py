@@ -28,12 +28,7 @@ import numpy as np
 import scipy.linalg
 import scipy.special
 
-from .alignment import (
-    BlockPolarAlignment,
-    IdentityAlignment,
-    PolarOfDAlignment,
-    ScriptDPolarAlignment,
-)
+from .alignment import PolarAlignment
 from .kernels import as_matrix, random_stiefel, require_symmetric, sym_part
 from .objective import (
     AtomicTerm,
@@ -58,8 +53,7 @@ __all__ = [
 ]
 
 FAMILIES = ("sep", "mbsub", "sumct", "theta_tr", "olda", "occa",
-            "theta_tr_sq", "umds", "trcp", "dft", "quad_lin2", "procrustes",
-            "custom")
+            "theta_tr_sq", "umds", "trcp", "dft", "quad_lin2", "procrustes")
 
 OUTER_PRESETS = ("sum", "quad_penalty", "logsumexp")
 
@@ -71,8 +65,7 @@ class ProblemSpec:
     ``matrices`` maps names (A, B, D, C, M, A_list, D_list) to arrays;
     ``blocks`` lists column-index groups for the coupled-trace family;
     ``theta`` is the ratio exponent; ``phi`` names an outer preset for the
-    trace-composition families.  ``custom`` carries a prebuilt objective
-    (programmatic use only).
+    trace-composition families.
     """
 
     family: str
@@ -83,7 +76,6 @@ class ProblemSpec:
     blocks: tuple[tuple[int, ...], ...] | None = None
     phi: str = "sum"
     phi_weight: float = 1.0
-    custom: ComposedObjective | None = None
 
     def __post_init__(self):
         if self.family not in FAMILIES:
@@ -205,17 +197,12 @@ def build(spec: ProblemSpec) -> ComposedObjective:
     n, k, fam = spec.n, spec.k, spec.family
     meta = {"family": fam}
 
-    if fam == "custom":
-        if spec.custom is None:
-            raise ValueError("custom family requires a prebuilt objective")
-        return spec.custom
-
     if fam == "sep":
         A = _get(spec, "A", (n, n), symmetric=True)
         psd = _check_psd(A, "A", fam, required=False)
         return _spot_check(ComposedObjective(
             n, k, (AtomicTerm.quadratic(A),), outer_sum(1),
-            field_recipe="composition", alignment=IdentityAlignment(),
+            field_recipe="composition", alignment=PolarAlignment(blocks=()),
             npdo_monotone=psd, nepv_monotone=True, meta=meta))
 
     if fam == "mbsub":
@@ -225,7 +212,7 @@ def build(spec: ProblemSpec) -> ComposedObjective:
         terms = (AtomicTerm.quadratic(A), AtomicTerm.linear(D))
         return _spot_check(ComposedObjective(
             n, k, terms, outer_sum(2), field_recipe="composition",
-            alignment=ScriptDPolarAlignment(),
+            alignment=PolarAlignment(),
             npdo_monotone=psd, nepv_monotone=True, meta=meta))
 
     if fam == "sumct":
@@ -255,7 +242,7 @@ def build(spec: ProblemSpec) -> ComposedObjective:
         lin_idx = tuple(range(len(spec.blocks), 2 * len(spec.blocks)))
         return _spot_check(ComposedObjective(
             n, k, tuple(terms), outer_sum(len(terms)), field_recipe="generic",
-            alignment=BlockPolarAlignment(lin_idx),
+            alignment=PolarAlignment(blocks=lin_idx),
             npdo_monotone=all_psd, nepv_monotone=all_psd, meta=meta))
 
     if fam in ("theta_tr", "olda", "occa"):
@@ -281,8 +268,8 @@ def build(spec: ProblemSpec) -> ComposedObjective:
         _check_ratio_denominator(B, k, fam)
         terms = (AtomicTerm.quadratic(B), AtomicTerm.quadratic(A),
                  AtomicTerm.linear(D))
-        align = (IdentityAlignment() if not D.any()
-                 else PolarOfDAlignment(D))
+        align = (PolarAlignment(blocks=()) if not D.any()
+                 else PolarAlignment(D))
         meta["theta"] = theta
         return ComposedObjective(
             n, k, terms, outer_theta_ratio(theta), field_recipe="theta_tr",
@@ -305,7 +292,7 @@ def build(spec: ProblemSpec) -> ComposedObjective:
         _check_ratio_denominator(B, k, fam)
         terms = (AtomicTerm.quadratic(B), AtomicTerm.quadratic(A),
                  AtomicTerm.linear(D))
-        align = (IdentityAlignment() if not D.any() else ScriptDPolarAlignment())
+        align = (PolarAlignment(blocks=()) if not D.any() else PolarAlignment())
         meta["theta"] = theta
         return _spot_check(ComposedObjective(
             n, k, terms, outer_ratio_squared(theta), field_recipe="composition",
@@ -323,7 +310,7 @@ def build(spec: ProblemSpec) -> ComposedObjective:
             terms.append(AtomicTerm.quadratic(A_j, m=2))
         return _spot_check(ComposedObjective(
             n, k, tuple(terms), outer_sum(len(terms)),
-            field_recipe="composition", alignment=IdentityAlignment(),
+            field_recipe="composition", alignment=PolarAlignment(blocks=()),
             npdo_monotone=all_psd, nepv_monotone=all_psd, meta=meta))
 
     if fam == "trcp":
@@ -339,7 +326,7 @@ def build(spec: ProblemSpec) -> ComposedObjective:
         outer = _trace_composition_outer(spec, len(terms), lead=False)
         return _spot_check(ComposedObjective(
             n, k, tuple(terms), outer, field_recipe="composition",
-            alignment=IdentityAlignment(),
+            alignment=PolarAlignment(blocks=()),
             npdo_monotone=all_psd, nepv_monotone=True, meta=meta))
 
     if fam == "dft":
@@ -354,7 +341,7 @@ def build(spec: ProblemSpec) -> ComposedObjective:
         outer = _trace_composition_outer(spec, n, lead=True)
         return _spot_check(ComposedObjective(
             n, k, tuple(terms), outer, field_recipe="composition",
-            alignment=IdentityAlignment(),
+            alignment=PolarAlignment(blocks=()),
             npdo_monotone=psd, nepv_monotone=True, meta=meta))
 
     if fam == "quad_lin2":
@@ -364,7 +351,7 @@ def build(spec: ProblemSpec) -> ComposedObjective:
         terms = (AtomicTerm.quadratic(A), AtomicTerm.linear(D, m=2))
         return _spot_check(ComposedObjective(
             n, k, terms, outer_sum(2), field_recipe="composition",
-            alignment=PolarOfDAlignment(D),
+            alignment=PolarAlignment(D),
             npdo_monotone=psd, nepv_monotone=True, meta=meta))
 
     if fam == "procrustes":
@@ -399,7 +386,7 @@ def build_procrustes_ls(C, B) -> ComposedObjective:
             "offset": float(np.linalg.norm(B) ** 2)}
     return ComposedObjective(
         n, k, terms, outer_sum(2), field_recipe="composition",
-        alignment=ScriptDPolarAlignment(),
+        alignment=PolarAlignment(),
         npdo_monotone=False, nepv_monotone=True, meta=meta)
 
 

@@ -36,6 +36,17 @@ def sep_file(tmp_path):
 
 
 @pytest.fixture
+def theta_file(tmp_path):
+    n, k = 8, 2
+    D = np.random.default_rng(2).standard_normal((n, k))
+    return write_problem(tmp_path / "theta.json", {
+        "family": "theta_tr", "n": n, "k": k, "theta": 0.3,
+        "matrices": {"A": make_psd(n, 3).tolist(),
+                     "B": make_psd(n, 4, 1.0).tolist(), "D": D.tolist()},
+    })
+
+
+@pytest.fixture
 def mbsub_file(tmp_path):
     n, k = 10, 2
     A = make_psd(n, 0)
@@ -93,6 +104,12 @@ class TestRun:
         assert main(["run", "--problem", str(p)]) == EXIT_INPUT
         assert "nope" in capsys.readouterr().err
 
+    def test_custom_family_exit_one(self, tmp_path, capsys):
+        p = write_problem(tmp_path / "custom.json",
+                          {"family": "custom", "n": 2, "k": 1})
+        assert main(["run", "--problem", str(p)]) == EXIT_INPUT
+        assert "custom" in capsys.readouterr().err
+
     def test_missing_file_exit_one(self, tmp_path):
         assert main(["run", "--problem", str(tmp_path / "absent.json")]) == EXIT_INPUT
 
@@ -134,6 +151,35 @@ class TestRun:
     def test_theta_audit_on_non_ratio_exit_one(self, sep_file):
         code = main(["run", "--problem", str(sep_file), "--audit", "theta"])
         assert code == EXIT_INPUT
+
+    @pytest.mark.parametrize("solver", ["npdo", "npdo-locg", "nepv-locg"])
+    def test_audit_all_skips_theta_without_plain_nepv(self, theta_file,
+                                                      tmp_path, solver):
+        report = tmp_path / "r.json"
+        # The polar route has no ascent guarantee on ratio problems and may
+        # not converge; a short budget is enough to reach the audits.
+        code = main(["run", "--problem", str(theta_file), "--solver", solver,
+                     "--max-iter", "20", "--audit", "all",
+                     "--report", str(report)])
+        assert code in (EXIT_OK, EXIT_MAXITER, EXIT_AUDIT)
+        diag = json.loads(report.read_text())["diagnostics"]
+        assert "theta_step" not in diag and "series" in diag
+
+    @pytest.mark.parametrize("solver", ["npdo", "npdo-locg", "nepv-locg"])
+    def test_theta_audit_without_plain_nepv_exit_one(self, theta_file, capsys,
+                                                     solver):
+        code = main(["run", "--problem", str(theta_file), "--solver", solver,
+                     "--max-iter", "20", "--audit", "theta"])
+        assert code == EXIT_INPUT
+        assert "error: theta audit needs --solver nepv" in capsys.readouterr().err
+
+    def test_theta_audit_with_plain_nepv(self, theta_file, tmp_path):
+        report = tmp_path / "r.json"
+        code = main(["run", "--problem", str(theta_file), "--solver", "nepv",
+                     "--audit", "all", "--report", str(report)])
+        assert code == EXIT_OK
+        diag = json.loads(report.read_text())["diagnostics"]
+        assert diag["theta_step"]["ok"] is True
 
     def test_reproducible_bit_for_bit(self, mbsub_file, tmp_path):
         t1, t2 = tmp_path / "a.csv", tmp_path / "b.csv"

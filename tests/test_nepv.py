@@ -8,9 +8,8 @@ from stiefelscf.nepv import (
     nepv_residual,
     nepv_scf,
     nepv_scf_step,
-    reduced_field,
 )
-from stiefelscf.npdo import npdo_scf
+from stiefelscf.npdo import npdo_scf, reduced_objective
 from stiefelscf.objective import AtomicTerm, ComposedObjective, outer_sum
 from stiefelscf.problems import ProblemSpec, build
 
@@ -181,7 +180,7 @@ class TestReducedField:
     def test_identity_basis(self):
         obj = build(ProblemSpec("mbsub", 6, 2, {
             "A": make_psd(6, 11), "D": np.random.default_rng(5).standard_normal((6, 2))}))
-        red = reduced_field(obj, np.eye(6))
+        red = reduced_objective(obj, np.eye(6))
         P = random_stiefel(6, 2, 1)
         assert np.allclose(red.field(P).H, obj.field(P).H, atol=1e-12)
 
@@ -189,7 +188,7 @@ class TestReducedField:
         A = make_psd(7, 12)
         obj = build(ProblemSpec("sep", 7, 2, {"A": A}))
         W = random_stiefel(7, 4, 2)
-        red = reduced_field(obj, W)
+        red = reduced_objective(obj, W)
         Z = random_stiefel(4, 2, 3)
         assert np.allclose(red.field(Z).H, 2 * W.T @ A @ W, atol=1e-12)
 
@@ -207,7 +206,7 @@ class TestReducedField:
             mats["B"] = make_psd(n, 131, 1.0)
         obj = build(ProblemSpec(family, n, k, mats, **extra))
         W = random_stiefel(n, m, 4)
-        red = reduced_field(obj, W)
+        red = reduced_objective(obj, W)
         for seed in range(10):
             Z = random_stiefel(m, k, seed)
             fe_red = red.field(Z)
