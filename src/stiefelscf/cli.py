@@ -7,8 +7,8 @@ Usage::
                  [--report out.json] [--oracle BUDGET]
                  [--audit {grad,series,theta,certs,all}] [--batch DIR]
 
-Exit codes: 0 converged, 1 input error, 2 iteration budget exhausted,
-3 audit failure.  Set STIEFEL_SCF_LOG={off,info,debug} for logging.
+Exit codes: 0 converged, 1 input error or failed solve, 2 iteration budget
+exhausted, 3 audit failure.  Set STIEFEL_SCF_LOG={off,info,debug} for logging.
 Runs are reproducible bit-for-bit given the problem file, flags and seed.
 """
 
@@ -178,14 +178,14 @@ def run_audits(which: set[str], obj, report, spec, framework: str) -> tuple[dict
         diag["series"] = res
         ok &= res["ok"]
     if "theta" in which:
-        if obj.theta_data is None:
+        ratio = obj.theta_data
+        if ratio is None:
             raise ProblemFileError("theta audit requested for a non-ratio problem")
         if report.solver != "nepv":
             # Only the plain eigenvector route records the alignment terms
             # the per-step bound replays.
             raise ProblemFileError("theta audit needs --solver nepv")
-        res = theta_step_audit(report, obj.theta_data.B, obj.theta_data.D,
-                               obj.theta_data.theta)
+        res = theta_step_audit(report, ratio.B, ratio.D, ratio.theta)
         diag["theta_step"] = res
         ok &= res["ok"]
     if "certs" in which:
@@ -220,9 +220,15 @@ def run_one(args) -> int:
     solver_fn, cfg_cls = SOLVERS[args.solver]
     cfg = cfg_cls(tol=args.tol, max_iter=args.max_iter)
     P0 = random_stiefel(spec.n, spec.k, args.seed)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        report = solver_fn(obj, P0, cfg)
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            report = solver_fn(obj, P0, cfg)
+    except ValueError as exc:
+        # Includes LinAlgError: a numerical failure ends this solve only,
+        # so a batch still runs its other problems.
+        print(f"error: solve failed: {exc}", file=sys.stderr)
+        return EXIT_INPUT
     framework = "npdo" if args.solver.startswith("npdo") else "nepv"
     logger.info("%s on %s: f = %.12g, converged = %s in %d iterations",
                 args.solver, spec.family, report.f_final, report.converged,

@@ -79,17 +79,17 @@ class _EigenStep(_Step):
     def __init__(self, obj: ComposedObjective, cfg: NepvConfig):
         self.obj, self.cfg = obj, cfg
         self.monotone = obj.nepv_monotone
-        self.sign_guard = (obj.theta_data is not None
-                           and 0.0 < obj.theta_data.theta < 1.0)
+        self.ratio = obj.theta_data
+        self.sign_guard = self.ratio is not None and 0.0 < self.ratio.theta < 1.0
         self.warned_gap = False
 
     def residual(self, P):
         field = self.obj.field(P)
         eps = _nepv_residual_from_field(P, field.H, self.cfg.normalization)
-        return eps, (field, eps)
+        return eps, (field, {"eps_nepv": eps})
 
     def step(self, P, f, ctx):
-        obj, (field, eps) = self.obj, ctx
+        obj, (field, residuals) = self.obj, ctx
         if self.sign_guard and self.monotone and not obj.theta_sign_ok(P):
             warnings.warn(
                 "trace-ratio sign condition tr(P'AP + P'D) >= 0 violated; "
@@ -112,11 +112,11 @@ class _EigenStep(_Step):
                 f"{self.cfg.gap_warn_threshold:.1e}: whole-sequence convergence "
                 "is not guaranteed (per-step ascent still holds)", stacklevel=5)
             self.warned_gap = True
-        fields = dict(_landing(obj, P, P_next), eps_nepv=eps, gap=spect.gap,
+        fields = dict(_landing(obj, P, P_next), **residuals, gap=spect.gap,
                       eta=eta, m_asymmetry=field.asymmetry,
                       gap_degenerate=degenerate)
-        if obj.theta_data is not None:
-            PhD = spect.eigenbasis.T @ obj.theta_data.D
+        if self.ratio is not None:
+            PhD = spect.eigenbasis.T @ self.ratio.D
             fields["d_trace_norm"] = trace_norm(PhD)
             fields["d_cross"] = float(np.trace(PhD @ (P.T @ spect.eigenbasis)))
         return P_next, fields

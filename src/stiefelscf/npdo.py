@@ -52,8 +52,8 @@ ZERO_GRAD_FLOOR = 1e-300
 MONOTONE_SLACK = 1e-12
 
 # Stagnation guard of the plain steps: stop after this many consecutive
-# steps whose f-increase is below 1e-16 * |f| while the residual stays above
-# tolerance.
+# steps whose f-change |f_next - f| is below 1e-16 * max(1, |f_next|) while
+# the residual stays above tolerance.
 STAGNATION_LIMIT = 50
 
 
@@ -209,8 +209,10 @@ class _Step:
     """One kind of SCF step, as the driver ``_scf`` sees it.
 
     ``residual(P)`` returns ``(residual, ctx)``, where ``ctx`` carries what
-    the residual computed (gradient or field) on to ``step(P, f, ctx)``,
-    which returns ``(P_next, record fields)`` given f = f(P).  ``monotone``
+    the residual computed (gradient or field, and the record fields measured
+    at P) on to ``step(P, f, ctx)``, which returns ``(P_next, record
+    fields)`` given f = f(P).  ``gradient(P, ctx)`` is the Euclidean
+    gradient at P, from ``ctx`` where the residual computed it.  ``monotone``
     switches the debug-mode ascent assertion on; ``done(f, f_next)`` names a
     stop reason after a step, or returns None.  ``certificates(P)`` gives
     the exit certificates, and ``budget_warning`` the message a solver
@@ -222,8 +224,11 @@ class _Step:
     budget_warning: str | None = None
     _stagnant = 0
 
+    def gradient(self, P, ctx):
+        return self.obj.euclidean_grad(P)
+
     def done(self, f, f_next):
-        if f_next - f < 1e-16 * max(1.0, abs(f_next)):
+        if abs(f_next - f) < 1e-16 * max(1.0, abs(f_next)):
             self._stagnant += 1
             return "stagnated" if self._stagnant >= STAGNATION_LIMIT else None
         self._stagnant = 0
@@ -243,16 +248,20 @@ class _PolarStep(_Step):
     def residual(self, P):
         G = self.obj.euclidean_grad(P)
         eps_kkt, eps_sym = _kkt_residuals_from_grad(P, G, self.normalization)
-        return eps_kkt + eps_sym, (G, eps_kkt, eps_sym)
+        pol = polar_factor(G)
+        return eps_kkt + eps_sym, ((G, pol), dict(
+            eps_kkt=eps_kkt, eps_sym=eps_sym, sigma_min=_sigma_min(pol)))
+
+    def gradient(self, P, ctx):
+        (G, _), _ = ctx
+        return G
 
     def step(self, P, f, ctx):
-        G, eps_kkt, eps_sym = ctx
-        pol = polar_factor(G)
+        (G, pol), fields = ctx
         eta = pol.trace_norm - float(np.trace(P.T @ G))
         _, P_next = align_rotation(self.obj.alignment, pol.orthogonal_factor,
                                    self.obj, P)
-        return P_next, dict(_landing(self.obj, P, P_next), eps_kkt=eps_kkt,
-                            eps_sym=eps_sym, sigma_min=_sigma_min(pol), eta=eta)
+        return P_next, dict(_landing(self.obj, P, P_next), **fields, eta=eta)
 
     def certificates(self, P) -> dict:
         G = self.obj.euclidean_grad(P)
@@ -276,8 +285,9 @@ class _SubspaceStep(_Step):
     from Z0 = the first k columns of the identity (the previous-iterate
     block is absent on the first step), to ``tolerance_fraction`` of the
     outer residual.  Residual and certificates are the plain step's.  The
-    record keeps the realized f-gain as ``eta`` and the inner iteration
-    count.
+    record keeps the fields the plain residual measured at P (eps_kkt,
+    eps_sym and sigma_min, or eps_nepv), the realized f-gain as ``eta`` and
+    the inner iteration count.
     """
 
     def __init__(self, obj: ComposedObjective, cfg: NpdoConfig, plain, solve):
@@ -289,12 +299,13 @@ class _SubspaceStep(_Step):
         self.stalled = False
 
     def residual(self, P):
-        res, _ = self.outer.residual(P)
-        return res, res
+        res, ctx = self.outer.residual(P)
+        return res, (res, ctx)
 
-    def step(self, P, f, res):
+    def step(self, P, f, ctx):
         obj, cfg = self.obj, self.cfg
-        G = obj.euclidean_grad(P)
+        res, plain_ctx = ctx
+        G = self.outer.gradient(P, plain_ctx)
         R = G - P @ sym_part(P.T @ G)
         V = R if self.P_before is None else np.hstack([R, self.P_before])
         W_extra = orthonormalize_against(P, V)
@@ -316,8 +327,7 @@ class _SubspaceStep(_Step):
         self.stalled = (np.linalg.norm(inner.point - Z0) <= 1e-14
                         and gain <= 1e-14 * max(1.0, abs(f)))
         self.P_before = P
-        return P_next, dict(fields, eps_kkt=res, eta=gain,
-                            sigma_min=_sigma_min(polar_factor(G)),
+        return P_next, dict(fields, **plain_ctx[1], eta=gain,
                             inner_iters=inner.num_iterations)
 
     def done(self, f, f_next):

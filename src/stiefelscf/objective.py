@@ -10,6 +10,14 @@ as paired value/partials callbacks.  The objective knows how to produce its
 value, Euclidean gradient, Riemannian gradient, and the symmetric field H(P)
 used by the eigenvector-based solver together with the mismatch matrix M(P)
 whose symmetry certifies that a field solution is a KKT point.
+
+There are two field recipes: "generic" (H = G P' + P G' from the gradient G)
+and "composition" (the per-term fields weighted by the outer partials), which
+every catalog family except the partial-selector sumct uses.  For the trace
+ratio (x2 + x3) / x1^theta over (tr(P'BP), tr(P'AP), tr(P'D)) the
+composition gives (2 / b^theta) (A + sym(D P') - theta (a + d) / b B) with
+M = b^-theta D'P; ``ComposedObjective.theta_data`` reads theta, A, B and D
+off such an objective's meta and terms.
 """
 
 from __future__ import annotations
@@ -119,26 +127,50 @@ class AtomicTerm:
         return P if self.cols is None else P[:, list(self.cols)]
 
 
-def _base_value(term: AtomicTerm, P_i: np.ndarray) -> float:
-    if term.kind == "linear":
-        M = P_i.T @ term.matrix
-    else:
-        M = P_i.T @ (term.matrix @ P_i)
-    return float(np.trace(_matpow(M, term.m)))
+def _atom(term: AtomicTerm, P_i: np.ndarray):
+    # (X, S, value, chain) of one term at its selected columns P_i: X = D for
+    # the linear kind or A P_i for the quadratic kind, S = P_i' X, the value
+    # c base^s and the chain factor c s base^(s-1), with base = tr(S^m).
+    X = term.matrix if term.kind == "linear" else term.matrix @ P_i
+    S = P_i.T @ X
+    base = float(np.trace(_matpow(S, term.m)))
+    if term.s == 1.0:
+        return X, S, term.c * base, term.c
+    if base < 0.0:
+        raise NegativeBaseError(
+            f"base {base:.3e} < 0 under fractional/odd power s = {term.s}")
+    return X, S, term.c * base**term.s, term.c * term.s * base ** (term.s - 1.0)
+
+
+def _atom_grad(term: AtomicTerm, X: np.ndarray, S: np.ndarray, chain: float):
+    # Gradient with respect to P_i from the products and chain factor of
+    # ``_atom``: m D (P_i'D)^(m-1) or 2m A P_i (P_i'AP_i)^(m-1), times chain.
+    scale = 2.0 * term.m if term.kind == "quadratic" else term.m
+    return chain * (scale * X @ _matpow(S, term.m - 1))
+
+
+def _add_term_field(H, M, term: AtomicTerm, P, X, S, w: float) -> None:
+    # Add w times one full-selector term's symmetric field H_t and mismatch
+    # M_t, where H_t P - grad_t = P M_t before the chain factor (folded into
+    # w) and X, S are the products of ``_atom``.  Quadratic terms satisfy
+    # grad = H_t P exactly, so their M_t is zero.
+    if term.kind == "quadratic":
+        if term.m == 1:
+            H += (2.0 * w) * term.matrix
+        else:
+            PPtA = P @ (P.T @ term.matrix)
+            H += w * sym_part(2.0 * term.m * term.matrix @ _matpow(PPtA, term.m - 1))
+        return
+    # D (P'D)^(m-1) P' plus its transpose, exactly symmetric.
+    Y = (w * term.m) * (X @ _matpow(S, term.m - 1) @ P.T)
+    H += Y
+    H += Y.T
+    M += (w * term.m) * _matpow(S, term.m).T
 
 
 def eval_atomic(term: AtomicTerm, P) -> float:
     """Value c * base^s of one atomic term at P."""
-    P = as_matrix(P, "P")
-    P_i = term.select(P)
-    base = _base_value(term, P_i)
-    if term.s != 1.0:
-        if base < 0.0:
-            raise NegativeBaseError(
-                f"base {base:.3e} < 0 under fractional/odd power s = {term.s}"
-            )
-        return term.c * base**term.s
-    return term.c * base
+    return _atom(term, term.select(as_matrix(P, "P")))[2]
 
 
 def grad_atomic(term: AtomicTerm, P) -> np.ndarray:
@@ -149,28 +181,11 @@ def grad_atomic(term: AtomicTerm, P) -> np.ndarray:
     rule c s base^(s-1).  Columns outside the term's selector are zero.
     """
     P = as_matrix(P, "P")
-    n, k = P.shape
-    P_i = term.select(P)
-    if term.kind == "linear":
-        M = P_i.T @ term.matrix
-        G_i = term.m * term.matrix @ _matpow(M, term.m - 1)
-    else:
-        AP = term.matrix @ P_i
-        S = P_i.T @ AP
-        G_i = 2.0 * term.m * AP @ _matpow(S, term.m - 1)
-    if term.s != 1.0:
-        base = float(np.trace(_matpow(P_i.T @ term.matrix if term.kind == "linear"
-                                      else P_i.T @ AP, term.m)))
-        if base < 0.0:
-            raise NegativeBaseError(
-                f"base {base:.3e} < 0 under fractional/odd power s = {term.s}"
-            )
-        G_i = term.c * term.s * base ** (term.s - 1.0) * G_i
-    else:
-        G_i = term.c * G_i
+    X, S, _, chain = _atom(term, term.select(P))
+    G_i = _atom_grad(term, X, S, chain)
     if term.cols is None:
         return G_i
-    G = np.zeros((n, k))
+    G = np.zeros(P.shape)
     G[:, list(term.cols)] = G_i
     return G
 
@@ -224,8 +239,7 @@ def outer_theta_ratio(theta: float) -> OuterFunction:
     """phi(x) = (x2 + x3) / x1^theta over x = [x1, x2, x3].
 
     The trace-ratio outer function; not convex, supplied for the direct
-    ratio objectives which the eigenvector-based solver handles through a
-    dedicated field recipe.
+    ratio objectives, whose composition field is the trace-ratio field.
     """
     th = float(theta)
 
@@ -319,7 +333,8 @@ def spot_check_outer(outer: OuterFunction, samples: np.ndarray,
 
 @dataclass(frozen=True)
 class ThetaRatioData:
-    """Matrices and exponent backing the trace-ratio field recipe."""
+    """Exponent and matrices of a trace ratio tr(P'AP + P'D) / tr(P'BP)^theta,
+    as read off a ratio objective by ``ComposedObjective.theta_data``."""
 
     theta: float
     A: np.ndarray
@@ -349,9 +364,12 @@ class ComposedObjective:
 
     * ``"generic"``      - H = grad P' + P grad', always valid;
     * ``"composition"``  - per-term fields weighted by the outer partials
-                           (requires every selector to cover all columns);
-    * ``"theta_tr"``     - the dedicated trace-ratio field, backed by
-                           ``theta_data``.
+                           (requires every selector to cover all columns).
+
+    ``theta_data`` is a read-only view, derived rather than stored: for the
+    theta-ratio outer over the terms (B, A, D) it is
+    ``ThetaRatioData(meta["theta"], A, B, D)`` with the terms' own matrices,
+    else None.
 
     ``alignment`` is the rotation rule the solvers use to map subproblem
     solutions back into the feasible subset (duck-typed; see
@@ -367,7 +385,6 @@ class ComposedObjective:
     terms: tuple[AtomicTerm, ...]
     outer: OuterFunction
     field_recipe: str = "generic"
-    theta_data: ThetaRatioData | None = None
     alignment: object = None
     npdo_monotone: bool = False
     nepv_monotone: bool = False
@@ -377,10 +394,8 @@ class ComposedObjective:
         if self.outer.dim != len(self.terms):
             raise ValueError(
                 f"outer dimension {self.outer.dim} != number of terms {len(self.terms)}")
-        if self.field_recipe not in ("generic", "composition", "theta_tr"):
+        if self.field_recipe not in ("generic", "composition"):
             raise ValueError(f"unknown field recipe {self.field_recipe!r}")
-        if self.field_recipe == "theta_tr" and self.theta_data is None:
-            raise ValueError("theta_tr recipe requires theta_data")
         for t in self.terms:
             if t.cols is not None and (t.cols[-1] >= self.k):
                 raise ValueError(f"selector {t.cols} out of bounds for k = {self.k}")
@@ -391,6 +406,14 @@ class ComposedObjective:
             if t.kind == "quadratic" and t.matrix.shape != (self.n, self.n):
                 raise ValueError(
                     f"quadratic term matrix shape {t.matrix.shape} != ({self.n}, {self.n})")
+
+    @property
+    def theta_data(self) -> ThetaRatioData | None:
+        """The trace-ratio data read off the terms, or None (see above)."""
+        if self.outer.name != "theta_ratio" or "theta" not in self.meta:
+            return None
+        B, A, D = (t.matrix for t in self.terms)
+        return ThetaRatioData(self.meta["theta"], A, B, D)
 
     # -- scalar quantities -------------------------------------------------
 
@@ -430,37 +453,8 @@ class ComposedObjective:
         D = np.zeros((self.n, self.k))
         for w, t in zip(phi, self.terms):
             if t.kind == "linear" and t.m == 1 and t.cols is None:
-                scale = w * t.c
-                if t.s != 1.0:
-                    base = _base_value(t, P)
-                    scale *= t.s * base ** (t.s - 1.0)
-                D += scale * t.matrix
+                D += w * _atom(t, P)[3] * t.matrix
         return D
-
-    def _term_field(self, t: AtomicTerm, P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        # Per-term symmetric field H_t and mismatch M_t with
-        # H_t P - grad_t = P M_t.  Quadratic terms satisfy grad = H P exactly.
-        if t.kind == "quadratic":
-            A = t.matrix
-            PPtA = P @ (P.T @ A)
-            H = 2.0 * t.m * A @ _matpow(PPtA, t.m - 1)
-            M = np.zeros((self.k, self.k))
-        else:
-            D = t.matrix
-            PtD = P.T @ D
-            core = _matpow(PtD, t.m - 1)
-            H = t.m * (D @ core @ P.T + P @ core.T @ D.T)
-            M = t.m * _matpow(D.T @ P, t.m)
-        H = sym_part(H)
-        if t.s != 1.0:
-            base = _base_value(t, P)
-            if base < 0.0:
-                raise NegativeBaseError(
-                    f"base {base:.3e} < 0 under fractional/odd power s = {t.s}")
-            scale = t.c * t.s * base ** (t.s - 1.0)
-        else:
-            scale = t.c
-        return scale * H, scale * M
 
     def field(self, P) -> FieldEvaluation:
         """Symmetric field H(P) and mismatch M(P) per the configured recipe."""
@@ -470,35 +464,21 @@ class ComposedObjective:
                 raise RecipeRequiresFullSelectors(
                     "composition field recipe needs full-column selectors; "
                     "use the generic recipe for partial-column objectives")
-            phi = self.outer.partials(self.term_values(P))
+            atoms = [_atom(t, P) for t in self.terms]
+            phi = self.outer.partials(np.array([a[2] for a in atoms]))
             H = np.zeros((self.n, self.n))
             M = np.zeros((self.k, self.k))
-            for w, t in zip(phi, self.terms):
-                if w == 0.0:
-                    continue
-                Ht, Mt = self._term_field(t, P)
-                H += w * Ht
-                M += w * Mt
-        elif self.field_recipe == "theta_tr":
-            td = self.theta_data
-            b = float(np.trace(P.T @ (td.B @ P)))
-            if b < RATIO_DENOMINATOR_FLOOR:
-                raise ValueError(
-                    f"trace-ratio denominator {b:.3e} below floor; "
-                    "B must satisfy s_k(B) > 0")
-            a = float(np.trace(P.T @ (td.A @ P)))
-            d = float(np.trace(P.T @ td.D))
-            DPt = td.D @ P.T
-            H = (2.0 / b**td.theta) * (
-                td.A + 0.5 * (DPt + DPt.T) - td.theta * ((a + d) / b) * td.B)
-            H = sym_part(H)
-            M = b ** (-td.theta) * (td.D.T @ P)
+            weighted = [(w * chain, t, X, S) for w, t, (X, S, _, chain)
+                        in zip(phi, self.terms, atoms) if w != 0.0]
+            for w, t, X, S in weighted:
+                _add_term_field(H, M, t, P, X, S, w)
         else:
             G = self.euclidean_grad(P)
             H = sym_part(G @ P.T + P @ G.T)
             M = G.T @ P
         if __debug__:
-            G = self.euclidean_grad(P)
+            if self.field_recipe == "composition":
+                G = sum(_atom_grad(t, X, S, w) for w, t, X, S in weighted)
             err = np.linalg.norm(H @ P - G - P @ M)
             assert err <= FIELD_IDENTITY_TOL * max(1.0, np.linalg.norm(H)), (
                 f"field identity violated: {err:.3e}")
@@ -536,16 +516,12 @@ class ComposedObjective:
                 new_terms.append(replace(t, matrix=T.T @ t.matrix))
             else:
                 new_terms.append(replace(t, matrix=sym_part(T.T @ t.matrix @ T)))
-        td = self.theta_data
-        if td is not None:
-            td = ThetaRatioData(td.theta, sym_part(T.T @ td.A @ T),
-                                sym_part(T.T @ td.B @ T), T.T @ td.D)
         align = self.alignment.transform(T) if self.alignment is not None else None
         meta = dict(self.meta)
         if meta_update:
             meta.update(meta_update)
         return ComposedObjective(
             n=T.shape[1], k=self.k, terms=tuple(new_terms), outer=self.outer,
-            field_recipe=self.field_recipe, theta_data=td, alignment=align,
+            field_recipe=self.field_recipe, alignment=align,
             npdo_monotone=self.npdo_monotone, nepv_monotone=self.nepv_monotone,
             meta=meta)

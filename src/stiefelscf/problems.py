@@ -34,7 +34,6 @@ from .objective import (
     AtomicTerm,
     ComposedObjective,
     OuterFunction,
-    ThetaRatioData,
     outer_ratio_squared,
     outer_sum,
     outer_theta_ratio,
@@ -272,8 +271,8 @@ def build(spec: ProblemSpec) -> ComposedObjective:
                  else PolarAlignment(D))
         meta["theta"] = theta
         return ComposedObjective(
-            n, k, terms, outer_theta_ratio(theta), field_recipe="theta_tr",
-            theta_data=ThetaRatioData(theta, A, B, D), alignment=align,
+            n, k, terms, outer_theta_ratio(theta), field_recipe="composition",
+            alignment=align,
             npdo_monotone=False, nepv_monotone=True, meta=meta)
 
     if fam == "theta_tr_sq":

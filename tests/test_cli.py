@@ -47,6 +47,15 @@ def theta_file(tmp_path):
 
 
 @pytest.fixture
+def overflow_file(tmp_path):
+    # Finite, valid input whose solve overflows to non-finite values.
+    return write_problem(tmp_path / "overflow.json", {
+        "family": "umds", "n": 4, "k": 2,
+        "matrices": {"A_list": [(1e160 * np.eye(4)).tolist()]},
+    })
+
+
+@pytest.fixture
 def mbsub_file(tmp_path):
     n, k = 10, 2
     A = make_psd(n, 0)
@@ -189,6 +198,36 @@ class TestRun:
             assert code == EXIT_OK
         assert t1.read_bytes() == t2.read_bytes()
 
+    # The trace columns each solver fills; the others stay empty.
+    FILLED = {
+        "npdo": {"f", "eps_kkt", "eps_sym", "gap_or_sigmamin", "eta",
+                 "step_angle"},
+        "npdo-locg": {"f", "eps_kkt", "eps_sym", "gap_or_sigmamin", "eta",
+                      "step_angle"},
+        "nepv": {"f", "eps_nepv", "gap_or_sigmamin", "eta", "step_angle",
+                 "m_asymmetry"},
+        "nepv-locg": {"f", "eps_nepv", "eta", "step_angle"},
+    }
+
+    @pytest.mark.parametrize("solver", sorted(FILLED))
+    def test_trace_columns_per_solver(self, mbsub_file, tmp_path, solver):
+        trace = tmp_path / "t.csv"
+        code = main(["run", "--problem", str(mbsub_file), "--solver", solver,
+                     "--trace", str(trace)])
+        assert code == EXIT_OK
+        header, *rows = trace.read_text().splitlines()
+        names = header.split(",")[1:]
+        assert rows
+        for row in rows:
+            cells = dict(zip(names, row.split(",")[1:]))
+            assert {c for c, v in cells.items() if v} == self.FILLED[solver]
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_failed_solve_exits_one(self, overflow_file, capsys):
+        code = main(["run", "--problem", str(overflow_file), "--solver", "npdo"])
+        assert code == EXIT_INPUT
+        assert "error: solve failed:" in capsys.readouterr().err
+
     def test_seed_changes_start(self, mbsub_file, tmp_path):
         t1, t2 = tmp_path / "a.csv", tmp_path / "b.csv"
         main(["run", "--problem", str(mbsub_file), "--seed", "1", "--trace", str(t1)])
@@ -208,6 +247,22 @@ class TestBatch:
         assert code == EXIT_OK
         assert (d / "p0_trace.csv").exists()
         assert (d / "p1_report.json").exists()
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_failed_solve_does_not_stop_the_batch(self, tmp_path, capsys):
+        d = tmp_path / "batch"
+        d.mkdir()
+        write_problem(d / "good.json", {
+            "family": "sep", "n": 4, "k": 2,
+            "matrices": {"A": make_psd(4, 0, 0.5).tolist()}})
+        write_problem(d / "overflow.json", {
+            "family": "umds", "n": 4, "k": 2,
+            "matrices": {"A_list": [(1e160 * np.eye(4)).tolist()]}})
+        code = main(["run", "--batch", str(d), "--solver", "npdo"])
+        assert code == EXIT_INPUT
+        assert json.loads((d / "good_report.json").read_text())["converged"]
+        assert not (d / "overflow_report.json").exists()
+        assert "error: solve failed:" in capsys.readouterr().err
 
     def test_empty_directory_exit_one(self, tmp_path):
         d = tmp_path / "empty"

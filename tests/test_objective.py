@@ -8,7 +8,6 @@ from stiefelscf.objective import (
     ComposedObjective,
     NegativeBaseError,
     RecipeRequiresFullSelectors,
-    ThetaRatioData,
     eval_atomic,
     grad_atomic,
     outer_ratio_squared,
@@ -299,8 +298,7 @@ class TestField:
         cases.append(ComposedObjective(
             n, k,
             (AtomicTerm.quadratic(B), AtomicTerm.quadratic(A), AtomicTerm.linear(D)),
-            outer_theta_ratio(0.5), field_recipe="theta_tr",
-            theta_data=ThetaRatioData(0.5, A, B, D)))
+            outer_theta_ratio(0.5), field_recipe="composition"))
         for obj in cases:
             for seed in range(100):
                 P = random_stiefel(n, k, seed)
@@ -322,8 +320,7 @@ class TestField:
         obj = ComposedObjective(
             n, k,
             (AtomicTerm.quadratic(B), AtomicTerm.quadratic(A), AtomicTerm.linear(D)),
-            outer_theta_ratio(0.0), field_recipe="theta_tr",
-            theta_data=ThetaRatioData(0.0, A, B, D))
+            outer_theta_ratio(0.0), field_recipe="composition")
         P = random_stiefel(n, k, 0)
         fe = obj.field(P)
         assert np.allclose(fe.H, 2 * A + D @ P.T + P @ D.T, atol=1e-12)

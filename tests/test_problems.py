@@ -1,10 +1,15 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stiefelscf.diagnostics import gradient_check
 from stiefelscf.kernels import polar_factor, random_stiefel, sym_part
 from stiefelscf.nepv import nepv_scf
 from stiefelscf.npdo import npdo_scf
+from stiefelscf.objective import ComposedObjective
 from stiefelscf.problems import (
     MLifting,
     ProblemSpec,
@@ -259,3 +264,79 @@ class TestMLifting:
         obj = build(ProblemSpec("sep", 3, 1, {"A": np.eye(3)}))
         with pytest.raises(ValueError, match="positive definite"):
             lift_m_orthogonal(obj, np.diag([1.0, -1.0, 1.0]))
+
+
+def ratio_instance(n, k, seed, theta):
+    rng = np.random.default_rng(seed)
+    A, B = make_psd(n, seed + 1), make_psd(n, seed + 2, 1.0)
+    A, B = 0.5 * (A + A.T), 0.5 * (B + B.T)
+    D = rng.standard_normal((n, k))
+    obj = build(ProblemSpec("theta_tr", n, k, {"A": A, "B": B, "D": D},
+                            theta=theta))
+    return obj, A, B, D
+
+
+class TestRatioObjective:
+    """The trace-ratio families use the composition field, and their
+    ``theta_data`` is a view of the terms."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(theta=st.floats(0.0, 1.0), seed=st.integers(0, 2**16),
+           n=st.integers(3, 8))
+    def test_composition_field_is_the_closed_form(self, theta, seed, n):
+        k = 1 + seed % (n - 1)
+        obj, A, B, D = ratio_instance(n, k, seed, theta)
+        P = random_stiefel(n, k, seed + 7)
+        a = np.trace(P.T @ A @ P)
+        b = np.trace(P.T @ B @ P)
+        d = np.trace(P.T @ D)
+        H_ref = (2.0 / b**theta) * (A + 0.5 * (D @ P.T + P @ D.T)
+                                    - theta * (a + d) / b * B)
+        M_ref = b ** (-theta) * (D.T @ P)
+        fe = obj.field(P)
+        assert np.linalg.norm(fe.H - H_ref) <= 1e-12 * np.linalg.norm(H_ref)
+        assert (np.linalg.norm(fe.mismatch - M_ref)
+                <= 1e-12 * np.linalg.norm(M_ref))
+
+    def test_theta_data_is_a_view_of_the_terms(self):
+        olda = build(ProblemSpec("olda", 5, 2, {"A": make_psd(5, 1),
+                                                "B": make_psd(5, 2, 1.0)}))
+        td = olda.theta_data
+        assert td.theta == 1.0
+        assert td.B is olda.terms[0].matrix
+        assert td.A is olda.terms[1].matrix
+        assert td.D is olda.terms[2].matrix
+        assert olda.field_recipe == "composition"
+        assert "theta_data" not in {f.name for f in dataclasses.fields(ComposedObjective)}
+        sq = build(ProblemSpec("theta_tr_sq", 5, 2, {"A": make_psd(5, 1),
+                                                     "B": make_psd(5, 2, 1.0)},
+                               theta=0.25))
+        assert sq.theta_data is None
+
+    def test_theta_tr_recipe_is_gone(self):
+        olda = build(ProblemSpec("olda", 5, 2, {"A": make_psd(5, 1),
+                                                "B": make_psd(5, 2, 1.0)}))
+        with pytest.raises(ValueError, match="unknown field recipe"):
+            dataclasses.replace(olda, field_recipe="theta_tr")
+
+    def assert_view(self, obj, theta, A, B, D):
+        td = obj.theta_data
+        assert td.theta == theta
+        for got, want in ((td.A, A), (td.B, B), (td.D, D)):
+            assert np.linalg.norm(got - want) <= 1e-12 * max(1.0, np.linalg.norm(want))
+
+    def test_transform_maps_theta_data(self):
+        n, k = 7, 2
+        obj, A, B, D = ratio_instance(n, k, 3, 0.4)
+        for T in (random_stiefel(n, 4, 5),
+                  np.random.default_rng(6).standard_normal((n, n))):
+            self.assert_view(obj.transform(T), 0.4, T.T @ A @ T, T.T @ B @ T,
+                             T.T @ D)
+
+    def test_lift_m_orthogonal_maps_theta_data(self):
+        n, k = 6, 2
+        obj, A, B, D = ratio_instance(n, k, 8, 0.7)
+        M = make_psd(n, 9, 1.0)
+        lifted, lift = lift_m_orthogonal(obj, M)
+        T = np.linalg.inv(lift.R)
+        self.assert_view(lifted, 0.7, T.T @ A @ T, T.T @ B @ T, T.T @ D)

@@ -1,11 +1,19 @@
-"""The public step functions and the solvers run one shared step body."""
+"""The shared SCF loop: each step function equals iteration 0 of its solver,
+and the steps' stop rules."""
 
 import numpy as np
 import pytest
 
 from stiefelscf.kernels import random_stiefel
 from stiefelscf.nepv import NepvConfig, nepv_scf, nepv_scf_step
-from stiefelscf.npdo import NpdoConfig, npdo_scf, npdo_scf_step, project_feasible
+from stiefelscf.npdo import (
+    STAGNATION_LIMIT,
+    NpdoConfig,
+    _Step,
+    npdo_scf,
+    npdo_scf_step,
+    project_feasible,
+)
 from stiefelscf.problems import ProblemSpec, build
 
 
@@ -51,3 +59,14 @@ def test_step_is_iteration_zero(family, route):
     assert report.num_iterations == 1
     assert np.array_equal(P_next, report.point)
     assert rec == report.iterations[0]
+
+
+def test_only_flat_steps_count_as_stagnant():
+    falling = _Step()
+    f = 1e6
+    for _ in range(STAGNATION_LIMIT):
+        assert falling.done(f, f - 1.0) is None
+        f -= 1.0
+    flat = _Step()
+    reasons = [flat.done(1.0, 1.0) for _ in range(STAGNATION_LIMIT)]
+    assert reasons == [None] * (STAGNATION_LIMIT - 1) + ["stagnated"]
