@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .kernels import polar_factor, sym_part
+from .kernels import _sym, polar_factor
 
 __all__ = [
     "BlockOverlapError",
@@ -46,7 +46,7 @@ def _is_psd_matrix(S: np.ndarray, scale: float, tol: float = 1e-10) -> bool:
     guard = tol * max(scale, 1.0)
     if np.linalg.norm(S - S.T) > guard:
         return False
-    return bool(np.linalg.eigvalsh(sym_part(S))[0] >= -guard)
+    return bool(np.linalg.eigvalsh(_sym(S))[0] >= -guard)
 
 
 @dataclass(frozen=True)
@@ -62,18 +62,24 @@ class PolarAlignment:
     P_prev; the selectors must be pairwise column-disjoint.  ``blocks=()``
     means no rotation, for right-unitarily invariant objectives.  Each
     block guarantees P_next[:, C_j]' D_j >= 0.
+
+    The methods read the objective through ``at``, its ``PointEvaluation``
+    at the point in question (P_prev for ``rotate``), so the partials and
+    scriptD come from products the solver already formed there.  A rule
+    with a fixed driver accepts ``at=None`` in ``rotate``.
     """
 
     D: np.ndarray | None = None
     blocks: tuple[int, ...] | None = None
 
-    def _drivers(self, obj, P):
-        # (columns or None for all, weight, D_j) per block, evaluated at P.
+    def _drivers(self, at):
+        # (columns or None for all, weight, D_j) per block, read off the
+        # evaluation ``at``.
         if self.blocks is None:
-            return [(None, 1.0, obj.script_d(P) if self.D is None else self.D)]
+            return [(None, 1.0, at.script_d if self.D is None else self.D)]
         if not self.blocks:
             return []
-        phi = obj.outer.partials(obj.term_values(P))
+        obj, phi = at.obj, at.partials
         seen: set[int] = set()
         drivers = []
         for idx in self.blocks:
@@ -86,9 +92,9 @@ class PolarAlignment:
             drivers.append((cols, phi[idx] * t.c, t.matrix))
         return drivers
 
-    def rotate(self, P_hat, obj, P_prev):
+    def rotate(self, P_hat, at):
         Q = np.eye(P_hat.shape[1])
-        drivers = self._drivers(obj, P_prev)
+        drivers = self._drivers(at)
         if not drivers:
             return Q, P_hat
         for cols, w, D in drivers:
@@ -98,22 +104,23 @@ class PolarAlignment:
                 Q[np.ix_(cols, cols)] = _polar_square(w * (P_hat[:, cols].T @ D))
         return Q, P_hat @ Q
 
-    def _weighted(self, obj, P):
-        # (P[:, C_j], w_j D_j) per block, evaluated at P.
+    def _weighted(self, at):
+        # (P[:, C_j], w_j D_j) per block at the evaluation's point P.
+        P = at.P
         return [(P if cols is None else P[:, cols], w * D)
-                for cols, w, D in self._drivers(obj, P)]
+                for cols, w, D in self._drivers(at)]
 
-    def psd_margin(self, obj, P):
-        blocks = self._weighted(obj, P)
+    def psd_margin(self, at):
+        blocks = self._weighted(at)
         if not blocks:
             return None
-        margin = min(float(np.linalg.eigvalsh(sym_part(P_j.T @ D_j))[0])
+        margin = min(float(np.linalg.eigvalsh(_sym(P_j.T @ D_j))[0])
                      for P_j, D_j in blocks)
         return margin, max(float(np.linalg.norm(D_j, 2)) for _, D_j in blocks)
 
-    def is_feasible(self, obj, P):
+    def is_feasible(self, at):
         return all(_is_psd_matrix(P_j.T @ D_j, np.linalg.norm(D_j, 2))
-                   for P_j, D_j in self._weighted(obj, P))
+                   for P_j, D_j in self._weighted(at))
 
     def transform(self, T):
         return self if self.D is None else replace(self, D=T.T @ self.D)
@@ -136,8 +143,12 @@ def BlockPolarAlignment(term_indices):
     return PolarAlignment(blocks=tuple(term_indices))
 
 
-def align_rotation(rule, P_hat, obj, P_prev):
-    """Apply an alignment rule: returns (Q, P_next = P_hat @ Q)."""
+def align_rotation(rule, P_hat, at_prev):
+    """Apply an alignment rule: returns (Q, P_next = P_hat @ Q).
+
+    ``at_prev`` is the objective's evaluation at the previous iterate,
+    ``obj.at(P_prev)``; it may be None for no rule or a fixed-driver rule.
+    """
     if rule is None:
         return np.eye(P_hat.shape[1]), P_hat
-    return rule.rotate(P_hat, obj, P_prev)
+    return rule.rotate(P_hat, at_prev)

@@ -211,8 +211,12 @@ def run_audits(which: set[str], obj, report, spec, framework: str) -> tuple[dict
 def run_one(args) -> int:
     """Solve one problem file per the parsed CLI arguments."""
     try:
-        spec = load_problem(args.problem)
-        obj = build(spec)
+        # Finite but huge input overflows in the builder's norm and spectrum
+        # checks; the solve reports it, so numpy's own warnings are noise.
+        # The builder's spot-check warnings are not numpy's and still show.
+        with np.errstate(over="ignore", invalid="ignore"):
+            spec = load_problem(args.problem)
+            obj = build(spec)
     except (ProblemFileError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

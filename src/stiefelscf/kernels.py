@@ -84,6 +84,11 @@ def sym_part(M) -> np.ndarray:
     M = as_matrix(M, "M")
     if M.shape[0] != M.shape[1]:
         raise ValueError(f"sym_part needs a square matrix, got shape {M.shape}")
+    return _sym(M)
+
+
+def _sym(M: np.ndarray) -> np.ndarray:
+    # sym_part without the input checks, for products the package formed.
     return 0.5 * (M + M.T)
 
 
@@ -154,7 +159,7 @@ def polar_factor(B) -> PolarDecomposition:
     U, s, Vt = np.linalg.svd(B, full_matrices=False)
     U, Vt = _fix_svd_signs(U, Vt)
     P = U @ Vt
-    Lam = sym_part(Vt.T @ (s[:, None] * Vt))
+    Lam = _sym(Vt.T @ (s[:, None] * Vt))
     return PolarDecomposition(P, Lam, float(s.sum()))
 
 

@@ -21,7 +21,6 @@ from .npdo import (
     NpdoConfig,
     SolveReport,
     _alignment_certificates,
-    _certified,
     _landing,
     _one_step,
     _scf,
@@ -83,14 +82,13 @@ class _EigenStep(_Step):
         self.sign_guard = self.ratio is not None and 0.0 < self.ratio.theta < 1.0
         self.warned_gap = False
 
-    def residual(self, P):
-        field = self.obj.field(P)
-        eps = _nepv_residual_from_field(P, field.H, self.cfg.normalization)
-        return eps, (field, {"eps_nepv": eps})
+    def residual(self, at):
+        eps = _nepv_residual_from_field(at.P, at.field.H, self.cfg.normalization)
+        return eps, (None, {"eps_nepv": eps})
 
-    def step(self, P, f, ctx):
-        obj, (field, residuals) = self.obj, ctx
-        if self.sign_guard and self.monotone and not obj.theta_sign_ok(P):
+    def step(self, at, f, ctx):
+        obj, P, field, (_, residuals) = self.obj, at.P, at.field, ctx
+        if self.sign_guard and self.monotone and not at.theta_sign_ok:
             warnings.warn(
                 "trace-ratio sign condition tr(P'AP + P'D) >= 0 violated; "
                 "per-step ascent is no longer guaranteed", stacklevel=5)
@@ -103,8 +101,8 @@ class _EigenStep(_Step):
             # With the generic field the ascent proof goes through a two-stage
             # rotation: first align the eigenbasis to the polar frame of the
             # gradient, then apply the objective's own rule.
-            basis = basis @ _polar_square(basis.T @ obj.euclidean_grad(P))
-        _, P_next = align_rotation(obj.alignment, basis, obj, P)
+            basis = basis @ _polar_square(basis.T @ at.euclidean_grad)
+        _, P_next = align_rotation(obj.alignment, basis, at)
         degenerate = spect.gap < self.cfg.gap_warn_threshold
         if degenerate and not self.warned_gap:
             warnings.warn(
@@ -112,22 +110,23 @@ class _EigenStep(_Step):
                 f"{self.cfg.gap_warn_threshold:.1e}: whole-sequence convergence "
                 "is not guaranteed (per-step ascent still holds)", stacklevel=5)
             self.warned_gap = True
-        fields = dict(_landing(obj, P, P_next), **residuals, gap=spect.gap,
+        landed, landing = _landing(at, P_next)
+        fields = dict(landing, **residuals, gap=spect.gap,
                       eta=eta, m_asymmetry=field.asymmetry,
                       gap_degenerate=degenerate)
         if self.ratio is not None:
             PhD = spect.eigenbasis.T @ self.ratio.D
             fields["d_trace_norm"] = trace_norm(PhD)
             fields["d_cross"] = float(np.trace(PhD @ (P.T @ spect.eigenbasis)))
-        return P_next, fields
+        return landed, fields
 
-    def certificates(self, P) -> dict:
-        field = self.obj.field(P)
+    def certificates(self, at) -> dict:
+        P, field = at.P, at.field
         H = field.H
         omega = P.T @ (H @ P)
         omega_eigs = np.sort(np.linalg.eigvalsh(0.5 * (omega + omega.T)))[::-1]
         top = top_k_eigenpairs(H, self.obj.k)
-        return _alignment_certificates(self.obj, P, {
+        return _alignment_certificates(at, {
             "omega_vs_topk_max_dev": float(np.max(np.abs(omega_eigs - top.eigenvalues))),
             "field_norm": float(np.linalg.norm(H, 2)),
             "mismatch_asymmetry": field.asymmetry,
@@ -163,8 +162,7 @@ def nepv_scf(obj: ComposedObjective, P0, cfg: NepvConfig | None = None,
     ascent assertion for the rest of the run.
     """
     cfg = cfg or NepvConfig()
-    step = _EigenStep(obj, cfg)
-    return _certified(_scf(obj, P0, cfg, step, callback), step)
+    return _scf(obj, P0, cfg, _EigenStep(obj, cfg), callback)
 
 
 def nepv_locg(obj: ComposedObjective, P0, cfg: NepvConfig | None = None,
@@ -177,5 +175,5 @@ def nepv_locg(obj: ComposedObjective, P0, cfg: NepvConfig | None = None,
     residual.
     """
     cfg = cfg or NepvConfig()
-    step = _SubspaceStep(obj, cfg, _EigenStep, nepv_scf)
-    return _certified(_scf(obj, P0, cfg, step, callback), step)
+    return _scf(obj, P0, cfg, _SubspaceStep(obj, cfg, _EigenStep, nepv_scf),
+                callback)

@@ -10,8 +10,14 @@ problem with the plain iteration.
 Every solver in the package, the eigenvector route of ``stiefelscf.nepv``
 included, runs one SCF loop (``_scf``) over a step kind: the polar step
 here, the eigen step there, and the subspace step, whose inner solve
-re-enters the same loop through the plain solver.  The public single-step functions run the same
-step code as iteration 0 of their solver.
+re-enters the same loop through the plain solver.  The public single-step
+functions run the same step code as iteration 0 of their solver.
+
+The loop carries the objective's ``PointEvaluation`` at the current iterate:
+a step lands on P_next by evaluating f there, and the next iteration's
+residual, step, alignment and, at exit, the certificates read the same
+evaluation, so each iterate's A P products are formed once.  Inputs are
+validated at the public entry points only.
 """
 
 from __future__ import annotations
@@ -24,13 +30,13 @@ import numpy as np
 
 from .alignment import align_rotation
 from .kernels import (
+    _sym,
     canonical_sin_theta,
     orthonormalize_against,
     polar_factor,
     require_stiefel,
-    sym_part,
 )
-from .objective import ComposedObjective
+from .objective import ComposedObjective, PointEvaluation
 
 __all__ = [
     "IterationRecord",
@@ -159,19 +165,24 @@ def _kkt_residuals_from_grad(P, G, normalization):
 def project_feasible(obj: ComposedObjective, P0) -> np.ndarray:
     """One alignment application, used to bring an infeasible start into the
     feasible subset (the same mechanism the iteration uses mid-run)."""
-    P0 = require_stiefel(P0)
+    return _feasible_start(obj, P0).P
+
+
+def _feasible_start(obj: ComposedObjective, P0) -> PointEvaluation:
+    # The evaluation at the projected start point (see project_feasible).
+    start = PointEvaluation(obj, require_stiefel(P0))
     rule = obj.alignment
     if rule is None:
-        return P0
+        return start
     try:
-        if rule.is_feasible(obj, P0):
-            return P0
+        if rule.is_feasible(start):
+            return start
     except ValueError:
         # Objective undefined outside the feasible subset (powered atoms):
         # that alone marks the start as infeasible.
         pass
-    _, P = align_rotation(rule, P0, obj, P0)
-    return P
+    _, P = align_rotation(rule, start.P, start)
+    return PointEvaluation(obj, P)
 
 
 def reduced_objective(obj: ComposedObjective, W) -> ComposedObjective:
@@ -187,18 +198,21 @@ def reduced_objective(obj: ComposedObjective, W) -> ComposedObjective:
     return obj.transform(W)
 
 
-def _alignment_certificates(obj: ComposedObjective, P, certs: dict) -> dict:
-    if obj.alignment is not None:
-        margin = obj.alignment.psd_margin(obj, P)
+def _alignment_certificates(at: PointEvaluation, certs: dict) -> dict:
+    if at.obj.alignment is not None:
+        margin = at.obj.alignment.psd_margin(at)
         if margin is not None:
             certs["alignment_psd_margin"], certs["alignment_matrix_norm"] = margin
     return certs
 
 
-def _landing(obj: ComposedObjective, P, P_next) -> dict:
-    # Record fields every step kind shares: f at the new point and the
-    # Frobenius sine distance between the two column spaces.
-    return {"f": obj.value(P_next), "step_angle": canonical_sin_theta(P, P_next)[1]}
+def _landing(at: PointEvaluation, P_next):
+    # The evaluation at P_next, and the record fields every step kind
+    # shares: f there and the Frobenius sine distance between the two
+    # column spaces.
+    landed = PointEvaluation(at.obj, P_next)
+    return landed, {"f": landed.value,
+                    "step_angle": canonical_sin_theta(at.P, P_next)[1]}
 
 
 def _sigma_min(pol) -> float:
@@ -208,24 +222,21 @@ def _sigma_min(pol) -> float:
 class _Step:
     """One kind of SCF step, as the driver ``_scf`` sees it.
 
-    ``residual(P)`` returns ``(residual, ctx)``, where ``ctx`` carries what
-    the residual computed (gradient or field, and the record fields measured
-    at P) on to ``step(P, f, ctx)``, which returns ``(P_next, record
-    fields)`` given f = f(P).  ``gradient(P, ctx)`` is the Euclidean
-    gradient at P, from ``ctx`` where the residual computed it.  ``monotone``
-    switches the debug-mode ascent assertion on; ``done(f, f_next)`` names a
-    stop reason after a step, or returns None.  ``certificates(P)`` gives
-    the exit certificates, and ``budget_warning`` the message a solver
-    warns with when it runs out of iterations.  Steps keep per-solve state,
-    so every solve builds its own.
+    Every call takes ``at``, the objective's evaluation at the current
+    point P.  ``residual(at)`` returns ``(residual, ctx)``, where ``ctx`` is
+    ``(extra, fields)``: what the residual computed beyond the evaluation
+    (or None) and the record fields measured at P, handed on to
+    ``step(at, f, ctx)``, which returns ``(evaluation at P_next, record
+    fields)`` given f = f(P).  ``monotone`` switches the debug-mode ascent
+    assertion on; ``done(f, f_next)`` names a stop reason after a step, or
+    returns None.  ``certificates(at)`` gives the exit certificates, and
+    ``budget_warning`` the message a solver warns with when it runs out of
+    iterations.  Steps keep per-solve state, so every solve builds its own.
     """
 
     monotone = False
     budget_warning: str | None = None
     _stagnant = 0
-
-    def gradient(self, P, ctx):
-        return self.obj.euclidean_grad(P)
 
     def done(self, f, f_next):
         if abs(f_next - f) < 1e-16 * max(1.0, abs(f_next)):
@@ -245,30 +256,26 @@ class _PolarStep(_Step):
         self.obj, self.normalization = obj, cfg.normalization
         self.monotone = obj.npdo_monotone
 
-    def residual(self, P):
-        G = self.obj.euclidean_grad(P)
-        eps_kkt, eps_sym = _kkt_residuals_from_grad(P, G, self.normalization)
+    def residual(self, at):
+        G = at.euclidean_grad
+        eps_kkt, eps_sym = _kkt_residuals_from_grad(at.P, G, self.normalization)
         pol = polar_factor(G)
-        return eps_kkt + eps_sym, ((G, pol), dict(
+        return eps_kkt + eps_sym, (pol, dict(
             eps_kkt=eps_kkt, eps_sym=eps_sym, sigma_min=_sigma_min(pol)))
 
-    def gradient(self, P, ctx):
-        (G, _), _ = ctx
-        return G
+    def step(self, at, f, ctx):
+        pol, fields = ctx
+        eta = pol.trace_norm - float(np.trace(at.P.T @ at.euclidean_grad))
+        _, P_next = align_rotation(self.obj.alignment, pol.orthogonal_factor, at)
+        landed, landing = _landing(at, P_next)
+        return landed, dict(landing, **fields, eta=eta)
 
-    def step(self, P, f, ctx):
-        (G, pol), fields = ctx
-        eta = pol.trace_norm - float(np.trace(P.T @ G))
-        _, P_next = align_rotation(self.obj.alignment, pol.orthogonal_factor,
-                                   self.obj, P)
-        return P_next, dict(_landing(self.obj, P, P_next), **fields, eta=eta)
-
-    def certificates(self, P) -> dict:
-        G = self.obj.euclidean_grad(P)
+    def certificates(self, at) -> dict:
+        P, G = at.P, at.euclidean_grad
         Lam = P.T @ G
-        sym_lam = sym_part(Lam)
+        sym_lam = _sym(Lam)
         eps_kkt, eps_sym = _kkt_residuals_from_grad(P, G, self.normalization)
-        return _alignment_certificates(self.obj, P, {
+        return _alignment_certificates(at, {
             "lambda_min_of_multiplier": float(np.linalg.eigvalsh(sym_lam)[0]),
             "multiplier_norm": float(np.linalg.norm(sym_lam, 2)),
             "multiplier_asymmetry": float(np.linalg.norm(Lam - Lam.T)),
@@ -298,15 +305,14 @@ class _SubspaceStep(_Step):
         self.P_before = None
         self.stalled = False
 
-    def residual(self, P):
-        res, ctx = self.outer.residual(P)
-        return res, (res, ctx)
+    def residual(self, at):
+        res, (_, fields) = self.outer.residual(at)
+        return res, (res, fields)
 
-    def step(self, P, f, ctx):
-        obj, cfg = self.obj, self.cfg
-        res, plain_ctx = ctx
-        G = self.outer.gradient(P, plain_ctx)
-        R = G - P @ sym_part(P.T @ G)
+    def step(self, at, f, ctx):
+        obj, cfg, P = self.obj, self.cfg, at.P
+        res, plain_fields = ctx
+        R = at.riemannian_grad
         V = R if self.P_before is None else np.hstack([R, self.P_before])
         W_extra = orthonormalize_against(P, V)
         W = np.hstack([P, W_extra]) if W_extra.shape[1] else P.copy()
@@ -319,68 +325,67 @@ class _SubspaceStep(_Step):
             # warnings are not worth surfacing.
             warnings.simplefilter("ignore")
             inner = self.solve(red, Z0, inner_cfg)
-        P_next = W @ inner.point
-        fields = _landing(obj, P, P_next)
+        landed, fields = _landing(at, W @ inner.point)
         gain = fields["f"] - f
         # A step that cannot move means the Riemannian gradient vanishes on
         # range(W), so P is already a KKT point.
         self.stalled = (np.linalg.norm(inner.point - Z0) <= 1e-14
                         and gain <= 1e-14 * max(1.0, abs(f)))
         self.P_before = P
-        return P_next, dict(fields, **plain_ctx[1], eta=gain,
+        return landed, dict(fields, **plain_fields, eta=gain,
                             inner_iters=inner.num_iterations)
 
     def done(self, f, f_next):
         return "converged" if self.stalled else None
 
 
-def _take_step(step: _Step, P, f, ctx, i: int):
-    P_next, fields = step.step(P, f, ctx)
+def _take_step(step: _Step, at: PointEvaluation, f, ctx, i: int):
+    landed, fields = step.step(at, f, ctx)
     if __debug__ and step.monotone:
         assert fields["f"] >= f - MONOTONE_SLACK * max(1.0, abs(f)), (
             f"ascent violated at iteration {i}: {f} -> {fields['f']}")
-    return P_next, IterationRecord(i, **fields)
+    return landed, IterationRecord(i, **fields)
 
 
 def _scf(obj: ComposedObjective, P0, cfg: NpdoConfig, step: _Step,
          callback=None) -> SolveReport:
     # The one SCF loop: project the start, then test the residual, step,
-    # check ascent, record and test for a stop until the budget runs out.
-    P = project_feasible(obj, P0)
-    f0 = f = obj.value(P)
+    # check ascent, record and test for a stop until the budget runs out;
+    # certify the returned point.  Called by the public solvers only: the
+    # budget warning points at their caller.
+    at = _feasible_start(obj, P0)
+    f0 = f = at.value
     records: list[IterationRecord] = []
     stop = "max_iter"
     for i in range(cfg.max_iter):
-        res, ctx = step.residual(P)
+        res, ctx = step.residual(at)
         if res <= cfg.tol:
             stop = "converged"
             break
-        P_next, rec = _take_step(step, P, f, ctx, i)
+        landed, rec = _take_step(step, at, f, ctx, i)
         records.append(rec)
         if callback is not None:
-            callback(i, P_next)
+            callback(i, landed.P)
         logger.debug("%s iter %d: f=%.12g res=%.3e", step.name, i, rec.f, res)
         reason = step.done(f, rec.f)
-        P, f = P_next, rec.f
+        at, f = landed, rec.f
         if reason is not None:
             stop = reason
             break
-    return SolveReport(
-        point=P, f_final=f, f_initial=f0, converged=stop == "converged",
-        stop_reason=stop, iterations=records, solver=step.name)
+    report = SolveReport(
+        point=at.P, f_final=f, f_initial=f0, converged=stop == "converged",
+        stop_reason=stop, iterations=records, certificates=step.certificates(at),
+        solver=step.name)
+    if stop == "max_iter" and step.budget_warning:
+        warnings.warn(step.budget_warning, stacklevel=3)
+    return report
 
 
 def _one_step(step: _Step, P):
-    P = require_stiefel(P)
-    _, ctx = step.residual(P)
-    return _take_step(step, P, step.obj.value(P), ctx, 0)
-
-
-def _certified(report: SolveReport, step: _Step) -> SolveReport:
-    report.certificates = step.certificates(report.point)
-    if report.stop_reason == "max_iter" and step.budget_warning:
-        warnings.warn(step.budget_warning, stacklevel=3)
-    return report
+    at = PointEvaluation(step.obj, require_stiefel(P))
+    _, ctx = step.residual(at)
+    landed, rec = _take_step(step, at, at.value, ctx, 0)
+    return landed.P, rec
 
 
 def npdo_scf_step(obj: ComposedObjective, P):
@@ -403,8 +408,7 @@ def npdo_scf(obj: ComposedObjective, P0, cfg: NpdoConfig | None = None,
     given, is called as callback(i, P_next) after every step.
     """
     cfg = cfg or NpdoConfig()
-    step = _PolarStep(obj, cfg)
-    return _certified(_scf(obj, P0, cfg, step, callback), step)
+    return _scf(obj, P0, cfg, _PolarStep(obj, cfg), callback)
 
 
 def npdo_locg(obj: ComposedObjective, P0, cfg: NpdoConfig | None = None,
@@ -417,5 +421,5 @@ def npdo_locg(obj: ComposedObjective, P0, cfg: NpdoConfig | None = None,
     step).  The inner tolerance is a fraction of the current outer residual.
     """
     cfg = cfg or NpdoConfig()
-    step = _SubspaceStep(obj, cfg, _PolarStep, npdo_scf)
-    return _certified(_scf(obj, P0, cfg, step, callback), step)
+    return _scf(obj, P0, cfg, _SubspaceStep(obj, cfg, _PolarStep, npdo_scf),
+                callback)

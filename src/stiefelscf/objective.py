@@ -11,6 +11,16 @@ value, Euclidean gradient, Riemannian gradient, and the symmetric field H(P)
 used by the eigenvector-based solver together with the mismatch matrix M(P)
 whose symmetry certifies that a field solution is a KKT point.
 
+Everything is evaluated through ``ComposedObjective.at(P)``, a
+``PointEvaluation`` that validates P once and computes each term's products
+(X = A P_i or D, S = P_i' X, the value and the chain factor) on first use and
+keeps them.  The term values, f, the outer partials, both gradients, the
+alignment matrix scriptD and the field are derived from those products, so
+one point costs one A P product per quadratic term however many of them a
+solver step asks for.  The solvers carry the evaluation at each iterate from
+the step that produced it to the next; the objective's own methods are
+one-line wrappers over a fresh evaluation.
+
 There are two field recipes: "generic" (H = G P' + P G' from the gradient G)
 and "composition" (the per-term fields weighted by the outer partials), which
 every catalog family except the partial-selector sumct uses.  For the trace
@@ -24,11 +34,12 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
 
-from .kernels import as_matrix, require_symmetric, sym_part
+from .kernels import _sym, as_matrix, require_symmetric
 
 __all__ = [
     "AtomicTerm",
@@ -36,6 +47,7 @@ __all__ = [
     "FieldEvaluation",
     "NegativeBaseError",
     "OuterFunction",
+    "PointEvaluation",
     "RecipeRequiresFullSelectors",
     "ThetaRatioData",
     "eval_atomic",
@@ -158,8 +170,11 @@ def _add_term_field(H, M, term: AtomicTerm, P, X, S, w: float) -> None:
         if term.m == 1:
             H += (2.0 * w) * term.matrix
         else:
-            PPtA = P @ (P.T @ term.matrix)
-            H += w * sym_part(2.0 * term.m * term.matrix @ _matpow(PPtA, term.m - 1))
+            # H_t = 2m A (P P'A)^(m-1) = 2m X S^(m-2) X', O(n^2 k).  For m = 2
+            # it is X X', symmetric as computed; for larger m it is symmetric
+            # to rounding, which top_k_eigenpairs' symmetrization absorbs.
+            Y = X if term.m == 2 else X @ _matpow(S, term.m - 2)
+            H += (2.0 * term.m * w) * (Y @ X.T)
         return
     # D (P'D)^(m-1) P' plus its transpose, exactly symmetric.
     Y = (w * term.m) * (X @ _matpow(S, term.m - 1) @ P.T)
@@ -376,7 +391,13 @@ class ComposedObjective:
     ``stiefelscf.alignment``).  ``npdo_monotone`` / ``nepv_monotone`` declare
     whether the respective framework's per-step ascent guarantee applies to
     this objective, which gates debug-mode monotonicity assertions in the
-    solvers.  Instances are immutable; evaluations are pure and reentrant
+    solvers.
+
+    ``at(P)`` returns the ``PointEvaluation`` at P, which caches each term's
+    products and what is derived from them; ``value``, ``euclidean_grad``,
+    ``riemannian_grad``, ``script_d``, ``field``, ``term_values`` and the
+    other per-point methods read one fresh evaluation each.  Instances are
+    immutable and hold no cache, so evaluations are pure and reentrant
     (outer-function callbacks must themselves be reentrant).
     """
 
@@ -415,87 +436,38 @@ class ComposedObjective:
         B, A, D = (t.matrix for t in self.terms)
         return ThetaRatioData(self.meta["theta"], A, B, D)
 
-    # -- scalar quantities -------------------------------------------------
+    def at(self, P) -> "PointEvaluation":
+        """The evaluation of f at P; P is validated here, once."""
+        return PointEvaluation(self, as_matrix(P, "P"))
 
     def term_values(self, P) -> np.ndarray:
-        P = as_matrix(P, "P")
-        return np.array([eval_atomic(t, P) for t in self.terms])
+        return self.at(P).term_values
 
     def value(self, P) -> float:
-        return float(self.outer.value(self.term_values(P)))
-
-    # -- gradients ---------------------------------------------------------
+        return self.at(P).value
 
     def euclidean_grad(self, P) -> np.ndarray:
-        P = as_matrix(P, "P")
-        phi = self.outer.partials(self.term_values(P))
-        G = np.zeros((self.n, self.k))
-        for w, t in zip(phi, self.terms):
-            if w != 0.0:
-                G += w * grad_atomic(t, P)
-        return G
+        return self.at(P).euclidean_grad
 
     def riemannian_grad(self, P) -> np.ndarray:
-        P = as_matrix(P, "P")
-        G = self.euclidean_grad(P)
-        return G - P @ sym_part(P.T @ G)
-
-    # -- the symmetric field -----------------------------------------------
+        return self.at(P).riemannian_grad
 
     def script_d(self, P) -> np.ndarray:
-        """Weighted sum of the full-selector m=1 linear matrices.
-
-        This is the matrix driving the optimal alignment rotation; weights
-        are the outer partials times each term's own chain factor.
-        """
-        P = as_matrix(P, "P")
-        phi = self.outer.partials(self.term_values(P))
-        D = np.zeros((self.n, self.k))
-        for w, t in zip(phi, self.terms):
-            if t.kind == "linear" and t.m == 1 and t.cols is None:
-                D += w * _atom(t, P)[3] * t.matrix
-        return D
+        """Weighted sum of the full-selector m=1 linear matrices (see
+        ``PointEvaluation.script_d``)."""
+        return self.at(P).script_d
 
     def field(self, P) -> FieldEvaluation:
         """Symmetric field H(P) and mismatch M(P) per the configured recipe."""
-        P = as_matrix(P, "P")
-        if self.field_recipe == "composition":
-            if any(t.cols is not None and len(t.cols) != self.k for t in self.terms):
-                raise RecipeRequiresFullSelectors(
-                    "composition field recipe needs full-column selectors; "
-                    "use the generic recipe for partial-column objectives")
-            atoms = [_atom(t, P) for t in self.terms]
-            phi = self.outer.partials(np.array([a[2] for a in atoms]))
-            H = np.zeros((self.n, self.n))
-            M = np.zeros((self.k, self.k))
-            weighted = [(w * chain, t, X, S) for w, t, (X, S, _, chain)
-                        in zip(phi, self.terms, atoms) if w != 0.0]
-            for w, t, X, S in weighted:
-                _add_term_field(H, M, t, P, X, S, w)
-        else:
-            G = self.euclidean_grad(P)
-            H = sym_part(G @ P.T + P @ G.T)
-            M = G.T @ P
-        if __debug__:
-            if self.field_recipe == "composition":
-                G = sum(_atom_grad(t, X, S, w) for w, t, X, S in weighted)
-            err = np.linalg.norm(H @ P - G - P @ M)
-            assert err <= FIELD_IDENTITY_TOL * max(1.0, np.linalg.norm(H)), (
-                f"field identity violated: {err:.3e}")
-        denom = max(1.0, np.linalg.norm(M))
-        return FieldEvaluation(H, M, float(np.linalg.norm(M - M.T) / denom))
+        return self.at(P).field
 
     def mismatch_asymmetry(self, P) -> float:
         """Asymmetry of M(P); ~0 certifies a field solution as a KKT point."""
-        return self.field(P).asymmetry
+        return self.at(P).field.asymmetry
 
     def theta_sign_ok(self, P) -> bool:
         """Sign condition tr(P'AP + P'D) >= 0 for ratio exponents in (0, 1)."""
-        td = self.theta_data
-        if td is None:
-            return True
-        P = as_matrix(P, "P")
-        return float(np.trace(P.T @ (td.A @ P)) + np.trace(P.T @ td.D)) >= 0.0
+        return self.at(P).theta_sign_ok
 
     # -- structural transforms ----------------------------------------------
 
@@ -515,7 +487,7 @@ class ComposedObjective:
             if t.kind == "linear":
                 new_terms.append(replace(t, matrix=T.T @ t.matrix))
             else:
-                new_terms.append(replace(t, matrix=sym_part(T.T @ t.matrix @ T)))
+                new_terms.append(replace(t, matrix=_sym(T.T @ t.matrix @ T)))
         align = self.alignment.transform(T) if self.alignment is not None else None
         meta = dict(self.meta)
         if meta_update:
@@ -525,3 +497,108 @@ class ComposedObjective:
             field_recipe=self.field_recipe, alignment=align,
             npdo_monotone=self.npdo_monotone, nepv_monotone=self.nepv_monotone,
             meta=meta)
+
+
+class PointEvaluation:
+    """The objective at one point P, each quantity computed once, on demand.
+
+    Made by ``ComposedObjective.at(P)``, which validates P; the solvers make
+    it directly for the iterates they produce.  ``atom(i)`` holds term i's
+    products (X, S, value, chain factor) of ``_atom``, computed on first use
+    (one A P_i product for a quadratic term); the other attributes are
+    derived from them on first use and kept.  An evaluation belongs to the
+    code that made it and is never shared, which keeps the objective itself
+    free of mutable state; treat the arrays it returns as read-only.
+    """
+
+    def __init__(self, obj: ComposedObjective, P: np.ndarray):
+        self.obj, self.P = obj, P
+        self._atoms = [None] * len(obj.terms)
+
+    def atom(self, i: int):
+        a = self._atoms[i]
+        if a is None:
+            t = self.obj.terms[i]
+            a = self._atoms[i] = _atom(t, t.select(self.P))
+        return a
+
+    @cached_property
+    def term_values(self) -> np.ndarray:
+        return np.array([self.atom(i)[2] for i in range(len(self.obj.terms))])
+
+    @cached_property
+    def value(self) -> float:
+        return float(self.obj.outer.value(self.term_values))
+
+    @cached_property
+    def partials(self) -> np.ndarray:
+        return self.obj.outer.partials(self.term_values)
+
+    @cached_property
+    def euclidean_grad(self) -> np.ndarray:
+        G = np.zeros(self.P.shape)
+        for i, (w, t) in enumerate(zip(self.partials, self.obj.terms)):
+            if w != 0.0:
+                X, S, _, chain = self.atom(i)
+                G_i = w * _atom_grad(t, X, S, chain)
+                if t.cols is None:
+                    G += G_i
+                else:
+                    G[:, list(t.cols)] += G_i
+        return G
+
+    @cached_property
+    def riemannian_grad(self) -> np.ndarray:
+        G, P = self.euclidean_grad, self.P
+        return G - P @ _sym(P.T @ G)
+
+    @cached_property
+    def script_d(self) -> np.ndarray:
+        """Weighted sum of the full-selector m=1 linear matrices.
+
+        This is the matrix driving the optimal alignment rotation; weights
+        are the outer partials times each term's own chain factor.
+        """
+        D = np.zeros(self.P.shape)
+        for i, (w, t) in enumerate(zip(self.partials, self.obj.terms)):
+            if t.kind == "linear" and t.m == 1 and t.cols is None:
+                D += w * self.atom(i)[3] * t.matrix
+        return D
+
+    @cached_property
+    def field(self) -> FieldEvaluation:
+        """Symmetric field H(P) and mismatch M(P) per the objective's recipe."""
+        obj, P = self.obj, self.P
+        if obj.field_recipe == "composition":
+            if any(t.cols is not None and len(t.cols) != obj.k for t in obj.terms):
+                raise RecipeRequiresFullSelectors(
+                    "composition field recipe needs full-column selectors; "
+                    "use the generic recipe for partial-column objectives")
+            H = np.zeros((obj.n, obj.n))
+            M = np.zeros((obj.k, obj.k))
+            for i, (w, t) in enumerate(zip(self.partials, obj.terms)):
+                if w != 0.0:
+                    X, S, _, chain = self.atom(i)
+                    _add_term_field(H, M, t, P, X, S, w * chain)
+        else:
+            G = self.euclidean_grad
+            H = _sym(G @ P.T + P @ G.T)
+            M = G.T @ P
+        if not np.isfinite(H).all():
+            # Overflow in the data, not a broken identity: a failed solve.
+            raise ValueError("field H(P) has non-finite entries")
+        if __debug__:
+            err = np.linalg.norm(H @ P - self.euclidean_grad - P @ M)
+            assert err <= FIELD_IDENTITY_TOL * max(1.0, np.linalg.norm(H)), (
+                f"field identity violated: {err:.3e}")
+        denom = max(1.0, np.linalg.norm(M))
+        return FieldEvaluation(H, M, float(np.linalg.norm(M - M.T) / denom))
+
+    @property
+    def theta_sign_ok(self) -> bool:
+        """Sign condition tr(P'AP + P'D) >= 0 of a trace ratio (the ratio's
+        numerator, terms 1 and 2); True for other objectives."""
+        if self.obj.theta_data is None:
+            return True
+        x = self.term_values
+        return float(x[1] + x[2]) >= 0.0

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -222,11 +226,23 @@ class TestRun:
             cells = dict(zip(names, row.split(",")[1:]))
             assert {c for c, v in cells.items() if v} == self.FILLED[solver]
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_failed_solve_exits_one(self, overflow_file, capsys):
         code = main(["run", "--problem", str(overflow_file), "--solver", "npdo"])
         assert code == EXIT_INPUT
         assert "error: solve failed:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("solver", ["npdo", "nepv"])
+    def test_failed_solve_prints_only_the_error(self, overflow_file, solver):
+        # A real process, so warnings reach stderr as a user sees them.
+        src = Path(__file__).resolve().parent.parent / "src"
+        out = subprocess.run(
+            [sys.executable, "-m", "stiefelscf", "run", "--problem",
+             str(overflow_file), "--solver", solver],
+            env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True,
+            text=True, timeout=120)
+        assert out.returncode == EXIT_INPUT
+        assert out.stderr.startswith("error: solve failed:")
+        assert out.stderr.count("\n") == 1, out.stderr
 
     def test_seed_changes_start(self, mbsub_file, tmp_path):
         t1, t2 = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -248,7 +264,6 @@ class TestBatch:
         assert (d / "p0_trace.csv").exists()
         assert (d / "p1_report.json").exists()
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_failed_solve_does_not_stop_the_batch(self, tmp_path, capsys):
         d = tmp_path / "batch"
         d.mkdir()

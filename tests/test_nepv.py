@@ -69,8 +69,8 @@ class TestNepvScfStep:
         A = sym_part(rng.standard_normal((n, n)))
         D = rng.standard_normal((n, k))
         obj = build(ProblemSpec("quad_lin2", n, k, {"A": A, "D": D}))
-        P = obj.alignment.rotate(random_stiefel(n, k, 1), obj,
-                                 random_stiefel(n, k, 1))[1]
+        P = obj.alignment.rotate(random_stiefel(n, k, 1),
+                                 obj.at(random_stiefel(n, k, 1)))[1]
         f = obj.value(P)
         for _ in range(20):
             P, rec = nepv_scf_step(obj, P)
@@ -148,7 +148,7 @@ class TestNepvScf:
         margins = []
         rep = nepv_scf(obj, random_stiefel(n, k, 1),
                        callback=lambda i, P: margins.append(
-                           obj.alignment.psd_margin(obj, P)[0]))
+                           obj.alignment.psd_margin(obj.at(P))[0]))
         assert rep.converged and margins
         norm = np.linalg.norm(obj.theta_data.D, 2)
         assert all(m >= -1e-10 * max(norm, 1.0) for m in margins)

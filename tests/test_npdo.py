@@ -62,14 +62,14 @@ class TestKktResiduals:
 class TestAlignRotation:
     def test_identity(self):
         P_hat = random_stiefel(5, 2, 0)
-        Q, P = align_rotation(IdentityAlignment(), P_hat, None, None)
+        Q, P = align_rotation(IdentityAlignment(), P_hat, None)
         assert np.allclose(Q, np.eye(2))
         assert P is P_hat or np.allclose(P, P_hat)
 
     def test_sign_flip_k1(self):
         D = np.array([[1.0], [0.0]])
         P_hat = np.array([[-0.5], [np.sqrt(3) / 2]])
-        Q, P = align_rotation(PolarOfDAlignment(D), P_hat, None, None)
+        Q, P = align_rotation(PolarOfDAlignment(D), P_hat, None)
         assert Q[0, 0] == pytest.approx(-1.0)
         assert (P.T @ D).item() == pytest.approx(0.5)
 
@@ -78,7 +78,7 @@ class TestAlignRotation:
         D = np.array([[0.0, 1.0], [1.0, 0.0], [0.0, 0.0]])
         P_hat = np.eye(3)[:, :2]
         obj = linear_objective(D)
-        Q, P = align_rotation(ScriptDPolarAlignment(), P_hat, obj, P_hat)
+        Q, P = align_rotation(ScriptDPolarAlignment(), P_hat, obj.at(P_hat))
         assert np.allclose(Q, [[0.0, 1.0], [1.0, 0.0]])
         S = P.T @ D
         assert np.allclose(S, np.eye(2))
@@ -93,7 +93,7 @@ class TestAlignRotation:
         obj = build(ProblemSpec("sumct", n, k, {"A_list": A_list, "D_list": D_list},
                                 blocks=blocks))
         P_hat = random_stiefel(n, k, 5)
-        Q, P = align_rotation(obj.alignment, P_hat, obj, P_hat)
+        Q, P = align_rotation(obj.alignment, P_hat, obj.at(P_hat))
         assert np.allclose(Q.T @ Q, np.eye(k), atol=1e-12)
         for cols, D_j in zip(blocks, D_list):
             S = sym_part(P[:, list(cols)].T @ D_j)
@@ -109,8 +109,8 @@ class TestAlignRotation:
         obj = ComposedObjective(n, k, terms, outer_sum(2),
                                 alignment=BlockPolarAlignment((0, 1)))
         with pytest.raises(BlockOverlapError):
-            align_rotation(obj.alignment, random_stiefel(n, k, 0), obj,
-                           random_stiefel(n, k, 0))
+            align_rotation(obj.alignment, random_stiefel(n, k, 0),
+                           obj.at(random_stiefel(n, k, 0)))
 
 
 class TestNpdoScfStep:

@@ -3,6 +3,7 @@ import pytest
 
 from stiefelscf.alignment import IdentityAlignment
 from stiefelscf.kernels import random_stiefel, sym_part
+from stiefelscf import objective
 from stiefelscf.objective import (
     AtomicTerm,
     ComposedObjective,
@@ -325,6 +326,23 @@ class TestField:
         fe = obj.field(P)
         assert np.allclose(fe.H, 2 * A + D @ P.T + P @ D.T, atol=1e-12)
 
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_power_quadratic_field_is_n2k(self, m):
+        # 2m X S^(m-2) X' (X = AP, S = P'X) against the n^3 form
+        # 2m sym(A (PP'A)^(m-1)) it replaces; the field identity is exact.
+        n, k, c = 9, 3, 0.5
+        A = make_psd(n, 50 + m)
+        obj = ComposedObjective(n, k, (AtomicTerm.quadratic(A, m=m, c=c),),
+                                outer_sum(1), field_recipe="composition")
+        for seed in range(5):
+            P = random_stiefel(n, k, seed)
+            fe = obj.field(P)
+            old = c * sym_part(2 * m * A @ np.linalg.matrix_power(
+                P @ P.T @ A, m - 1))
+            assert np.linalg.norm(fe.H - old) <= 1e-12 * np.linalg.norm(old)
+            resid = fe.H @ P - obj.euclidean_grad(P) - P @ fe.mismatch
+            assert np.linalg.norm(resid) <= 1e-12 * np.linalg.norm(fe.H)
+
     def test_composition_requires_full_selectors(self):
         obj = ComposedObjective(
             4, 2, (AtomicTerm.quadratic(np.eye(4), cols=(0,)),), outer_sum(1),
@@ -385,3 +403,67 @@ class TestField:
             assert red.value(Z) == pytest.approx(obj.value(W @ Z), rel=1e-12)
             assert np.allclose(red.euclidean_grad(Z),
                                W.T @ obj.euclidean_grad(W @ Z), atol=1e-10)
+
+
+def evaluation_objectives(n=7, k=3):
+    rng = np.random.default_rng(60)
+    A, D = make_psd(n, 61), rng.standard_normal((n, k))
+    terms = (AtomicTerm.quadratic(A, m=2, c=0.5), AtomicTerm.linear(D),
+             AtomicTerm.quadratic(make_psd(n, 62), cols=(0, 2)),
+             AtomicTerm.linear(D[:, 1:], m=2, cols=(1, 2)),
+             AtomicTerm.quadratic(A, s=2.0))
+    yield ComposedObjective(n, k, terms, outer_weighted_sum(
+        [1.0, 0.5, -0.25, 0.0, 0.1]))
+    B = make_psd(n, 63, shift=1.0)
+    yield ComposedObjective(
+        n, k, (AtomicTerm.quadratic(B), AtomicTerm.quadratic(A),
+               AtomicTerm.linear(D)),
+        outer_theta_ratio(0.5), field_recipe="composition",
+        meta={"theta": 0.5})
+
+
+class TestPointEvaluation:
+    @pytest.mark.parametrize("idx", [0, 1])
+    def test_matches_the_per_term_functions_exactly(self, idx):
+        obj = list(evaluation_objectives())[idx]
+        for seed in range(3):
+            P = random_stiefel(obj.n, obj.k, seed)
+            at = obj.at(P)
+            x = np.array([eval_atomic(t, P) for t in obj.terms])
+            assert np.array_equal(at.term_values, x)
+            assert at.value == float(obj.outer.value(x))
+            G = np.zeros((obj.n, obj.k))
+            for w, t in zip(obj.outer.partials(x), obj.terms):
+                if w != 0.0:
+                    G += w * grad_atomic(t, P)
+            assert np.array_equal(at.euclidean_grad, G)
+            assert np.array_equal(at.riemannian_grad,
+                                  G - P @ sym_part(P.T @ G))
+
+    def test_each_term_is_evaluated_once(self, monkeypatch):
+        calls = []
+        real = objective._atom
+        monkeypatch.setattr(objective, "_atom",
+                            lambda t, P_i: calls.append(t) or real(t, P_i))
+        for obj in evaluation_objectives():
+            calls.clear()
+            at = obj.at(random_stiefel(obj.n, obj.k, 4))
+            for name in ("value", "euclidean_grad", "riemannian_grad",
+                         "script_d", "field", "theta_sign_ok"):
+                getattr(at, name)
+            assert len(calls) == len(obj.terms)
+
+    def test_validates_the_point(self):
+        obj = next(evaluation_objectives())
+        P = random_stiefel(obj.n, obj.k, 0)
+        P[0, 0] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            obj.at(P)
+
+    def test_theta_sign_ok_is_the_ratio_numerator(self):
+        obj = list(evaluation_objectives())[1]
+        A, D = obj.theta_data.A, obj.theta_data.D
+        for seed in range(10):
+            P = random_stiefel(obj.n, obj.k, seed)
+            num = np.trace(P.T @ A @ P) + np.trace(P.T @ D)
+            assert obj.theta_sign_ok(P) == (num >= 0.0)

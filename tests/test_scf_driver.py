@@ -1,12 +1,18 @@
 """The shared SCF loop: each step function equals iteration 0 of its solver,
-and the steps' stop rules."""
+the steps' stop rules, the products one iteration forms, and ascent."""
+
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from stiefelscf import objective
 from stiefelscf.kernels import random_stiefel
 from stiefelscf.nepv import NepvConfig, nepv_scf, nepv_scf_step
 from stiefelscf.npdo import (
+    MONOTONE_SLACK,
     STAGNATION_LIMIT,
     NpdoConfig,
     _Step,
@@ -14,6 +20,7 @@ from stiefelscf.npdo import (
     npdo_scf_step,
     project_feasible,
 )
+from stiefelscf.problems import FAMILIES as CATALOG
 from stiefelscf.problems import ProblemSpec, build
 
 
@@ -70,3 +77,90 @@ def test_only_flat_steps_count_as_stagnant():
     flat = _Step()
     reasons = [flat.done(1.0, 1.0) for _ in range(STAGNATION_LIMIT)]
     assert reasons == [None] * (STAGNATION_LIMIT - 1) + ["stagnated"]
+
+
+@pytest.mark.parametrize("route", sorted(ROUTES))
+@pytest.mark.parametrize("family", ["sep", "mbsub"])
+def test_one_product_per_quadratic_term_per_iteration(family, route,
+                                                       monkeypatch):
+    # Every full-size A P product of a solve, counted at the one helper
+    # that forms them: one per iteration (the evaluation at the new point,
+    # which the next residual, step and alignment reuse), plus at most two
+    # at the start (feasibility test and projection) and none for the exit
+    # certificates.
+    obj = build(family_spec(family, n=30, k=3))
+    quad = sum(t.kind == "quadratic" for t in obj.terms)
+    products = []
+    real = objective._atom
+
+    def counting(term, P_i):
+        if term.kind == "quadratic" and term.matrix.shape[0] == obj.n:
+            products.append(term)
+        return real(term, P_i)
+
+    monkeypatch.setattr(objective, "_atom", counting)
+    _, solve, cfg_cls = ROUTES[route]
+    report = solve(obj, random_stiefel(obj.n, obj.k, 5), cfg_cls())
+    iters = report.num_iterations
+    assert report.converged and iters >= 1
+    assert quad * iters <= len(products) <= quad * (iters + 2)
+
+
+def random_catalog_spec(family, n, k, rng, theta):
+    def psd(shift=0.0):
+        G = rng.standard_normal((n, n))
+        return G @ G.T / n + shift * np.eye(n)
+
+    D = rng.standard_normal((n, k))
+    if family in ("sep", "dft"):
+        extra = {} if family == "sep" else dict(phi="quad_penalty",
+                                                 phi_weight=0.25)
+        return ProblemSpec(family, n, k, {"A": psd()}, **extra)
+    if family in ("mbsub", "quad_lin2"):
+        return ProblemSpec(family, n, k, {"A": psd(), "D": D})
+    if family == "sumct":
+        blocks = ((0,), tuple(range(1, k))) if k > 1 else ((0,),)
+        return ProblemSpec(family, n, k, {
+            "A_list": [psd() for _ in blocks],
+            "D_list": [D[:, list(b)] for b in blocks]}, blocks=blocks)
+    if family in ("umds", "trcp"):
+        extra = {} if family == "umds" else dict(phi="quad_penalty",
+                                                 phi_weight=0.5)
+        return ProblemSpec(family, n, k, {"A_list": [psd(), psd()]}, **extra)
+    if family == "procrustes":
+        return ProblemSpec(family, n, k, {
+            "C": rng.standard_normal((n + 3, n)),
+            "B": rng.standard_normal((n + 3, k))})
+    if family == "olda":
+        return ProblemSpec(family, n, k, {"A": psd(), "B": psd(1.0)})
+    if family == "occa":
+        return ProblemSpec(family, n, k, {"B": psd(1.0), "D": D})
+    if family == "theta_tr_sq":
+        theta *= 0.5
+    return ProblemSpec(family, n, k, {"A": psd(0.3), "B": psd(1.0),
+                                      "D": 0.5 * D}, theta=theta)
+
+
+@pytest.mark.parametrize("family", CATALOG)
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(3, 20),
+       k=st.integers(1, 3), theta=st.sampled_from([0.0, 0.3, 0.5, 1.0]))
+def test_declared_ascent_holds_on_random_psd_instances(family, seed, n, k,
+                                                       theta):
+    # Every route a family declares monotone records a non-decreasing f,
+    # from the projected start on, within MONOTONE_SLACK.
+    rng = np.random.default_rng(seed)
+    obj = build(random_catalog_spec(family, n, k, rng, theta))
+    P0 = random_stiefel(n, k, seed)
+    for route, declared in (("npdo", obj.npdo_monotone),
+                            ("nepv", obj.nepv_monotone)):
+        if not declared:
+            continue
+        _, solve, cfg_cls = ROUTES[route]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            report = solve(obj, P0, cfg_cls(max_iter=300))
+        fs = [report.f_initial] + [r.f for r in report.iterations]
+        for i, (f, f_next) in enumerate(zip(fs, fs[1:])):
+            assert f_next >= f - MONOTONE_SLACK * max(1.0, abs(f)), (
+                f"{family}/{route} step {i}: {f!r} -> {f_next!r}")
