@@ -39,14 +39,10 @@ print(f"\npolar route : plain {plain.num_iterations:4d} iterations, "
 
 # The eigenvector route with the constant field solves this in one shot, so
 # the interesting head-to-head uses the P-dependent generic field.
-import warnings
-
 sep_gen = ComposedObjective(n, k, (AtomicTerm.quadratic(A),), outer_sum(1),
                             field_recipe="generic", nepv_monotone=True)
-with warnings.catch_warnings():
-    warnings.simplefilter("ignore")
-    plain_n = nepv_scf(sep_gen, P0)
-    fast_n = nepv_locg(sep_gen, P0)
+plain_n = nepv_scf(sep_gen, P0)
+fast_n = nepv_locg(sep_gen, P0)
 print(f"eigen route : plain {plain_n.num_iterations:4d} iterations, "
       f"accelerated {fast_n.num_iterations:4d} outer steps "
       f"(f = {fast_n.f_final:.9f})")

@@ -7,8 +7,6 @@ feasibility P'D >= 0 and buys extra ascent, quantified by a per-step
 inequality the audit replays from the trace.
 """
 
-import warnings
-
 import numpy as np
 
 from stiefelscf import (
@@ -34,9 +32,7 @@ D = 0.5 * rng.standard_normal((n, k))
 for theta in (0.0, 0.3, 0.5, 1.0):
     obj = build(ProblemSpec("theta_tr", n, k, {"A": A, "B": B, "D": D},
                             theta=theta))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        rep = nepv_scf(obj, random_stiefel(n, k, 3))
+    rep = nepv_scf(obj, random_stiefel(n, k, 3))
     audit = theta_step_audit(rep, B, D, theta)
     print(f"theta = {theta:3.1f}: f = {rep.f_final:10.6f} "
           f"in {rep.num_iterations:3d} iterations, "

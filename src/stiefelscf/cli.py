@@ -20,7 +20,6 @@ import logging
 import os
 import sys
 import tempfile
-import warnings
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -61,6 +60,28 @@ class ProblemFileError(ValueError):
     """Malformed problem file; the message names the offending field."""
 
 
+def _integer(x) -> int:
+    # JSON integers, or floats with an integral value; not booleans.
+    if isinstance(x, bool) or int(x) != x:
+        raise ValueError(x)
+    return int(x)
+
+
+def _finite(x) -> float:
+    x = float(x)
+    if not np.isfinite(x):
+        raise ValueError(x)
+    return x
+
+
+def _field(doc: dict, key: str, convert, what: str):
+    # One scalar field of the document, converted; an error names the field.
+    try:
+        return convert(doc[key])
+    except (TypeError, ValueError, OverflowError):
+        raise ProblemFileError(f"field {key!r} must be {what}")
+
+
 def load_problem(path) -> ProblemSpec:
     """Parse a problem JSON file into a ProblemSpec.
 
@@ -81,10 +102,8 @@ def load_problem(path) -> ProblemSpec:
         if key not in doc:
             raise ProblemFileError(f"missing required field {key!r}")
     family = doc["family"]
-    try:
-        n, k = int(doc["n"]), int(doc["k"])
-    except (TypeError, ValueError):
-        raise ProblemFileError("fields 'n' and 'k' must be integers")
+    n = _field(doc, "n", _integer, "an integer")
+    k = _field(doc, "k", _integer, "an integer")
     matrices = {}
     raw = doc.get("matrices", {})
     if not isinstance(raw, dict):
@@ -100,20 +119,19 @@ def load_problem(path) -> ProblemSpec:
     blocks = doc.get("blocks")
     if blocks is not None:
         try:
-            blocks = tuple(tuple(int(c) for c in b) for b in blocks)
-        except (TypeError, ValueError):
+            blocks = tuple(tuple(_integer(c) for c in b) for b in blocks)
+        except (TypeError, ValueError, OverflowError):
             raise ProblemFileError("field 'blocks' must be a list of index lists")
     theta = doc.get("theta")
     if theta is not None:
-        try:
-            theta = float(theta)
-        except (TypeError, ValueError):
-            raise ProblemFileError("field 'theta' must be a number")
+        theta = _field(doc, "theta", float, "a number")
+    phi_weight = 1.0
+    if "phi_weight" in doc:
+        phi_weight = _field(doc, "phi_weight", _finite, "a finite number")
     try:
         return ProblemSpec(family=family, n=n, k=k, matrices=matrices,
                            theta=theta, blocks=blocks,
-                           phi=doc.get("phi", "sum"),
-                           phi_weight=float(doc.get("phi_weight", 1.0)))
+                           phi=doc.get("phi", "sum"), phi_weight=phi_weight)
     except ValueError as exc:
         raise ProblemFileError(str(exc))
 
@@ -225,8 +243,10 @@ def run_one(args) -> int:
     cfg = cfg_cls(tol=args.tol, max_iter=args.max_iter)
     P0 = random_stiefel(spec.n, spec.k, args.seed)
     try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
+        # A numerical failure ends the solve with the ValueError below, so
+        # numpy's floating-point warnings are noise.  errstate, unlike a
+        # warnings filter, is context-local and so safe in batch threads.
+        with np.errstate(all="ignore"):
             report = solver_fn(obj, P0, cfg)
     except ValueError as exc:
         # Includes LinAlgError: a numerical failure ends this solve only,

@@ -65,11 +65,7 @@ def gradient_check(obj: ComposedObjective, trials: int = 20,
 def _polish(obj: ComposedObjective, P0, max_iter: int = 400):
     cfg = NepvConfig(tol=1e-10, max_iter=max_iter)
     try:
-        import warnings
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            rep = nepv_scf(obj, P0, cfg)
+        rep = nepv_scf(obj, P0, cfg)
         return rep.f_final, rep.point
     except ValueError:
         return obj.value(P0), P0

@@ -29,7 +29,6 @@ __all__ = [
     "orthonormalize_against",
     "polar_factor",
     "random_stiefel",
-    "reorthonormalize",
     "require_stiefel",
     "sym_part",
     "top_k_eigenpairs",
@@ -68,15 +67,6 @@ def require_stiefel(P, tol: float = STIEFEL_TOL, name: str = "P") -> np.ndarray:
             f"{name} is not orthonormal: ||P'P - I||_F = {drift:.3e} > {tol:.1e}"
         )
     return P
-
-
-def reorthonormalize(P) -> np.ndarray:
-    """Restore orthonormal columns of a drifted Stiefel point (thin QR)."""
-    P = as_matrix(P, "P")
-    Q, R = np.linalg.qr(P)
-    signs = np.sign(np.diag(R))
-    signs[signs == 0] = 1.0
-    return Q * signs
 
 
 def sym_part(M) -> np.ndarray:

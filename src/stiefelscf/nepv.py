@@ -9,9 +9,6 @@ field is W' H(WZ) W, which inherits the ascent guarantee.
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass
-
 import numpy as np
 
 from .alignment import _polar_square, align_rotation
@@ -38,23 +35,22 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class NepvConfig(NpdoConfig):
-    """NpdoConfig plus a warning threshold for near-degenerate eigenvalue
-    gaps lambda_k ~ lambda_{k+1} of the field."""
+# Both frameworks take the same settings, (tol, max_iter).
+NepvConfig = NpdoConfig
 
-    gap_warn_threshold: float = 1e-10
+# An eigenvalue gap lambda_k - lambda_{k+1} of the field below this flags
+# the step's record as degenerate.
+GAP_DEGENERATE = 1e-10
 
 
-def nepv_residual(obj: ComposedObjective, P, normalization: float | None = None) -> float:
+def nepv_residual(obj: ComposedObjective, P) -> float:
     """Normalized field residual ||H(P)P - P(P'H(P)P)||_F / ||H(P)||_F."""
     P = require_stiefel(P)
-    H = obj.field(P).H
-    return _nepv_residual_from_field(P, H, normalization)
+    return _nepv_residual_from_field(P, obj.field(P).H)
 
 
-def _nepv_residual_from_field(P, H, normalization) -> float:
-    xi = np.linalg.norm(H) if normalization is None else float(normalization)
+def _nepv_residual_from_field(P, H) -> float:
+    xi = np.linalg.norm(H)
     if xi < ZERO_GRAD_FLOOR:
         return 0.0
     HP = H @ P
@@ -65,33 +61,28 @@ class _EigenStep(_Step):
     """Top-k eigenbasis of the field H(P), then alignment.
 
     For a ratio exponent strictly between 0 and 1 the sign condition
-    tr(P'AP + P'D) >= 0 is checked before each step; a violation warns and
-    disables the debug-mode ascent assertion for the rest of the solve.  A
-    gap below ``gap_warn_threshold`` flags the record and warns once per
-    solve.  Warnings point at the caller of the public solver or step
-    function.
+    tr(P'AP + P'D) >= 0 is checked at the incoming P of each step; a
+    violation sets the record's ``sign_violated`` and disables the
+    debug-mode ascent assertion for the rest of the solve.  A gap below
+    ``GAP_DEGENERATE`` sets the record's ``gap_degenerate``.
     """
 
     name = "nepv"
-    budget_warning = "eigenvector SCF hit the iteration budget before tolerance"
 
-    def __init__(self, obj: ComposedObjective, cfg: NepvConfig):
-        self.obj, self.cfg = obj, cfg
+    def __init__(self, obj: ComposedObjective):
+        self.obj = obj
         self.monotone = obj.nepv_monotone
         self.ratio = obj.theta_data
         self.sign_guard = self.ratio is not None and 0.0 < self.ratio.theta < 1.0
-        self.warned_gap = False
 
     def residual(self, at):
-        eps = _nepv_residual_from_field(at.P, at.field.H, self.cfg.normalization)
+        eps = _nepv_residual_from_field(at.P, at.field.H)
         return eps, (None, {"eps_nepv": eps})
 
     def step(self, at, f, ctx):
         obj, P, field, (_, residuals) = self.obj, at.P, at.field, ctx
-        if self.sign_guard and self.monotone and not at.theta_sign_ok:
-            warnings.warn(
-                "trace-ratio sign condition tr(P'AP + P'D) >= 0 violated; "
-                "per-step ascent is no longer guaranteed", stacklevel=5)
+        sign_violated = self.sign_guard and not at.theta_sign_ok
+        if sign_violated:
             self.monotone = False
         H = field.H
         spect = top_k_eigenpairs(H, obj.k)
@@ -103,17 +94,11 @@ class _EigenStep(_Step):
             # gradient, then apply the objective's own rule.
             basis = basis @ _polar_square(basis.T @ at.euclidean_grad)
         _, P_next = align_rotation(obj.alignment, basis, at)
-        degenerate = spect.gap < self.cfg.gap_warn_threshold
-        if degenerate and not self.warned_gap:
-            warnings.warn(
-                f"eigenvalue gap {spect.gap:.3e} below "
-                f"{self.cfg.gap_warn_threshold:.1e}: whole-sequence convergence "
-                "is not guaranteed (per-step ascent still holds)", stacklevel=5)
-            self.warned_gap = True
         landed, landing = _landing(at, P_next)
         fields = dict(landing, **residuals, gap=spect.gap,
                       eta=eta, m_asymmetry=field.asymmetry,
-                      gap_degenerate=degenerate)
+                      gap_degenerate=spect.gap < GAP_DEGENERATE,
+                      sign_violated=sign_violated)
         if self.ratio is not None:
             PhD = spect.eigenbasis.T @ self.ratio.D
             fields["d_trace_norm"] = trace_norm(PhD)
@@ -131,21 +116,20 @@ class _EigenStep(_Step):
             "field_norm": float(np.linalg.norm(H, 2)),
             "mismatch_asymmetry": field.asymmetry,
             "gap": top.gap,
-            "eps_nepv": _nepv_residual_from_field(P, H, self.cfg.normalization),
+            "eps_nepv": _nepv_residual_from_field(P, H),
         })
 
 
-def nepv_scf_step(obj: ComposedObjective, P,
-                  gap_warn_threshold: float = 1e-10):
+def nepv_scf_step(obj: ComposedObjective, P):
     """One eigenvector-SCF step: top-k eigenbasis of H(P), then alignment.
 
     Returns ``(P_next, record)``, exactly as iteration 0 of ``nepv_scf``
-    from P: the record's residual is evaluated at the incoming P, its f at
-    P_next, and it carries the eigenvalue gap plus a degeneracy flag when
-    the gap falls below ``gap_warn_threshold``.
+    from P: the record's residual and ``sign_violated`` flag are evaluated
+    at the incoming P, its f at P_next, and it carries the eigenvalue gap
+    plus the ``gap_degenerate`` flag when the gap falls below
+    ``GAP_DEGENERATE``.
     """
-    cfg = NepvConfig(gap_warn_threshold=gap_warn_threshold)
-    return _one_step(_EigenStep(obj, cfg), P)
+    return _one_step(_EigenStep(obj), P)
 
 
 def nepv_scf(obj: ComposedObjective, P0, cfg: NepvConfig | None = None,
@@ -156,13 +140,14 @@ def nepv_scf(obj: ComposedObjective, P0, cfg: NepvConfig | None = None,
     runs out.  At exit the certificates record how far the eigenvalues of
     Omega = P'H(P)P sit from the k largest eigenvalues of H(P), and the
     mismatch asymmetry that promotes a field solution to a KKT point.
-    A near-degenerate gap raises a warning once per solve; for a ratio
-    exponent strictly between 0 and 1 the sign condition tr(P'AP + P'D) >= 0
-    is checked each iteration and a violation disables the debug-mode
-    ascent assertion for the rest of the run.
+    Each record flags a near-degenerate gap (``gap_degenerate``); for a
+    ratio exponent strictly between 0 and 1 the sign condition
+    tr(P'AP + P'D) >= 0 is checked each iteration, and a violation flags
+    the record (``sign_violated``) and disables the debug-mode ascent
+    assertion for the rest of the run.
     """
     cfg = cfg or NepvConfig()
-    return _scf(obj, P0, cfg, _EigenStep(obj, cfg), callback)
+    return _scf(obj, P0, cfg, _EigenStep(obj), callback)
 
 
 def nepv_locg(obj: ComposedObjective, P0, cfg: NepvConfig | None = None,
@@ -175,5 +160,5 @@ def nepv_locg(obj: ComposedObjective, P0, cfg: NepvConfig | None = None,
     residual.
     """
     cfg = cfg or NepvConfig()
-    return _scf(obj, P0, cfg, _SubspaceStep(obj, cfg, _EigenStep, nepv_scf),
+    return _scf(obj, P0, cfg, _SubspaceStep(obj, _EigenStep, nepv_scf),
                 callback)

@@ -18,13 +18,18 @@ a step lands on P_next by evaluating f there, and the next iteration's
 residual, step, alignment and, at exit, the certificates read the same
 evaluation, so each iterate's A P products are formed once.  Inputs are
 validated at the public entry points only.
+
+A solve reports only through its ``SolveReport``: an exhausted budget is
+``converged=False, stop_reason="max_iter"``, and what the theory's
+assumptions say about each step (a degenerate eigenvalue gap, a violated
+ratio sign condition) is a flag on that step's ``IterationRecord``.  The
+solvers raise no warnings.  A solve's settings are ``(tol, max_iter)``.
 """
 
 from __future__ import annotations
 
 import logging
-import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -62,29 +67,28 @@ MONOTONE_SLACK = 1e-12
 # the residual stays above tolerance.
 STAGNATION_LIMIT = 50
 
+# Inner solve of the subspace step: each outer step solves its reduced
+# problem to this fraction of the outer residual, within this budget.
+INNER_TOL_FRACTION = 0.25
+INNER_MAX_ITER = 200
+
 
 @dataclass(frozen=True)
 class NpdoConfig:
-    """Solver knobs.
+    """Settings of a solve, for every solver: the residual tolerance and the
+    iteration budget (outer steps for the subspace-accelerated variants).
 
-    ``normalization`` is the residual scaling: None uses the Frobenius norm
-    of the gradient, a float fixes a constant.  ``tolerance_fraction`` and
-    ``inner_max_iter`` only matter for the subspace-accelerated variant:
-    each outer step solves its reduced problem to that fraction of the
-    current residual.
+    Residuals are always scaled by the Frobenius norm of the gradient or
+    field; the subspace inner solve uses ``INNER_TOL_FRACTION`` and
+    ``INNER_MAX_ITER``.
     """
 
     tol: float = 1e-8
     max_iter: int = 5000
-    normalization: float | None = None
-    tolerance_fraction: float = 0.25
-    inner_max_iter: int = 200
 
     def __post_init__(self):
         if self.tol <= 0:
             raise ValueError("tol must be positive")
-        if not 0.0 < self.tolerance_fraction < 1.0:
-            raise ValueError("tolerance_fraction must lie in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -96,7 +100,11 @@ class IterationRecord:
     field (eigenvector solver); each trace fills the one that applies.
     ``eta`` is the trace gain of the inner step (the realized f-gain for
     accelerated outer steps); ``step_angle`` is the Frobenius sine distance
-    between consecutive column spaces.
+    between consecutive column spaces.  The eigenvector step flags a gap
+    below ``nepv.GAP_DEGENERATE`` (``gap_degenerate``: whole-sequence
+    convergence is not guaranteed, per-step ascent still holds) and an
+    incoming P that fails the ratio sign condition tr(P'AP + P'D) >= 0
+    (``sign_violated``: per-step ascent is no longer guaranteed).
     """
 
     index: int
@@ -110,6 +118,7 @@ class IterationRecord:
     step_angle: float = 0.0
     m_asymmetry: float | None = None
     gap_degenerate: bool = False
+    sign_violated: bool = False
     inner_iters: int | None = None
     d_trace_norm: float | None = None
     d_cross: float | None = None
@@ -140,20 +149,19 @@ class SolveReport:
         return len(self.iterations)
 
 
-def kkt_residuals(obj: ComposedObjective, P, normalization: float | None = None):
+def kkt_residuals(obj: ComposedObjective, P):
     """Normalized KKT residual and multiplier-symmetry residual at P.
 
     eps_kkt = ||G - P (P'G)||_F / xi and eps_sym = ||P'G - (P'G)'||_F / xi
-    with G the Euclidean gradient and xi = ||G||_F by default.  A vanished
-    gradient returns (0, 0): the point is stationary of a degenerate kind.
+    with G the Euclidean gradient and xi = ||G||_F.  A vanished gradient
+    returns (0, 0): the point is stationary of a degenerate kind.
     """
     P = require_stiefel(P)
-    G = obj.euclidean_grad(P)
-    return _kkt_residuals_from_grad(P, G, normalization)
+    return _kkt_residuals_from_grad(P, obj.euclidean_grad(P))
 
 
-def _kkt_residuals_from_grad(P, G, normalization):
-    xi = np.linalg.norm(G) if normalization is None else float(normalization)
+def _kkt_residuals_from_grad(P, G):
+    xi = np.linalg.norm(G)
     if xi < ZERO_GRAD_FLOOR:
         return 0.0, 0.0
     PtG = P.T @ G
@@ -229,13 +237,11 @@ class _Step:
     ``step(at, f, ctx)``, which returns ``(evaluation at P_next, record
     fields)`` given f = f(P).  ``monotone`` switches the debug-mode ascent
     assertion on; ``done(f, f_next)`` names a stop reason after a step, or
-    returns None.  ``certificates(at)`` gives the exit certificates, and
-    ``budget_warning`` the message a solver warns with when it runs out of
-    iterations.  Steps keep per-solve state, so every solve builds its own.
+    returns None.  ``certificates(at)`` gives the exit certificates.  Steps
+    keep per-solve state, so every solve builds its own.
     """
 
     monotone = False
-    budget_warning: str | None = None
     _stagnant = 0
 
     def done(self, f, f_next):
@@ -250,15 +256,14 @@ class _PolarStep(_Step):
     """Polar factor of the Euclidean gradient, then alignment."""
 
     name = "npdo"
-    budget_warning = "polar SCF hit the iteration budget before tolerance"
 
-    def __init__(self, obj: ComposedObjective, cfg: NpdoConfig):
-        self.obj, self.normalization = obj, cfg.normalization
+    def __init__(self, obj: ComposedObjective):
+        self.obj = obj
         self.monotone = obj.npdo_monotone
 
     def residual(self, at):
         G = at.euclidean_grad
-        eps_kkt, eps_sym = _kkt_residuals_from_grad(at.P, G, self.normalization)
+        eps_kkt, eps_sym = _kkt_residuals_from_grad(at.P, G)
         pol = polar_factor(G)
         return eps_kkt + eps_sym, (pol, dict(
             eps_kkt=eps_kkt, eps_sym=eps_sym, sigma_min=_sigma_min(pol)))
@@ -274,7 +279,7 @@ class _PolarStep(_Step):
         P, G = at.P, at.euclidean_grad
         Lam = P.T @ G
         sym_lam = _sym(Lam)
-        eps_kkt, eps_sym = _kkt_residuals_from_grad(P, G, self.normalization)
+        eps_kkt, eps_sym = _kkt_residuals_from_grad(P, G)
         return _alignment_certificates(at, {
             "lambda_min_of_multiplier": float(np.linalg.eigvalsh(sym_lam)[0]),
             "multiplier_norm": float(np.linalg.norm(sym_lam, 2)),
@@ -290,16 +295,16 @@ class _SubspaceStep(_Step):
     The reduced problem f(WZ), W an orthonormal basis of that subspace, is
     solved by ``solve``, the public plain solver of the step kind ``plain``,
     from Z0 = the first k columns of the identity (the previous-iterate
-    block is absent on the first step), to ``tolerance_fraction`` of the
-    outer residual.  Residual and certificates are the plain step's.  The
+    block is absent on the first step), to ``INNER_TOL_FRACTION`` of the
+    outer residual within ``INNER_MAX_ITER`` iterations.  Residual and certificates are the plain step's.  The
     record keeps the fields the plain residual measured at P (eps_kkt,
     eps_sym and sigma_min, or eps_nepv), the realized f-gain as ``eta`` and
     the inner iteration count.
     """
 
-    def __init__(self, obj: ComposedObjective, cfg: NpdoConfig, plain, solve):
-        self.obj, self.cfg, self.solve = obj, cfg, solve
-        self.outer = plain(obj, cfg)
+    def __init__(self, obj: ComposedObjective, plain, solve):
+        self.obj, self.solve = obj, solve
+        self.outer = plain(obj)
         self.name = f"{plain.name}-locg"
         self.certificates = self.outer.certificates
         self.P_before = None
@@ -310,7 +315,7 @@ class _SubspaceStep(_Step):
         return res, (res, fields)
 
     def step(self, at, f, ctx):
-        obj, cfg, P = self.obj, self.cfg, at.P
+        obj, P = self.obj, at.P
         res, plain_fields = ctx
         R = at.riemannian_grad
         V = R if self.P_before is None else np.hstack([R, self.P_before])
@@ -318,13 +323,8 @@ class _SubspaceStep(_Step):
         W = np.hstack([P, W_extra]) if W_extra.shape[1] else P.copy()
         red = reduced_objective(obj, W)
         Z0 = np.eye(W.shape[1], obj.k)
-        inner_cfg = replace(cfg, tol=max(cfg.tolerance_fraction * res, 1e-15),
-                            max_iter=cfg.inner_max_iter)
-        with warnings.catch_warnings():
-            # The reduced problem only needs an approximate solve; its
-            # warnings are not worth surfacing.
-            warnings.simplefilter("ignore")
-            inner = self.solve(red, Z0, inner_cfg)
+        inner = self.solve(red, Z0, NpdoConfig(
+            tol=max(INNER_TOL_FRACTION * res, 1e-15), max_iter=INNER_MAX_ITER))
         landed, fields = _landing(at, W @ inner.point)
         gain = fields["f"] - f
         # A step that cannot move means the Riemannian gradient vanishes on
@@ -351,8 +351,7 @@ def _scf(obj: ComposedObjective, P0, cfg: NpdoConfig, step: _Step,
          callback=None) -> SolveReport:
     # The one SCF loop: project the start, then test the residual, step,
     # check ascent, record and test for a stop until the budget runs out;
-    # certify the returned point.  Called by the public solvers only: the
-    # budget warning points at their caller.
+    # certify the returned point.
     at = _feasible_start(obj, P0)
     f0 = f = at.value
     records: list[IterationRecord] = []
@@ -372,13 +371,10 @@ def _scf(obj: ComposedObjective, P0, cfg: NpdoConfig, step: _Step,
         if reason is not None:
             stop = reason
             break
-    report = SolveReport(
+    return SolveReport(
         point=at.P, f_final=f, f_initial=f0, converged=stop == "converged",
         stop_reason=stop, iterations=records, certificates=step.certificates(at),
         solver=step.name)
-    if stop == "max_iter" and step.budget_warning:
-        warnings.warn(step.budget_warning, stacklevel=3)
-    return report
 
 
 def _one_step(step: _Step, P):
@@ -395,7 +391,7 @@ def npdo_scf_step(obj: ComposedObjective, P):
     from P: the record's residuals are evaluated at the incoming P and its
     f at P_next.
     """
-    return _one_step(_PolarStep(obj, NpdoConfig()), P)
+    return _one_step(_PolarStep(obj), P)
 
 
 def npdo_scf(obj: ComposedObjective, P0, cfg: NpdoConfig | None = None,
@@ -408,7 +404,7 @@ def npdo_scf(obj: ComposedObjective, P0, cfg: NpdoConfig | None = None,
     given, is called as callback(i, P_next) after every step.
     """
     cfg = cfg or NpdoConfig()
-    return _scf(obj, P0, cfg, _PolarStep(obj, cfg), callback)
+    return _scf(obj, P0, cfg, _PolarStep(obj), callback)
 
 
 def npdo_locg(obj: ComposedObjective, P0, cfg: NpdoConfig | None = None,
@@ -421,5 +417,5 @@ def npdo_locg(obj: ComposedObjective, P0, cfg: NpdoConfig | None = None,
     step).  The inner tolerance is a fraction of the current outer residual.
     """
     cfg = cfg or NpdoConfig()
-    return _scf(obj, P0, cfg, _SubspaceStep(obj, cfg, _PolarStep, npdo_scf),
+    return _scf(obj, P0, cfg, _SubspaceStep(obj, _PolarStep, npdo_scf),
                 callback)

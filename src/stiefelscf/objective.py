@@ -306,8 +306,7 @@ def outer_ratio_squared(theta: float) -> OuterFunction:
                          sign_nonneg=None, name="ratio_squared")
 
 
-def spot_check_outer(outer: OuterFunction, samples: np.ndarray,
-                     fd_step: float = 1e-6) -> None:
+def spot_check_outer(outer: OuterFunction, samples: np.ndarray) -> None:
     """Numerically spot-check declared convexity and partial signs.
 
     Midpoint convexity is sampled on random pairs from ``samples`` (rows are

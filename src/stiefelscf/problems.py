@@ -356,7 +356,12 @@ def build(spec: ProblemSpec) -> ComposedObjective:
     if fam == "procrustes":
         C = _get(spec, "C", None)
         B = _get(spec, "B", None)
-        return build_procrustes_ls(C, B)
+        obj = build_procrustes_ls(C, B)
+        if (obj.n, obj.k) != (n, k):
+            raise ValueError(
+                f"procrustes: C has shape {C.shape} and B has shape {B.shape}, "
+                f"so n = {obj.n}, k = {obj.k}; the spec says n = {n}, k = {k}")
+        return obj
 
     raise AssertionError(f"unhandled family {fam!r}")
 

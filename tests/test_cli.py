@@ -1,11 +1,17 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stiefelscf import cli
 from stiefelscf.cli import (
@@ -28,6 +34,30 @@ def make_psd(n, seed, shift=0.0):
 
 def write_problem(path, doc):
     path.write_text(json.dumps(doc))
+    return path
+
+
+# Valid n = 3 documents; the malformed-field tests replace one top-level
+# field of one of them.
+VALID_DOCS = {
+    "sep": {"family": "sep", "n": 3, "k": 2,
+            "matrices": {"A": [[5.0, 0, 0], [0, 3.0, 0], [0, 0, 1.0]]}},
+    "trcp": {"family": "trcp", "n": 3, "k": 2, "phi": "quad_penalty",
+             "phi_weight": 0.5,
+             "matrices": {"A_list": [[[2.0, 0, 0], [0, 1.0, 0], [0, 0, 0.5]],
+                                     [[1.0, 0.5, 0], [0.5, 1.0, 0], [0, 0, 1.0]]]}},
+    "sumct": {"family": "sumct", "n": 3, "k": 2, "blocks": [[0], [1]],
+              "matrices": {"A_list": [[[2.0, 0, 0], [0, 1.0, 0], [0, 0, 0.5]],
+                                      [[1.0, 0, 0], [0, 3.0, 0], [0, 0, 2.0]]],
+                           "D_list": [[[1.0], [0.0], [0.5]],
+                                      [[0.0], [1.0], [0.0]]]}},
+}
+
+
+def replace_field(path, doc, key, raw):
+    # Write doc with field ``key`` replaced by the JSON text ``raw``, so
+    # literals such as 1e400 reach the parser as written.
+    path.write_text(json.dumps(dict(doc, **{key: "@@"})).replace('"@@"', raw))
     return path
 
 
@@ -92,6 +122,28 @@ class TestLoadProblem:
     def test_roundtrip(self, sep_file):
         spec = load_problem(sep_file)
         assert spec.family == "sep" and spec.n == 3 and spec.k == 2
+
+    @pytest.mark.parametrize("doc, key, raw", [
+        ("sep", "n", "1e400"),
+        ("sep", "k", "1e400"),
+        ("sep", "n", "3.5"),
+        ("sep", "k", "true"),
+        ("sep", "k", '"2"'),
+        ("sumct", "blocks", "[[1e400]]"),
+        ("sumct", "blocks", "[[0.5], [1]]"),
+        ("trcp", "phi_weight", "null"),
+        ("trcp", "phi_weight", "[1]"),
+        ("trcp", "phi_weight", "{}"),
+        ("trcp", "phi_weight", '"abc"'),
+        ("trcp", "phi_weight", "1e400"),
+    ])
+    def test_malformed_field_exits_one_naming_it(self, tmp_path, capsys,
+                                                 doc, key, raw):
+        p = replace_field(tmp_path / "bad.json", VALID_DOCS[doc], key, raw)
+        assert main(["run", "--problem", str(p)]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert repr(key) in err
 
 
 class TestRun:
@@ -279,10 +331,64 @@ class TestBatch:
         assert not (d / "overflow_report.json").exists()
         assert "error: solve failed:" in capsys.readouterr().err
 
+    def test_malformed_file_does_not_stop_the_batch(self, tmp_path, capsys):
+        d = tmp_path / "batch"
+        d.mkdir()
+        write_problem(d / "good.json", VALID_DOCS["sep"])
+        replace_field(d / "bad.json", VALID_DOCS["trcp"], "phi_weight", "null")
+        assert main(["run", "--batch", str(d)]) == EXIT_INPUT
+        assert json.loads((d / "good_report.json").read_text())["converged"]
+        assert (d / "good_trace.csv").exists()
+        assert not (d / "bad_report.json").exists()
+        err = capsys.readouterr().err
+        assert err == "error: field 'phi_weight' must be a finite number\n"
+
+    def test_leaves_warning_filters_alone(self, tmp_path):
+        # Worker threads must not install or restore process-wide filters.
+        d = tmp_path / "batch"
+        d.mkdir()
+        for i in range(6):
+            write_problem(d / f"p{i}.json", {
+                "family": "sep", "n": 4, "k": 2,
+                "matrices": {"A": make_psd(4, i, 0.5).tolist()}})
+        before = list(warnings.filters)
+        for _ in range(3):
+            assert main(["run", "--batch", str(d)]) == EXIT_OK
+            assert warnings.filters == before
+
     def test_empty_directory_exit_one(self, tmp_path):
         d = tmp_path / "empty"
         d.mkdir()
         assert main(["run", "--batch", str(d)]) == EXIT_INPUT
+
+
+JSON_VALUES = st.one_of(
+    st.just("null"), st.just("true"), st.just("false"), st.just("1e400"),
+    st.integers(-3, 6).map(str), st.integers(10**18, 10**400).map(str),
+    st.text(max_size=4).map(json.dumps),
+    st.lists(st.integers(-2, 4), max_size=3).map(json.dumps),
+    st.dictionaries(st.text(max_size=3), st.integers(-2, 4),
+                    max_size=2).map(json.dumps))
+
+
+@pytest.mark.parametrize("name", sorted(VALID_DOCS))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_any_one_malformed_field_exits_cleanly(name, data):
+    # One top-level field replaced by an arbitrary JSON value: the CLI
+    # returns an exit code, and an input error is one "error:" line.
+    doc = VALID_DOCS[name]
+    key = data.draw(st.sampled_from(sorted(doc)), label="field")
+    raw = data.draw(JSON_VALUES, label="value")
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        p = replace_field(Path(tmp) / "doc.json", doc, key, raw)
+        with contextlib.redirect_stderr(err):
+            code = main(["run", "--problem", str(p)])
+    assert code in (EXIT_OK, EXIT_INPUT, EXIT_MAXITER, EXIT_AUDIT)
+    if code == EXIT_INPUT:
+        text = err.getvalue()
+        assert text.startswith("error: ") and text.count("\n") == 1, text
 
 
 class TestNegativeControl:

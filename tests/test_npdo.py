@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from stiefelscf.alignment import (
     align_rotation,
 )
 from stiefelscf.kernels import polar_factor, random_stiefel, sym_part, trace_norm
+from stiefelscf.nepv import NepvConfig
 from stiefelscf.npdo import (
     NpdoConfig,
     kkt_residuals,
@@ -305,5 +308,7 @@ class TestConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
             NpdoConfig(tol=0.0)
-        with pytest.raises(ValueError):
-            NpdoConfig(tolerance_fraction=1.5)
+
+    def test_settings_are_tol_and_max_iter(self):
+        assert [f.name for f in dataclasses.fields(NpdoConfig)] == ["tol", "max_iter"]
+        assert NepvConfig is NpdoConfig

@@ -191,19 +191,24 @@ class TestProcrustes:
         with pytest.raises(ValueError, match="row mismatch"):
             build_procrustes_ls(np.ones((3, 2)), np.ones((4, 1)))
 
-    def test_solver_matches_multistart_oracle(self):
-        import warnings
+    @pytest.mark.parametrize("n, k", [(4, 2), (5, 1)])
+    def test_spec_shape_must_match_c_and_b(self, n, k):
+        # The CLI draws the start point from the spec's n, k.
+        spec = ProblemSpec("procrustes", n, k, {"C": np.ones((6, 5)),
+                                                "B": np.ones((6, 2))})
+        with pytest.raises(ValueError, match=r"C has shape \(6, 5\) and B "
+                                             r"has shape \(6, 2\)"):
+            build(spec)
 
+    def test_solver_matches_multistart_oracle(self):
         from stiefelscf.diagnostics import brute_force_oracle
 
         rng = np.random.default_rng(7)
         C = rng.standard_normal((8, 5))
         B = rng.standard_normal((8, 2))
         obj = build_procrustes_ls(C, B)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            _, P_oracle = brute_force_oracle(obj, budget=200, seed=0)
-            rep = nepv_scf(obj, random_stiefel(5, 2, 0))
+        _, P_oracle = brute_force_oracle(obj, budget=200, seed=0)
+        rep = nepv_scf(obj, random_stiefel(5, 2, 0))
         r_solver = procrustes_residual(obj, rep.point)
         r_oracle = procrustes_residual(obj, P_oracle)
         assert r_solver <= r_oracle + 1e-6

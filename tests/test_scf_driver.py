@@ -1,5 +1,6 @@
 """The shared SCF loop: each step function equals iteration 0 of its solver,
-the steps' stop rules, the products one iteration forms, and ascent."""
+the steps' stop rules, the report as the only channel, the products one
+iteration forms, and ascent."""
 
 import warnings
 
@@ -10,12 +11,13 @@ from hypothesis import strategies as st
 
 from stiefelscf import objective
 from stiefelscf.kernels import random_stiefel
-from stiefelscf.nepv import NepvConfig, nepv_scf, nepv_scf_step
+from stiefelscf.nepv import NepvConfig, nepv_locg, nepv_scf, nepv_scf_step
 from stiefelscf.npdo import (
     MONOTONE_SLACK,
     STAGNATION_LIMIT,
     NpdoConfig,
     _Step,
+    npdo_locg,
     npdo_scf,
     npdo_scf_step,
     project_feasible,
@@ -54,7 +56,6 @@ ROUTES = {
 }
 
 
-@pytest.mark.filterwarnings("ignore:.*iteration budget")
 @pytest.mark.parametrize("route", sorted(ROUTES))
 @pytest.mark.parametrize("family", FAMILIES)
 def test_step_is_iteration_zero(family, route):
@@ -77,6 +78,47 @@ def test_only_flat_steps_count_as_stagnant():
     flat = _Step()
     reasons = [flat.done(1.0, 1.0) for _ in range(STAGNATION_LIMIT)]
     assert reasons == [None] * (STAGNATION_LIMIT - 1) + ["stagnated"]
+
+
+def report_only_case(case):
+    # A budget-exhausting solve, a field with lambda_k = lambda_{k+1}, and a
+    # ratio whose numerator tr(P'AP + P'D) is negative on the whole manifold.
+    if case == "budget":
+        return build(family_spec("mbsub")), NpdoConfig(tol=1e-15, max_iter=2)
+    if case == "gap":
+        A = np.diag([3.0, 1.0, 1.0, 0.0])
+        return build(ProblemSpec("sep", 4, 2, {"A": A})), NpdoConfig(max_iter=3)
+    n = 6
+    D = 0.01 * np.random.default_rng(50).standard_normal((n, 2))
+    B = np.eye(n) + 1e-3 * make_psd(n, 51)
+    A = -np.diag(np.arange(1.0, n + 1))
+    obj = build(ProblemSpec("theta_tr", n, 2, {"A": A, "B": B, "D": D},
+                            theta=0.5))
+    return obj, NpdoConfig(max_iter=5)
+
+
+@pytest.mark.parametrize("case", ["budget", "gap", "sign"])
+def test_solves_report_without_warnings(case):
+    # What a solve knows about its budget, the eigenvalue gap and the ratio
+    # sign condition reaches the caller through the report alone.
+    obj, cfg = report_only_case(case)
+    P0 = random_stiefel(obj.n, obj.k, 3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        reports = {solve.__name__: solve(obj, P0, cfg)
+                   for solve in (npdo_scf, npdo_locg, nepv_scf, nepv_locg)}
+        steps = {step.__name__: step(obj, project_feasible(obj, P0))[1]
+                 for step in (npdo_scf_step, nepv_scf_step)}
+    if case == "budget":
+        for report in reports.values():
+            assert report.stop_reason == "max_iter" and not report.converged
+    eigen_records = reports["nepv_scf"].iterations + [steps["nepv_scf_step"]]
+    flag = {"gap": "gap_degenerate", "sign": "sign_violated"}.get(case)
+    if flag is not None:
+        assert all(getattr(rec, flag) for rec in eigen_records)
+    for name in ("npdo_scf", "npdo_locg"):
+        assert not any(rec.gap_degenerate or rec.sign_violated
+                       for rec in reports[name].iterations)
 
 
 @pytest.mark.parametrize("route", sorted(ROUTES))
@@ -157,9 +199,7 @@ def test_declared_ascent_holds_on_random_psd_instances(family, seed, n, k,
         if not declared:
             continue
         _, solve, cfg_cls = ROUTES[route]
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            report = solve(obj, P0, cfg_cls(max_iter=300))
+        report = solve(obj, P0, cfg_cls(max_iter=300))
         fs = [report.f_initial] + [r.f for r in report.iterations]
         for i, (f, f_next) in enumerate(zip(fs, fs[1:])):
             assert f_next >= f - MONOTONE_SLACK * max(1.0, abs(f)), (
