@@ -228,6 +228,7 @@ def run_audits(which: set[str], obj, report, spec, framework: str) -> tuple[dict
 
 def run_one(args) -> int:
     """Solve one problem file per the parsed CLI arguments."""
+    solver_fn, cfg_cls = SOLVERS[args.solver]
     try:
         # Finite but huge input overflows in the builder's norm and spectrum
         # checks; the solve reports it, so numpy's own warnings are noise.
@@ -235,22 +236,24 @@ def run_one(args) -> int:
         with np.errstate(over="ignore", invalid="ignore"):
             spec = load_problem(args.problem)
             obj = build(spec)
-    except (ProblemFileError, ValueError) as exc:
+        cfg = cfg_cls(tol=args.tol, max_iter=args.max_iter)
+    except Exception as exc:
+        # Any failure ends this problem only, so a batch runs the others.
+        logger.debug("input error in %s", args.problem, exc_info=True)
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 
-    solver_fn, cfg_cls = SOLVERS[args.solver]
-    cfg = cfg_cls(tol=args.tol, max_iter=args.max_iter)
     P0 = random_stiefel(spec.n, spec.k, args.seed)
     try:
-        # A numerical failure ends the solve with the ValueError below, so
-        # numpy's floating-point warnings are noise.  errstate, unlike a
-        # warnings filter, is context-local and so safe in batch threads.
+        # A numerical failure ends the solve with an exception, so numpy's
+        # floating-point warnings are noise.  errstate, unlike a warnings
+        # filter, is context-local and so safe in batch threads.
         with np.errstate(all="ignore"):
             report = solver_fn(obj, P0, cfg)
-    except ValueError as exc:
-        # Includes LinAlgError: a numerical failure ends this solve only,
-        # so a batch still runs its other problems.
+    except Exception as exc:
+        # ValueError and LinAlgError from a numerical failure, or anything
+        # else: it ends this solve only, so a batch still runs the others.
+        logger.debug("solve of %s failed", args.problem, exc_info=True)
         print(f"error: solve failed: {exc}", file=sys.stderr)
         return EXIT_INPUT
     framework = "npdo" if args.solver.startswith("npdo") else "nepv"

@@ -104,7 +104,8 @@ class IterationRecord:
     below ``nepv.GAP_DEGENERATE`` (``gap_degenerate``: whole-sequence
     convergence is not guaranteed, per-step ascent still holds) and an
     incoming P that fails the ratio sign condition tr(P'AP + P'D) >= 0
-    (``sign_violated``: per-step ascent is no longer guaranteed).
+    (``sign_violated``: per-step ascent is no longer guaranteed); an
+    accelerated step sets either flag when a record of its inner solve does.
     """
 
     index: int
@@ -296,10 +297,11 @@ class _SubspaceStep(_Step):
     solved by ``solve``, the public plain solver of the step kind ``plain``,
     from Z0 = the first k columns of the identity (the previous-iterate
     block is absent on the first step), to ``INNER_TOL_FRACTION`` of the
-    outer residual within ``INNER_MAX_ITER`` iterations.  Residual and certificates are the plain step's.  The
-    record keeps the fields the plain residual measured at P (eps_kkt,
-    eps_sym and sigma_min, or eps_nepv), the realized f-gain as ``eta`` and
-    the inner iteration count.
+    outer residual within ``INNER_MAX_ITER`` iterations.  Residual and
+    certificates are the plain step's.  The record keeps the fields the
+    plain residual measured at P (eps_kkt, eps_sym and sigma_min, or
+    eps_nepv), the realized f-gain as ``eta``, the inner iteration count,
+    and ``gap_degenerate``/``sign_violated`` when any inner record has them.
     """
 
     def __init__(self, obj: ComposedObjective, plain, solve):
@@ -332,7 +334,9 @@ class _SubspaceStep(_Step):
         self.stalled = (np.linalg.norm(inner.point - Z0) <= 1e-14
                         and gain <= 1e-14 * max(1.0, abs(f)))
         self.P_before = P
-        return landed, dict(fields, **plain_fields, eta=gain,
+        flags = {name: any(getattr(rec, name) for rec in inner.iterations)
+                 for name in ("gap_degenerate", "sign_violated")}
+        return landed, dict(fields, **plain_fields, **flags, eta=gain,
                             inner_iters=inner.num_iterations)
 
     def done(self, f, f_next):

@@ -135,7 +135,8 @@ def _trace_composition_outer(spec: ProblemSpec, ell: int, lead: bool) -> OuterFu
     ``lead`` prepends an identity coordinate (the plain tr(P'AP) part of the
     density-functional-style family).  Presets: "sum", "quad_penalty"
     (weight * sum x_i^2) and "logsumexp" (weight * log sum exp x_i), all
-    convex with nonnegative partials.
+    convex with nonnegative partials for the nonnegative weights ``build``
+    admits.
     """
     w = float(spec.phi_weight)
     dim = ell + (1 if lead else 0)
@@ -194,6 +195,11 @@ def _trace_composition_outer(spec: ProblemSpec, ell: int, lead: bool) -> OuterFu
 def build(spec: ProblemSpec) -> ComposedObjective:
     """Assemble the composed objective for a catalog problem."""
     n, k, fam = spec.n, spec.k, spec.family
+    if not spec.phi_weight >= 0:
+        # A negative weight makes the outer presets' partials negative and
+        # quad_penalty/logsumexp concave: no ascent guarantee would hold.
+        raise ValueError(
+            f"phi_weight must be nonnegative, got {spec.phi_weight!r}")
     meta = {"family": fam}
 
     if fam == "sep":

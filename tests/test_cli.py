@@ -296,6 +296,28 @@ class TestRun:
         assert out.stderr.startswith("error: solve failed:")
         assert out.stderr.count("\n") == 1, out.stderr
 
+    @pytest.mark.parametrize("family, solver", [
+        ("trcp", "npdo"), ("trcp", "nepv"), ("dft", "nepv")])
+    def test_negative_phi_weight_exits_one(self, tmp_path, capsys, family,
+                                           solver):
+        # A negative weight makes the outer concave; such a solve used to
+        # end in an "ascent violated" AssertionError traceback.
+        n = 20
+        matrices = ({"A_list": [make_psd(n, 7).tolist(),
+                                make_psd(n, 8).tolist()]}
+                    if family == "trcp" else {"A": make_psd(n, 7).tolist()})
+        p = write_problem(tmp_path / "neg.json", {
+            "family": family, "n": n, "k": 3, "phi": "quad_penalty",
+            "phi_weight": -1, "matrices": matrices})
+        assert main(["run", "--problem", str(p), "--solver", solver]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert "phi_weight" in err
+
+    def test_nonpositive_tol_exits_one(self, sep_file, capsys):
+        assert main(["run", "--problem", str(sep_file), "--tol", "0"]) == EXIT_INPUT
+        assert capsys.readouterr().err == "error: tol must be positive\n"
+
     def test_seed_changes_start(self, mbsub_file, tmp_path):
         t1, t2 = tmp_path / "a.csv", tmp_path / "b.csv"
         main(["run", "--problem", str(mbsub_file), "--seed", "1", "--trace", str(t1)])
@@ -342,6 +364,28 @@ class TestBatch:
         assert not (d / "bad_report.json").exists()
         err = capsys.readouterr().err
         assert err == "error: field 'phi_weight' must be a finite number\n"
+
+    def test_any_solver_exception_ends_that_problem_only(self, tmp_path,
+                                                         capsys, monkeypatch):
+        d = tmp_path / "batch"
+        d.mkdir()
+        for name, n in (("good", 3), ("bad", 4)):
+            write_problem(d / f"{name}.json", {
+                "family": "sep", "n": n, "k": 2,
+                "matrices": {"A": make_psd(n, n, 0.5).tolist()}})
+        solve, cfg_cls = cli.SOLVERS["nepv"]
+
+        def fragile(obj, P0, cfg):
+            if obj.n == 4:
+                raise RuntimeError("injected")
+            return solve(obj, P0, cfg)
+
+        monkeypatch.setitem(cli.SOLVERS, "nepv", (fragile, cfg_cls))
+        assert main(["run", "--batch", str(d)]) == EXIT_INPUT
+        assert json.loads((d / "good_report.json").read_text())["converged"]
+        assert (d / "good_trace.csv").exists()
+        assert not (d / "bad_report.json").exists()
+        assert capsys.readouterr().err == "error: solve failed: injected\n"
 
     def test_leaves_warning_filters_alone(self, tmp_path):
         # Worker threads must not install or restore process-wide filters.

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stiefelscf.kernels import (
     canonical_sin_theta,
@@ -112,6 +114,34 @@ class TestTopKEigenpairs:
     def test_rejects_asymmetric(self):
         with pytest.raises(ValueError):
             top_k_eigenpairs(np.array([[0.0, 1.0], [0.0, 0.0]]), 1)
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 40),
+           seed=st.integers(0, 2**32 - 1),
+           scale=st.sampled_from([1e-3, 1.0, 1e3]))
+    def test_matches_eigh_on_spectra_with_repeats(self, data, n, seed, scale):
+        # Integer eigenvalues repeat often; the floats make clusters rarer.
+        k = data.draw(st.integers(1, n), label="k")
+        spectrum = data.draw(st.lists(
+            st.one_of(st.integers(-3, 3).map(float),
+                      st.floats(-3, 3, allow_subnormal=False)),
+            min_size=n, max_size=n), label="spectrum")
+        Q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((n, n)))
+        H = sym_part((Q * (scale * np.array(spectrum))) @ Q.T)
+        out = top_k_eigenpairs(H, k)
+        w = np.linalg.eigh(H)[0][::-1]
+        tol = max(1.0, np.linalg.norm(H, 2))
+        V = out.eigenbasis
+        assert V.shape == (n, k)
+        assert np.max(np.abs(out.eigenvalues - w[:k])) <= 1e-12 * tol
+        if k < n:
+            assert abs(out.gap - (w[k - 1] - w[k])) <= 1e-12 * tol
+        else:
+            assert np.isinf(out.gap)
+        assert np.linalg.norm(V.T @ V - np.eye(k)) <= 1e-12
+        assert np.linalg.norm(H @ V - V * out.eigenvalues) <= 1e-10 * tol
+        lead = np.argmax(np.abs(V), axis=0)
+        assert np.all(V[lead, np.arange(k)] > 0)
 
 
 class TestTraceNorm:

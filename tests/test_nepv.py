@@ -217,6 +217,22 @@ class TestReducedField:
             assert np.linalg.norm(resid) <= 1e-10 * max(1.0, np.linalg.norm(fe_red.H))
 
 
+    @pytest.mark.parametrize("shift", [0.0, -3.0])
+    def test_certificates_match_the_field_spectrum(self, shift):
+        # The certificates' one eigvalsh gives the spectral norm, whether the
+        # largest or the most negative eigenvalue sets it, and the gap.
+        n, k = 12, 2
+        A = make_psd(n, 12) + shift * np.eye(n)
+        obj = build(ProblemSpec("sep", n, k, {"A": A}))
+        rep = nepv_scf(obj, random_stiefel(n, k, 3))
+        H = obj.field(rep.point).H
+        norm = np.linalg.norm(H, 2)
+        certs = rep.certificates
+        assert certs["field_norm"] == pytest.approx(norm, rel=1e-12, abs=0.0)
+        assert certs["gap"] == pytest.approx(top_k_eigenpairs(H, k).gap,
+                                             abs=1e-12 * norm)
+
+
 class TestNepvLocg:
     def test_first_step_basis_width(self):
         from stiefelscf.kernels import orthonormalize_against

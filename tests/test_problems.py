@@ -11,6 +11,7 @@ from stiefelscf.nepv import nepv_scf
 from stiefelscf.npdo import npdo_scf
 from stiefelscf.objective import ComposedObjective
 from stiefelscf.problems import (
+    OUTER_PRESETS,
     MLifting,
     ProblemSpec,
     build,
@@ -138,6 +139,17 @@ class TestBuilders:
             build(ProblemSpec("theta_tr_sq", 4, 2, {
                 "A": np.eye(4), "B": np.eye(4), "D": np.ones((4, 2))},
                 theta=0.75))
+
+
+@pytest.mark.parametrize("phi", OUTER_PRESETS)
+@pytest.mark.parametrize("family", ["trcp", "dft"])
+def test_negative_phi_weight_rejected(family, phi):
+    A = make_psd(5, 1)
+    matrices = {"A_list": [A, A]} if family == "trcp" else {"A": A}
+    spec = ProblemSpec(family, 5, 2, matrices, phi=phi, phi_weight=-0.5)
+    with pytest.raises(ValueError, match="phi_weight"):
+        build(spec)
+    assert build(dataclasses.replace(spec, phi_weight=0.0)).n == 5
 
 
 class TestProcrustes:

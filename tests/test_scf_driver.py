@@ -121,6 +121,41 @@ def test_solves_report_without_warnings(case):
                        for rec in reports[name].iterations)
 
 
+def test_locg_records_carry_the_inner_flags():
+    # On range([P, grad]) = R^4 the reduced field has eigenvalues 3, 1, 1, 0,
+    # so the inner solve's record is degenerate; the outer record says so.
+    obj = build(ProblemSpec("sep", 4, 2, {"A": np.diag([3.0, 1.0, 1.0, 0.0])}))
+    report = nepv_locg(obj, random_stiefel(4, 2, 0))
+    assert report.converged and report.iterations
+    assert report.iterations[0].gap_degenerate
+    assert not report.iterations[0].sign_violated
+
+
+@pytest.mark.parametrize("solve", [nepv_scf, nepv_locg])
+def test_no_full_decomposition_of_the_field(solve, monkeypatch):
+    # The eigenvector step needs only the top k+1 eigenpairs of the n x n
+    # field, and the exit certificates only its eigenvalues: no full eigh,
+    # SVD or spectral norm of an n x n matrix during a solve.
+    n = 60
+    obj = build(family_spec("mbsub", n=n, k=3))
+    full = []
+
+    def counting(name, real, spectral_only=False):
+        def wrapper(a, *args, **kwargs):
+            ord_ = args[0] if args else kwargs.get("ord")
+            if np.shape(a) == (n, n) and (not spectral_only or ord_ == 2):
+                full.append(name)
+            return real(a, *args, **kwargs)
+        return wrapper
+
+    for name in ("eigh", "svd", "norm"):
+        monkeypatch.setattr(np.linalg, name, counting(
+            name, getattr(np.linalg, name), spectral_only=name == "norm"))
+    report = solve(obj, random_stiefel(n, 3, 5), NepvConfig())
+    assert report.converged and report.num_iterations >= 1
+    assert full == []
+
+
 @pytest.mark.parametrize("route", sorted(ROUTES))
 @pytest.mark.parametrize("family", ["sep", "mbsub"])
 def test_one_product_per_quadratic_term_per_iteration(family, route,
