@@ -8,7 +8,8 @@ Usage::
                  [--audit {grad,series,theta,certs,all}] [--batch DIR]
 
 Exit codes: 0 converged, 1 input error or failed solve, 2 iteration budget
-exhausted, 3 audit failure.  Set STIEFEL_SCF_LOG={off,info,debug} for logging.
+exhausted, 3 audit failure or a solve stopped by a violated declared ascent.
+Set STIEFEL_SCF_LOG={off,info,debug} for logging.
 Runs are reproducible bit-for-bit given the problem file, flags and seed.
 """
 
@@ -36,6 +37,7 @@ from .diagnostics import (
 from .kernels import random_stiefel
 from .nepv import NepvConfig, nepv_locg, nepv_scf
 from .npdo import NpdoConfig, npdo_locg, npdo_scf
+from .objective import FIELD_IDENTITY_TOL
 from .problems import ProblemSpec, build, procrustes_residual
 
 EXIT_OK = 0
@@ -218,6 +220,7 @@ def run_audits(which: set[str], obj, report, spec, framework: str) -> tuple[dict
             certs_ok &= (c["omega_vs_topk_max_dev"]
                          <= 1e-6 * max(c["field_norm"], 1e-300))
             certs_ok &= c["mismatch_asymmetry"] <= 1e-6
+            certs_ok &= c["field_identity"] <= FIELD_IDENTITY_TOL
         if "alignment_psd_margin" in c:
             certs_ok &= (c["alignment_psd_margin"]
                          >= -1e-8 * max(c["alignment_matrix_norm"], 1.0))
@@ -303,6 +306,9 @@ def run_one(args) -> int:
         write_trace(args.trace, report)
     if args.report:
         write_report(args.report, payload)
+    if report.stop_reason == "ascent_violated":
+        # The objective broke the ascent it declares: an audit failure.
+        return EXIT_AUDIT
     return exit_code(report.converged, audits_ok)
 
 

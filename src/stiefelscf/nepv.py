@@ -49,11 +49,12 @@ def nepv_residual(obj: ComposedObjective, P) -> float:
     return _nepv_residual_from_field(P, obj.field(P).H)
 
 
-def _nepv_residual_from_field(P, H) -> float:
+def _nepv_residual_from_field(P, H, HP=None) -> float:
+    # HP, when given, is the product H @ P.
     xi = np.linalg.norm(H)
     if xi < ZERO_GRAD_FLOOR:
         return 0.0
-    HP = H @ P
+    HP = H @ P if HP is None else HP
     return float(np.linalg.norm(HP - P @ (P.T @ HP)) / xi)
 
 
@@ -62,9 +63,9 @@ class _EigenStep(_Step):
 
     For a ratio exponent strictly between 0 and 1 the sign condition
     tr(P'AP + P'D) >= 0 is checked at the incoming P of each step; a
-    violation sets the record's ``sign_violated`` and disables the
-    debug-mode ascent assertion for the rest of the solve.  A gap below
-    ``GAP_DEGENERATE`` sets the record's ``gap_degenerate``.
+    violation sets the record's ``sign_violated`` and switches the ascent
+    check off for the rest of the solve.  A gap below ``GAP_DEGENERATE``
+    sets the record's ``gap_degenerate``.
     """
 
     name = "nepv"
@@ -107,17 +108,22 @@ class _EigenStep(_Step):
 
     def certificates(self, at) -> dict:
         # The certificates read eigenvalues only: one eigvalsh of the field
-        # gives the top k, the gap and the spectral norm.
+        # gives the top k, the gap and the spectral norm.  ``field_identity``
+        # measures H P - grad = P M, the identity the field is built on,
+        # relative to max(1, ||H||_F).
         P, field, k = at.P, at.field, self.obj.k
         H = field.H
-        omega_eigs = np.linalg.eigvalsh(_sym(P.T @ (H @ P)))[::-1]
+        HP = H @ P
+        omega_eigs = np.linalg.eigvalsh(_sym(P.T @ HP))[::-1]
         w = np.linalg.eigvalsh(_sym(H))[::-1]  # descending
+        identity = np.linalg.norm(HP - at.euclidean_grad - P @ field.mismatch)
         return _alignment_certificates(at, {
             "omega_vs_topk_max_dev": float(np.max(np.abs(omega_eigs - w[:k]))),
             "field_norm": float(max(abs(w[0]), abs(w[-1]))),
+            "field_identity": float(identity / max(1.0, np.linalg.norm(H))),
             "mismatch_asymmetry": field.asymmetry,
             "gap": float(w[k - 1] - w[k]) if k < len(w) else np.inf,
-            "eps_nepv": _nepv_residual_from_field(P, H),
+            "eps_nepv": _nepv_residual_from_field(P, H, HP),
         })
 
 
@@ -144,8 +150,11 @@ def nepv_scf(obj: ComposedObjective, P0, cfg: NepvConfig | None = None,
     Each record flags a near-degenerate gap (``gap_degenerate``); for a
     ratio exponent strictly between 0 and 1 the sign condition
     tr(P'AP + P'D) >= 0 is checked each iteration, and a violation flags
-    the record (``sign_violated``) and disables the debug-mode ascent
-    assertion for the rest of the run.
+    the record (``sign_violated``) and switches the ascent check off for the
+    rest of the run.  While the check is on, a step that lowers f is
+    flagged ``ascent_violated`` and ends the solve with that stop reason.
+    The certificates include ``field_identity``, the relative residual of
+    H(P) P - grad f(P) = P M(P) at the returned point.
     """
     cfg = cfg or NepvConfig()
     return _scf(obj, P0, cfg, _EigenStep(obj), callback)

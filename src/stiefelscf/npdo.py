@@ -22,8 +22,11 @@ validated at the public entry points only.
 A solve reports only through its ``SolveReport``: an exhausted budget is
 ``converged=False, stop_reason="max_iter"``, and what the theory's
 assumptions say about each step (a degenerate eigenvalue gap, a violated
-ratio sign condition) is a flag on that step's ``IterationRecord``.  The
-solvers raise no warnings.  A solve's settings are ``(tol, max_iter)``.
+ratio sign condition) is a flag on that step's ``IterationRecord``.  A step
+that lowers f although the objective declares the framework's ascent
+guarantee is flagged ``ascent_violated`` and ends the solve with that stop
+reason.  The solvers raise no warnings, and no check depends on
+``python -O``.  A solve's settings are ``(tol, max_iter)``.
 """
 
 from __future__ import annotations
@@ -104,8 +107,11 @@ class IterationRecord:
     below ``nepv.GAP_DEGENERATE`` (``gap_degenerate``: whole-sequence
     convergence is not guaranteed, per-step ascent still holds) and an
     incoming P that fails the ratio sign condition tr(P'AP + P'D) >= 0
-    (``sign_violated``: per-step ascent is no longer guaranteed); an
-    accelerated step sets either flag when a record of its inner solve does.
+    (``sign_violated``: per-step ascent is no longer guaranteed).  A step
+    of a solver whose ascent the objective declares sets ``ascent_violated``
+    when it lowers f by more than ``MONOTONE_SLACK`` relative, which ends
+    the solve.  An accelerated step sets any of the three flags when a
+    record of its inner solve does.
     """
 
     index: int
@@ -120,6 +126,7 @@ class IterationRecord:
     m_asymmetry: float | None = None
     gap_degenerate: bool = False
     sign_violated: bool = False
+    ascent_violated: bool = False
     inner_iters: int | None = None
     d_trace_norm: float | None = None
     d_cross: float | None = None
@@ -132,8 +139,10 @@ class SolveReport:
     ``certificates`` holds the quantities the optimality theory makes
     testable at the returned point (multiplier spectrum / field spectrum
     agreement, mismatch asymmetry, alignment PSD margin, exit residuals).
-    The recorded f sequence is non-decreasing up to rounding slack whenever
-    the objective declares the framework's ascent guarantee.
+    Whenever the objective declares the framework's ascent guarantee, the
+    recorded f sequence is non-decreasing up to rounding slack, or the
+    solve stops with ``stop_reason="ascent_violated"`` at the first step
+    that breaks it.
     """
 
     point: np.ndarray
@@ -236,10 +245,11 @@ class _Step:
     ``(extra, fields)``: what the residual computed beyond the evaluation
     (or None) and the record fields measured at P, handed on to
     ``step(at, f, ctx)``, which returns ``(evaluation at P_next, record
-    fields)`` given f = f(P).  ``monotone`` switches the debug-mode ascent
-    assertion on; ``done(f, f_next)`` names a stop reason after a step, or
-    returns None.  ``certificates(at)`` gives the exit certificates.  Steps
-    keep per-solve state, so every solve builds its own.
+    fields)`` given f = f(P).  ``monotone`` switches the ascent check on
+    (see ``_take_step``); ``done(f, f_next)`` names a stop reason after a
+    step, or returns None.  ``certificates(at)`` gives the exit
+    certificates.  Steps keep per-solve state, so every solve builds its
+    own.
     """
 
     monotone = False
@@ -297,16 +307,19 @@ class _SubspaceStep(_Step):
     solved by ``solve``, the public plain solver of the step kind ``plain``,
     from Z0 = the first k columns of the identity (the previous-iterate
     block is absent on the first step), to ``INNER_TOL_FRACTION`` of the
-    outer residual within ``INNER_MAX_ITER`` iterations.  Residual and
-    certificates are the plain step's.  The record keeps the fields the
-    plain residual measured at P (eps_kkt, eps_sym and sigma_min, or
-    eps_nepv), the realized f-gain as ``eta``, the inner iteration count,
-    and ``gap_degenerate``/``sign_violated`` when any inner record has them.
+    outer residual within ``INNER_MAX_ITER`` iterations.  Residual,
+    certificates and ``monotone`` are the plain step's, so the realized
+    gain is checked for ascent until a record carries ``sign_violated``.
+    The record keeps the fields the plain residual measured at P (eps_kkt,
+    eps_sym and sigma_min, or eps_nepv), the realized f-gain as ``eta``,
+    the inner iteration count, and ``gap_degenerate``/``sign_violated``/
+    ``ascent_violated`` when any inner record has them.
     """
 
     def __init__(self, obj: ComposedObjective, plain, solve):
         self.obj, self.solve = obj, solve
         self.outer = plain(obj)
+        self.monotone = self.outer.monotone
         self.name = f"{plain.name}-locg"
         self.certificates = self.outer.certificates
         self.P_before = None
@@ -335,7 +348,10 @@ class _SubspaceStep(_Step):
                         and gain <= 1e-14 * max(1.0, abs(f)))
         self.P_before = P
         flags = {name: any(getattr(rec, name) for rec in inner.iterations)
-                 for name in ("gap_degenerate", "sign_violated")}
+                 for name in ("gap_degenerate", "sign_violated",
+                              "ascent_violated")}
+        if flags["sign_violated"]:
+            self.monotone = False
         return landed, dict(fields, **plain_fields, **flags, eta=gain,
                             inner_iters=inner.num_iterations)
 
@@ -344,18 +360,20 @@ class _SubspaceStep(_Step):
 
 
 def _take_step(step: _Step, at: PointEvaluation, f, ctx, i: int):
+    # One step and its record.  A declared-monotone step that lowers f
+    # beyond rounding slack is flagged; the check is plain code, so
+    # `python -O` keeps it.
     landed, fields = step.step(at, f, ctx)
-    if __debug__ and step.monotone:
-        assert fields["f"] >= f - MONOTONE_SLACK * max(1.0, abs(f)), (
-            f"ascent violated at iteration {i}: {f} -> {fields['f']}")
+    if step.monotone and fields["f"] < f - MONOTONE_SLACK * max(1.0, abs(f)):
+        fields["ascent_violated"] = True
     return landed, IterationRecord(i, **fields)
 
 
 def _scf(obj: ComposedObjective, P0, cfg: NpdoConfig, step: _Step,
          callback=None) -> SolveReport:
     # The one SCF loop: project the start, then test the residual, step,
-    # check ascent, record and test for a stop until the budget runs out;
-    # certify the returned point.
+    # record and test for a stop (a flagged ascent violation first) until
+    # the budget runs out; certify the returned point.
     at = _feasible_start(obj, P0)
     f0 = f = at.value
     records: list[IterationRecord] = []
@@ -370,7 +388,8 @@ def _scf(obj: ComposedObjective, P0, cfg: NpdoConfig, step: _Step,
         if callback is not None:
             callback(i, landed.P)
         logger.debug("%s iter %d: f=%.12g res=%.3e", step.name, i, rec.f, res)
-        reason = step.done(f, rec.f)
+        reason = ("ascent_violated" if rec.ascent_violated
+                  else step.done(f, rec.f))
         at, f = landed, rec.f
         if reason is not None:
             stop = reason
@@ -393,7 +412,8 @@ def npdo_scf_step(obj: ComposedObjective, P):
 
     Returns ``(P_next, record)``, exactly as iteration 0 of ``npdo_scf``
     from P: the record's residuals are evaluated at the incoming P and its
-    f at P_next.
+    f at P_next, and it is flagged ``ascent_violated`` when a declared
+    ascent fails.
     """
     return _one_step(_PolarStep(obj), P)
 
@@ -402,8 +422,10 @@ def npdo_scf(obj: ComposedObjective, P0, cfg: NpdoConfig | None = None,
              callback=None) -> SolveReport:
     """Polar-decomposition SCF loop.
 
-    Iterates until eps_kkt + eps_sym <= tol or the iteration budget runs
-    out; exit certificates are computed at the returned point.  Infeasible
+    Iterates until eps_kkt + eps_sym <= tol, the iteration budget runs out
+    or a step breaks the declared ascent (``stop_reason="ascent_violated"``,
+    the point it landed on returned); exit certificates are computed at the
+    returned point.  Infeasible
     starts are projected by one alignment application.  ``callback``, if
     given, is called as callback(i, P_next) after every step.
     """

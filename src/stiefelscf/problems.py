@@ -108,15 +108,9 @@ def _check_ratio_denominator(B: np.ndarray, k: int, family: str) -> None:
             f"{w[:k].sum():.3e}")
 
 
-def _check_psd(A: np.ndarray, name: str, family: str, required: bool) -> bool:
+def _check_psd(A: np.ndarray) -> bool:
     w = np.linalg.eigvalsh(A)
-    ok = w[0] >= -1e-10 * max(abs(w[0]), abs(w[-1]), 1e-300)
-    if required and not ok:
-        warnings.warn(
-            f"{family}: {name} is not positive semidefinite "
-            f"(lambda_min = {w[0]:.3e}); the ascent guarantee is lost",
-            stacklevel=3)
-    return ok
+    return bool(w[0] >= -1e-10 * max(abs(w[0]), abs(w[-1]), 1e-300))
 
 
 def _spot_check(obj: ComposedObjective, seed: int = 0) -> ComposedObjective:
@@ -204,7 +198,7 @@ def build(spec: ProblemSpec) -> ComposedObjective:
 
     if fam == "sep":
         A = _get(spec, "A", (n, n), symmetric=True)
-        psd = _check_psd(A, "A", fam, required=False)
+        psd = _check_psd(A)
         return _spot_check(ComposedObjective(
             n, k, (AtomicTerm.quadratic(A),), outer_sum(1),
             field_recipe="composition", alignment=PolarAlignment(blocks=()),
@@ -213,7 +207,7 @@ def build(spec: ProblemSpec) -> ComposedObjective:
     if fam == "mbsub":
         A = _get(spec, "A", (n, n), symmetric=True)
         D = _get(spec, "D", (n, k))
-        psd = _check_psd(A, "A", fam, required=False)
+        psd = _check_psd(A)
         terms = (AtomicTerm.quadratic(A), AtomicTerm.linear(D))
         return _spot_check(ComposedObjective(
             n, k, terms, outer_sum(2), field_recipe="composition",
@@ -240,7 +234,7 @@ def build(spec: ProblemSpec) -> ComposedObjective:
             if D_j.shape != (n, len(cols)):
                 raise ValueError(
                     f"D_list[{j}] has shape {D_j.shape}, expected ({n}, {len(cols)})")
-            all_psd &= _check_psd(A_j, f"A_list[{j}]", fam, required=False)
+            all_psd &= _check_psd(A_j)
             terms.append(AtomicTerm.quadratic(A_j, cols=cols))
         for j, cols in enumerate(spec.blocks):
             terms.append(AtomicTerm.linear(as_matrix(D_list[j]), cols=cols))
@@ -311,8 +305,14 @@ def build(spec: ProblemSpec) -> ComposedObjective:
         all_psd = True
         for j, A_j in enumerate(A_list):
             A_j = require_symmetric(as_matrix(A_j, f"A_list[{j}]"), name=f"A_list[{j}]")
-            all_psd &= _check_psd(A_j, f"A_list[{j}]", fam, required=True)
-            terms.append(AtomicTerm.quadratic(A_j, m=2))
+            # The m = 2 term tests A_j >= 0 itself (matrix_psd).
+            term = AtomicTerm.quadratic(A_j, m=2)
+            if not term.matrix_psd:
+                warnings.warn(
+                    f"{fam}: A_list[{j}] is not positive semidefinite; "
+                    "the ascent guarantee is lost", stacklevel=2)
+            all_psd &= term.matrix_psd
+            terms.append(term)
         return _spot_check(ComposedObjective(
             n, k, tuple(terms), outer_sum(len(terms)),
             field_recipe="composition", alignment=PolarAlignment(blocks=()),
@@ -326,7 +326,7 @@ def build(spec: ProblemSpec) -> ComposedObjective:
         all_psd = True
         for j, A_j in enumerate(A_list):
             A_j = require_symmetric(as_matrix(A_j, f"A_list[{j}]"), name=f"A_list[{j}]")
-            all_psd &= _check_psd(A_j, f"A_list[{j}]", fam, required=False)
+            all_psd &= _check_psd(A_j)
             terms.append(AtomicTerm.quadratic(A_j))
         outer = _trace_composition_outer(spec, len(terms), lead=False)
         return _spot_check(ComposedObjective(
@@ -336,7 +336,7 @@ def build(spec: ProblemSpec) -> ComposedObjective:
 
     if fam == "dft":
         A = _get(spec, "A", (n, n), symmetric=True)
-        psd = _check_psd(A, "A", fam, required=False)
+        psd = _check_psd(A)
         terms = [AtomicTerm.quadratic(A)]
         # diag(PP')_i = tr(P' e_i e_i' P): one rank-one quadratic atom per row.
         for i in range(n):
@@ -352,7 +352,7 @@ def build(spec: ProblemSpec) -> ComposedObjective:
     if fam == "quad_lin2":
         A = _get(spec, "A", (n, n), symmetric=True)
         D = _get(spec, "D", (n, k))
-        psd = _check_psd(A, "A", fam, required=False)
+        psd = _check_psd(A)
         terms = (AtomicTerm.quadratic(A), AtomicTerm.linear(D, m=2))
         return _spot_check(ComposedObjective(
             n, k, terms, outer_sum(2), field_recipe="composition",

@@ -23,7 +23,11 @@ from stiefelscf.cli import (
     load_problem,
     main,
 )
+from stiefelscf.kernels import random_stiefel
+from stiefelscf.nepv import nepv_scf
 from stiefelscf.npdo import IterationRecord, SolveReport
+from stiefelscf.objective import FIELD_IDENTITY_TOL
+from stiefelscf.problems import build
 
 
 def make_psd(n, seed, shift=0.0):
@@ -459,3 +463,32 @@ class TestNegativeControl:
         code = main(["run", "--problem", str(sep_file), "--solver", "nepv",
                      "--audit", "series"])
         assert code == EXIT_AUDIT
+
+    def test_ascent_violation_exits_three_with_outputs(self, sep_file,
+                                                        tmp_path, monkeypatch):
+        # A solve stopped by a violated declared ascent exits 3 without any
+        # audit requested, and still writes its trace and report.
+        rep = SolveReport(
+            point=np.eye(3, 2), f_final=0.5, f_initial=1.0, converged=False,
+            stop_reason="ascent_violated",
+            iterations=[IterationRecord(0, 0.5, eps_kkt=0.1, eps_sym=0.0,
+                                        ascent_violated=True)])
+        monkeypatch.setitem(cli.SOLVERS, "npdo",
+                            (lambda obj, P0, cfg: rep, cli.SOLVERS["npdo"][1]))
+        trace, report = tmp_path / "t.csv", tmp_path / "r.json"
+        code = main(["run", "--problem", str(sep_file), "--solver", "npdo",
+                     "--trace", str(trace), "--report", str(report)])
+        assert code == EXIT_AUDIT
+        assert trace.read_text().splitlines()[1].startswith("0,0.5,0.1,")
+        doc = json.loads(report.read_text())
+        assert doc["converged"] is False
+        assert doc["diagnostics"]["stop_reason"] == "ascent_violated"
+
+    def test_certs_audit_checks_the_field_identity(self, mbsub_file):
+        obj = build(load_problem(mbsub_file))
+        rep = nepv_scf(obj, random_stiefel(obj.n, obj.k, 0))
+        assert 0.0 <= rep.certificates["field_identity"] <= FIELD_IDENTITY_TOL
+        assert cli.run_audits({"certs"}, obj, rep, None, "nepv")[1]
+        rep.certificates["field_identity"] = 10 * FIELD_IDENTITY_TOL
+        diag, ok = cli.run_audits({"certs"}, obj, rep, None, "nepv")
+        assert not ok and diag["certificates_ok"] is False

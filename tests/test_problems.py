@@ -121,7 +121,28 @@ class TestBuilders:
     def test_nonpsd_umds_warns(self):
         bad = np.diag([1.0, -1.0, 0.0, 0.0])
         with pytest.warns(UserWarning, match="positive semidefinite"):
-            build(ProblemSpec("umds", 4, 2, {"A_list": [bad]}))
+            obj = build(ProblemSpec("umds", 4, 2, {"A_list": [bad]}))
+        assert not obj.npdo_monotone and not obj.nepv_monotone
+
+    @pytest.mark.parametrize("family", ["sep", "trcp", "umds"])
+    def test_one_spectrum_per_matrix(self, family, monkeypatch):
+        # The PSD test of each n x n matrix runs one eigvalsh; umds reads it
+        # off its m = 2 terms.
+        n = 6
+        mats = ({"A": make_psd(n, 1)} if family == "sep"
+                else {"A_list": [make_psd(n, 1), make_psd(n, 2)]})
+        spectra = []
+        real = np.linalg.eigvalsh
+
+        def counting(a, *args, **kwargs):
+            if np.shape(a) == (n, n):
+                spectra.append(1)
+            return real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        obj = build(ProblemSpec(family, n, 2, mats))
+        assert len(spectra) == len(mats.get("A_list", [None]))
+        assert obj.npdo_monotone and obj.nepv_monotone
 
     def test_squared_ratio_family_monotone_solve(self):
         n, k = 9, 2

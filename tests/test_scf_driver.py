@@ -1,8 +1,16 @@
 """The shared SCF loop: each step function equals iteration 0 of its solver,
 the steps' stop rules, the report as the only channel, the products one
-iteration forms, and ascent."""
+iteration forms, ascent as a stop reason that holds with or without
+``python -O``, and the structural transforms the subspace step and metric
+lifting rest on."""
 
+import ast
+import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,7 +31,9 @@ from stiefelscf.npdo import (
     project_feasible,
 )
 from stiefelscf.problems import FAMILIES as CATALOG
-from stiefelscf.problems import ProblemSpec, build
+from stiefelscf.problems import ProblemSpec, build, lift_m_orthogonal
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def make_psd(n, seed, shift=0.0):
@@ -54,6 +64,7 @@ ROUTES = {
     "npdo": (npdo_scf_step, npdo_scf, NpdoConfig),
     "nepv": (nepv_scf_step, nepv_scf, NepvConfig),
 }
+ACCELERATED = {"npdo": npdo_locg, "nepv": nepv_locg}
 
 
 @pytest.mark.parametrize("route", sorted(ROUTES))
@@ -129,6 +140,81 @@ def test_locg_records_carry_the_inner_flags():
     assert report.converged and report.iterations
     assert report.iterations[0].gap_degenerate
     assert not report.iterations[0].sign_violated
+
+
+def test_no_check_vanishes_under_python_O():
+    # `python -O` strips assert statements and `if __debug__` blocks, so a
+    # check written that way would make -O select a second program.
+    found = []
+    for path in sorted((SRC / "stiefelscf").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if (isinstance(node, ast.Assert)
+                    or isinstance(node, ast.Name) and node.id == "__debug__"):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
+# sep with A = diag(3, 1, 1, -5), k = 1, declared monotone for the polar
+# route although A is indefinite: from P0 the first polar step descends
+# from -4.280 to -4.725.  The script collects each outcome in `out`, so that
+# a `python -O` process can run it too.
+DESCENT_SCRIPT = """
+import dataclasses
+import numpy as np
+from stiefelscf.npdo import npdo_locg, npdo_scf, npdo_scf_step
+from stiefelscf.problems import ProblemSpec, build
+obj = build(ProblemSpec("sep", 4, 1, {"A": np.diag([3.0, 1.0, 1.0, -5.0])}))
+obj = dataclasses.replace(obj, npdo_monotone=True)
+P0 = np.array([[0.3], [0.0], [0.0], [0.954]])
+P0 /= np.linalg.norm(P0)
+out = {}
+for solve in (npdo_scf, npdo_locg):
+    rep = solve(obj, P0)
+    out[solve.__name__] = [rep.stop_reason, rep.converged, rep.f_initial,
+                           rep.f_final,
+                           [r.ascent_violated for r in rep.iterations]]
+_, rec = npdo_scf_step(obj, P0)
+out["npdo_scf_step"] = [rec.ascent_violated, rec.f]
+"""
+
+
+def test_declared_ascent_failure_is_a_stop_reason_with_or_without_O():
+    # Each solver returns the point it descended to, flagged and
+    # unconverged, and nothing raises; a `python -O` process agrees.
+    namespace = {}
+    exec(DESCENT_SCRIPT, namespace)
+    out = namespace["out"]
+    for name in ("npdo_scf", "npdo_locg"):
+        stop, converged, f0, f, flags = out[name]
+        assert stop == "ascent_violated" and not converged, name
+        assert flags == [True] and f < f0, name
+    assert out["npdo_scf_step"] == [True, out["npdo_scf"][3]]
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c",
+         DESCENT_SCRIPT + "import json; print(json.dumps(out))"],
+        env=dict(os.environ, PYTHONPATH=str(SRC)), capture_output=True,
+        text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == out
+
+
+def test_composition_field_solve_forms_the_gradient_once(monkeypatch):
+    # The eigenvector route needs the gradient of a composition-field
+    # objective only for its exit certificate field_identity.
+    obj = build(family_spec("mbsub", n=30, k=3))
+    assert obj.field_recipe == "composition"
+    calls = []
+    real = objective._atom_grad
+
+    def counting(term, *args):
+        calls.append(term.kind)
+        return real(term, *args)
+
+    monkeypatch.setattr(objective, "_atom_grad", counting)
+    report = nepv_scf(obj, random_stiefel(obj.n, obj.k, 5))
+    assert report.converged and report.num_iterations > 1
+    assert len(calls) <= len(obj.terms)
+    assert report.certificates["field_identity"] <= objective.FIELD_IDENTITY_TOL
 
 
 @pytest.mark.parametrize("solve", [nepv_scf, nepv_locg])
@@ -224,8 +310,9 @@ def random_catalog_spec(family, n, k, rng, theta):
        k=st.integers(1, 3), theta=st.sampled_from([0.0, 0.3, 0.5, 1.0]))
 def test_declared_ascent_holds_on_random_psd_instances(family, seed, n, k,
                                                        theta):
-    # Every route a family declares monotone records a non-decreasing f,
-    # from the projected start on, within MONOTONE_SLACK.
+    # Every solver of a route a family declares monotone, plain or
+    # accelerated, records a non-decreasing f, from the projected start on,
+    # within MONOTONE_SLACK, and so never stops for a violated ascent.
     rng = np.random.default_rng(seed)
     obj = build(random_catalog_spec(family, n, k, rng, theta))
     P0 = random_stiefel(n, k, seed)
@@ -234,8 +321,43 @@ def test_declared_ascent_holds_on_random_psd_instances(family, seed, n, k,
         if not declared:
             continue
         _, solve, cfg_cls = ROUTES[route]
-        report = solve(obj, P0, cfg_cls(max_iter=300))
-        fs = [report.f_initial] + [r.f for r in report.iterations]
-        for i, (f, f_next) in enumerate(zip(fs, fs[1:])):
-            assert f_next >= f - MONOTONE_SLACK * max(1.0, abs(f)), (
-                f"{family}/{route} step {i}: {f!r} -> {f_next!r}")
+        for solver in (solve, ACCELERATED[route]):
+            report = solver(obj, P0, cfg_cls(max_iter=300))
+            name = solver.__name__
+            assert report.stop_reason != "ascent_violated", f"{family}/{name}"
+            fs = [report.f_initial] + [r.f for r in report.iterations]
+            for i, (f, f_next) in enumerate(zip(fs, fs[1:])):
+                assert f_next >= f - MONOTONE_SLACK * max(1.0, abs(f)), (
+                    f"{family}/{name} step {i}: {f!r} -> {f_next!r}")
+
+
+def close(a, b, rel=1e-12):
+    return np.linalg.norm(a - b) <= rel * max(1.0, np.linalg.norm(b))
+
+
+@pytest.mark.parametrize("family", CATALOG)
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(3, 12),
+       k=st.integers(1, 3), extra=st.integers(0, 4),
+       theta=st.sampled_from([0.0, 0.3, 0.5, 1.0]))
+def test_transform_and_lift_round_trip(family, seed, n, k, extra, theta):
+    # g = f o T for an orthonormal T carries value, gradient and field:
+    # g(Z) = f(TZ), grad g(Z) = T' grad f(TZ), H_g(Z) = T' H_f(TZ) T.  The
+    # metric lifting is the transform by R^-1, with M = R'R: the lifted
+    # objective at RP equals f(P) for an M-orthonormal P.
+    k = min(k, n)
+    rng = np.random.default_rng(seed)
+    obj = build(random_catalog_spec(family, n, k, rng, theta))
+    m = min(n, k + extra)
+    T = random_stiefel(n, m, seed)
+    Z = random_stiefel(m, k, seed + 1)
+    g, TZ = obj.transform(T), T @ Z
+    assert close(g.value(Z), obj.value(TZ))
+    assert close(g.euclidean_grad(Z), T.T @ obj.euclidean_grad(TZ))
+    assert close(g.field(Z).H, T.T @ obj.field(TZ).H @ T)
+
+    M = np.eye(n) + make_psd(n, seed % 1000)
+    lifted, lift = lift_m_orthogonal(obj, M)
+    P = lift.backward(random_stiefel(n, k, seed + 2))
+    assert np.linalg.norm(P.T @ M @ P - np.eye(k)) <= 1e-12 * n
+    assert close(lifted.value(lift.forward(P)), obj.value(P))
