@@ -240,13 +240,13 @@ def run_one(args) -> int:
             spec = load_problem(args.problem)
             obj = build(spec)
         cfg = cfg_cls(tol=args.tol, max_iter=args.max_iter)
+        P0 = random_stiefel(spec.n, spec.k, args.seed)
     except Exception as exc:
         # Any failure ends this problem only, so a batch runs the others.
         logger.debug("input error in %s", args.problem, exc_info=True)
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 
-    P0 = random_stiefel(spec.n, spec.k, args.seed)
     try:
         # A numerical failure ends the solve with an exception, so numpy's
         # floating-point warnings are noise.  errstate, unlike a warnings
@@ -358,8 +358,8 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--tol", type=float, default=1e-8)
     run.add_argument("--max-iter", type=int, default=5000)
     run.add_argument("--seed", type=int, default=0,
-                     help="seed for the initial point (solves are otherwise "
-                          "deterministic)")
+                     help="seed (>= 0) for the initial point (solves are "
+                          "otherwise deterministic)")
     run.add_argument("--trace", type=Path, help="write iteration trace CSV here")
     run.add_argument("--report", type=Path, help="write report JSON here")
     run.add_argument("--oracle", type=int, metavar="BUDGET",
@@ -377,9 +377,25 @@ def _setup_logging() -> None:
                             format="%(name)s %(levelname)s %(message)s")
 
 
+def _check_settings(args) -> None:
+    """Reject a bad ``--seed``, ``--tol`` or ``--max-iter`` with ValueError.
+
+    These settings are shared by every problem of a run, so they are checked
+    once, before any problem is read: a batch with a bad one writes nothing.
+    """
+    if args.seed < 0:
+        raise ValueError("seed must be >= 0")
+    NpdoConfig(tol=args.tol, max_iter=args.max_iter)
+
+
 def main(argv=None) -> int:
     _setup_logging()
     args = build_parser().parse_args(argv)
+    try:
+        _check_settings(args)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
     if args.batch is not None:
         return run_batch(args)
     if args.problem is None:

@@ -30,6 +30,7 @@ __all__ = [
     "polar_factor",
     "random_stiefel",
     "require_stiefel",
+    "ritz_top_k",
     "sym_part",
     "top_k_eigenpairs",
     "trace_norm",
@@ -160,11 +161,15 @@ class SpectralTopK:
     ``eigenvalues`` are the k largest eigenvalues in descending order,
     ``eigenbasis`` is an n-by-k orthonormal basis of the associated invariant
     subspace, and ``gap`` is lambda_k - lambda_{k+1} (+inf when k = n).
+    ``next_vector`` is the (k+1)-th eigenvector, n-by-1 (None when k = n).
+    From ``ritz_top_k`` all four are the Ritz values and vectors of a
+    subspace, and ``gap`` is the Ritz gap theta_k - theta_{k+1}.
     """
 
     eigenvalues: np.ndarray
     eigenbasis: np.ndarray
     gap: float
+    next_vector: np.ndarray | None = None
 
 
 _syevr, = scipy.linalg.get_lapack_funcs(("syevr",), dtype=np.float64)
@@ -186,8 +191,14 @@ def top_k_eigenpairs(H, k: int) -> SpectralTopK:
     n = H.shape[0]
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n = {n}, got k = {k}")
-    # il..iu are 1-based indices into the ascending spectrum; H is the
-    # symmetrized copy, so LAPACK may overwrite it.
+    return _top_k(H, k)
+
+
+def _top_k(H: np.ndarray, k: int) -> SpectralTopK:
+    # top_k_eigenpairs without the input checks, for a symmetric matrix the
+    # package formed; LAPACK may overwrite H.  il..iu are 1-based indices
+    # into the ascending spectrum.
+    n = H.shape[0]
     w, V, m, _, info = _syevr(H, compute_v=1, range="I", il=max(n - k, 1),
                               iu=n, overwrite_a=1)
     if info != 0:
@@ -195,8 +206,65 @@ def top_k_eigenpairs(H, k: int) -> SpectralTopK:
     w, V = w[m - 1::-1], V[:, ::-1]  # descending
     vals = w[:k].copy()
     basis = _fix_eig_signs(V[:, :k].copy())
-    gap = float(w[k - 1] - w[k]) if k < n else np.inf
-    return SpectralTopK(vals, basis, gap)
+    if k == n:
+        return SpectralTopK(vals, basis, np.inf)
+    return SpectralTopK(vals, basis, float(w[k - 1] - w[k]), V[:, k:k + 1])
+
+
+# Most Krylov blocks ``ritz_top_k`` adds to its start block.
+RITZ_MAX_BLOCKS = 3
+
+
+def ritz_top_k(H, P, HP, guard, tol: float,
+               gap_floor: float) -> SpectralTopK | None:
+    """Top-k Ritz pairs of symmetric ``H`` over a block Krylov space around P.
+
+    The space starts from X0 = [P, guard], with ``HP`` = H @ P given, and
+    grows by the blocks H X_j, each orthonormalized against the space so
+    far, up to ``RITZ_MAX_BLOCKS`` of them.  After each block a
+    Rayleigh-Ritz solve gives the top k+1 Ritz pairs (theta_i, v_i) and the
+    residual R = H V - V Theta of their vectors V.  The top k are returned,
+    with ``gap`` = theta_k - theta_{k+1} and ``next_vector`` = v_{k+1}, as
+    soon as ||R||_F over the top k is at most ``tol``, provided the gap
+    exceeds ``gap_floor`` plus ||R||_F over all k+1.  The growth gives up
+    once a block cuts the residual by less than half, or once halving per
+    block left cannot reach ``tol``.  Returns None when a test fails, so the
+    caller can fall back to a dense solve.  Because range(P) lies in the
+    space, the k Ritz values sum to at least tr(P'HP), and by interlacing
+    none exceeds its eigenvalue.  ``H`` must be symmetric and P orthonormal;
+    neither is checked.
+    """
+    k = P.shape[1]
+    g = guard - P @ (P.T @ guard)
+    norm_g = np.linalg.norm(g)
+    if not norm_g > 1e-8 * np.linalg.norm(guard):
+        return None
+    g /= norm_g
+    # An orthonormal basis W of [P, g] and HW = H W, from one product.
+    U, s, Vt = np.linalg.svd(np.hstack([P, g]), full_matrices=False)
+    W, HW = U, np.hstack([HP, H @ g]) @ (Vt.T / s)
+    HX, last = HW, np.inf
+    for left in range(RITZ_MAX_BLOCKS - 1, -1, -1):
+        Y = _orth(HX - W @ (W.T @ HX), 1e-12 * np.linalg.norm(HX))
+        Y = _orth(Y - W @ (W.T @ Y))
+        if Y.shape[1]:
+            HX = H @ Y
+            W, HW = np.hstack([W, Y]), np.hstack([HW, HX])
+        theta, Z = np.linalg.eigh(_sym(W.T @ HW))
+        theta, Z = theta[:-k - 2:-1], Z[:, :-k - 2:-1]  # top k+1, descending
+        V = W @ Z
+        R = HW @ Z - V * theta
+        res = float(np.linalg.norm(R[:, :k]))
+        if res <= tol:
+            break
+        if res > min(0.5 * last, 2.0**left * tol) or not Y.shape[1]:
+            return None
+        last = res
+    gap = float(theta[k - 1] - theta[k])
+    if not gap > gap_floor + np.linalg.norm(R):
+        return None
+    return SpectralTopK(theta[:k].copy(), _fix_eig_signs(V[:, :k].copy()),
+                        gap, V[:, k:k + 1])
 
 
 def trace_norm(B) -> float:

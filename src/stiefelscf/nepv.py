@@ -5,6 +5,23 @@ H(P) belonging to its k largest eigenvalues, followed by the objective's
 alignment rotation.  The accelerated variant restricts the field to the
 subspace spanned by [P, Riemannian gradient, previous iterate]: the reduced
 field is W' H(WZ) W, which inherits the ascent guarantee.
+
+The step need not solve the eigenproblem exactly.  The NEPv basic
+assumption bounds f(P_hat) - f(P) below by a multiple of the trace gain
+tr(P_hat' H P_hat) - tr(P' H P) for any P_hat, so from the second step on,
+for fields of order at least ``WARM_MIN_N``, the step first tries the warm
+Rayleigh-Ritz solve ``kernels.ritz_top_k``: a few Krylov blocks of H around
+[P, g], where g is the previous step's (k+1)-th vector.  Its top k Ritz
+pairs are taken when their residual is at most ``INNER_TOL_FRACTION`` of
+||HP - P(P'HP)||_F, scaled down by the last contraction of the residual
+when the iteration converges fast, and when the Ritz gap theta_k -
+theta_{k+1} exceeds ``GAP_DEGENERATE`` by more than that residual.  Since
+P lies in the Krylov space the trace gain is >= 0, and the record carries
+the Ritz gap, the gap of the eigenproblem the step solved.  Otherwise the
+step falls back to the dense LAPACK solve, which also serves the first
+step, every step after a failed attempt, small fields and the
+``nepv_locg`` inner problems.  The exit certificates always read the exact
+spectrum.
 """
 
 from __future__ import annotations
@@ -12,8 +29,16 @@ from __future__ import annotations
 import numpy as np
 
 from .alignment import _polar_square, align_rotation
-from .kernels import _sym, require_stiefel, top_k_eigenpairs, trace_norm
+from .kernels import (
+    RITZ_MAX_BLOCKS,
+    _sym,
+    _top_k,
+    require_stiefel,
+    ritz_top_k,
+    trace_norm,
+)
 from .npdo import (
+    INNER_TOL_FRACTION,
     ZERO_GRAD_FLOOR,
     NpdoConfig,
     SolveReport,
@@ -42,19 +67,24 @@ NepvConfig = NpdoConfig
 # the step's record as degenerate.
 GAP_DEGENERATE = 1e-10
 
+# Fields of order below this take the dense step only: there the dense
+# solve costs no more than the warm Krylov blocks (measured crossover
+# between n = 60 and n = 80, BLAS at one thread).
+WARM_MIN_N = 80
+
 
 def nepv_residual(obj: ComposedObjective, P) -> float:
     """Normalized field residual ||H(P)P - P(P'H(P)P)||_F / ||H(P)||_F."""
     P = require_stiefel(P)
-    return _nepv_residual_from_field(P, obj.field(P).H)
+    H = obj.field(P).H
+    return _nepv_residual_from_field(P, H, H @ P)
 
 
-def _nepv_residual_from_field(P, H, HP=None) -> float:
-    # HP, when given, is the product H @ P.
+def _nepv_residual_from_field(P, H, HP) -> float:
+    # HP is the product H @ P.
     xi = np.linalg.norm(H)
     if xi < ZERO_GRAD_FLOOR:
         return 0.0
-    HP = H @ P if HP is None else HP
     return float(np.linalg.norm(HP - P @ (P.T @ HP)) / xi)
 
 
@@ -66,6 +96,13 @@ class _EigenStep(_Step):
     violation sets the record's ``sign_violated`` and switches the ascent
     check off for the rest of the solve.  A gap below ``GAP_DEGENERATE``
     sets the record's ``gap_degenerate``.
+
+    The top k pairs come from the warm Ritz solve where the module
+    docstring says so, else from the dense solve.  ``warm`` holds when the
+    field has order n >= ``WARM_MIN_N`` and room for the Krylov blocks,
+    (RITZ_MAX_BLOCKS + 1)(k + 1) < n, so inner problems of order <= 3k stay
+    dense.  ``guard`` is the previous step's (k+1)-th vector, or None before
+    the first step and after a failed attempt.
     """
 
     name = "nepv"
@@ -75,19 +112,23 @@ class _EigenStep(_Step):
         self.monotone = obj.nepv_monotone
         self.ratio = obj.theta_data
         self.sign_guard = self.ratio is not None and 0.0 < self.ratio.theta < 1.0
+        n, k = obj.n, obj.k
+        self.warm = n >= WARM_MIN_N and (RITZ_MAX_BLOCKS + 1) * (k + 1) < n
+        self.guard = self.eps_before = None
 
     def residual(self, at):
-        eps = _nepv_residual_from_field(at.P, at.field.H)
-        return eps, (None, {"eps_nepv": eps})
+        HP = at.field.H @ at.P
+        eps = _nepv_residual_from_field(at.P, at.field.H, HP)
+        return eps, (HP, {"eps_nepv": eps})
 
     def step(self, at, f, ctx):
-        obj, P, field, (_, residuals) = self.obj, at.P, at.field, ctx
+        obj, P, field, (HP, residuals) = self.obj, at.P, at.field, ctx
         sign_violated = self.sign_guard and not at.theta_sign_ok
         if sign_violated:
             self.monotone = False
         H = field.H
-        spect = top_k_eigenpairs(H, obj.k)
-        eta = float(spect.eigenvalues.sum() - np.trace(P.T @ (H @ P)))
+        spect = self._top_pairs(H, P, HP, residuals["eps_nepv"])
+        eta = float(spect.eigenvalues.sum() - np.trace(P.T @ HP))
         basis = spect.eigenbasis
         if obj.field_recipe == "generic":
             # With the generic field the ascent proof goes through a two-stage
@@ -105,6 +146,24 @@ class _EigenStep(_Step):
             fields["d_trace_norm"] = trace_norm(PhD)
             fields["d_cross"] = float(np.trace(PhD @ (P.T @ spect.eigenbasis)))
         return landed, fields
+
+    def _top_pairs(self, H, P, HP, eps):
+        # The warm Ritz pairs when they pass, else the dense top k+1.  The
+        # residual bound shrinks with the last contraction eps/eps_before,
+        # so a fast-converging solve keeps its rate.  A failed attempt drops
+        # the guard, so the next step goes dense without trying.
+        tried = self.warm and self.guard is not None
+        spect = None
+        if tried:
+            rate = min(1.0, eps / self.eps_before)
+            tol = INNER_TOL_FRACTION * rate * eps * np.linalg.norm(H)
+            spect = ritz_top_k(H, P, HP, self.guard, tol, GAP_DEGENERATE)
+        self.eps_before = eps
+        failed = tried and spect is None
+        if spect is None:
+            spect = _top_k(_sym(H), self.obj.k)
+        self.guard = None if failed else spect.next_vector
+        return spect
 
     def certificates(self, at) -> dict:
         # The certificates read eigenvalues only: one eigvalsh of the field

@@ -83,15 +83,18 @@ class NpdoConfig:
 
     Residuals are always scaled by the Frobenius norm of the gradient or
     field; the subspace inner solve uses ``INNER_TOL_FRACTION`` and
-    ``INNER_MAX_ITER``.
+    ``INNER_MAX_ITER``.  ``max_iter = 0`` takes no step: the solve only
+    certifies its (projected) start.
     """
 
     tol: float = 1e-8
     max_iter: int = 5000
 
     def __post_init__(self):
-        if self.tol <= 0:
+        if not self.tol > 0:
             raise ValueError("tol must be positive")
+        if self.max_iter < 0:
+            raise ValueError("max_iter must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -100,7 +103,10 @@ class IterationRecord:
 
     ``sigma_min`` is the smallest singular value of the gradient (polar
     solver) and ``gap`` the eigenvalue gap lambda_k - lambda_{k+1} of the
-    field (eigenvector solver); each trace fills the one that applies.
+    field (eigenvector solver); each trace fills the one that applies.  A
+    warm eigenvector step (see ``stiefelscf.nepv``) records the Ritz gap
+    theta_k - theta_{k+1} of the Krylov space it solved over, for which its
+    step bound holds; a dense step records the field's own gap.
     ``eta`` is the trace gain of the inner step (the realized f-gain for
     accelerated outer steps); ``step_angle`` is the Frobenius sine distance
     between consecutive column spaces.  The eigenvector step flags a gap

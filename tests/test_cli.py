@@ -27,7 +27,7 @@ from stiefelscf.kernels import random_stiefel
 from stiefelscf.nepv import nepv_scf
 from stiefelscf.npdo import IterationRecord, SolveReport
 from stiefelscf.objective import FIELD_IDENTITY_TOL
-from stiefelscf.problems import build
+from stiefelscf.problems import FAMILIES, OUTER_PRESETS, build
 
 
 def make_psd(n, seed, shift=0.0):
@@ -201,6 +201,25 @@ class TestRun:
         code = main(["run", "--problem", str(mbsub_file), "--solver", "npdo",
                      "--max-iter", "2", "--tol", "1e-12"])
         assert code == EXIT_MAXITER
+
+    def test_negative_max_iter_exits_one(self, sep_file, capsys):
+        # Before, -3 ran no step and exited 2 as if the budget had run out.
+        code = main(["run", "--problem", str(sep_file), "--max-iter", "-3"])
+        assert code == EXIT_INPUT
+        assert capsys.readouterr().err == "error: max_iter must be >= 0\n"
+
+    def test_zero_max_iter_certifies_the_start(self, sep_file, tmp_path):
+        report = tmp_path / "report.json"
+        code = main(["run", "--problem", str(sep_file), "--max-iter", "0",
+                     "--report", str(report)])
+        assert code == EXIT_MAXITER
+        doc = json.loads(report.read_text())
+        assert doc["iters"] == 0 and doc["certificates"]["eps_nepv"] > 0
+
+    def test_negative_seed_exits_one(self, sep_file, capsys):
+        code = main(["run", "--problem", str(sep_file), "--seed", "-1"])
+        assert code == EXIT_INPUT
+        assert capsys.readouterr().err == "error: seed must be >= 0\n"
 
     def test_oracle_flag(self, tmp_path):
         p = write_problem(tmp_path / "tiny.json", {
@@ -404,6 +423,16 @@ class TestBatch:
             assert main(["run", "--batch", str(d)]) == EXIT_OK
             assert warnings.filters == before
 
+    def test_negative_seed_writes_nothing(self, tmp_path, capsys):
+        d = tmp_path / "batch"
+        d.mkdir()
+        for i in range(3):
+            write_problem(d / f"p{i}.json", VALID_DOCS["sep"])
+        assert main(["run", "--batch", str(d), "--seed", "-1"]) == EXIT_INPUT
+        assert capsys.readouterr().err == "error: seed must be >= 0\n"
+        assert sorted(p.name for p in d.iterdir()) == [
+            "p0.json", "p1.json", "p2.json"]
+
     def test_empty_directory_exit_one(self, tmp_path):
         d = tmp_path / "empty"
         d.mkdir()
@@ -434,6 +463,74 @@ def test_any_one_malformed_field_exits_cleanly(name, data):
         with contextlib.redirect_stderr(err):
             code = main(["run", "--problem", str(p)])
     assert code in (EXIT_OK, EXIT_INPUT, EXIT_MAXITER, EXIT_AUDIT)
+    if code == EXIT_INPUT:
+        text = err.getvalue()
+        assert text.startswith("error: ") and text.count("\n") == 1, text
+
+
+def catalog_document(family, n, k, rng, indefinite):
+    # A problem file of ``family`` at order n with random matrices; with
+    # ``indefinite`` the quadratic matrices are indefinite, which may cost
+    # the family its declared guarantee but never makes the file invalid.
+    def quad(shift=0.0):
+        G = rng.standard_normal((n, n))
+        if indefinite and not shift:
+            return (0.5 * (G + G.T)).tolist()
+        return (G @ G.T / n + shift * np.eye(n)).tolist()
+
+    def lin(cols=k):
+        return rng.standard_normal((n, cols)).tolist()
+
+    split = [list(range(k))] if k == 1 else [list(range(k // 2)),
+                                             list(range(k // 2, k))]
+    mats = {
+        "sep": lambda: {"A": quad()},
+        "mbsub": lambda: {"A": quad(), "D": lin()},
+        "sumct": lambda: {"A_list": [quad() for _ in split],
+                          "D_list": [lin(len(b)) for b in split]},
+        "theta_tr": lambda: {"A": quad(), "B": quad(1.0), "D": lin()},
+        "olda": lambda: {"A": quad(), "B": quad(1.0)},
+        "occa": lambda: {"B": quad(1.0), "D": lin()},
+        "theta_tr_sq": lambda: {"A": quad(), "B": quad(1.0), "D": lin()},
+        "umds": lambda: {"A_list": [quad(), quad()]},
+        "trcp": lambda: {"A_list": [quad(), quad()]},
+        "dft": lambda: {"A": quad()},
+        "quad_lin2": lambda: {"A": quad(), "D": lin()},
+        "procrustes": lambda: {"C": rng.standard_normal((n + 2, n)).tolist(),
+                               "B": rng.standard_normal((n + 2, k)).tolist()},
+    }[family]()
+    doc = {"family": family, "n": n, "k": k, "matrices": mats}
+    if family == "sumct":
+        doc["blocks"] = split
+    if family in ("theta_tr", "theta_tr_sq"):
+        doc["theta"] = float(rng.uniform(0.0, 1.0 if family == "theta_tr" else 0.5))
+    return doc
+
+
+@settings(max_examples=60, deadline=None)
+@given(family=st.sampled_from(FAMILIES), phi=st.sampled_from(OUTER_PRESETS),
+       weight=st.sampled_from([-1.5, -1e-3, 0.0, 1e-3, 1.5]),
+       solver=st.sampled_from(sorted(cli.SOLVERS)), n=st.integers(2, 6),
+       data=st.data(), seed=st.integers(0, 2**32 - 1),
+       indefinite=st.booleans())
+def test_every_catalog_problem_exits_cleanly(family, phi, weight, solver, n,
+                                             data, seed, indefinite):
+    # Over family x phi preset x sign of phi_weight x solver, the CLI
+    # returns an exit code and never raises; an input error or failed
+    # solve is one "error:" line.
+    k = data.draw(st.integers(1, n), label="k")
+    doc = catalog_document(family, n, k, np.random.default_rng(seed),
+                           indefinite)
+    doc.update(phi=phi, phi_weight=weight)
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        p = write_problem(Path(tmp) / "doc.json", doc)
+        with contextlib.redirect_stderr(err):
+            code = main(["run", "--problem", str(p), "--solver", solver,
+                         "--max-iter", "500", "--audit", "certs"])
+    assert code in (EXIT_OK, EXIT_INPUT, EXIT_MAXITER, EXIT_AUDIT)
+    if weight < 0:
+        assert code == EXIT_INPUT and "phi_weight" in err.getvalue()
     if code == EXIT_INPUT:
         text = err.getvalue()
         assert text.startswith("error: ") and text.count("\n") == 1, text

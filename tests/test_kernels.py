@@ -3,16 +3,87 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stiefelscf.nepv import GAP_DEGENERATE
 from stiefelscf.kernels import (
     canonical_sin_theta,
     orthonormalize_against,
     polar_factor,
     random_stiefel,
     require_stiefel,
+    ritz_top_k,
     sym_part,
     top_k_eigenpairs,
     trace_norm,
 )
+
+
+def field_and_previous_step(spectrum, seed, drift):
+    # A symmetric H with the given spectrum, and the top k+1 pairs of a
+    # nearby field H + drift E (||E||_2 = 1), as the previous NEPv step
+    # leaves them: its basis P is the current point and its (k+1)-th
+    # vector the guard.
+    rng = np.random.default_rng(seed)
+    n = len(spectrum)
+    Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    H = sym_part((Q * np.asarray(spectrum)) @ Q.T)
+    E = sym_part(rng.standard_normal((n, n)))
+    return H, H + drift * E / np.linalg.norm(E, 2)
+
+
+def outer_residual(H, P):
+    HP = H @ P
+    return HP, np.linalg.norm(HP - P @ (P.T @ HP))
+
+
+class TestRitzTopK:
+    N, K = 120, 4
+    SEPARATED = np.concatenate([np.linspace(0.0, 2.5, N - K),
+                                np.linspace(3.0, 4.0, K)])
+
+    @pytest.mark.parametrize("drift", [1e-3, 1e-1])
+    def test_accepted_pairs_are_ritz_pairs_of_a_space_holding_p(self, drift):
+        k = self.K
+        H, H_prev = field_and_previous_step(self.SEPARATED, 0, drift)
+        prev = top_k_eigenpairs(H_prev, k)
+        P = prev.eigenbasis
+        HP, res = outer_residual(H, P)
+        out = ritz_top_k(H, P, HP, prev.next_vector, 0.25 * res, 0.0)
+        assert out is not None
+        V, theta = out.eigenbasis, out.eigenvalues
+        assert np.allclose(V.T @ V, np.eye(k), atol=1e-13)
+        assert np.linalg.norm(H @ V - V * theta) <= 0.25 * res
+        # Ky Fan within the space: range(P) lies in it.
+        assert theta.sum() >= np.trace(P.T @ HP) - 1e-12
+        # Cauchy interlacing: no Ritz value exceeds its eigenvalue.
+        w = np.linalg.eigvalsh(H)[::-1]
+        assert np.all(theta <= w[:k] + 1e-12)
+        g = out.next_vector
+        assert g.shape == (self.N, 1)
+        assert np.linalg.norm(V.T @ g) <= 1e-12
+        assert np.linalg.norm(g) == pytest.approx(1.0)
+        assert out.gap == pytest.approx(theta[-1] - (g.T @ H @ g).item())
+
+    def test_none_when_the_residual_test_cannot_pass(self):
+        H, H_prev = field_and_previous_step(self.SEPARATED, 1, 1e-1)
+        prev = top_k_eigenpairs(H_prev, self.K)
+        HP, _ = outer_residual(H, prev.eigenbasis)
+        assert ritz_top_k(H, prev.eigenbasis, HP, prev.next_vector, 0.0,
+                          0.0) is None
+
+    @pytest.mark.parametrize("n, k", [(100, 3), (120, 8)])
+    @pytest.mark.parametrize("drift", [1e-4, 1e-2, 0.3])
+    def test_degenerate_gap_is_flagged_or_refused(self, n, k, drift):
+        # lambda_k = lambda_{k+1} = 3: a warm step must not report a gap.
+        spectrum = np.concatenate([np.linspace(0.0, 2.0, n - k - 1),
+                                   [3.0, 3.0], np.linspace(3.5, 4.0, k - 1)])
+        for seed in range(5):
+            H, H_prev = field_and_previous_step(spectrum, seed, drift)
+            prev = top_k_eigenpairs(H_prev, k)
+            P = prev.eigenbasis
+            HP, res = outer_residual(H, P)
+            for floor in (0.0, GAP_DEGENERATE):
+                out = ritz_top_k(H, P, HP, prev.next_vector, 0.25 * res, floor)
+                assert out is None or out.gap < GAP_DEGENERATE
 
 
 class TestPolarFactor:

@@ -1,6 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from stiefelscf import nepv as nepv_module
+from stiefelscf.cli import run_audits
 from stiefelscf.kernels import random_stiefel, sym_part, top_k_eigenpairs
 from stiefelscf.nepv import (
     NepvConfig,
@@ -279,3 +283,78 @@ class TestNepvLocg:
         f3 = npdo_scf(obj, P0).f_final
         assert f2 == pytest.approx(f1, rel=1e-7)
         assert f3 == pytest.approx(f1, rel=1e-6)
+
+
+def separated_psd(rng, n, k, shift=0.0):
+    # Top k eigenvalues in [3, 4], the rest in [0, 2.5], randomly rotated.
+    w = np.concatenate([np.linspace(4.0, 3.0, k), np.linspace(2.5, 0.0, n - k)])
+    Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    return sym_part((Q * (w + shift)) @ Q.T)
+
+
+def warm_family_spec(family, n, k, rng):
+    if family == "mbsub":
+        return ProblemSpec("mbsub", n, k, {
+            "A": separated_psd(rng, n, k), "D": rng.standard_normal((n, k))})
+    if family == "theta_tr":
+        return ProblemSpec("theta_tr", n, k, {
+            "A": separated_psd(rng, n, k), "B": separated_psd(rng, n, k, 1.0),
+            "D": 0.5 * rng.standard_normal((n, k))}, theta=0.5)
+    if family == "olda":
+        return ProblemSpec("olda", n, k, {
+            "A": separated_psd(rng, n, k), "B": separated_psd(rng, n, k, 1.0)})
+    # procrustes: C with singular values sqrt(linspace(4, 0.25)).
+    U, _ = np.linalg.qr(rng.standard_normal((n + 5, n)))
+    V, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    C = (U * np.sqrt(np.linspace(4.0, 0.25, n))) @ V.T
+    return ProblemSpec("procrustes", n, k, {
+        "C": C, "B": rng.standard_normal((n + 5, k))})
+
+
+class TestWarmStep:
+    @pytest.mark.parametrize("family", ["mbsub", "theta_tr", "olda", "procrustes"])
+    @settings(max_examples=4, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           n=st.integers(nepv_module.WARM_MIN_N, 130), k=st.integers(2, 8))
+    def test_matches_the_dense_step(self, family, seed, n, k):
+        rng = np.random.default_rng(seed)
+        obj = build(warm_family_spec(family, n, k, rng))
+        P0 = random_stiefel(n, k, seed % 1000)
+        warm = nepv_scf(obj, P0)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(nepv_module, "WARM_MIN_N", n + 1)
+            dense = nepv_scf(obj, P0)
+        assert warm.stop_reason == dense.stop_reason
+        assert warm.f_final == pytest.approx(dense.f_final, rel=1e-10)
+        # The trace gain of a Ritz step over a space holding P is >= 0.
+        assert all(rec.eta >= -1e-12 * max(1.0, abs(rec.f))
+                   for rec in warm.iterations)
+        which = {"certs", "series"}
+        if obj.theta_data is not None:
+            which.add("theta")
+        diag, ok = run_audits(which, obj, warm, None, "nepv")
+        assert ok, diag
+
+    def test_dense_solves_are_the_exception(self, monkeypatch):
+        n, k = 200, 8
+        rng = np.random.default_rng(0)
+        obj = build(ProblemSpec("mbsub", n, k, {
+            "A": separated_psd(rng, n, k), "D": rng.standard_normal((n, k))}))
+        dense, warm = [], []
+        top_k, ritz = nepv_module._top_k, nepv_module.ritz_top_k
+        monkeypatch.setattr(nepv_module, "_top_k",
+                            lambda H, k: dense.append(len(H)) or top_k(H, k))
+        monkeypatch.setattr(nepv_module, "ritz_top_k",
+                            lambda H, *a: warm.append(len(H)) or ritz(H, *a))
+        P0 = random_stiefel(n, k, 0)
+        report = nepv_scf(obj, P0)
+        assert report.converged
+        assert len(dense) <= report.num_iterations / 4
+        assert len(warm) >= report.num_iterations - len(dense)
+        dense.clear()
+        warm.clear()
+        # The inner problems of nepv_locg have order at most 3k: dense.
+        report = nepv_locg(obj, P0)
+        assert report.converged
+        assert dense and max(dense) <= 3 * k
+        assert warm == []

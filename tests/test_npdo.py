@@ -309,6 +309,22 @@ class TestConfig:
         with pytest.raises(ValueError):
             NpdoConfig(tol=0.0)
 
+    def test_max_iter_must_not_be_negative(self):
+        with pytest.raises(ValueError, match=r"max_iter must be >= 0"):
+            NpdoConfig(max_iter=-1)
+        with pytest.raises(ValueError, match="tol must be positive"):
+            NpdoConfig(tol=float("nan"))
+
+    def test_zero_max_iter_certifies_the_start(self):
+        obj = build(ProblemSpec("sep", 4, 2, {"A": make_psd(4, 3)}))
+        P0 = random_stiefel(4, 2, 0)
+        for solve in (npdo_scf, npdo_locg):
+            report = solve(obj, P0, NpdoConfig(max_iter=0))
+            assert report.num_iterations == 0
+            assert report.stop_reason == "max_iter" and not report.converged
+            assert np.array_equal(report.point, P0)
+            assert report.certificates["eps_kkt"] > 0
+
     def test_settings_are_tol_and_max_iter(self):
         assert [f.name for f in dataclasses.fields(NpdoConfig)] == ["tol", "max_iter"]
         assert NepvConfig is NpdoConfig
