@@ -234,8 +234,9 @@ def run_one(args) -> int:
     solver_fn, cfg_cls = SOLVERS[args.solver]
     try:
         # Finite but huge input overflows in the builder's norm and spectrum
-        # checks; the solve reports it, so numpy's own warnings are noise.
-        # The builder's spot-check warnings are not numpy's and still show.
+        # checks; the solve reports it, so numpy's overflow messages are
+        # noise.  The builder never warns: a lost ascent guarantee reaches
+        # the report as diagnostics.declared_ascent.
         with np.errstate(over="ignore", invalid="ignore"):
             spec = load_problem(args.problem)
             obj = build(spec)
@@ -249,7 +250,7 @@ def run_one(args) -> int:
 
     try:
         # A numerical failure ends the solve with an exception, so numpy's
-        # floating-point warnings are noise.  errstate, unlike a warnings
+        # floating-point messages are noise.  errstate, unlike a process-wide
         # filter, is context-local and so safe in batch threads.
         with np.errstate(all="ignore"):
             report = solver_fn(obj, P0, cfg)
@@ -272,7 +273,10 @@ def run_one(args) -> int:
         "f_final": report.f_final,
         "certificates": dict(report.certificates),
         "diagnostics": {"stop_reason": report.stop_reason,
-                        "f_initial": report.f_initial},
+                        "f_initial": report.f_initial,
+                        "declared_ascent": (obj.npdo_monotone
+                                            if framework == "npdo"
+                                            else obj.nepv_monotone)},
     }
     if obj.meta.get("family") == "procrustes":
         payload["diagnostics"]["procrustes_residual"] = procrustes_residual(
@@ -378,13 +382,16 @@ def _setup_logging() -> None:
 
 
 def _check_settings(args) -> None:
-    """Reject a bad ``--seed``, ``--tol`` or ``--max-iter`` with ValueError.
+    """Reject a bad ``--seed``, ``--tol``, ``--max-iter`` or ``--oracle``
+    with ValueError.
 
     These settings are shared by every problem of a run, so they are checked
     once, before any problem is read: a batch with a bad one writes nothing.
     """
     if args.seed < 0:
         raise ValueError("seed must be >= 0")
+    if args.oracle is not None and args.oracle < 1:
+        raise ValueError("oracle budget must be >= 1")
     NpdoConfig(tol=args.tol, max_iter=args.max_iter)
 
 

@@ -25,7 +25,7 @@ assumptions say about each step (a degenerate eigenvalue gap, a violated
 ratio sign condition) is a flag on that step's ``IterationRecord``.  A step
 that lowers f although the objective declares the framework's ascent
 guarantee is flagged ``ascent_violated`` and ends the solve with that stop
-reason.  The solvers raise no warnings, and no check depends on
+reason.  A solve never warns, and no check depends on
 ``python -O``.  A solve's settings are ``(tol, max_iter)``.
 """
 

@@ -32,7 +32,6 @@ off such an objective's meta and terms.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Callable
@@ -90,9 +89,7 @@ class AtomicTerm:
 
     ``matrix`` is D (n-by-k_i) for the linear kind or A (n-by-n symmetric)
     for the quadratic kind.  ``cols`` is None for "all columns of P", else a
-    strictly increasing tuple of column indices.  ``matrix_psd`` records, for
-    quadratic terms with m >= 2 or s > 1, whether A >= 0 was verified at
-    construction.
+    nonempty, strictly increasing tuple of column indices in 0..k-1.
     """
 
     kind: str
@@ -101,7 +98,6 @@ class AtomicTerm:
     s: float = 1.0
     c: float = 1.0
     cols: tuple[int, ...] | None = None
-    matrix_psd: bool | None = None
 
     def __post_init__(self):
         if self.kind not in ("linear", "quadratic"):
@@ -113,6 +109,9 @@ class AtomicTerm:
         if self.c <= 0.0:
             raise ValueError(f"scale c must be > 0, got {self.c}")
         if self.cols is not None:
+            if not self.cols or min(self.cols) < 0:
+                raise ValueError("selector columns must be a nonempty tuple "
+                                 "of indices >= 0")
             if list(self.cols) != sorted(set(self.cols)):
                 raise ValueError("selector columns must be strictly increasing")
 
@@ -125,13 +124,8 @@ class AtomicTerm:
     @staticmethod
     def quadratic(A, m: int = 1, s: float = 1.0, c: float = 1.0, cols=None) -> "AtomicTerm":
         A = require_symmetric(A, name="A")
-        psd = None
-        if m >= 2 or s > 1.0:
-            w = np.linalg.eigvalsh(A)
-            psd = bool(w[0] >= -1e-10 * max(abs(w[0]), abs(w[-1]), 1e-300))
         return AtomicTerm("quadratic", A, m=int(m), s=float(s), c=float(c),
-                          cols=None if cols is None else tuple(cols),
-                          matrix_psd=psd)
+                          cols=None if cols is None else tuple(cols))
 
     def width(self, k: int) -> int:
         return k if self.cols is None else len(self.cols)
@@ -211,18 +205,14 @@ class OuterFunction:
     """Outer scalar function phi with its partial derivatives.
 
     ``value`` maps an N-vector of term values to a scalar; ``partials`` maps
-    it to the N-vector of partial derivatives.  ``convex`` and
-    ``sign_nonneg`` are declarations: the solver guarantees are conditional
-    on them, and the library monitors rather than proves them (see
-    ``spot_check_outer``).  ``sign_nonneg`` lists, per coordinate, whether
-    the partial derivative is declared nonnegative.
+    it to the N-vector of partial derivatives.  Whether phi carries an ascent
+    guarantee is declared by the objective that uses it
+    (``ComposedObjective.npdo_monotone`` / ``nepv_monotone``), not here.
     """
 
     dim: int
     value: Callable[[np.ndarray], float]
     partials: Callable[[np.ndarray], np.ndarray]
-    convex: bool = False
-    sign_nonneg: tuple[bool, ...] | None = None
     name: str = "custom"
 
 
@@ -232,8 +222,6 @@ def outer_sum(dim: int) -> OuterFunction:
         dim,
         lambda x: float(np.sum(x)),
         lambda x: np.ones(dim),
-        convex=True,
-        sign_nonneg=(True,) * dim,
         name="sum",
     )
 
@@ -245,8 +233,6 @@ def outer_weighted_sum(weights) -> OuterFunction:
         w.size,
         lambda x: float(w @ np.asarray(x)),
         lambda x: w.copy(),
-        convex=True,
-        sign_nonneg=tuple(bool(wi >= 0) for wi in w),
         name="weighted_sum",
     )
 
@@ -275,8 +261,7 @@ def outer_theta_ratio(theta: float) -> OuterFunction:
         p[2] = 1.0 / x[0] ** th
         return p
 
-    return OuterFunction(3, value, partials, convex=False,
-                         sign_nonneg=(False, True, True), name="theta_ratio")
+    return OuterFunction(3, value, partials, name="theta_ratio")
 
 
 def outer_ratio_squared(theta: float) -> OuterFunction:
@@ -301,49 +286,7 @@ def outer_ratio_squared(theta: float) -> OuterFunction:
         p[2] = p[1]
         return p
 
-    # Partial signs hold only on the convexity domain x2 + x3 >= 0; declaring
-    # them here would make domain-blind spot checks false-alarm.
-    return OuterFunction(3, value, partials, convex=(0.0 <= th <= 0.5),
-                         sign_nonneg=None, name="ratio_squared")
-
-
-def spot_check_outer(outer: OuterFunction, samples: np.ndarray) -> None:
-    """Numerically spot-check declared convexity and partial signs.
-
-    Midpoint convexity is sampled on random pairs from ``samples`` (rows are
-    points in the outer function's domain); declared-nonnegative partials are
-    sampled pointwise.  Violations raise warnings, never errors: the
-    guarantees are conditional on these properties and the library can only
-    monitor them.
-    """
-    samples = np.atleast_2d(np.asarray(samples, dtype=float))
-    if samples.shape[0] == 0:
-        return
-    if outer.convex:
-        for i in range(samples.shape[0] - 1):
-            x, y = samples[i], samples[i + 1]
-            try:
-                lhs = outer.value(0.5 * (x + y))
-                rhs = 0.5 * (outer.value(x) + outer.value(y))
-            except ValueError:
-                continue
-            if lhs > rhs + 1e-8 * max(1.0, abs(rhs)):
-                warnings.warn(
-                    f"outer function {outer.name!r} failed a midpoint-convexity "
-                    f"spot check ({lhs:.6g} > {rhs:.6g})", stacklevel=2)
-                break
-    if outer.sign_nonneg is not None:
-        for x in samples:
-            try:
-                p = outer.partials(x)
-            except ValueError:
-                continue
-            for i, must in enumerate(outer.sign_nonneg):
-                if must and p[i] < -1e-10 * max(1.0, abs(p[i])):
-                    warnings.warn(
-                        f"outer function {outer.name!r}: partial {i} declared "
-                        f"nonnegative but sampled {p[i]:.3e}", stacklevel=2)
-                    return
+    return OuterFunction(3, value, partials, name="ratio_squared")
 
 
 @dataclass(frozen=True)

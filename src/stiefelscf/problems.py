@@ -21,7 +21,6 @@ and declares which framework carries a per-step ascent guarantee for it.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -29,7 +28,7 @@ import scipy.linalg
 import scipy.special
 
 from .alignment import PolarAlignment
-from .kernels import as_matrix, random_stiefel, require_symmetric, sym_part
+from .kernels import as_matrix, require_symmetric, sym_part
 from .objective import (
     AtomicTerm,
     ComposedObjective,
@@ -37,7 +36,6 @@ from .objective import (
     outer_ratio_squared,
     outer_sum,
     outer_theta_ratio,
-    spot_check_outer,
 )
 
 __all__ = [
@@ -113,24 +111,13 @@ def _check_psd(A: np.ndarray) -> bool:
     return bool(w[0] >= -1e-10 * max(abs(w[0]), abs(w[-1]), 1e-300))
 
 
-def _spot_check(obj: ComposedObjective, seed: int = 0) -> ComposedObjective:
-    pts = [random_stiefel(obj.n, obj.k, seed + i) for i in range(6)]
-    try:
-        samples = np.array([obj.term_values(p) for p in pts])
-        spot_check_outer(obj.outer, samples)
-    except ValueError:
-        pass
-    return obj
-
-
 def _trace_composition_outer(spec: ProblemSpec, ell: int, lead: bool) -> OuterFunction:
     """phi presets over (optional leading trace +) ell composed coordinates.
 
     ``lead`` prepends an identity coordinate (the plain tr(P'AP) part of the
     density-functional-style family).  Presets: "sum", "quad_penalty"
     (weight * sum x_i^2) and "logsumexp" (weight * log sum exp x_i), all
-    convex with nonnegative partials for the nonnegative weights ``build``
-    admits.
+    convex for the nonnegative weights ``build`` admits.
     """
     w = float(spec.phi_weight)
     dim = ell + (1 if lead else 0)
@@ -179,11 +166,7 @@ def _trace_composition_outer(spec: ProblemSpec, ell: int, lead: bool) -> OuterFu
     else:
         raise ValueError(f"unknown outer preset {spec.phi!r}; "
                          f"choose from {OUTER_PRESETS}")
-    # quad_penalty partials are nonnegative only for x >= 0, which holds for
-    # the squares/diagonals these presets are applied to.
-    nonneg = (True,) * dim
-    return OuterFunction(dim, value, partials, convex=True,
-                         sign_nonneg=nonneg, name=spec.phi)
+    return OuterFunction(dim, value, partials, name=spec.phi)
 
 
 def build(spec: ProblemSpec) -> ComposedObjective:
@@ -199,20 +182,20 @@ def build(spec: ProblemSpec) -> ComposedObjective:
     if fam == "sep":
         A = _get(spec, "A", (n, n), symmetric=True)
         psd = _check_psd(A)
-        return _spot_check(ComposedObjective(
+        return ComposedObjective(
             n, k, (AtomicTerm.quadratic(A),), outer_sum(1),
             field_recipe="composition", alignment=PolarAlignment(blocks=()),
-            npdo_monotone=psd, nepv_monotone=True, meta=meta))
+            npdo_monotone=psd, nepv_monotone=True, meta=meta)
 
     if fam == "mbsub":
         A = _get(spec, "A", (n, n), symmetric=True)
         D = _get(spec, "D", (n, k))
         psd = _check_psd(A)
         terms = (AtomicTerm.quadratic(A), AtomicTerm.linear(D))
-        return _spot_check(ComposedObjective(
+        return ComposedObjective(
             n, k, terms, outer_sum(2), field_recipe="composition",
             alignment=PolarAlignment(),
-            npdo_monotone=psd, nepv_monotone=True, meta=meta))
+            npdo_monotone=psd, nepv_monotone=True, meta=meta)
 
     if fam == "sumct":
         if spec.blocks is None:
@@ -224,8 +207,9 @@ def build(spec: ProblemSpec) -> ComposedObjective:
         if not (len(A_list) == len(D_list) == len(spec.blocks)):
             raise ValueError("sumct: A_list, D_list and blocks must have equal length")
         flat = [c for b in spec.blocks for c in b]
-        if sorted(flat) != list(range(k)):
-            raise ValueError(f"sumct: blocks must partition 0..{k - 1}, got {spec.blocks}")
+        if not all(spec.blocks) or sorted(flat) != list(range(k)):
+            raise ValueError(f"sumct: blocks must partition 0..{k - 1} into "
+                             f"nonempty groups, got {spec.blocks}")
         terms = []
         all_psd = True
         for j, cols in enumerate(spec.blocks):
@@ -239,10 +223,10 @@ def build(spec: ProblemSpec) -> ComposedObjective:
         for j, cols in enumerate(spec.blocks):
             terms.append(AtomicTerm.linear(as_matrix(D_list[j]), cols=cols))
         lin_idx = tuple(range(len(spec.blocks), 2 * len(spec.blocks)))
-        return _spot_check(ComposedObjective(
+        return ComposedObjective(
             n, k, tuple(terms), outer_sum(len(terms)), field_recipe="generic",
             alignment=PolarAlignment(blocks=lin_idx),
-            npdo_monotone=all_psd, nepv_monotone=all_psd, meta=meta))
+            npdo_monotone=all_psd, nepv_monotone=all_psd, meta=meta)
 
     if fam in ("theta_tr", "olda", "occa"):
         if fam == "olda":
@@ -293,9 +277,9 @@ def build(spec: ProblemSpec) -> ComposedObjective:
                  AtomicTerm.linear(D))
         align = (PolarAlignment(blocks=()) if not D.any() else PolarAlignment())
         meta["theta"] = theta
-        return _spot_check(ComposedObjective(
+        return ComposedObjective(
             n, k, terms, outer_ratio_squared(theta), field_recipe="composition",
-            alignment=align, npdo_monotone=False, nepv_monotone=True, meta=meta))
+            alignment=align, npdo_monotone=False, nepv_monotone=True, meta=meta)
 
     if fam == "umds":
         A_list = spec.matrices.get("A_list")
@@ -305,18 +289,12 @@ def build(spec: ProblemSpec) -> ComposedObjective:
         all_psd = True
         for j, A_j in enumerate(A_list):
             A_j = require_symmetric(as_matrix(A_j, f"A_list[{j}]"), name=f"A_list[{j}]")
-            # The m = 2 term tests A_j >= 0 itself (matrix_psd).
-            term = AtomicTerm.quadratic(A_j, m=2)
-            if not term.matrix_psd:
-                warnings.warn(
-                    f"{fam}: A_list[{j}] is not positive semidefinite; "
-                    "the ascent guarantee is lost", stacklevel=2)
-            all_psd &= term.matrix_psd
-            terms.append(term)
-        return _spot_check(ComposedObjective(
+            all_psd &= _check_psd(A_j)
+            terms.append(AtomicTerm.quadratic(A_j, m=2))
+        return ComposedObjective(
             n, k, tuple(terms), outer_sum(len(terms)),
             field_recipe="composition", alignment=PolarAlignment(blocks=()),
-            npdo_monotone=all_psd, nepv_monotone=all_psd, meta=meta))
+            npdo_monotone=all_psd, nepv_monotone=all_psd, meta=meta)
 
     if fam == "trcp":
         A_list = spec.matrices.get("A_list")
@@ -329,10 +307,10 @@ def build(spec: ProblemSpec) -> ComposedObjective:
             all_psd &= _check_psd(A_j)
             terms.append(AtomicTerm.quadratic(A_j))
         outer = _trace_composition_outer(spec, len(terms), lead=False)
-        return _spot_check(ComposedObjective(
+        return ComposedObjective(
             n, k, tuple(terms), outer, field_recipe="composition",
             alignment=PolarAlignment(blocks=()),
-            npdo_monotone=all_psd, nepv_monotone=True, meta=meta))
+            npdo_monotone=all_psd, nepv_monotone=True, meta=meta)
 
     if fam == "dft":
         A = _get(spec, "A", (n, n), symmetric=True)
@@ -344,20 +322,20 @@ def build(spec: ProblemSpec) -> ComposedObjective:
             E[i, i] = 1.0
             terms.append(AtomicTerm.quadratic(E))
         outer = _trace_composition_outer(spec, n, lead=True)
-        return _spot_check(ComposedObjective(
+        return ComposedObjective(
             n, k, tuple(terms), outer, field_recipe="composition",
             alignment=PolarAlignment(blocks=()),
-            npdo_monotone=psd, nepv_monotone=True, meta=meta))
+            npdo_monotone=psd, nepv_monotone=True, meta=meta)
 
     if fam == "quad_lin2":
         A = _get(spec, "A", (n, n), symmetric=True)
         D = _get(spec, "D", (n, k))
         psd = _check_psd(A)
         terms = (AtomicTerm.quadratic(A), AtomicTerm.linear(D, m=2))
-        return _spot_check(ComposedObjective(
+        return ComposedObjective(
             n, k, terms, outer_sum(2), field_recipe="composition",
             alignment=PolarAlignment(D),
-            npdo_monotone=psd, nepv_monotone=True, meta=meta))
+            npdo_monotone=psd, nepv_monotone=True, meta=meta)
 
     if fam == "procrustes":
         C = _get(spec, "C", None)

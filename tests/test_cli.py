@@ -232,6 +232,17 @@ class TestRun:
         doc = json.loads(report.read_text())
         assert doc["diagnostics"]["oracle_gap"] == pytest.approx(0.0, abs=1e-7)
 
+    @pytest.mark.parametrize("budget", ["-5", "0"])
+    def test_nonpositive_oracle_exits_one(self, tmp_path, capsys, budget):
+        # The oracle runs after the solve's error handling, so a bad budget
+        # must be caught with the other settings, before any problem is read.
+        p = write_problem(tmp_path / "tiny.json", {
+            "family": "sep", "n": 2, "k": 1,
+            "matrices": {"A": [[2.0, 0], [0, 1.0]]}})
+        code = main(["run", "--problem", str(p), "--oracle", budget])
+        assert code == EXIT_INPUT
+        assert capsys.readouterr().err == "error: oracle budget must be >= 1\n"
+
     def test_oracle_too_large_exit_one(self, mbsub_file):
         code = main(["run", "--problem", str(mbsub_file), "--oracle", "10"])
         assert code == EXIT_INPUT
@@ -337,6 +348,33 @@ class TestRun:
         assert err.startswith("error: ") and err.count("\n") == 1, err
         assert "phi_weight" in err
 
+    def test_empty_sumct_block_exits_one(self, tmp_path, capsys):
+        # An empty block with a matching (n, 0) D: the error names blocks.
+        doc = dict(VALID_DOCS["sumct"], blocks=[[], [0, 1]])
+        doc["matrices"] = dict(doc["matrices"], D_list=[
+            [[], [], []], [[1.0, 0.0], [0.0, 1.0], [0.5, 0.0]]])
+        p = write_problem(tmp_path / "sumct.json", doc)
+        assert main(["run", "--problem", str(p)]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("error: sumct: blocks must partition")
+        assert err.count("\n") == 1, err
+
+    @pytest.mark.parametrize("solver, declared", [
+        ("npdo", False), ("npdo-locg", False), ("nepv", True),
+        ("nepv-locg", True)])
+    def test_report_carries_the_declared_ascent(self, tmp_path, solver,
+                                                declared):
+        # An indefinite A loses the polar route's guarantee only; the report,
+        # not a warning, says which route still carries it.
+        p = write_problem(tmp_path / "sep.json", {
+            "family": "sep", "n": 3, "k": 1,
+            "matrices": {"A": [[2.0, 0, 0], [0, 1.0, 0], [0, 0, -1.0]]}})
+        report = tmp_path / "r.json"
+        main(["run", "--problem", str(p), "--solver", solver,
+              "--report", str(report)])
+        doc = json.loads(report.read_text())
+        assert doc["diagnostics"]["declared_ascent"] is declared
+
     def test_nonpositive_tol_exits_one(self, sep_file, capsys):
         assert main(["run", "--problem", str(sep_file), "--tol", "0"]) == EXIT_INPUT
         assert capsys.readouterr().err == "error: tol must be positive\n"
@@ -430,6 +468,16 @@ class TestBatch:
             write_problem(d / f"p{i}.json", VALID_DOCS["sep"])
         assert main(["run", "--batch", str(d), "--seed", "-1"]) == EXIT_INPUT
         assert capsys.readouterr().err == "error: seed must be >= 0\n"
+        assert sorted(p.name for p in d.iterdir()) == [
+            "p0.json", "p1.json", "p2.json"]
+
+    def test_nonpositive_oracle_writes_nothing(self, tmp_path, capsys):
+        d = tmp_path / "batch"
+        d.mkdir()
+        for i in range(3):
+            write_problem(d / f"p{i}.json", VALID_DOCS["sep"])
+        assert main(["run", "--batch", str(d), "--oracle", "0"]) == EXIT_INPUT
+        assert capsys.readouterr().err == "error: oracle budget must be >= 1\n"
         assert sorted(p.name for p in d.iterdir()) == [
             "p0.json", "p1.json", "p2.json"]
 

@@ -62,14 +62,6 @@ class TestEvalAtomic:
         P = np.eye(2)
         assert eval_atomic(term, P) == pytest.approx(2.0)
 
-    def test_psd_flag_recorded(self):
-        good = AtomicTerm.quadratic(np.eye(3), m=2)
-        bad = AtomicTerm.quadratic(np.diag([1.0, -1.0, 0.0]), m=2)
-        assert good.matrix_psd is True
-        assert bad.matrix_psd is False
-        plain = AtomicTerm.quadratic(np.diag([1.0, -1.0, 0.0]))
-        assert plain.matrix_psd is None
-
     def test_validation(self):
         with pytest.raises(ValueError):
             AtomicTerm.linear(np.eye(2), m=0)
@@ -79,6 +71,10 @@ class TestEvalAtomic:
             AtomicTerm.linear(np.eye(2), c=-1.0)
         with pytest.raises(ValueError):
             AtomicTerm.linear(np.eye(2), cols=(1, 0))
+        with pytest.raises(ValueError, match="nonempty"):
+            AtomicTerm.linear(np.zeros((2, 0)), cols=())
+        with pytest.raises(ValueError, match=">= 0"):
+            AtomicTerm.quadratic(np.eye(2), cols=(-1,))
 
 
 class TestGradAtomic:

@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -113,21 +114,28 @@ class TestBuilders:
             build(ProblemSpec("sumct", 4, 2, {
                 "A_list": [np.eye(4)], "D_list": [np.ones((4, 1))]},
                 blocks=((0,),)))
+        # An empty block covers no column, so it is no partition either.
+        with pytest.raises(ValueError, match="blocks must partition"):
+            build(ProblemSpec("sumct", 4, 2, {
+                "A_list": [np.eye(4), np.eye(4)],
+                "D_list": [np.ones((4, 0)), np.ones((4, 2))]},
+                blocks=((), (0, 1))))
 
     def test_missing_matrix_named(self):
         with pytest.raises(ValueError, match="'D'"):
             build(ProblemSpec("mbsub", 4, 2, {"A": np.eye(4)}))
 
-    def test_nonpsd_umds_warns(self):
+    def test_nonpsd_umds_declares_no_guarantee(self):
+        # The lost guarantee is recorded in the flags, not warned about.
         bad = np.diag([1.0, -1.0, 0.0, 0.0])
-        with pytest.warns(UserWarning, match="positive semidefinite"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             obj = build(ProblemSpec("umds", 4, 2, {"A_list": [bad]}))
         assert not obj.npdo_monotone and not obj.nepv_monotone
 
     @pytest.mark.parametrize("family", ["sep", "trcp", "umds"])
     def test_one_spectrum_per_matrix(self, family, monkeypatch):
-        # The PSD test of each n x n matrix runs one eigvalsh; umds reads it
-        # off its m = 2 terms.
+        # The PSD test of each n x n matrix runs one eigvalsh.
         n = 6
         mats = ({"A": make_psd(n, 1)} if family == "sep"
                 else {"A_list": [make_psd(n, 1), make_psd(n, 2)]})

@@ -142,15 +142,38 @@ def test_locg_records_carry_the_inner_flags():
     assert not report.iterations[0].sign_violated
 
 
+def library_nodes():
+    # Every AST node of the library's modules, with its module's path.
+    for path in sorted((SRC / "stiefelscf").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            yield path, node
+
+
 def test_no_check_vanishes_under_python_O():
     # `python -O` strips assert statements and `if __debug__` blocks, so a
     # check written that way would make -O select a second program.
+    found = [f"{path.name}:{node.lineno}" for path, node in library_nodes()
+             if isinstance(node, ast.Assert)
+             or isinstance(node, ast.Name) and node.id == "__debug__"]
+    assert found == []
+
+
+def test_library_raises_no_warnings():
+    # A guarantee is declared by the objective's monotone flags and a solve
+    # reports through its SolveReport, so no library code imports warnings.
     found = []
-    for path in sorted((SRC / "stiefelscf").glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(), str(path))):
-            if (isinstance(node, ast.Assert)
-                    or isinstance(node, ast.Name) and node.id == "__debug__"):
-                found.append(f"{path.name}:{node.lineno}")
+    for path, node in library_nodes():
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            modules = [node.module or ""]
+        else:
+            modules = []
+        if (any(m.split(".")[0] == "warnings" for m in modules)
+                or isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "warnings"):
+            found.append(f"{path.name}:{node.lineno}")
     assert found == []
 
 
@@ -269,12 +292,24 @@ def test_one_product_per_quadratic_term_per_iteration(family, route,
     assert quad * iters <= len(products) <= quad * (iters + 2)
 
 
+# trcp with one indefinite A_j under each nonlinear preset.  Its
+# quad_penalty partials can be negative, yet NEPv ascent for a convex phi of
+# quadratic traces does not depend on their sign; NPDo, which needs every
+# A_j >= 0, is not declared.
+INDEFINITE_TRCP = ("trcp-indefinite-quad_penalty", "trcp-indefinite-logsumexp")
+
+
 def random_catalog_spec(family, n, k, rng, theta):
     def psd(shift=0.0):
         G = rng.standard_normal((n, n))
         return G @ G.T / n + shift * np.eye(n)
 
     D = rng.standard_normal((n, k))
+    if family in INDEFINITE_TRCP:
+        Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        S = (Q * np.linspace(-1.0, 1.0, n)) @ Q.T
+        return ProblemSpec("trcp", n, k, {"A_list": [psd(), 0.5 * (S + S.T)]},
+                           phi=family.rsplit("-", 1)[1], phi_weight=0.5)
     if family in ("sep", "dft"):
         extra = {} if family == "sep" else dict(phi="quad_penalty",
                                                  phi_weight=0.25)
@@ -304,7 +339,7 @@ def random_catalog_spec(family, n, k, rng, theta):
                                       "D": 0.5 * D}, theta=theta)
 
 
-@pytest.mark.parametrize("family", CATALOG)
+@pytest.mark.parametrize("family", CATALOG + INDEFINITE_TRCP)
 @settings(max_examples=10, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(3, 20),
        k=st.integers(1, 3), theta=st.sampled_from([0.0, 0.3, 0.5, 1.0]))
@@ -315,6 +350,8 @@ def test_declared_ascent_holds_on_random_psd_instances(family, seed, n, k,
     # within MONOTONE_SLACK, and so never stops for a violated ascent.
     rng = np.random.default_rng(seed)
     obj = build(random_catalog_spec(family, n, k, rng, theta))
+    if family in INDEFINITE_TRCP:
+        assert obj.nepv_monotone and not obj.npdo_monotone
     P0 = random_stiefel(n, k, seed)
     for route, declared in (("npdo", obj.npdo_monotone),
                             ("nepv", obj.nepv_monotone)):
