@@ -82,6 +82,8 @@ def brute_force_oracle(obj: ComposedObjective, budget: int = 2000,
     ``budget`` random orthonormal starts are polished.  Returns
     ``(best_f, best_P)``.
     """
+    if not budget >= 1:
+        raise ValueError(f"budget must be >= 1, got {budget!r}")
     n, k = obj.n, obj.k
     if n > ORACLE_MAX_N or k > ORACLE_MAX_K:
         raise SizeTooLargeForOracle(

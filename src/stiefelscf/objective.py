@@ -237,6 +237,15 @@ def outer_weighted_sum(weights) -> OuterFunction:
     )
 
 
+def _ratio_point(x) -> np.ndarray:
+    # x = [denominator, numerator terms...] as floats, refused when the
+    # denominator is at or below the floor.
+    x = np.asarray(x, dtype=float)
+    if x[0] <= RATIO_DENOMINATOR_FLOOR:
+        raise ValueError(f"ratio denominator {x[0]:.3e} below floor")
+    return x
+
+
 def outer_theta_ratio(theta: float) -> OuterFunction:
     """phi(x) = (x2 + x3) / x1^theta over x = [x1, x2, x3].
 
@@ -246,15 +255,11 @@ def outer_theta_ratio(theta: float) -> OuterFunction:
     th = float(theta)
 
     def value(x):
-        x = np.asarray(x, dtype=float)
-        if x[0] <= RATIO_DENOMINATOR_FLOOR:
-            raise ValueError(f"ratio denominator {x[0]:.3e} below floor")
+        x = _ratio_point(x)
         return float((x[1] + x[2]) / x[0] ** th)
 
     def partials(x):
-        x = np.asarray(x, dtype=float)
-        if x[0] <= RATIO_DENOMINATOR_FLOOR:
-            raise ValueError(f"ratio denominator {x[0]:.3e} below floor")
+        x = _ratio_point(x)
         p = np.empty(3)
         p[0] = -th * (x[1] + x[2]) / x[0] ** (th + 1.0)
         p[1] = 1.0 / x[0] ** th
@@ -270,15 +275,11 @@ def outer_ratio_squared(theta: float) -> OuterFunction:
     th = float(theta)
 
     def value(x):
-        x = np.asarray(x, dtype=float)
-        if x[0] <= RATIO_DENOMINATOR_FLOOR:
-            raise ValueError(f"ratio denominator {x[0]:.3e} below floor")
+        x = _ratio_point(x)
         return float((x[1] + x[2]) ** 2 / x[0] ** (2.0 * th))
 
     def partials(x):
-        x = np.asarray(x, dtype=float)
-        if x[0] <= RATIO_DENOMINATOR_FLOOR:
-            raise ValueError(f"ratio denominator {x[0]:.3e} below floor")
+        x = _ratio_point(x)
         num = x[1] + x[2]
         p = np.empty(3)
         p[0] = -2.0 * th * num**2 / x[0] ** (2.0 * th + 1.0)

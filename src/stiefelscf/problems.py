@@ -52,7 +52,32 @@ __all__ = [
 FAMILIES = ("sep", "mbsub", "sumct", "theta_tr", "olda", "occa",
             "theta_tr_sq", "umds", "trcp", "dft", "quad_lin2", "procrustes")
 
-OUTER_PRESETS = ("sum", "quad_penalty", "logsumexp")
+
+def _logsumexp_partials(w, y):
+    e = np.exp(y - np.max(y))
+    return w * e / e.sum()
+
+
+# phi presets as (value, partials) of w * phi(y) over the composed
+# coordinates y; all convex for the nonnegative weights ``build`` admits.
+_PHI_PRESETS = {
+    "sum": (lambda w, y: w * np.sum(y), lambda w, y: np.full(y.size, w)),
+    "quad_penalty": (lambda w, y: w * np.sum(y ** 2),
+                     lambda w, y: 2.0 * w * y),
+    "logsumexp": (lambda w, y: w * scipy.special.logsumexp(y),
+                  _logsumexp_partials),
+}
+
+OUTER_PRESETS = tuple(_PHI_PRESETS)
+
+# Trace-ratio families: (fixed theta, or None to read spec.theta; how A is
+# read; how D is read), each matrix "required", "optional" or "zero".
+_RATIO_FAMILIES = {
+    "theta_tr": (None, "optional", "optional"),
+    "olda": (1.0, "required", "zero"),
+    "occa": (0.5, "zero", "required"),
+    "theta_tr_sq": (None, "optional", "optional"),
+}
 
 
 @dataclass(frozen=True)
@@ -81,16 +106,35 @@ class ProblemSpec:
             raise ValueError(f"need 1 <= k <= n, got n = {self.n}, k = {self.k}")
 
 
-def _get(spec: ProblemSpec, name: str, shape, symmetric=False) -> np.ndarray:
-    if name not in spec.matrices:
-        raise ValueError(f"family {spec.family!r} requires matrix {name!r}")
-    M = as_matrix(spec.matrices[name], name)
+def _matrix(M, name: str, shape, symmetric=False) -> np.ndarray:
+    M = as_matrix(M, name)
     if shape is not None and M.shape != shape:
         raise ValueError(
             f"matrix {name!r} has shape {M.shape}, expected {shape}")
     if symmetric:
         M = require_symmetric(M, name=name)
     return M
+
+
+def _get(spec: ProblemSpec, name: str, shape, symmetric=False,
+         role="required") -> np.ndarray:
+    # role "optional" reads a missing matrix as zero, "zero" ignores it.
+    if role == "zero" or (role == "optional" and name not in spec.matrices):
+        return np.zeros(shape)
+    if name not in spec.matrices:
+        raise ValueError(f"family {spec.family!r} requires matrix {name!r}")
+    return _matrix(spec.matrices[name], name, shape, symmetric)
+
+
+def _A_list(spec: ProblemSpec) -> tuple[list[np.ndarray], bool]:
+    """The symmetric n-by-n matrices of a nonempty ``A_list``, and whether
+    all of them are positive semidefinite."""
+    A_list = spec.matrices.get("A_list")
+    if A_list is None or len(A_list) == 0:
+        raise ValueError(f"{spec.family} requires a nonempty A_list")
+    mats = [_matrix(A, f"A_list[{j}]", (spec.n, spec.n), symmetric=True)
+            for j, A in enumerate(A_list)]
+    return mats, all(_check_psd(A) for A in mats)
 
 
 def _check_ratio_denominator(B: np.ndarray, k: int, family: str) -> None:
@@ -112,61 +156,27 @@ def _check_psd(A: np.ndarray) -> bool:
 
 
 def _trace_composition_outer(spec: ProblemSpec, ell: int, lead: bool) -> OuterFunction:
-    """phi presets over (optional leading trace +) ell composed coordinates.
+    """The weighted phi preset over ell composed coordinates.
 
     ``lead`` prepends an identity coordinate (the plain tr(P'AP) part of the
-    density-functional-style family).  Presets: "sum", "quad_penalty"
-    (weight * sum x_i^2) and "logsumexp" (weight * log sum exp x_i), all
-    convex for the nonnegative weights ``build`` admits.
+    density-functional-style family).
     """
-    w = float(spec.phi_weight)
-    dim = ell + (1 if lead else 0)
-    off = 1 if lead else 0
-
-    if spec.phi == "sum":
-        if not lead:
-            return outer_sum(ell)
-
-        def value(x):
-            return float(x[0] + w * np.sum(x[off:]))
-
-        def partials(x):
-            p = np.full(dim, w)
-            p[0] = 1.0
-            return p
-
-    elif spec.phi == "quad_penalty":
-        def value(x):
-            x = np.asarray(x, dtype=float)
-            return float((x[0] if lead else 0.0) + w * np.sum(x[off:] ** 2))
-
-        def partials(x):
-            x = np.asarray(x, dtype=float)
-            p = np.empty(dim)
-            if lead:
-                p[0] = 1.0
-            p[off:] = 2.0 * w * x[off:]
-            return p
-
-    elif spec.phi == "logsumexp":
-        def value(x):
-            x = np.asarray(x, dtype=float)
-            return float((x[0] if lead else 0.0)
-                         + w * scipy.special.logsumexp(x[off:]))
-
-        def partials(x):
-            x = np.asarray(x, dtype=float)
-            p = np.empty(dim)
-            if lead:
-                p[0] = 1.0
-            e = np.exp(x[off:] - np.max(x[off:]))
-            p[off:] = w * e / e.sum()
-            return p
-
-    else:
+    if spec.phi not in _PHI_PRESETS:
         raise ValueError(f"unknown outer preset {spec.phi!r}; "
                          f"choose from {OUTER_PRESETS}")
-    return OuterFunction(dim, value, partials, name=spec.phi)
+    phi, dphi = _PHI_PRESETS[spec.phi]
+    w = float(spec.phi_weight)
+    off = 1 if lead else 0
+
+    def value(x):
+        x = np.asarray(x, dtype=float)
+        return float((x[0] if lead else 0.0) + phi(w, x[off:]))
+
+    def partials(x):
+        x = np.asarray(x, dtype=float)
+        return np.concatenate((np.ones(off), dphi(w, x[off:])))
+
+    return OuterFunction(ell + off, value, partials, name=spec.phi)
 
 
 def build(spec: ProblemSpec) -> ComposedObjective:
@@ -200,115 +210,72 @@ def build(spec: ProblemSpec) -> ComposedObjective:
     if fam == "sumct":
         if spec.blocks is None:
             raise ValueError("sumct requires blocks (a partition of the columns)")
-        A_list = spec.matrices.get("A_list")
         D_list = spec.matrices.get("D_list")
-        if A_list is None or D_list is None:
-            raise ValueError("sumct requires A_list and D_list")
+        if D_list is None:
+            raise ValueError("sumct requires D_list")
+        A_list, all_psd = _A_list(spec)
         if not (len(A_list) == len(D_list) == len(spec.blocks)):
             raise ValueError("sumct: A_list, D_list and blocks must have equal length")
         flat = [c for b in spec.blocks for c in b]
         if not all(spec.blocks) or sorted(flat) != list(range(k)):
             raise ValueError(f"sumct: blocks must partition 0..{k - 1} into "
                              f"nonempty groups, got {spec.blocks}")
-        terms = []
-        all_psd = True
-        for j, cols in enumerate(spec.blocks):
-            A_j = require_symmetric(as_matrix(A_list[j], f"A_list[{j}]"), name=f"A_list[{j}]")
-            D_j = as_matrix(D_list[j], f"D_list[{j}]")
-            if D_j.shape != (n, len(cols)):
-                raise ValueError(
-                    f"D_list[{j}] has shape {D_j.shape}, expected ({n}, {len(cols)})")
-            all_psd &= _check_psd(A_j)
-            terms.append(AtomicTerm.quadratic(A_j, cols=cols))
-        for j, cols in enumerate(spec.blocks):
-            terms.append(AtomicTerm.linear(as_matrix(D_list[j]), cols=cols))
-        lin_idx = tuple(range(len(spec.blocks), 2 * len(spec.blocks)))
+        D_list = [_matrix(D_j, f"D_list[{j}]", (n, len(cols)))
+                  for j, (D_j, cols) in enumerate(zip(D_list, spec.blocks))]
+        terms = ([AtomicTerm.quadratic(A_j, cols=cols)
+                  for A_j, cols in zip(A_list, spec.blocks)]
+                 + [AtomicTerm.linear(D_j, cols=cols)
+                    for D_j, cols in zip(D_list, spec.blocks)])
+        lin_idx = tuple(range(len(spec.blocks), len(terms)))
         return ComposedObjective(
             n, k, tuple(terms), outer_sum(len(terms)), field_recipe="generic",
             alignment=PolarAlignment(blocks=lin_idx),
             npdo_monotone=all_psd, nepv_monotone=all_psd, meta=meta)
 
-    if fam in ("theta_tr", "olda", "occa"):
-        if fam == "olda":
-            theta = 1.0
-            A = _get(spec, "A", (n, n), symmetric=True)
-            D = np.zeros((n, k))
-        elif fam == "occa":
-            theta = 0.5
-            A = np.zeros((n, n))
-            D = _get(spec, "D", (n, k))
-        else:
+    if fam in _RATIO_FAMILIES:
+        # The squared ratio differs in its theta range, outer and alignment.
+        theta, A_role, D_role = _RATIO_FAMILIES[fam]
+        squared = fam == "theta_tr_sq"
+        if theta is None:
             if spec.theta is None:
-                raise ValueError("theta_tr requires theta")
+                raise ValueError(f"{fam} requires theta")
             theta = float(spec.theta)
-            if not 0.0 <= theta <= 1.0:
-                raise ValueError(f"theta must lie in [0, 1], got {theta}")
-            A = (_get(spec, "A", (n, n), symmetric=True)
-                 if "A" in spec.matrices else np.zeros((n, n)))
-            D = (_get(spec, "D", (n, k))
-                 if "D" in spec.matrices else np.zeros((n, k)))
+            theta_max = 0.5 if squared else 1.0
+            if not 0.0 <= theta <= theta_max:
+                why = (" (the squared ratio composition is convex only there)"
+                       if squared else "")
+                raise ValueError(f"{fam}: theta must lie in "
+                                 f"[0, {theta_max:g}]{why}, got {theta}")
+        A = _get(spec, "A", (n, n), symmetric=True, role=A_role)
+        D = _get(spec, "D", (n, k), role=D_role)
         B = _get(spec, "B", (n, n), symmetric=True)
         _check_ratio_denominator(B, k, fam)
         terms = (AtomicTerm.quadratic(B), AtomicTerm.quadratic(A),
                  AtomicTerm.linear(D))
-        align = (PolarAlignment(blocks=()) if not D.any()
-                 else PolarAlignment(D))
+        if not D.any():
+            align = PolarAlignment(blocks=())
+        else:
+            align = PolarAlignment() if squared else PolarAlignment(D)
+        outer = (outer_ratio_squared if squared else outer_theta_ratio)(theta)
         meta["theta"] = theta
         return ComposedObjective(
-            n, k, terms, outer_theta_ratio(theta), field_recipe="composition",
-            alignment=align,
+            n, k, terms, outer, field_recipe="composition", alignment=align,
             npdo_monotone=False, nepv_monotone=True, meta=meta)
 
-    if fam == "theta_tr_sq":
-        if spec.theta is None:
-            raise ValueError("theta_tr_sq requires theta")
-        theta = float(spec.theta)
-        if not 0.0 <= theta <= 0.5:
-            raise ValueError(
-                f"the squared ratio composition is convex only for theta in "
-                f"[0, 1/2], got {theta}")
-        A = (_get(spec, "A", (n, n), symmetric=True)
-             if "A" in spec.matrices else np.zeros((n, n)))
-        D = (_get(spec, "D", (n, k))
-             if "D" in spec.matrices else np.zeros((n, k)))
-        B = _get(spec, "B", (n, n), symmetric=True)
-        _check_ratio_denominator(B, k, fam)
-        terms = (AtomicTerm.quadratic(B), AtomicTerm.quadratic(A),
-                 AtomicTerm.linear(D))
-        align = (PolarAlignment(blocks=()) if not D.any() else PolarAlignment())
-        meta["theta"] = theta
-        return ComposedObjective(
-            n, k, terms, outer_ratio_squared(theta), field_recipe="composition",
-            alignment=align, npdo_monotone=False, nepv_monotone=True, meta=meta)
-
     if fam == "umds":
-        A_list = spec.matrices.get("A_list")
-        if A_list is None:
-            raise ValueError("umds requires A_list")
-        terms = []
-        all_psd = True
-        for j, A_j in enumerate(A_list):
-            A_j = require_symmetric(as_matrix(A_j, f"A_list[{j}]"), name=f"A_list[{j}]")
-            all_psd &= _check_psd(A_j)
-            terms.append(AtomicTerm.quadratic(A_j, m=2))
+        A_list, all_psd = _A_list(spec)
+        terms = tuple(AtomicTerm.quadratic(A_j, m=2) for A_j in A_list)
         return ComposedObjective(
-            n, k, tuple(terms), outer_sum(len(terms)),
+            n, k, terms, outer_sum(len(terms)),
             field_recipe="composition", alignment=PolarAlignment(blocks=()),
             npdo_monotone=all_psd, nepv_monotone=all_psd, meta=meta)
 
     if fam == "trcp":
-        A_list = spec.matrices.get("A_list")
-        if A_list is None:
-            raise ValueError("trcp requires A_list")
-        terms = []
-        all_psd = True
-        for j, A_j in enumerate(A_list):
-            A_j = require_symmetric(as_matrix(A_j, f"A_list[{j}]"), name=f"A_list[{j}]")
-            all_psd &= _check_psd(A_j)
-            terms.append(AtomicTerm.quadratic(A_j))
+        A_list, all_psd = _A_list(spec)
+        terms = tuple(AtomicTerm.quadratic(A_j) for A_j in A_list)
         outer = _trace_composition_outer(spec, len(terms), lead=False)
         return ComposedObjective(
-            n, k, tuple(terms), outer, field_recipe="composition",
+            n, k, terms, outer, field_recipe="composition",
             alignment=PolarAlignment(blocks=()),
             npdo_monotone=all_psd, nepv_monotone=True, meta=meta)
 

@@ -4,8 +4,6 @@ Each criterion pins its tolerance here; nothing is deferred to calibration.
 The shared solver runs (criteria 4, 5, 8) are produced once per session.
 """
 
-import warnings
-
 import numpy as np
 import pytest
 
@@ -118,14 +116,12 @@ SOLVER_FNS = {
 @pytest.fixture(scope="module")
 def suite_runs():
     runs = []
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        for name, obj, solvers in _suite_instances():
-            for solver in solvers:
-                fn, cfg_cls = SOLVER_FNS[solver]
-                cfg = cfg_cls(tol=RESIDUAL_TOL, max_iter=MAX_ITER)
-                rep = fn(obj, random_stiefel(obj.n, obj.k, 99), cfg)
-                runs.append((name, solver, obj, rep))
+    for name, obj, solvers in _suite_instances():
+        for solver in solvers:
+            fn, cfg_cls = SOLVER_FNS[solver]
+            cfg = cfg_cls(tol=RESIDUAL_TOL, max_iter=MAX_ITER)
+            rep = fn(obj, random_stiefel(obj.n, obj.k, 99), cfg)
+            runs.append((name, solver, obj, rep))
     return runs
 
 
@@ -326,15 +322,13 @@ def _oracle_instances(n=4, k=1):
 
 def test_criterion_6_oracle_agreement():
     cfg = ss.NepvConfig(tol=1e-9, max_iter=600)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        for name, obj in _oracle_instances():
-            oracle_f, _ = ss.brute_force_oracle(obj, budget=2000, seed=0)
-            best = -np.inf
-            for r in range(100):
-                rep = ss.nepv_scf(obj, random_stiefel(obj.n, obj.k, r), cfg)
-                best = max(best, rep.f_final)
-            assert abs(best - oracle_f) <= 1e-6, (name, best, oracle_f)
+    for name, obj in _oracle_instances():
+        oracle_f, _ = ss.brute_force_oracle(obj, budget=2000, seed=0)
+        best = -np.inf
+        for r in range(100):
+            rep = ss.nepv_scf(obj, random_stiefel(obj.n, obj.k, r), cfg)
+            best = max(best, rep.f_final)
+        assert abs(best - oracle_f) <= 1e-6, (name, best, oracle_f)
     ok(6, "multi-start best within 1e-6 of brute-force oracle")
 
 
@@ -344,19 +338,17 @@ def test_criterion_6_oracle_agreement():
 
 def test_criterion_7_theta_step_audit():
     n, k = 8, 2
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        for theta in (0.0, 0.5, 1.0):
-            for seed in range(5):
-                rng = np.random.default_rng(4000 + seed)
-                obj = ss.build(ss.ProblemSpec("theta_tr", n, k, {
-                    "A": make_psd(n, 800 + seed, 0.3),
-                    "B": make_psd(n, 900 + seed, 1.0),
-                    "D": 0.5 * rng.standard_normal((n, k))}, theta=theta))
-                rep = ss.nepv_scf(obj, random_stiefel(n, k, seed))
-                out = ss.theta_step_audit(rep, obj.theta_data.B,
-                                          obj.theta_data.D, theta)
-                assert out["worst_slack"] >= -1e-8, (theta, seed, out)
+    for theta in (0.0, 0.5, 1.0):
+        for seed in range(5):
+            rng = np.random.default_rng(4000 + seed)
+            obj = ss.build(ss.ProblemSpec("theta_tr", n, k, {
+                "A": make_psd(n, 800 + seed, 0.3),
+                "B": make_psd(n, 900 + seed, 1.0),
+                "D": 0.5 * rng.standard_normal((n, k))}, theta=theta))
+            rep = ss.nepv_scf(obj, random_stiefel(n, k, seed))
+            out = ss.theta_step_audit(rep, obj.theta_data.B,
+                                      obj.theta_data.D, theta)
+            assert out["worst_slack"] >= -1e-8, (theta, seed, out)
     ok(7, "refined ratio-ascent inequality holds per step (-1e-8)")
 
 
@@ -381,10 +373,8 @@ def test_criterion_9_locg_acceleration():
     # shot, so its head-to-head uses the generic P-dependent field.
     sep_gen = ComposedObjective(n, k, (AtomicTerm.quadratic(A),), outer_sum(1),
                                 field_recipe="generic", nepv_monotone=True)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        plain_n = ss.nepv_scf(sep_gen, P0)
-        fast_n = ss.nepv_locg(sep_gen, P0)
+    plain_n = ss.nepv_scf(sep_gen, P0)
+    fast_n = ss.nepv_locg(sep_gen, P0)
     assert plain_n.converged and fast_n.converged
     assert fast_n.num_iterations < plain_n.num_iterations
     for rep in (plain, fast, plain_n, fast_n):
@@ -434,11 +424,9 @@ def test_criterion_11_procrustes_identity():
     B4 = rng.standard_normal((4, 4))
     obj4 = ss.build_procrustes_ls(C4, B4)
     best = np.inf
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        for r in range(5):
-            rep4 = ss.nepv_scf(obj4, random_stiefel(4, 4, r))
-            best = min(best, ss.procrustes_residual(obj4, rep4.point))
+    for r in range(5):
+        rep4 = ss.nepv_scf(obj4, random_stiefel(4, 4, r))
+        best = min(best, ss.procrustes_residual(obj4, rep4.point))
     P_star = polar_factor(C4.T @ B4).orthogonal_factor
     closed = np.linalg.norm(C4 @ P_star - B4)
     assert best == pytest.approx(closed, abs=1e-6)

@@ -359,6 +359,25 @@ class TestRun:
         assert err.startswith("error: sumct: blocks must partition")
         assert err.count("\n") == 1, err
 
+    @pytest.mark.parametrize("family, phi", [
+        ("umds", "sum"), ("trcp", "sum"), ("trcp", "quad_penalty"),
+        ("trcp", "logsumexp")])
+    @pytest.mark.parametrize("A_list, named", [
+        ([], "nonempty A_list"),
+        ([[[1.0, 0, 0], [0, 1.0, 0], [0, 0, 1.0]], [[1.0, 0], [0, 1.0]]],
+         "'A_list[1]' has shape (2, 2)")], ids=["empty", "wrong-order"])
+    def test_bad_a_list_exits_one(self, tmp_path, capsys, family, phi,
+                                  A_list, named):
+        # An empty list used to solve an objective with no terms ("converged,
+        # f = 0", or a failed solve); a wrong-order matrix is named.
+        p = write_problem(tmp_path / "a.json", {
+            "family": family, "n": 3, "k": 2, "phi": phi,
+            "matrices": {"A_list": A_list}})
+        assert main(["run", "--problem", str(p)]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert named in err
+
     @pytest.mark.parametrize("solver, declared", [
         ("npdo", False), ("npdo-locg", False), ("nepv", True),
         ("nepv-locg", True)])

@@ -91,6 +91,12 @@ class TestBruteForceOracle:
         with pytest.raises(SizeTooLargeForOracle):
             brute_force_oracle(obj, budget=10)
 
+    @pytest.mark.parametrize("k, budget", [(2, 0), (1, -5), (1, 0)])
+    def test_budget_below_one_rejected(self, k, budget):
+        obj = build(ProblemSpec("sep", 3, k, {"A": np.diag([5.0, 3.0, 1.0])}))
+        with pytest.raises(ValueError, match="budget"):
+            brute_force_oracle(obj, budget=budget)
+
 
 def synthetic_report(fs, sigma=1.0, angle=1.0, eps=0.5):
     recs = [IterationRecord(i, f, eps_kkt=eps, eps_sym=0.0, eps_nepv=eps,

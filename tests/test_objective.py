@@ -177,6 +177,15 @@ class TestComposedObjective:
                                 field_recipe="composition")
         assert obj.value(np.array([[1.0], [0.0]])) == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("outer", [outer_theta_ratio, outer_ratio_squared])
+    def test_ratio_outers_refuse_a_denominator_at_the_floor(self, outer):
+        phi = outer(0.5)
+        for x0 in (objective.RATIO_DENOMINATOR_FLOOR, 0.0, -1.0):
+            for fn in (phi.value, phi.partials):
+                with pytest.raises(ValueError, match="below floor"):
+                    fn(np.array([x0, 1.0, 1.0]))
+        assert phi.value([2 * objective.RATIO_DENOMINATOR_FLOOR, 0.0, 0.0]) == 0.0
+
     def test_mbsub_gradient_form(self):
         obj, A, D = mbsub_objective(6, 2, 3)
         for seed in range(3):

@@ -52,6 +52,11 @@ def family_instances(n=7, k=2, seed=0):
         "D_list": [D[:, :1], D[:, 1:]]}, blocks=((0,), (1,))))
 
 
+# Each phi preset written out, unweighted.
+PHI = {"sum": np.sum, "quad_penalty": lambda y: np.sum(y**2),
+       "logsumexp": lambda y: np.log(np.sum(np.exp(y)))}
+
+
 class TestBuilders:
     def test_sep_maximum_is_fan_value(self):
         obj = build(ProblemSpec("sep", 3, 2, {"A": np.diag([5.0, 3.0, 1.0])}))
@@ -96,13 +101,41 @@ class TestBuilders:
     def test_dft_value_matches_diag_form(self):
         n, k = 5, 2
         A = make_psd(n, 6)
-        w = 0.25
-        obj = build(ProblemSpec("dft", n, k, {"A": A}, phi="quad_penalty",
-                                phi_weight=w))
         P = random_stiefel(n, k, 1)
         diag = np.diag(P @ P.T)
-        expected = np.trace(P.T @ A @ P) + w * np.sum(diag**2)
-        assert obj.value(P) == pytest.approx(expected, rel=1e-12)
+        for phi in OUTER_PRESETS:
+            for w in (0.0, 0.25, 1.0):
+                obj = build(ProblemSpec("dft", n, k, {"A": A}, phi=phi,
+                                        phi_weight=w))
+                expected = np.trace(P.T @ A @ P) + w * PHI[phi](diag)
+                assert obj.value(P) == pytest.approx(expected, rel=1e-12), (phi, w)
+
+    def test_trcp_sum_applies_the_weight(self):
+        A_list = [make_psd(5, 1), make_psd(5, 2)]
+        P = random_stiefel(5, 2, 0)
+        f = {w: build(ProblemSpec("trcp", 5, 2, {"A_list": A_list},
+                                  phi_weight=w)).value(P)
+             for w in (0.0, 0.5, 1.0, 2.0)}
+        assert f[0.0] == 0.0
+        assert f[0.5] == pytest.approx(0.5 * f[1.0], rel=1e-12)
+        assert f[2.0] == pytest.approx(2.0 * f[1.0], rel=1e-12)
+
+    @pytest.mark.parametrize("family", ["umds", "trcp"])
+    def test_empty_a_list_rejected(self, family):
+        for matrices in ({}, {"A_list": []}):
+            with pytest.raises(ValueError, match="nonempty A_list"):
+                build(ProblemSpec(family, 4, 2, matrices))
+
+    @pytest.mark.parametrize("family", ["sumct", "umds", "trcp"])
+    def test_wrong_order_a_list_matrix_named(self, family):
+        spec = ProblemSpec(family, 4, 2, {
+            "A_list": [np.eye(4), np.eye(3)],
+            "D_list": [np.ones((4, 1)), np.ones((4, 1))]},
+            blocks=((0,), (1,)) if family == "sumct" else None)
+        with pytest.raises(ValueError,
+                           match=r"'A_list\[1\]' has shape \(3, 3\), "
+                                 r"expected \(4, 4\)"):
+            build(spec)
 
     def test_ratio_without_rank_condition_rejected(self):
         B = np.diag([1.0, 0.0, 0.0, 0.0])  # s_k(B) = 0 for k = 2
@@ -168,6 +201,66 @@ class TestBuilders:
             build(ProblemSpec("theta_tr_sq", 4, 2, {
                 "A": np.eye(4), "B": np.eye(4), "D": np.ones((4, 2))},
                 theta=0.75))
+
+
+def closed_form_cases():
+    # (id, spec, f(P) written out) for every family but dft and umds (their
+    # value tests are in TestBuilders), every phi preset where one applies
+    # and theta at both ends of its range.
+    n, k = 6, 2
+    rng = np.random.default_rng(40)
+    A, A2, B = make_psd(n, 41), make_psd(n, 42), make_psd(n, 43, 1.0)
+    D = rng.standard_normal((n, k))
+    C, Bp = rng.standard_normal((n + 2, n)), rng.standard_normal((n + 2, k))
+
+    def q(P, M):
+        return np.trace(P.T @ M @ P)
+
+    def lin(P, M):
+        return np.trace(P.T @ M)
+
+    yield "sep", ProblemSpec("sep", n, k, {"A": A}), lambda P: q(P, A)
+    yield ("mbsub", ProblemSpec("mbsub", n, k, {"A": A, "D": D}),
+           lambda P: q(P, A) + lin(P, D))
+    yield ("sumct", ProblemSpec("sumct", n, k, {
+        "A_list": [A, A2], "D_list": [D[:, :1], D[:, 1:]]},
+        blocks=((0,), (1,))),
+        lambda P: (q(P[:, :1], A) + lin(P[:, :1], D[:, :1])
+                   + q(P[:, 1:], A2) + lin(P[:, 1:], D[:, 1:])))
+    for theta in (0.0, 1.0):
+        yield (f"theta_tr-{theta}",
+               ProblemSpec("theta_tr", n, k, {"A": A, "B": B, "D": D},
+                           theta=theta),
+               lambda P, th=theta: (q(P, A) + lin(P, D)) / q(P, B) ** th)
+    yield ("olda", ProblemSpec("olda", n, k, {"A": A, "B": B}),
+           lambda P: q(P, A) / q(P, B))
+    yield ("occa", ProblemSpec("occa", n, k, {"B": B, "D": D}),
+           lambda P: lin(P, D) / np.sqrt(q(P, B)))
+    for theta in (0.0, 0.5):
+        yield (f"theta_tr_sq-{theta}",
+               ProblemSpec("theta_tr_sq", n, k, {"A": A, "B": B, "D": D},
+                           theta=theta),
+               lambda P, th=theta: ((q(P, A) + lin(P, D)) ** 2
+                                    / q(P, B) ** (2 * th)))
+    for phi in OUTER_PRESETS:
+        yield (f"trcp-{phi}",
+               ProblemSpec("trcp", n, k, {"A_list": [A, A2]}, phi=phi,
+                           phi_weight=0.5),
+               lambda P, phi=phi: 0.5 * PHI[phi](np.array([q(P, A), q(P, A2)])))
+    yield ("quad_lin2", ProblemSpec("quad_lin2", n, k, {"A": A, "D": D}),
+           lambda P: q(P, A) + np.trace((P.T @ D) @ (P.T @ D)))
+    yield ("procrustes", ProblemSpec("procrustes", n, k, {"C": C, "B": Bp}),
+           lambda P: np.linalg.norm(Bp) ** 2 - np.linalg.norm(C @ P - Bp) ** 2)
+
+
+@pytest.mark.parametrize("spec, closed_form",
+                         [c[1:] for c in closed_form_cases()],
+                         ids=[c[0] for c in closed_form_cases()])
+def test_value_matches_closed_form(spec, closed_form):
+    obj = build(spec)
+    for seed in range(3):
+        P = random_stiefel(spec.n, spec.k, seed)
+        assert obj.value(P) == pytest.approx(closed_form(P), rel=1e-12)
 
 
 @pytest.mark.parametrize("phi", OUTER_PRESETS)
