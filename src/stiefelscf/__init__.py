@@ -37,11 +37,7 @@ from .objective import (
 )
 from .alignment import (
     BlockOverlapError,
-    BlockPolarAlignment,
-    IdentityAlignment,
     PolarAlignment,
-    PolarOfDAlignment,
-    ScriptDPolarAlignment,
     align_rotation,
 )
 from .npdo import (
@@ -52,7 +48,6 @@ from .npdo import (
     npdo_locg,
     npdo_scf,
     npdo_scf_step,
-    reduced_objective,
 )
 from .nepv import (
     NepvConfig,

@@ -19,11 +19,7 @@ from .kernels import _sym, polar_factor
 
 __all__ = [
     "BlockOverlapError",
-    "BlockPolarAlignment",
-    "IdentityAlignment",
     "PolarAlignment",
-    "PolarOfDAlignment",
-    "ScriptDPolarAlignment",
     "align_rotation",
 ]
 
@@ -60,8 +56,11 @@ class PolarAlignment:
     terms of the objective, one block each over that term's selector,
     driven by the term's matrix weighted by its outer partial and scale at
     P_prev; the selectors must be pairwise column-disjoint.  ``blocks=()``
-    means no rotation, for right-unitarily invariant objectives.  Each
-    block guarantees P_next[:, C_j]' D_j >= 0.
+    means no rotation, for right-unitarily invariant objectives, and is the
+    default rule of ``ComposedObjective``.  Each block guarantees
+    P_next[:, C_j]' D_j >= 0.  ``check`` validates the rule against its
+    objective once, when the objective is built, so the other methods
+    assume a valid rule.
 
     The methods read the objective through ``at``, its ``PointEvaluation``
     at the point in question (P_prev for ``rotate``), so the partials and
@@ -72,6 +71,34 @@ class PolarAlignment:
     D: np.ndarray | None = None
     blocks: tuple[int, ...] | None = None
 
+    def check(self, obj) -> None:
+        """Reject a rule that cannot drive ``obj``: a fixed ``D`` that is not
+        n-by-k or comes with ``blocks``, a block index that is out of range
+        or names a quadratic term, or blocks whose selectors overlap
+        (``BlockOverlapError``).  ``ComposedObjective`` calls this once,
+        when it is built."""
+        if self.blocks is None:
+            if self.D is not None and np.shape(self.D) != (obj.n, obj.k):
+                raise ValueError(f"alignment D has shape {np.shape(self.D)}, "
+                                 f"expected ({obj.n}, {obj.k})")
+            return
+        if self.D is not None:
+            raise ValueError("alignment takes a fixed D or blocks, not both")
+        seen: set[int] = set()
+        for idx in self.blocks:
+            if not 0 <= idx < len(obj.terms):
+                raise ValueError(f"alignment block {idx} is out of range for "
+                                 f"{len(obj.terms)} terms")
+            t = obj.terms[idx]
+            if t.kind != "linear":
+                raise ValueError(f"alignment block {idx} names a {t.kind} "
+                                 "term; blocks must name linear terms")
+            cols = range(obj.k) if t.cols is None else t.cols
+            if seen.intersection(cols):
+                raise BlockOverlapError(
+                    f"alignment blocks overlap at term {idx} (columns {list(cols)})")
+            seen.update(cols)
+
     def _drivers(self, at):
         # (columns or None for all, weight, D_j) per block, read off the
         # evaluation ``at``.
@@ -80,15 +107,10 @@ class PolarAlignment:
         if not self.blocks:
             return []
         obj, phi = at.obj, at.partials
-        seen: set[int] = set()
         drivers = []
         for idx in self.blocks:
             t = obj.terms[idx]
             cols = list(range(obj.k)) if t.cols is None else list(t.cols)
-            if seen.intersection(cols):
-                raise BlockOverlapError(
-                    f"alignment blocks overlap at term {idx} (columns {cols})")
-            seen.update(cols)
             drivers.append((cols, phi[idx] * t.c, t.matrix))
         return drivers
 
@@ -126,29 +148,11 @@ class PolarAlignment:
         return self if self.D is None else replace(self, D=T.T @ self.D)
 
 
-# The rule's former per-case names, kept as constructors.
-def IdentityAlignment():
-    return PolarAlignment(blocks=())
-
-
-def PolarOfDAlignment(D):
-    return PolarAlignment(D=D)
-
-
-def ScriptDPolarAlignment():
-    return PolarAlignment()
-
-
-def BlockPolarAlignment(term_indices):
-    return PolarAlignment(blocks=tuple(term_indices))
-
-
 def align_rotation(rule, P_hat, at_prev):
     """Apply an alignment rule: returns (Q, P_next = P_hat @ Q).
 
     ``at_prev`` is the objective's evaluation at the previous iterate,
-    ``obj.at(P_prev)``; it may be None for no rule or a fixed-driver rule.
+    ``obj.at(P_prev)``; it may be None for a rule with a fixed driver or no
+    blocks.
     """
-    if rule is None:
-        return np.eye(P_hat.shape[1]), P_hat
     return rule.rotate(P_hat, at_prev)

@@ -12,6 +12,7 @@ import numpy as np
 
 from .kernels import random_stiefel
 from .nepv import NepvConfig, nepv_scf
+from .npdo import MONOTONE_SLACK
 from .objective import ComposedObjective
 
 __all__ = [
@@ -29,7 +30,6 @@ ORACLE_MAX_N = 6
 ORACLE_MAX_K = 2
 
 SERIES_SLACK = 1e-8
-MONOTONE_SLACK = 1e-12
 
 
 class SizeTooLargeForOracle(ValueError):

@@ -7,10 +7,11 @@ to share between threads.
 
 Sign conventions
 ----------------
-Singular vectors and eigenvectors carry an inherent sign ambiguity.  To make
-iteration traces reproducible, every factorization returned here fixes signs
-so that the largest-magnitude entry of each (left singular / eigen) vector is
-positive, ties broken by lowest row index.
+Eigenvectors carry an inherent sign ambiguity.  To make iteration traces
+reproducible, every eigenbasis returned here fixes signs so that the
+largest-magnitude entry of each vector is positive, ties broken by lowest
+row index.  The polar factors need no such rule: flipping a singular pair
+(u_j, v_j) leaves U Vt and Vt' diag(s) Vt unchanged, bit for bit.
 """
 
 from __future__ import annotations
@@ -94,23 +95,13 @@ def require_symmetric(H, tol: float = SYMMETRY_TOL, name: str = "H") -> np.ndarr
     return 0.5 * (H + H.T)
 
 
-def _fix_svd_signs(U: np.ndarray, Vt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # Flip each (u_j, v_j) pair so the largest-|.| entry of u_j is positive;
-    # the product U @ diag(s) @ Vt is unchanged.
-    for j in range(U.shape[1]):
-        lead = np.argmax(np.abs(U[:, j]))
-        if U[lead, j] < 0:
-            U[:, j] = -U[:, j]
-            Vt[j, :] = -Vt[j, :]
-    return U, Vt
-
-
-def _fix_eig_signs(V: np.ndarray) -> np.ndarray:
-    for j in range(V.shape[1]):
-        lead = np.argmax(np.abs(V[:, j]))
-        if V[lead, j] < 0:
-            V[:, j] = -V[:, j]
-    return V
+def _lead_signs(V: np.ndarray) -> np.ndarray:
+    # +1 or -1 per column of V: the sign that makes the column's first
+    # largest-|.| entry positive (+1 for a zero column).  Callers scale in
+    # place, which keeps their arrays' memory layout and so the rounding of
+    # later BLAS products.
+    lead = V[np.argmax(np.abs(V), axis=0), np.arange(V.shape[1])]
+    return np.where(lead < 0, -1.0, 1.0)
 
 
 @dataclass(frozen=True)
@@ -148,7 +139,6 @@ def polar_factor(B) -> PolarDecomposition:
     if k > n:
         raise ValueError(f"polar_factor needs a tall matrix, got shape {B.shape}")
     U, s, Vt = np.linalg.svd(B, full_matrices=False)
-    U, Vt = _fix_svd_signs(U, Vt)
     P = U @ Vt
     Lam = _sym(Vt.T @ (s[:, None] * Vt))
     return PolarDecomposition(P, Lam, float(s.sum()))
@@ -205,7 +195,8 @@ def _top_k(H: np.ndarray, k: int) -> SpectralTopK:
         raise np.linalg.LinAlgError(f"dsyevr failed with info = {info}")
     w, V = w[m - 1::-1], V[:, ::-1]  # descending
     vals = w[:k].copy()
-    basis = _fix_eig_signs(V[:, :k].copy())
+    basis = V[:, :k].copy()
+    basis *= _lead_signs(basis)
     if k == n:
         return SpectralTopK(vals, basis, np.inf)
     return SpectralTopK(vals, basis, float(w[k - 1] - w[k]), V[:, k:k + 1])
@@ -245,8 +236,7 @@ def ritz_top_k(H, P, HP, guard, tol: float,
     W, HW = U, np.hstack([HP, H @ g]) @ (Vt.T / s)
     HX, last = HW, np.inf
     for left in range(RITZ_MAX_BLOCKS - 1, -1, -1):
-        Y = _orth(HX - W @ (W.T @ HX), 1e-12 * np.linalg.norm(HX))
-        Y = _orth(Y - W @ (W.T @ Y))
+        Y = _orth_against(W, HX, 1e-12 * np.linalg.norm(HX))
         if Y.shape[1]:
             HX = H @ Y
             W, HW = np.hstack([W, Y]), np.hstack([HW, HX])
@@ -263,8 +253,9 @@ def ritz_top_k(H, P, HP, guard, tol: float,
     gap = float(theta[k - 1] - theta[k])
     if not gap > gap_floor + np.linalg.norm(R):
         return None
-    return SpectralTopK(theta[:k].copy(), _fix_eig_signs(V[:, :k].copy()),
-                        gap, V[:, k:k + 1])
+    basis = V[:, :k].copy()
+    basis *= _lead_signs(basis)
+    return SpectralTopK(theta[:k].copy(), basis, gap, V[:, k:k + 1])
 
 
 def trace_norm(B) -> float:
@@ -318,12 +309,16 @@ def orthonormalize_against(P, V) -> np.ndarray:
         raise ValueError(f"row mismatch: P has {P.shape[0]}, V has {V.shape[0]}")
     if V.shape[1] == 0:
         return V
-    floor = 1e-12 * float(np.linalg.norm(V, 2))
-    W = V - P @ (P.T @ V)
-    W = _orth(W, floor)
+    return _orth_against(P, V, 1e-12 * float(np.linalg.norm(V, 2)))
+
+
+def _orth_against(P: np.ndarray, V: np.ndarray, floor: float) -> np.ndarray:
+    # Two passes of classical Gram-Schmidt against orthonormal P, each
+    # followed by an SVD orthonormalization; the first pass drops directions
+    # with singular values at or below ``floor``.
+    W = _orth(V - P @ (P.T @ V), floor)
     if W.shape[1]:
-        W = W - P @ (P.T @ W)
-        W = _orth(W)
+        W = _orth(W - P @ (P.T @ W))
     return W
 
 

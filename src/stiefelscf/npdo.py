@@ -54,7 +54,6 @@ __all__ = [
     "npdo_locg",
     "npdo_scf",
     "npdo_scf_step",
-    "reduced_objective",
 ]
 
 logger = logging.getLogger("stiefelscf")
@@ -196,8 +195,6 @@ def _feasible_start(obj: ComposedObjective, P0) -> PointEvaluation:
     # The evaluation at the projected start point (see project_feasible).
     start = PointEvaluation(obj, require_stiefel(P0))
     rule = obj.alignment
-    if rule is None:
-        return start
     try:
         if rule.is_feasible(start):
             return start
@@ -209,24 +206,10 @@ def _feasible_start(obj: ComposedObjective, P0) -> PointEvaluation:
     return PointEvaluation(obj, P)
 
 
-def reduced_objective(obj: ComposedObjective, W) -> ComposedObjective:
-    """Restriction f~(Z) = f(W Z) to an orthonormal subspace basis W.
-
-    The atomic structure survives the substitution (linear matrices become
-    W'D, quadratic ones W'AW), so the reduced problem is again a composed
-    objective over m-by-k Stiefel points; its field is H~(Z) = W' H(WZ) W
-    with mismatch M~(Z) = M(WZ), because the recipe formulas are structural
-    in the substituted matrices.
-    """
-    W = require_stiefel(W, name="W")
-    return obj.transform(W)
-
-
 def _alignment_certificates(at: PointEvaluation, certs: dict) -> dict:
-    if at.obj.alignment is not None:
-        margin = at.obj.alignment.psd_margin(at)
-        if margin is not None:
-            certs["alignment_psd_margin"], certs["alignment_matrix_norm"] = margin
+    margin = at.obj.alignment.psd_margin(at)
+    if margin is not None:
+        certs["alignment_psd_margin"], certs["alignment_matrix_norm"] = margin
     return certs
 
 
@@ -309,11 +292,12 @@ class _PolarStep(_Step):
 class _SubspaceStep(_Step):
     """Maximize f over range([P, Riemannian gradient, previous iterate]).
 
-    The reduced problem f(WZ), W an orthonormal basis of that subspace, is
-    solved by ``solve``, the public plain solver of the step kind ``plain``,
-    from Z0 = the first k columns of the identity (the previous-iterate
-    block is absent on the first step), to ``INNER_TOL_FRACTION`` of the
-    outer residual within ``INNER_MAX_ITER`` iterations.  Residual,
+    The reduced problem f(WZ) = ``obj.transform(W)``, W an orthonormal
+    basis of that subspace, is solved by ``solve``, the public plain solver
+    of the step kind ``plain``, from Z0 = the first k columns of the
+    identity (the previous-iterate block is absent on the first step), to
+    ``INNER_TOL_FRACTION`` of the outer residual within ``INNER_MAX_ITER``
+    iterations.  Residual,
     certificates and ``monotone`` are the plain step's, so the realized
     gain is checked for ascent until a record carries ``sign_violated``.
     The record keeps the fields the plain residual measured at P (eps_kkt,
@@ -342,7 +326,7 @@ class _SubspaceStep(_Step):
         V = R if self.P_before is None else np.hstack([R, self.P_before])
         W_extra = orthonormalize_against(P, V)
         W = np.hstack([P, W_extra]) if W_extra.shape[1] else P.copy()
-        red = reduced_objective(obj, W)
+        red = obj.transform(W)
         Z0 = np.eye(W.shape[1], obj.k)
         inner = self.solve(red, Z0, NpdoConfig(
             tol=max(INNER_TOL_FRACTION * res, 1e-15), max_iter=INNER_MAX_ITER))

@@ -18,8 +18,15 @@ keeps them.  The term values, f, the outer partials, both gradients, the
 alignment matrix scriptD and the field are derived from those products, so
 one point costs one A P product per quadratic term however many of them a
 solver step asks for.  The solvers carry the evaluation at each iterate from
-the step that produced it to the next; the objective's own methods are
-one-line wrappers over a fresh evaluation.
+the step that produced it to the next.  The objective's ``value``,
+``euclidean_grad``, ``riemannian_grad``, ``script_d`` and ``field`` methods,
+and the single-term ``eval_atomic`` and ``grad_atomic``, are one-line
+wrappers over a fresh evaluation, kept because the benchmark's per-layer
+tracer wraps them by name; other per-point quantities are read off ``at(P)``.
+
+An objective is checked once, when it is built: term shapes and selectors,
+the field recipe against the selectors, and the alignment rule (a
+``stiefelscf.alignment.PolarAlignment``) against the terms.
 
 There are two field recipes: "generic" (H = G P' + P G' from the gradient G)
 and "composition" (the per-term fields weighted by the outer partials), which
@@ -38,6 +45,7 @@ from typing import Callable
 
 import numpy as np
 
+from .alignment import PolarAlignment
 from .kernels import _sym, as_matrix, require_symmetric
 
 __all__ = [
@@ -330,19 +338,23 @@ class ComposedObjective:
     ``ThetaRatioData(meta["theta"], A, B, D)`` with the terms' own matrices,
     else None.
 
-    ``alignment`` is the rotation rule the solvers use to map subproblem
-    solutions back into the feasible subset (duck-typed; see
-    ``stiefelscf.alignment``).  ``npdo_monotone`` / ``nepv_monotone`` declare
-    whether the respective framework's per-step ascent guarantee applies to
-    this objective; the solvers then check every step, and a step that
-    lowers f ends the solve with ``stop_reason="ascent_violated"``.
+    ``alignment`` is the ``PolarAlignment`` rule the solvers use to map
+    subproblem solutions back into the feasible subset; the default
+    ``PolarAlignment(blocks=())`` rotates nothing.  ``npdo_monotone`` /
+    ``nepv_monotone`` declare whether the respective framework's per-step
+    ascent guarantee applies to this objective; the solvers then check every
+    step, and a step that lowers f ends the solve with
+    ``stop_reason="ascent_violated"``.
 
     ``at(P)`` returns the ``PointEvaluation`` at P, which caches each term's
     products and what is derived from them; ``value``, ``euclidean_grad``,
-    ``riemannian_grad``, ``script_d``, ``field``, ``term_values`` and the
-    other per-point methods read one fresh evaluation each.  Instances are
-    immutable and hold no cache, so evaluations are pure and reentrant
-    (outer-function callbacks must themselves be reentrant).
+    ``riemannian_grad``, ``script_d`` and ``field`` read one fresh
+    evaluation each.  ``__post_init__`` validates the terms, the recipe and
+    the alignment rule once (``RecipeRequiresFullSelectors`` for the
+    composition recipe over a partial selector, ``TypeError`` for an
+    alignment that is not a ``PolarAlignment``, and ``PolarAlignment.check``).
+    Instances are immutable and hold no cache, so evaluations are pure and
+    reentrant (outer-function callbacks must themselves be reentrant).
     """
 
     n: int
@@ -350,7 +362,7 @@ class ComposedObjective:
     terms: tuple[AtomicTerm, ...]
     outer: OuterFunction
     field_recipe: str = "generic"
-    alignment: object = None
+    alignment: PolarAlignment = PolarAlignment(blocks=())
     npdo_monotone: bool = False
     nepv_monotone: bool = False
     meta: dict = field(default_factory=dict)
@@ -371,6 +383,15 @@ class ComposedObjective:
             if t.kind == "quadratic" and t.matrix.shape != (self.n, self.n):
                 raise ValueError(
                     f"quadratic term matrix shape {t.matrix.shape} != ({self.n}, {self.n})")
+        if self.field_recipe == "composition" and any(
+                t.cols is not None and len(t.cols) != self.k for t in self.terms):
+            raise RecipeRequiresFullSelectors(
+                "composition field recipe needs full-column selectors; "
+                "use the generic recipe for partial-column objectives")
+        if not isinstance(self.alignment, PolarAlignment):
+            raise TypeError(f"alignment must be a PolarAlignment, got "
+                            f"{type(self.alignment).__name__}")
+        self.alignment.check(self)
 
     @property
     def theta_data(self) -> ThetaRatioData | None:
@@ -383,9 +404,6 @@ class ComposedObjective:
     def at(self, P) -> "PointEvaluation":
         """The evaluation of f at P; P is validated here, once."""
         return PointEvaluation(self, as_matrix(P, "P"))
-
-    def term_values(self, P) -> np.ndarray:
-        return self.at(P).term_values
 
     def value(self, P) -> float:
         return self.at(P).value
@@ -405,14 +423,6 @@ class ComposedObjective:
         """Symmetric field H(P) and mismatch M(P) per the configured recipe."""
         return self.at(P).field
 
-    def mismatch_asymmetry(self, P) -> float:
-        """Asymmetry of M(P); ~0 certifies a field solution as a KKT point."""
-        return self.at(P).field.asymmetry
-
-    def theta_sign_ok(self, P) -> bool:
-        """Sign condition tr(P'AP + P'D) >= 0 for ratio exponents in (0, 1)."""
-        return self.at(P).theta_sign_ok
-
     # -- structural transforms ----------------------------------------------
 
     def transform(self, T, meta_update: dict | None = None) -> "ComposedObjective":
@@ -420,8 +430,9 @@ class ComposedObjective:
 
         Linear matrices map to T' D and quadratic ones to T' A T; selectors,
         outer function, field recipe and monotonicity declarations carry
-        over.  Used for subspace restriction (orthonormal T) and metric
-        lifting (T = R^{-1}).
+        over.  Used for subspace restriction (orthonormal T, the reduced
+        problem of the subspace-accelerated solvers, whose field is
+        T' H(TZ) T with mismatch M(TZ)) and metric lifting (T = R^{-1}).
         """
         T = as_matrix(T, "T")
         if T.shape[0] != self.n:
@@ -432,13 +443,13 @@ class ComposedObjective:
                 new_terms.append(replace(t, matrix=T.T @ t.matrix))
             else:
                 new_terms.append(replace(t, matrix=_sym(T.T @ t.matrix @ T)))
-        align = self.alignment.transform(T) if self.alignment is not None else None
         meta = dict(self.meta)
         if meta_update:
             meta.update(meta_update)
         return ComposedObjective(
             n=T.shape[1], k=self.k, terms=tuple(new_terms), outer=self.outer,
-            field_recipe=self.field_recipe, alignment=align,
+            field_recipe=self.field_recipe,
+            alignment=self.alignment.transform(T),
             npdo_monotone=self.npdo_monotone, nepv_monotone=self.nepv_monotone,
             meta=meta)
 
@@ -514,10 +525,6 @@ class PointEvaluation:
         """Symmetric field H(P) and mismatch M(P) per the objective's recipe."""
         obj, P = self.obj, self.P
         if obj.field_recipe == "composition":
-            if any(t.cols is not None and len(t.cols) != obj.k for t in obj.terms):
-                raise RecipeRequiresFullSelectors(
-                    "composition field recipe needs full-column selectors; "
-                    "use the generic recipe for partial-column objectives")
             H = np.zeros((obj.n, obj.n))
             M = np.zeros((obj.k, obj.k))
             for i, (w, t) in enumerate(zip(self.partials, obj.terms)):

@@ -248,6 +248,10 @@ def build(spec: ProblemSpec) -> ComposedObjective:
                                  f"[0, {theta_max:g}]{why}, got {theta}")
         A = _get(spec, "A", (n, n), symmetric=True, role=A_role)
         D = _get(spec, "D", (n, k), role=D_role)
+        if not (A.any() or D.any()):
+            # The numerator tr(P'AP + P'D) would be 0 at every point.
+            raise ValueError(f"{fam} needs a nonzero 'A' or 'D' (the ratio's "
+                             "numerator); both are zero or missing")
         B = _get(spec, "B", (n, n), symmetric=True)
         _check_ratio_denominator(B, k, fam)
         terms = (AtomicTerm.quadratic(B), AtomicTerm.quadratic(A),

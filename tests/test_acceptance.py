@@ -9,7 +9,7 @@ import pytest
 
 import stiefelscf as ss
 from stiefelscf import cli
-from stiefelscf.alignment import PolarOfDAlignment
+from stiefelscf.alignment import PolarAlignment
 from stiefelscf.kernels import polar_factor, random_stiefel, sym_part, trace_norm
 from stiefelscf.npdo import IterationRecord, SolveReport, project_feasible
 from stiefelscf.objective import AtomicTerm, ComposedObjective, outer_sum
@@ -147,7 +147,7 @@ def _atom_objectives(n=6, k=2):
     A_ind = make_sym(n, 44)
     for m in (1, 2, 3):
         for s in (1.0, 2.0, 1.5):
-            align = PolarOfDAlignment(D) if s > 1.0 else None
+            align = PolarAlignment(D) if s > 1.0 else PolarAlignment(blocks=())
             yield f"linear-m{m}-s{s}", ComposedObjective(
                 n, k, (AtomicTerm.linear(D, m=m, s=s),), outer_sum(1),
                 field_recipe="composition", alignment=align), s > 1.0
@@ -216,7 +216,7 @@ def test_criterion_2_euler_identities():
         for s in (1.0, 2.0, 1.5):
             term = AtomicTerm.linear(D, m=m, s=s)
             obj = ComposedObjective(n, k, (term,), outer_sum(1),
-                                    alignment=PolarOfDAlignment(D))
+                                    alignment=PolarAlignment(D))
             for t in range(100):
                 P = random_stiefel(n, k, 900 + t)
                 if s != 1.0:
@@ -244,7 +244,7 @@ def test_criterion_3_one_step_closed_forms():
     D = rng.standard_normal((9, 3))
     lin = ComposedObjective(9, 3, (AtomicTerm.linear(D),), outer_sum(1),
                             field_recipe="composition",
-                            alignment=ss.ScriptDPolarAlignment(),
+                            alignment=ss.PolarAlignment(),
                             npdo_monotone=True)
     rep = ss.npdo_scf(lin, random_stiefel(9, 3, 0))
     assert rep.converged and rep.num_iterations == 1

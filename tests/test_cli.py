@@ -359,6 +359,19 @@ class TestRun:
         assert err.startswith("error: sumct: blocks must partition")
         assert err.count("\n") == 1, err
 
+    @pytest.mark.parametrize("family", ["theta_tr", "theta_tr_sq"])
+    def test_ratio_without_numerator_exits_one(self, tmp_path, capsys,
+                                               family):
+        # Only B: the numerator used to be zero at every point, and the run
+        # reported "converged, f = 0" with exit 0.
+        p = write_problem(tmp_path / "ratio.json", {
+            "family": family, "n": 4, "k": 2, "theta": 0.25,
+            "matrices": {"B": make_psd(4, 4, 1.0).tolist()}})
+        assert main(["run", "--problem", str(p)]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert "'A' or 'D'" in err
+
     @pytest.mark.parametrize("family, phi", [
         ("umds", "sum"), ("trcp", "sum"), ("trcp", "quad_penalty"),
         ("trcp", "logsumexp")])

@@ -13,7 +13,7 @@ from stiefelscf.kernels import random_stiefel, trace_norm
 from stiefelscf.nepv import nepv_scf
 from stiefelscf.npdo import IterationRecord, SolveReport, npdo_scf
 from stiefelscf.objective import AtomicTerm, ComposedObjective, outer_sum
-from stiefelscf.alignment import ScriptDPolarAlignment
+from stiefelscf.alignment import PolarAlignment
 from stiefelscf.problems import ProblemSpec, build
 
 
@@ -37,11 +37,9 @@ class TestGradientCheck:
 
     def test_powered_linear_atom(self):
         D = np.random.default_rng(2).standard_normal((5, 2))
-        from stiefelscf.alignment import PolarOfDAlignment
-
         obj = ComposedObjective(5, 2, (AtomicTerm.linear(D, m=3, s=2.0),),
                                 outer_sum(1),
-                                alignment=PolarOfDAlignment(D))
+                                alignment=PolarAlignment(D))
         from stiefelscf.npdo import project_feasible
 
         # Check at feasible points, where the power's base is nonnegative.
@@ -72,7 +70,7 @@ class TestBruteForceOracle:
         D = rng.standard_normal((4, 2))
         obj = ComposedObjective(4, 2, (AtomicTerm.linear(D),), outer_sum(1),
                                 field_recipe="composition",
-                                alignment=ScriptDPolarAlignment(),
+                                alignment=PolarAlignment(),
                                 nepv_monotone=True)
         best_f, _ = brute_force_oracle(obj, budget=60, seed=0)
         assert best_f == pytest.approx(trace_norm(D), abs=1e-8)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -215,6 +216,68 @@ class TestTopKEigenpairs:
         assert np.all(V[lead, np.arange(k)] > 0)
 
 
+def reference_flips(V):
+    # The sign rule as a per-column loop: column j is flipped when its first
+    # largest-|.| entry is negative (never for a zero column).
+    flips = np.ones(V.shape[1])
+    for j in range(V.shape[1]):
+        if V[np.argmax(np.abs(V[:, j])), j] < 0:
+            flips[j] = -1.0
+    return flips
+
+
+def small_integer_matrix(data, n, k, label):
+    # Entries in -2..2, so that |entries| tie often, with some columns
+    # zeroed.
+    M = np.array(data.draw(st.lists(st.integers(-2, 2), min_size=n * k,
+                                    max_size=n * k), label=label),
+                 dtype=float).reshape(n, k)
+    zero = data.draw(st.lists(st.booleans(), min_size=k, max_size=k),
+                     label=f"{label} zero columns")
+    M[:, zero] = 0.0
+    return M
+
+
+class TestSignConvention:
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 8))
+    def test_polar_factor_is_the_same_under_any_flips(self, data, n):
+        # Flipping a singular pair (u_j, v_j) leaves U Vt and Vt' diag(s) Vt
+        # unchanged bit for bit, so polar_factor needs no sign rule: its
+        # factors equal those after the reference loop's flips, or any.
+        k = data.draw(st.integers(1, n), label="k")
+        B = small_integer_matrix(data, n, k, "B")
+        drawn = np.array(data.draw(st.lists(st.sampled_from([-1.0, 1.0]),
+                                            min_size=k, max_size=k),
+                                   label="flips"))
+        pol = polar_factor(B)
+        U, s, Vt = np.linalg.svd(B, full_matrices=False)
+        for flips in (np.ones(k), reference_flips(U), drawn):
+            U_f, Vt_f = U * flips, Vt * flips[:, None]
+            assert np.array_equal(pol.orthogonal_factor, U_f @ Vt_f)
+            Lam = Vt_f.T @ (s[:, None] * Vt_f)
+            assert np.array_equal(pol.psd_factor, 0.5 * (Lam + Lam.T))
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 8))
+    def test_top_k_eigenpairs_flips_as_the_reference_loop(self, data, n):
+        # Zeroed rows and columns of H give eigenvectors with exact zeros
+        # and exact ties.
+        k = data.draw(st.integers(1, n), label="k")
+        G = small_integer_matrix(data, n, n, "G")
+        H = G + G.T
+        zero = ~G.any(axis=0)
+        H[zero, :] = 0.0
+        H[:, zero] = 0.0
+        syevr, = scipy.linalg.get_lapack_funcs(("syevr",), dtype=np.float64)
+        _, V, _, _, info = syevr(H.copy(), compute_v=1, range="I",
+                                 il=max(n - k, 1), iu=n)
+        assert info == 0
+        basis = V[:, ::-1][:, :k]
+        out = top_k_eigenpairs(H, k).eigenbasis
+        assert np.array_equal(out, basis * reference_flips(basis))
+
+
 class TestTraceNorm:
     def test_identity(self):
         assert trace_norm(np.eye(3)) == pytest.approx(3.0)
@@ -307,6 +370,26 @@ class TestOrthonormalizeAgainst:
             basis = np.hstack([P, W])
             proj = basis @ (basis.T @ V)
             assert np.allclose(proj, V, atol=1e-8)
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), n=st.integers(2, 12),
+           seed=st.integers(0, 2**32 - 1),
+           scale=st.sampled_from([1e-3, 1.0, 1e3]))
+    def test_rank_deficient_input(self, data, n, seed, scale):
+        # V = P C + Y E with Y of r < m columns: at most r directions lie
+        # outside range(P), and what comes back is orthonormal and
+        # orthogonal to P.
+        k = data.draw(st.integers(1, n - 1), label="k")
+        m = data.draw(st.integers(1, 6), label="m")
+        r = data.draw(st.integers(0, m - 1), label="r")
+        rng = np.random.default_rng(seed)
+        P = random_stiefel(n, k, seed)
+        V = (scale * P @ rng.standard_normal((k, m))
+             + rng.standard_normal((n, r)) @ rng.standard_normal((r, m)))
+        W = orthonormalize_against(P, V)
+        assert W.shape[0] == n and W.shape[1] <= r
+        assert np.linalg.norm(W.T @ W - np.eye(W.shape[1])) <= 1e-12
+        assert np.linalg.norm(P.T @ W) <= 1e-12
 
 
 class TestRandomStiefel:

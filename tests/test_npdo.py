@@ -5,10 +5,7 @@ import pytest
 
 from stiefelscf.alignment import (
     BlockOverlapError,
-    BlockPolarAlignment,
-    IdentityAlignment,
-    PolarOfDAlignment,
-    ScriptDPolarAlignment,
+    PolarAlignment,
     align_rotation,
 )
 from stiefelscf.kernels import polar_factor, random_stiefel, sym_part, trace_norm
@@ -19,7 +16,6 @@ from stiefelscf.npdo import (
     npdo_locg,
     npdo_scf,
     npdo_scf_step,
-    reduced_objective,
 )
 from stiefelscf.objective import AtomicTerm, ComposedObjective, outer_sum
 from stiefelscf.problems import ProblemSpec, build
@@ -35,7 +31,7 @@ def linear_objective(D):
     n, k = D.shape
     return ComposedObjective(n, k, (AtomicTerm.linear(D),), outer_sum(1),
                              field_recipe="composition",
-                             alignment=ScriptDPolarAlignment(),
+                             alignment=PolarAlignment(),
                              npdo_monotone=True, nepv_monotone=True)
 
 
@@ -65,14 +61,14 @@ class TestKktResiduals:
 class TestAlignRotation:
     def test_identity(self):
         P_hat = random_stiefel(5, 2, 0)
-        Q, P = align_rotation(IdentityAlignment(), P_hat, None)
+        Q, P = align_rotation(PolarAlignment(blocks=()), P_hat, None)
         assert np.allclose(Q, np.eye(2))
         assert P is P_hat or np.allclose(P, P_hat)
 
     def test_sign_flip_k1(self):
         D = np.array([[1.0], [0.0]])
         P_hat = np.array([[-0.5], [np.sqrt(3) / 2]])
-        Q, P = align_rotation(PolarOfDAlignment(D), P_hat, None)
+        Q, P = align_rotation(PolarAlignment(D), P_hat, None)
         assert Q[0, 0] == pytest.approx(-1.0)
         assert (P.T @ D).item() == pytest.approx(0.5)
 
@@ -81,7 +77,7 @@ class TestAlignRotation:
         D = np.array([[0.0, 1.0], [1.0, 0.0], [0.0, 0.0]])
         P_hat = np.eye(3)[:, :2]
         obj = linear_objective(D)
-        Q, P = align_rotation(ScriptDPolarAlignment(), P_hat, obj.at(P_hat))
+        Q, P = align_rotation(PolarAlignment(), P_hat, obj.at(P_hat))
         assert np.allclose(Q, [[0.0, 1.0], [1.0, 0.0]])
         S = P.T @ D
         assert np.allclose(S, np.eye(2))
@@ -109,11 +105,38 @@ class TestAlignRotation:
         D = np.ones((n, 2))
         terms = (AtomicTerm.linear(D[:, :1], cols=(0,)),
                  AtomicTerm.linear(D[:, :1], cols=(0,)))
-        obj = ComposedObjective(n, k, terms, outer_sum(2),
-                                alignment=BlockPolarAlignment((0, 1)))
         with pytest.raises(BlockOverlapError):
-            align_rotation(obj.alignment, random_stiefel(n, k, 0),
-                           obj.at(random_stiefel(n, k, 0)))
+            ComposedObjective(n, k, terms, outer_sum(2),
+                              alignment=PolarAlignment(blocks=(0, 1)))
+
+    @pytest.mark.parametrize("rule, match", [
+        (PolarAlignment(blocks=(2,)), "block 2 is out of range"),
+        (PolarAlignment(blocks=(-1,)), "block -1 is out of range"),
+        (PolarAlignment(blocks=(0,)), "block 0 names a quadratic term"),
+        (PolarAlignment(np.ones((5, 2))), r"D has shape \(5, 2\)"),
+        (PolarAlignment(np.ones((4, 3))), r"D has shape \(4, 3\)"),
+        (PolarAlignment(np.ones((4, 2)), blocks=(1,)), "D or blocks, not both"),
+    ], ids=["index-past-end", "negative-index", "quadratic-term",
+            "D-rows", "D-columns", "D-and-blocks"])
+    def test_invalid_rule_rejected_when_built(self, rule, match):
+        # Each used to pass construction and then fail mid-solve (a bare
+        # IndexError, or "polar_factor needs a tall matrix"), or, for a D
+        # next to blocks, to ignore D.
+        n, k = 4, 2
+        terms = (AtomicTerm.quadratic(np.eye(n)),
+                 AtomicTerm.linear(np.ones((n, k))))
+        with pytest.raises(ValueError, match=match):
+            ComposedObjective(n, k, terms, outer_sum(2), alignment=rule)
+
+    def test_alignment_none_rejected(self):
+        with pytest.raises(TypeError, match="alignment"):
+            ComposedObjective(3, 1, (AtomicTerm.quadratic(np.eye(3)),),
+                              outer_sum(1), alignment=None)
+
+    def test_default_rule_rotates_nothing(self):
+        obj = ComposedObjective(3, 1, (AtomicTerm.quadratic(np.eye(3)),),
+                                outer_sum(1))
+        assert obj.alignment == PolarAlignment(blocks=())
 
 
 class TestNpdoScfStep:
@@ -210,7 +233,7 @@ class TestReducedObjective:
     def test_identity_basis(self):
         obj = build(ProblemSpec("mbsub", 6, 2, {
             "A": make_psd(6, 1), "D": np.random.default_rng(0).standard_normal((6, 2))}))
-        red = reduced_objective(obj, np.eye(6))
+        red = obj.transform(np.eye(6))
         for seed in range(3):
             P = random_stiefel(6, 2, seed)
             assert red.value(P) == pytest.approx(obj.value(P), rel=1e-12)
@@ -219,7 +242,7 @@ class TestReducedObjective:
         A = make_psd(8, 3)
         obj = build(ProblemSpec("sep", 8, 2, {"A": A}))
         W = random_stiefel(8, 4, 1)
-        red = reduced_objective(obj, W)
+        red = obj.transform(W)
         # Substituted atomic structure: W'AW drives the reduced problem.
         assert np.allclose(red.terms[0].matrix, sym_part(W.T @ A @ W), atol=1e-12)
         for seed in range(100):
@@ -234,7 +257,7 @@ class TestReducedObjective:
         obj = build(ProblemSpec("mbsub", 7, 2, {
             "A": make_psd(7, 2), "D": np.random.default_rng(1).standard_normal((7, 2))}))
         W = random_stiefel(7, 5, 2)
-        red = reduced_objective(obj, W)
+        red = obj.transform(W)
         Z = random_stiefel(5, 2, 3)
         G = red.euclidean_grad(Z)
         FD = np.zeros_like(G)
@@ -245,11 +268,6 @@ class TestReducedObjective:
                 E[i, j] = h
                 FD[i, j] = (red.value(Z + E) - red.value(Z - E)) / (2 * h)
         assert np.linalg.norm(FD - G) <= 1e-6 * max(1.0, np.linalg.norm(G))
-
-    def test_rejects_non_orthonormal_basis(self):
-        obj = build(ProblemSpec("sep", 5, 2, {"A": make_psd(5, 0)}))
-        with pytest.raises(ValueError):
-            reduced_objective(obj, np.ones((5, 3)))
 
 
 class TestNpdoLocg:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from stiefelscf.alignment import IdentityAlignment
+from stiefelscf.alignment import PolarAlignment
 from stiefelscf.kernels import random_stiefel, sym_part
 from stiefelscf import objective
 from stiefelscf.objective import (
@@ -151,7 +151,7 @@ def mbsub_objective(n, k, seed, psd=True):
     terms = (AtomicTerm.quadratic(A), AtomicTerm.linear(D))
     return ComposedObjective(n, k, terms, outer_sum(2),
                              field_recipe="composition",
-                             alignment=IdentityAlignment()), A, D
+                             alignment=PolarAlignment(blocks=())), A, D
 
 
 class TestComposedObjective:
@@ -349,11 +349,10 @@ class TestField:
             assert np.linalg.norm(resid) <= 1e-12 * np.linalg.norm(fe.H)
 
     def test_composition_requires_full_selectors(self):
-        obj = ComposedObjective(
-            4, 2, (AtomicTerm.quadratic(np.eye(4), cols=(0,)),), outer_sum(1),
-            field_recipe="composition")
         with pytest.raises(RecipeRequiresFullSelectors):
-            obj.field(random_stiefel(4, 2, 0))
+            ComposedObjective(
+                4, 2, (AtomicTerm.quadratic(np.eye(4), cols=(0,)),),
+                outer_sum(1), field_recipe="composition")
 
     def test_field_trace_identity_composition(self):
         # tr(P'HP) = sum_i 2 s_i m_i phi_i value_i for the composition recipe.
@@ -370,7 +369,7 @@ class TestField:
         for seed in range(20):
             P = random_stiefel(n, k, seed)
             fe = obj.field(P)
-            x = obj.term_values(P)
+            x = obj.at(P).term_values
             phi = obj.outer.partials(x)
             expected = sum(g * w * v for g, w, v in zip(gammas, phi, x))
             got = np.trace(P.T @ fe.H @ P)
@@ -392,11 +391,11 @@ class TestField:
         A = make_psd(5, 6)
         obj = ComposedObjective(5, 2, (AtomicTerm.quadratic(A),), outer_sum(1),
                                 field_recipe="composition")
-        assert obj.mismatch_asymmetry(random_stiefel(5, 2, 1)) <= 1e-12
+        assert obj.at(random_stiefel(5, 2, 1)).field.asymmetry <= 1e-12
 
     def test_mismatch_asymmetry_positive_generically(self):
         obj, _, _ = mbsub_objective(6, 2, 8)
-        vals = [obj.mismatch_asymmetry(random_stiefel(6, 2, s)) for s in range(5)]
+        vals = [obj.at(random_stiefel(6, 2, s)).field.asymmetry for s in range(5)]
         assert all(v > 1e-6 for v in vals)
 
     def test_transform_substitutes_structure(self):
@@ -471,4 +470,4 @@ class TestPointEvaluation:
         for seed in range(10):
             P = random_stiefel(obj.n, obj.k, seed)
             num = np.trace(P.T @ A @ P) + np.trace(P.T @ D)
-            assert obj.theta_sign_ok(P) == (num >= 0.0)
+            assert obj.at(P).theta_sign_ok == (num >= 0.0)

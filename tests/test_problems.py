@@ -137,6 +137,19 @@ class TestBuilders:
                                  r"expected \(4, 4\)"):
             build(spec)
 
+    @pytest.mark.parametrize("family, matrices", [
+        ("theta_tr", {}), ("theta_tr_sq", {}),
+        ("theta_tr", {"A": np.zeros((4, 4)), "D": np.zeros((4, 2))}),
+        ("olda", {"A": np.zeros((4, 4))}), ("occa", {"D": np.zeros((4, 2))}),
+    ], ids=["theta_tr-missing", "theta_tr_sq-missing", "theta_tr-zero",
+            "olda-zero-A", "occa-zero-D"])
+    def test_ratio_without_numerator_rejected(self, family, matrices):
+        # A zero or missing A and D made a numerator that is 0 at every
+        # point, so the solve "converged" to f = 0 in 0 iterations.
+        B = make_psd(4, 7, shift=1.0)
+        with pytest.raises(ValueError, match="nonzero 'A' or 'D'"):
+            build(ProblemSpec(family, 4, 2, dict(matrices, B=B), theta=0.25))
+
     def test_ratio_without_rank_condition_rejected(self):
         B = np.diag([1.0, 0.0, 0.0, 0.0])  # s_k(B) = 0 for k = 2
         with pytest.raises(ValueError, match="smallest eigenvalues"):
