@@ -45,12 +45,14 @@ from .npdo import (
     NpdoConfig,
     SolveReport,
     kkt_residuals,
+    npdo_certificates,
     npdo_locg,
     npdo_scf,
     npdo_scf_step,
 )
 from .nepv import (
     NepvConfig,
+    nepv_certificates,
     nepv_locg,
     nepv_residual,
     nepv_scf,

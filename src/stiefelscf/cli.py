@@ -35,8 +35,8 @@ from .diagnostics import (
     theta_step_audit,
 )
 from .kernels import random_stiefel
-from .nepv import NepvConfig, nepv_locg, nepv_scf
-from .npdo import NpdoConfig, npdo_locg, npdo_scf
+from .nepv import nepv_certificates, nepv_locg, nepv_scf
+from .npdo import NpdoConfig, npdo_certificates, npdo_locg, npdo_scf
 from .objective import FIELD_IDENTITY_TOL
 from .problems import ProblemSpec, build, procrustes_residual
 
@@ -49,10 +49,10 @@ TRACE_HEADER = ("iter,f,eps_kkt,eps_sym,eps_nepv,"
                 "gap_or_sigmamin,eta,step_angle,m_asymmetry")
 
 SOLVERS = {
-    "npdo": (npdo_scf, NpdoConfig),
-    "npdo-locg": (npdo_locg, NpdoConfig),
-    "nepv": (nepv_scf, NepvConfig),
-    "nepv-locg": (nepv_locg, NepvConfig),
+    "npdo": npdo_scf,
+    "npdo-locg": npdo_locg,
+    "nepv": nepv_scf,
+    "nepv-locg": nepv_locg,
 }
 
 logger = logging.getLogger("stiefelscf")
@@ -185,8 +185,18 @@ def write_report(path, payload: dict) -> None:
     _atomic_write(path, json.dumps(clean, indent=2, sort_keys=True) + "\n")
 
 
+def _certificates(obj, P, framework: str) -> dict:
+    """The exit certificates of ``framework`` ("npdo" or "nepv") at P."""
+    return (npdo_certificates if framework == "npdo"
+            else nepv_certificates)(obj, P)
+
+
 def run_audits(which: set[str], obj, report, spec, framework: str) -> tuple[dict, bool]:
-    """Execute the requested audits; returns (diagnostics, all_passed)."""
+    """Execute the requested audits; returns (diagnostics, all_passed).
+
+    The ``certs`` audit computes the certificates of ``framework`` at the
+    report's point.
+    """
     diag: dict = {}
     ok = True
     if "grad" in which:
@@ -212,7 +222,9 @@ def run_audits(which: set[str], obj, report, spec, framework: str) -> tuple[dict
         mono = monotonicity_audit(report)
         diag["monotone"] = mono
         certs_ok = mono["ok"]
-        c = report.certificates
+        # As in the solve, a non-finite value is a result, not a warning.
+        with np.errstate(all="ignore"):
+            c = _certificates(obj, report.point, framework)
         if "lambda_min_of_multiplier" in c:
             certs_ok &= (c["lambda_min_of_multiplier"]
                          >= -1e-8 * max(c["multiplier_norm"], 1e-300))
@@ -231,7 +243,7 @@ def run_audits(which: set[str], obj, report, spec, framework: str) -> tuple[dict
 
 def run_one(args) -> int:
     """Solve one problem file per the parsed CLI arguments."""
-    solver_fn, cfg_cls = SOLVERS[args.solver]
+    framework = "npdo" if args.solver.startswith("npdo") else "nepv"
     try:
         # Finite but huge input overflows in the builder's norm and spectrum
         # checks; the solve reports it, so numpy's overflow messages are
@@ -240,7 +252,7 @@ def run_one(args) -> int:
         with np.errstate(over="ignore", invalid="ignore"):
             spec = load_problem(args.problem)
             obj = build(spec)
-        cfg = cfg_cls(tol=args.tol, max_iter=args.max_iter)
+        cfg = NpdoConfig(tol=args.tol, max_iter=args.max_iter)
         P0 = random_stiefel(spec.n, spec.k, args.seed)
     except Exception as exc:
         # Any failure ends this problem only, so a batch runs the others.
@@ -253,14 +265,14 @@ def run_one(args) -> int:
         # floating-point messages are noise.  errstate, unlike a process-wide
         # filter, is context-local and so safe in batch threads.
         with np.errstate(all="ignore"):
-            report = solver_fn(obj, P0, cfg)
+            report = SOLVERS[args.solver](obj, P0, cfg)
+            certs = _certificates(obj, report.point, framework)
     except Exception as exc:
         # ValueError and LinAlgError from a numerical failure, or anything
         # else: it ends this solve only, so a batch still runs the others.
         logger.debug("solve of %s failed", args.problem, exc_info=True)
         print(f"error: solve failed: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    framework = "npdo" if args.solver.startswith("npdo") else "nepv"
     logger.info("%s on %s: f = %.12g, converged = %s in %d iterations",
                 args.solver, spec.family, report.f_final, report.converged,
                 report.num_iterations)
@@ -271,12 +283,10 @@ def run_one(args) -> int:
         "converged": report.converged,
         "iters": report.num_iterations,
         "f_final": report.f_final,
-        "certificates": dict(report.certificates),
+        "certificates": certs,
         "diagnostics": {"stop_reason": report.stop_reason,
                         "f_initial": report.f_initial,
-                        "declared_ascent": (obj.npdo_monotone
-                                            if framework == "npdo"
-                                            else obj.nepv_monotone)},
+                        "declared_ascent": getattr(obj, f"{framework}_monotone")},
     }
     if obj.meta.get("family") == "procrustes":
         payload["diagnostics"]["procrustes_residual"] = procrustes_residual(

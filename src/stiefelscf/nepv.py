@@ -20,8 +20,8 @@ P lies in the Krylov space the trace gain is >= 0, and the record carries
 the Ritz gap, the gap of the eigenproblem the step solved.  Otherwise the
 step falls back to the dense LAPACK solve, which also serves the first
 step, every step after a failed attempt, small fields and the
-``nepv_locg`` inner problems.  The exit certificates always read the exact
-spectrum.
+``nepv_locg`` inner problems.  ``nepv_certificates``, the exit
+certificates at a point, always reads the exact spectrum.
 """
 
 from __future__ import annotations
@@ -49,10 +49,11 @@ from .npdo import (
     _Step,
     _SubspaceStep,
 )
-from .objective import ComposedObjective
+from .objective import ComposedObjective, PointEvaluation
 
 __all__ = [
     "NepvConfig",
+    "nepv_certificates",
     "nepv_locg",
     "nepv_residual",
     "nepv_scf",
@@ -86,6 +87,35 @@ def _nepv_residual_from_field(P, H, HP) -> float:
     if xi < ZERO_GRAD_FLOOR:
         return 0.0
     return float(np.linalg.norm(HP - P @ (P.T @ HP)) / xi)
+
+
+def nepv_certificates(obj: ComposedObjective, P) -> dict:
+    """Exit certificates of the eigenvector route at P.
+
+    How far the eigenvalues of Omega = P'H(P)P sit from the k largest
+    eigenvalues of H(P), the spectral norm and eigenvalue gap of H(P), the
+    mismatch asymmetry that promotes a field solution to a KKT point, the
+    field residual of ``nepv_residual``, ``field_identity`` (the residual of
+    H(P) P - grad f(P) = P M(P), the identity the field is built on,
+    relative to max(1, ||H(P)||_F)) and, for a rule with a D, the alignment
+    PSD margin.  They read eigenvalues only: one eigvalsh of the field gives
+    the top k, the gap and the spectral norm.
+    """
+    at = PointEvaluation(obj, require_stiefel(P))
+    P, field, k = at.P, at.field, obj.k
+    H = field.H
+    HP = H @ P
+    omega_eigs = np.linalg.eigvalsh(_sym(P.T @ HP))[::-1]
+    w = np.linalg.eigvalsh(_sym(H))[::-1]  # descending
+    identity = np.linalg.norm(HP - at.euclidean_grad - P @ field.mismatch)
+    return _alignment_certificates(at, {
+        "omega_vs_topk_max_dev": float(np.max(np.abs(omega_eigs - w[:k]))),
+        "field_norm": float(max(abs(w[0]), abs(w[-1]))),
+        "field_identity": float(identity / max(1.0, np.linalg.norm(H))),
+        "mismatch_asymmetry": field.asymmetry,
+        "gap": float(w[k - 1] - w[k]) if k < len(w) else np.inf,
+        "eps_nepv": _nepv_residual_from_field(P, H, HP),
+    })
 
 
 class _EigenStep(_Step):
@@ -165,26 +195,6 @@ class _EigenStep(_Step):
         self.guard = None if failed else spect.next_vector
         return spect
 
-    def certificates(self, at) -> dict:
-        # The certificates read eigenvalues only: one eigvalsh of the field
-        # gives the top k, the gap and the spectral norm.  ``field_identity``
-        # measures H P - grad = P M, the identity the field is built on,
-        # relative to max(1, ||H||_F).
-        P, field, k = at.P, at.field, self.obj.k
-        H = field.H
-        HP = H @ P
-        omega_eigs = np.linalg.eigvalsh(_sym(P.T @ HP))[::-1]
-        w = np.linalg.eigvalsh(_sym(H))[::-1]  # descending
-        identity = np.linalg.norm(HP - at.euclidean_grad - P @ field.mismatch)
-        return _alignment_certificates(at, {
-            "omega_vs_topk_max_dev": float(np.max(np.abs(omega_eigs - w[:k]))),
-            "field_norm": float(max(abs(w[0]), abs(w[-1]))),
-            "field_identity": float(identity / max(1.0, np.linalg.norm(H))),
-            "mismatch_asymmetry": field.asymmetry,
-            "gap": float(w[k - 1] - w[k]) if k < len(w) else np.inf,
-            "eps_nepv": _nepv_residual_from_field(P, H, HP),
-        })
-
 
 def nepv_scf_step(obj: ComposedObjective, P):
     """One eigenvector-SCF step: top-k eigenbasis of H(P), then alignment.
@@ -203,17 +213,13 @@ def nepv_scf(obj: ComposedObjective, P0, cfg: NepvConfig | None = None,
     """Eigenvector SCF loop over the objective's field recipe.
 
     Iterates until the field residual drops below tolerance or the budget
-    runs out.  At exit the certificates record how far the eigenvalues of
-    Omega = P'H(P)P sit from the k largest eigenvalues of H(P), and the
-    mismatch asymmetry that promotes a field solution to a KKT point.
-    Each record flags a near-degenerate gap (``gap_degenerate``); for a
+    runs out; ``nepv_certificates`` certifies the returned point.  Each
+    record flags a near-degenerate gap (``gap_degenerate``); for a
     ratio exponent strictly between 0 and 1 the sign condition
     tr(P'AP + P'D) >= 0 is checked each iteration, and a violation flags
     the record (``sign_violated``) and switches the ascent check off for the
     rest of the run.  While the check is on, a step that lowers f is
     flagged ``ascent_violated`` and ends the solve with that stop reason.
-    The certificates include ``field_identity``, the relative residual of
-    H(P) P - grad f(P) = P M(P) at the returned point.
     """
     cfg = cfg or NepvConfig()
     return _scf(obj, P0, cfg, _EigenStep(obj), callback)

@@ -15,9 +15,14 @@ functions run the same step code as iteration 0 of their solver.
 
 The loop carries the objective's ``PointEvaluation`` at the current iterate:
 a step lands on P_next by evaluating f there, and the next iteration's
-residual, step, alignment and, at exit, the certificates read the same
-evaluation, so each iterate's A P products are formed once.  Inputs are
-validated at the public entry points only.
+residual, step and alignment read the same evaluation, so each iterate's
+A P products are formed once.  Inputs are validated at the public entry
+points only.
+
+The exit certificates are a function of a point, not of a solve:
+``npdo_certificates`` here and ``nepv.nepv_certificates`` evaluate them at
+any P, the returned point of a solve included.  No solve computes them, so
+the inner solves of the subspace step pay nothing for them.
 
 A solve reports only through its ``SolveReport``: an exhausted budget is
 ``converged=False, stop_reason="max_iter"``, and what the theory's
@@ -51,6 +56,7 @@ __all__ = [
     "NpdoConfig",
     "SolveReport",
     "kkt_residuals",
+    "npdo_certificates",
     "npdo_locg",
     "npdo_scf",
     "npdo_scf_step",
@@ -82,16 +88,17 @@ class NpdoConfig:
 
     Residuals are always scaled by the Frobenius norm of the gradient or
     field; the subspace inner solve uses ``INNER_TOL_FRACTION`` and
-    ``INNER_MAX_ITER``.  ``max_iter = 0`` takes no step: the solve only
-    certifies its (projected) start.
+    ``INNER_MAX_ITER``.  ``max_iter = 0`` takes no step: the solve returns
+    its (projected) start, which ``npdo_certificates`` or
+    ``nepv.nepv_certificates`` then certify.
     """
 
     tol: float = 1e-8
     max_iter: int = 5000
 
     def __post_init__(self):
-        if not self.tol > 0:
-            raise ValueError("tol must be positive")
+        if not 0 < self.tol < np.inf:
+            raise ValueError("tol must be positive and finite")
         if self.max_iter < 0:
             raise ValueError("max_iter must be >= 0")
 
@@ -139,15 +146,13 @@ class IterationRecord:
 
 @dataclass
 class SolveReport:
-    """Outcome of a solve: final point, trace, and exit certificates.
+    """Outcome of a solve: final point and trace.
 
-    ``certificates`` holds the quantities the optimality theory makes
-    testable at the returned point (multiplier spectrum / field spectrum
-    agreement, mismatch asymmetry, alignment PSD margin, exit residuals).
-    Whenever the objective declares the framework's ascent guarantee, the
-    recorded f sequence is non-decreasing up to rounding slack, or the
-    solve stops with ``stop_reason="ascent_violated"`` at the first step
-    that breaks it.
+    ``npdo_certificates`` or ``nepv.nepv_certificates`` at ``point`` give
+    the exit certificates.  Whenever the objective declares the framework's
+    ascent guarantee, the recorded f sequence is non-decreasing up to
+    rounding slack, or the solve stops with
+    ``stop_reason="ascent_violated"`` at the first step that breaks it.
     """
 
     point: np.ndarray
@@ -156,7 +161,6 @@ class SolveReport:
     converged: bool
     stop_reason: str
     iterations: list[IterationRecord] = field(default_factory=list)
-    certificates: dict = field(default_factory=dict)
     solver: str = ""
 
     @property
@@ -183,6 +187,28 @@ def _kkt_residuals_from_grad(P, G):
     eps_kkt = float(np.linalg.norm(G - P @ PtG) / xi)
     eps_sym = float(np.linalg.norm(PtG - PtG.T) / xi)
     return eps_kkt, eps_sym
+
+
+def npdo_certificates(obj: ComposedObjective, P) -> dict:
+    """Exit certificates of the polar route at P.
+
+    The smallest eigenvalue and spectral norm of the symmetrized multiplier
+    P'G (nonnegative at a certified point), the asymmetry ||P'G - G'P||_F,
+    the KKT residuals of ``kkt_residuals`` and, for a rule with a D, the
+    alignment PSD margin; G is the Euclidean gradient at P.
+    """
+    at = PointEvaluation(obj, require_stiefel(P))
+    P, G = at.P, at.euclidean_grad
+    Lam = P.T @ G
+    sym_lam = _sym(Lam)
+    eps_kkt, eps_sym = _kkt_residuals_from_grad(P, G)
+    return _alignment_certificates(at, {
+        "lambda_min_of_multiplier": float(np.linalg.eigvalsh(sym_lam)[0]),
+        "multiplier_norm": float(np.linalg.norm(sym_lam, 2)),
+        "multiplier_asymmetry": float(np.linalg.norm(Lam - Lam.T)),
+        "eps_kkt": eps_kkt,
+        "eps_sym": eps_sym,
+    })
 
 
 def project_feasible(obj: ComposedObjective, P0) -> np.ndarray:
@@ -236,9 +262,8 @@ class _Step:
     ``step(at, f, ctx)``, which returns ``(evaluation at P_next, record
     fields)`` given f = f(P).  ``monotone`` switches the ascent check on
     (see ``_take_step``); ``done(f, f_next)`` names a stop reason after a
-    step, or returns None.  ``certificates(at)`` gives the exit
-    certificates.  Steps keep per-solve state, so every solve builds its
-    own.
+    step, or returns None.  Steps keep per-solve state, so every solve
+    builds its own.
     """
 
     monotone = False
@@ -275,19 +300,6 @@ class _PolarStep(_Step):
         landed, landing = _landing(at, P_next)
         return landed, dict(landing, **fields, eta=eta)
 
-    def certificates(self, at) -> dict:
-        P, G = at.P, at.euclidean_grad
-        Lam = P.T @ G
-        sym_lam = _sym(Lam)
-        eps_kkt, eps_sym = _kkt_residuals_from_grad(P, G)
-        return _alignment_certificates(at, {
-            "lambda_min_of_multiplier": float(np.linalg.eigvalsh(sym_lam)[0]),
-            "multiplier_norm": float(np.linalg.norm(sym_lam, 2)),
-            "multiplier_asymmetry": float(np.linalg.norm(Lam - Lam.T)),
-            "eps_kkt": eps_kkt,
-            "eps_sym": eps_sym,
-        })
-
 
 class _SubspaceStep(_Step):
     """Maximize f over range([P, Riemannian gradient, previous iterate]).
@@ -297,9 +309,9 @@ class _SubspaceStep(_Step):
     of the step kind ``plain``, from Z0 = the first k columns of the
     identity (the previous-iterate block is absent on the first step), to
     ``INNER_TOL_FRACTION`` of the outer residual within ``INNER_MAX_ITER``
-    iterations.  Residual,
-    certificates and ``monotone`` are the plain step's, so the realized
-    gain is checked for ascent until a record carries ``sign_violated``.
+    iterations.  Residual and ``monotone`` are the plain step's, so the
+    realized gain is checked for ascent until a record carries
+    ``sign_violated``.
     The record keeps the fields the plain residual measured at P (eps_kkt,
     eps_sym and sigma_min, or eps_nepv), the realized f-gain as ``eta``,
     the inner iteration count, and ``gap_degenerate``/``sign_violated``/
@@ -311,7 +323,6 @@ class _SubspaceStep(_Step):
         self.outer = plain(obj)
         self.monotone = self.outer.monotone
         self.name = f"{plain.name}-locg"
-        self.certificates = self.outer.certificates
         self.P_before = None
         self.stalled = False
 
@@ -363,7 +374,7 @@ def _scf(obj: ComposedObjective, P0, cfg: NpdoConfig, step: _Step,
          callback=None) -> SolveReport:
     # The one SCF loop: project the start, then test the residual, step,
     # record and test for a stop (a flagged ascent violation first) until
-    # the budget runs out; certify the returned point.
+    # the budget runs out.
     at = _feasible_start(obj, P0)
     f0 = f = at.value
     records: list[IterationRecord] = []
@@ -386,8 +397,7 @@ def _scf(obj: ComposedObjective, P0, cfg: NpdoConfig, step: _Step,
             break
     return SolveReport(
         point=at.P, f_final=f, f_initial=f0, converged=stop == "converged",
-        stop_reason=stop, iterations=records, certificates=step.certificates(at),
-        solver=step.name)
+        stop_reason=stop, iterations=records, solver=step.name)
 
 
 def _one_step(step: _Step, P):
@@ -414,10 +424,9 @@ def npdo_scf(obj: ComposedObjective, P0, cfg: NpdoConfig | None = None,
 
     Iterates until eps_kkt + eps_sym <= tol, the iteration budget runs out
     or a step breaks the declared ascent (``stop_reason="ascent_violated"``,
-    the point it landed on returned); exit certificates are computed at the
-    returned point.  Infeasible
-    starts are projected by one alignment application.  ``callback``, if
-    given, is called as callback(i, P_next) after every step.
+    the point it landed on returned).  Infeasible starts are projected by
+    one alignment application.  ``callback``, if given, is called as
+    callback(i, P_next) after every step.
     """
     cfg = cfg or NpdoConfig()
     return _scf(obj, P0, cfg, _PolarStep(obj), callback)

@@ -70,7 +70,7 @@ __all__ = [
 RATIO_DENOMINATOR_FLOOR = 1e-14
 
 # Relative tolerance for the exact algebraic identity H(P) P - grad = P M(P),
-# which the eigenvector solvers certify at exit (``field_identity``); only
+# which ``nepv.nepv_certificates`` measures (``field_identity``); only
 # rounding error is expected.
 FIELD_IDENTITY_TOL = 1e-10
 
@@ -314,7 +314,8 @@ class FieldEvaluation:
     """Symmetric field H(P) with the KKT-equivalence mismatch M(P).
 
     The identity H(P) P - grad f(P) = P M(P) holds by construction and is
-    certified at a solve's exit, not per evaluation; ``asymmetry`` is ||M - M'||_F / max(1, ||M||_F), which vanishes exactly
+    measured by ``nepv.nepv_certificates``, not per evaluation;
+    ``asymmetry`` is ||M - M'||_F / max(1, ||M||_F), which vanishes exactly
     when a field solution at P is a KKT point.
     """
 
@@ -425,7 +426,7 @@ class ComposedObjective:
 
     # -- structural transforms ----------------------------------------------
 
-    def transform(self, T, meta_update: dict | None = None) -> "ComposedObjective":
+    def transform(self, T) -> "ComposedObjective":
         """Objective g(Z) = f(T @ Z) with the atomic structure substituted.
 
         Linear matrices map to T' D and quadratic ones to T' A T; selectors,
@@ -437,21 +438,16 @@ class ComposedObjective:
         T = as_matrix(T, "T")
         if T.shape[0] != self.n:
             raise ValueError(f"transform rows {T.shape[0]} != n = {self.n}")
-        new_terms = []
-        for t in self.terms:
-            if t.kind == "linear":
-                new_terms.append(replace(t, matrix=T.T @ t.matrix))
-            else:
-                new_terms.append(replace(t, matrix=_sym(T.T @ t.matrix @ T)))
-        meta = dict(self.meta)
-        if meta_update:
-            meta.update(meta_update)
+        terms = tuple(
+            replace(t, matrix=T.T @ t.matrix if t.kind == "linear"
+                    else _sym(T.T @ t.matrix @ T))
+            for t in self.terms)
         return ComposedObjective(
-            n=T.shape[1], k=self.k, terms=tuple(new_terms), outer=self.outer,
+            n=T.shape[1], k=self.k, terms=terms, outer=self.outer,
             field_recipe=self.field_recipe,
             alignment=self.alignment.transform(T),
             npdo_monotone=self.npdo_monotone, nepv_monotone=self.nepv_monotone,
-            meta=meta)
+            meta=dict(self.meta))
 
 
 class PointEvaluation:

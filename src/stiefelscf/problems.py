@@ -182,11 +182,12 @@ def _trace_composition_outer(spec: ProblemSpec, ell: int, lead: bool) -> OuterFu
 def build(spec: ProblemSpec) -> ComposedObjective:
     """Assemble the composed objective for a catalog problem."""
     n, k, fam = spec.n, spec.k, spec.family
-    if not spec.phi_weight >= 0:
+    if not 0 <= spec.phi_weight < np.inf:
         # A negative weight makes the outer presets' partials negative and
         # quad_penalty/logsumexp concave: no ascent guarantee would hold.
+        # An infinite one makes f infinite at every point.
         raise ValueError(
-            f"phi_weight must be nonnegative, got {spec.phi_weight!r}")
+            f"phi_weight must be nonnegative and finite, got {spec.phi_weight!r}")
     meta = {"family": fam}
 
     if fam == "sep":
@@ -394,8 +395,7 @@ def lift_m_orthogonal(obj: ComposedObjective, M) -> tuple[ComposedObjective, MLi
         raise ValueError("M must be positive definite") from exc
     R = L.T
     R_inv = scipy.linalg.solve_triangular(R, np.eye(obj.n), lower=False)
-    lifted = obj.transform(R_inv, meta_update={"m_lifted": True})
-    return lifted, MLifting(M, R)
+    return obj.transform(R_inv), MLifting(M, R)
 
 
 def m_orthogonality_drift(P, M) -> float:

@@ -24,8 +24,8 @@ from stiefelscf.cli import (
     main,
 )
 from stiefelscf.kernels import random_stiefel
-from stiefelscf.nepv import nepv_scf
-from stiefelscf.npdo import IterationRecord, SolveReport
+from stiefelscf.nepv import nepv_certificates, nepv_scf
+from stiefelscf.npdo import IterationRecord, SolveReport, npdo_certificates
 from stiefelscf.objective import FIELD_IDENTITY_TOL
 from stiefelscf.problems import FAMILIES, OUTER_PRESETS, build
 
@@ -207,6 +207,27 @@ class TestRun:
         code = main(["run", "--problem", str(sep_file), "--max-iter", "-3"])
         assert code == EXIT_INPUT
         assert capsys.readouterr().err == "error: max_iter must be >= 0\n"
+
+    @pytest.mark.parametrize("solver", sorted(cli.SOLVERS))
+    def test_report_certificates_are_those_of_the_returned_point(
+            self, mbsub_file, tmp_path, monkeypatch, solver):
+        # The report carries the route's certificate function evaluated at
+        # the point the solver returned.
+        solve, solved = cli.SOLVERS[solver], []
+
+        def keeping(obj, P0, cfg):
+            solved.append((obj, solve(obj, P0, cfg)))
+            return solved[-1][1]
+
+        monkeypatch.setitem(cli.SOLVERS, solver, keeping)
+        report = tmp_path / "report.json"
+        assert main(["run", "--problem", str(mbsub_file), "--solver", solver,
+                     "--report", str(report)]) == EXIT_OK
+        (obj, rep), = solved
+        certify = (npdo_certificates if solver.startswith("npdo")
+                   else nepv_certificates)
+        assert json.loads(report.read_text())["certificates"] == certify(
+            obj, rep.point)
 
     def test_zero_max_iter_certifies_the_start(self, sep_file, tmp_path):
         report = tmp_path / "report.json"
@@ -408,8 +429,12 @@ class TestRun:
         assert doc["diagnostics"]["declared_ascent"] is declared
 
     def test_nonpositive_tol_exits_one(self, sep_file, capsys):
-        assert main(["run", "--problem", str(sep_file), "--tol", "0"]) == EXIT_INPUT
-        assert capsys.readouterr().err == "error: tol must be positive\n"
+        # An infinite tol would report the start point as converged.
+        for tol in ("0", "inf"):
+            code = main(["run", "--problem", str(sep_file), "--tol", tol])
+            assert code == EXIT_INPUT
+            assert (capsys.readouterr().err
+                    == "error: tol must be positive and finite\n")
 
     def test_seed_changes_start(self, mbsub_file, tmp_path):
         t1, t2 = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -466,14 +491,14 @@ class TestBatch:
             write_problem(d / f"{name}.json", {
                 "family": "sep", "n": n, "k": 2,
                 "matrices": {"A": make_psd(n, n, 0.5).tolist()}})
-        solve, cfg_cls = cli.SOLVERS["nepv"]
+        solve = cli.SOLVERS["nepv"]
 
         def fragile(obj, P0, cfg):
             if obj.n == 4:
                 raise RuntimeError("injected")
             return solve(obj, P0, cfg)
 
-        monkeypatch.setitem(cli.SOLVERS, "nepv", (fragile, cfg_cls))
+        monkeypatch.setitem(cli.SOLVERS, "nepv", fragile)
         assert main(["run", "--batch", str(d)]) == EXIT_INPUT
         assert json.loads((d / "good_report.json").read_text())["converged"]
         assert (d / "good_trace.csv").exists()
@@ -622,7 +647,7 @@ class TestNegativeControl:
         recs = [IterationRecord(i, f, eps_kkt=0.5, eps_sym=0.0, eps_nepv=0.5,
                                 sigma_min=1.0, gap=1.0, step_angle=1.0)
                 for i, f in enumerate(fs[1:])]
-        return SolveReport(point=np.eye(2), f_final=fs[-1], f_initial=fs[0],
+        return SolveReport(point=np.eye(3, 2), f_final=fs[-1], f_initial=fs[0],
                            converged=True, stop_reason="converged",
                            iterations=recs)
 
@@ -635,8 +660,7 @@ class TestNegativeControl:
         # Wire a stub solver that returns the oscillating trace and check the
         # full CLI path maps the failed audits to exit code 3.
         rep = self.oscillating_report()
-        monkeypatch.setitem(cli.SOLVERS, "nepv",
-                            (lambda obj, P0, cfg: rep, cli.SOLVERS["nepv"][1]))
+        monkeypatch.setitem(cli.SOLVERS, "nepv", lambda obj, P0, cfg: rep)
         code = main(["run", "--problem", str(sep_file), "--solver", "nepv",
                      "--audit", "series"])
         assert code == EXIT_AUDIT
@@ -650,8 +674,7 @@ class TestNegativeControl:
             stop_reason="ascent_violated",
             iterations=[IterationRecord(0, 0.5, eps_kkt=0.1, eps_sym=0.0,
                                         ascent_violated=True)])
-        monkeypatch.setitem(cli.SOLVERS, "npdo",
-                            (lambda obj, P0, cfg: rep, cli.SOLVERS["npdo"][1]))
+        monkeypatch.setitem(cli.SOLVERS, "npdo", lambda obj, P0, cfg: rep)
         trace, report = tmp_path / "t.csv", tmp_path / "r.json"
         code = main(["run", "--problem", str(sep_file), "--solver", "npdo",
                      "--trace", str(trace), "--report", str(report)])
@@ -661,11 +684,14 @@ class TestNegativeControl:
         assert doc["converged"] is False
         assert doc["diagnostics"]["stop_reason"] == "ascent_violated"
 
-    def test_certs_audit_checks_the_field_identity(self, mbsub_file):
+    def test_certs_audit_checks_the_field_identity(self, mbsub_file,
+                                                    monkeypatch):
         obj = build(load_problem(mbsub_file))
         rep = nepv_scf(obj, random_stiefel(obj.n, obj.k, 0))
-        assert 0.0 <= rep.certificates["field_identity"] <= FIELD_IDENTITY_TOL
+        certs = nepv_certificates(obj, rep.point)
+        assert 0.0 <= certs["field_identity"] <= FIELD_IDENTITY_TOL
         assert cli.run_audits({"certs"}, obj, rep, None, "nepv")[1]
-        rep.certificates["field_identity"] = 10 * FIELD_IDENTITY_TOL
+        certs["field_identity"] = 10 * FIELD_IDENTITY_TOL
+        monkeypatch.setattr(cli, "nepv_certificates", lambda obj, P: certs)
         diag, ok = cli.run_audits({"certs"}, obj, rep, None, "nepv")
         assert not ok and diag["certificates_ok"] is False

@@ -13,6 +13,7 @@ from stiefelscf.nepv import NepvConfig
 from stiefelscf.npdo import (
     NpdoConfig,
     kkt_residuals,
+    npdo_certificates,
     npdo_locg,
     npdo_scf,
     npdo_scf_step,
@@ -169,7 +170,7 @@ class TestNpdoScfStep:
         angles = np.linspace(0, 2 * np.pi, 62832, endpoint=False)
         best = max(obj.value(np.array([[np.cos(t)], [np.sin(t)]])) for t in angles)
         assert rep.f_final == pytest.approx(best, abs=1e-6)
-        certs = rep.certificates
+        certs = npdo_certificates(obj, rep.point)
         assert certs["lambda_min_of_multiplier"] >= -1e-8 * certs["multiplier_norm"]
 
 
@@ -190,7 +191,7 @@ class TestNpdoScf:
             "A": make_psd(n, 70), "D": rng.standard_normal((n, k))}))
         rep = npdo_scf(obj, random_stiefel(n, k, 3))
         assert rep.converged and rep.num_iterations <= 5000
-        c = rep.certificates
+        c = npdo_certificates(obj, rep.point)
         assert c["lambda_min_of_multiplier"] >= -1e-8 * c["multiplier_norm"]
         assert c["eps_sym"] <= 1e-8
 
@@ -332,6 +333,8 @@ class TestConfig:
             NpdoConfig(max_iter=-1)
         with pytest.raises(ValueError, match="tol must be positive"):
             NpdoConfig(tol=float("nan"))
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            NpdoConfig(tol=np.inf)
 
     def test_zero_max_iter_certifies_the_start(self):
         obj = build(ProblemSpec("sep", 4, 2, {"A": make_psd(4, 3)}))
@@ -341,7 +344,7 @@ class TestConfig:
             assert report.num_iterations == 0
             assert report.stop_reason == "max_iter" and not report.converged
             assert np.array_equal(report.point, P0)
-            assert report.certificates["eps_kkt"] > 0
+            assert npdo_certificates(obj, report.point)["eps_kkt"] > 0
 
     def test_settings_are_tol_and_max_iter(self):
         assert [f.name for f in dataclasses.fields(NpdoConfig)] == ["tol", "max_iter"]

@@ -279,11 +279,13 @@ def test_value_matches_closed_form(spec, closed_form):
 @pytest.mark.parametrize("phi", OUTER_PRESETS)
 @pytest.mark.parametrize("family", ["trcp", "dft"])
 def test_negative_phi_weight_rejected(family, phi):
+    # An infinite weight is rejected too: f would be inf at every point.
     A = make_psd(5, 1)
     matrices = {"A_list": [A, A]} if family == "trcp" else {"A": A}
-    spec = ProblemSpec(family, 5, 2, matrices, phi=phi, phi_weight=-0.5)
-    with pytest.raises(ValueError, match="phi_weight"):
-        build(spec)
+    for weight in (-0.5, np.inf):
+        spec = ProblemSpec(family, 5, 2, matrices, phi=phi, phi_weight=weight)
+        with pytest.raises(ValueError, match="phi_weight"):
+            build(spec)
     assert build(dataclasses.replace(spec, phi_weight=0.0)).n == 5
 
 
