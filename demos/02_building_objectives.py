@@ -1,8 +1,10 @@
 """Building composed trace objectives, atom by atom or from the catalog.
 
 An objective is phi(T(P)) where each entry of T is c * [tr((P'D)^m)]^s or
-c * [tr((P'AP)^m)]^s over selected columns of P.  The catalog builders wire
-the field recipe and alignment rule each named problem needs.
+c * [tr((P'AP)^m)]^s over selected columns of P.  The selectors decide the
+field recipe (composition when every term covers all columns, else
+generic); the catalog builders wire the alignment rule each named problem
+needs.
 """
 
 import numpy as np
@@ -33,10 +35,10 @@ obj = ComposedObjective(
     n, k,
     terms=(AtomicTerm.quadratic(A), AtomicTerm.linear(D, m=2)),
     outer=outer_sum(2),
-    field_recipe="composition",
 )
 P = random_stiefel(n, k, 0)
 print("hand-built value:", obj.value(P))
+print("field recipe, read off the full-column selectors:", obj.field_recipe)
 print("gradient matches 2AP + 2D(P'D):",
       np.allclose(obj.euclidean_grad(P), 2 * A @ P + 2 * D @ (P.T @ D)))
 

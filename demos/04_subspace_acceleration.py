@@ -37,10 +37,14 @@ print(f"\npolar route : plain {plain.num_iterations:4d} iterations, "
       f"accelerated {fast.num_iterations:4d} outer steps "
       f"(f = {fast.f_final:.9f})")
 
-# The eigenvector route with the constant field solves this in one shot, so
-# the interesting head-to-head uses the P-dependent generic field.
-sep_gen = ComposedObjective(n, k, (AtomicTerm.quadratic(A),), outer_sum(1),
-                            field_recipe="generic", nepv_monotone=True)
+# The eigenvector route with the constant field 2A solves this in one shot,
+# so the interesting head-to-head uses the P-dependent generic field
+# G P' + P G'.  The selectors decide the field: sep written as a sum of
+# one-column traces tr(p_j'Ap_j) is the same f, and its column-block terms
+# give it the generic field.
+sep_gen = ComposedObjective(
+    n, k, tuple(AtomicTerm.quadratic(A, cols=(j,)) for j in range(k)),
+    outer_sum(k), nepv_monotone=True)
 plain_n = nepv_scf(sep_gen, P0)
 fast_n = nepv_locg(sep_gen, P0)
 print(f"eigen route : plain {plain_n.num_iterations:4d} iterations, "

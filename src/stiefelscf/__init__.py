@@ -26,7 +26,6 @@ from .objective import (
     FieldEvaluation,
     NegativeBaseError,
     OuterFunction,
-    RecipeRequiresFullSelectors,
     ThetaRatioData,
     eval_atomic,
     grad_atomic,

@@ -31,21 +31,23 @@ ORACLE_MAX_K = 2
 
 SERIES_SLACK = 1e-8
 
+# Central-difference step of ``gradient_check``.
+FD_STEP = 1e-6
+
 
 class SizeTooLargeForOracle(ValueError):
     """Brute-force verification is restricted to n <= 6, k <= 2."""
 
 
 def gradient_check(obj: ComposedObjective, trials: int = 20,
-                   fd_step: float = 1e-6, seed: int = 0) -> float:
+                   seed: int = 0) -> float:
     """Worst relative error of the analytic gradient against central
-    finite differences over all n*k entries at ``trials`` random points.
+    finite differences (step ``FD_STEP``) over all n*k entries at
+    ``trials`` random points.
 
     The error at each point is ||FD - G||_F / max(1, ||G||_F); the maximum
     over points is returned.
     """
-    if fd_step <= 0:
-        raise ValueError("fd_step must be positive")
     n, k = obj.n, obj.k
     worst = 0.0
     for t in range(trials):
@@ -55,15 +57,15 @@ def gradient_check(obj: ComposedObjective, trials: int = 20,
         for i in range(n):
             for j in range(k):
                 E = np.zeros((n, k))
-                E[i, j] = fd_step
-                FD[i, j] = (obj.value(P + E) - obj.value(P - E)) / (2.0 * fd_step)
+                E[i, j] = FD_STEP
+                FD[i, j] = (obj.value(P + E) - obj.value(P - E)) / (2.0 * FD_STEP)
         err = np.linalg.norm(FD - G) / max(1.0, np.linalg.norm(G))
         worst = max(worst, float(err))
     return worst
 
 
-def _polish(obj: ComposedObjective, P0, max_iter: int = 400):
-    cfg = NepvConfig(tol=1e-10, max_iter=max_iter)
+def _polish(obj: ComposedObjective, P0):
+    cfg = NepvConfig(tol=1e-10, max_iter=400)
     try:
         rep = nepv_scf(obj, P0, cfg)
         return rep.f_final, rep.point

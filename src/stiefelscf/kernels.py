@@ -57,17 +57,15 @@ def as_matrix(B, name: str = "matrix") -> np.ndarray:
     return B
 
 
-def require_stiefel(P, tol: float = STIEFEL_TOL, name: str = "P") -> np.ndarray:
-    """Validate that ``P`` has orthonormal columns within ``tol``."""
-    P = as_matrix(P, name)
+def require_stiefel(P) -> np.ndarray:
+    """Validate that ``P`` has orthonormal columns within ``STIEFEL_TOL``."""
+    P = as_matrix(P, "P")
     n, k = P.shape
     if k > n:
-        raise ValueError(f"{name} must be tall: shape {P.shape}")
+        raise ValueError(f"P must be tall: shape {P.shape}")
     drift = np.linalg.norm(P.T @ P - np.eye(k))
-    if drift > tol:
-        raise ValueError(
-            f"{name} is not orthonormal: ||P'P - I||_F = {drift:.3e} > {tol:.1e}"
-        )
+    if drift > STIEFEL_TOL:
+        raise ValueError(f"P is not orthonormal: ||P'P - I||_F = {drift:.3e}")
     return P
 
 
@@ -84,14 +82,14 @@ def _sym(M: np.ndarray) -> np.ndarray:
     return 0.5 * (M + M.T)
 
 
-def require_symmetric(H, tol: float = SYMMETRY_TOL, name: str = "H") -> np.ndarray:
-    """Check symmetry within relative ``tol`` and return the symmetrized copy."""
+def require_symmetric(H, name: str = "H") -> np.ndarray:
+    """Check symmetry within relative ``SYMMETRY_TOL`` and return the
+    symmetrized copy."""
     H = as_matrix(H, name)
     if H.shape[0] != H.shape[1]:
         raise ValueError(f"{name} must be square, got shape {H.shape}")
-    scale = np.linalg.norm(H)
-    if np.linalg.norm(H - H.T) > tol * max(scale, 1.0):
-        raise ValueError(f"{name} is not symmetric within tolerance {tol:.1e}")
+    if np.linalg.norm(H - H.T) > SYMMETRY_TOL * max(np.linalg.norm(H), 1.0):
+        raise ValueError(f"{name} is not symmetric within {SYMMETRY_TOL:.1e}")
     return 0.5 * (H + H.T)
 
 
@@ -185,14 +183,18 @@ def top_k_eigenpairs(H, k: int) -> SpectralTopK:
 
 
 def _top_k(H: np.ndarray, k: int) -> SpectralTopK:
-    # top_k_eigenpairs without the input checks, for a symmetric matrix the
-    # package formed; LAPACK may overwrite H.  il..iu are 1-based indices
-    # into the ascending spectrum.
+    # top_k_eigenpairs without the input checks, for a matrix the package
+    # formed, symmetrized here.  il..iu are 1-based indices into the
+    # ascending spectrum.  On a tightly clustered spectrum dsyevr can return
+    # fewer than the k+1 pairs asked for with info = 0; the full eigh of H
+    # then supplies them.
     n = H.shape[0]
-    w, V, m, _, info = _syevr(H, compute_v=1, range="I", il=max(n - k, 1),
-                              iu=n, overwrite_a=1)
+    w, V, m, _, info = _syevr(_sym(H), compute_v=1, range="I",
+                              il=max(n - k, 1), iu=n, overwrite_a=1)
     if info != 0:
         raise np.linalg.LinAlgError(f"dsyevr failed with info = {info}")
+    if m != min(k + 1, n):
+        (w, V), m = np.linalg.eigh(_sym(H)), n
     w, V = w[m - 1::-1], V[:, ::-1]  # descending
     vals = w[:k].copy()
     basis = V[:, :k].copy()
@@ -283,13 +285,15 @@ def canonical_sin_theta(X, Y) -> tuple[float, float]:
     return dist2, dist_f
 
 
-def _orth(V: np.ndarray, floor: float = 0.0, rank_tol: float = 1e-12) -> np.ndarray:
+def _orth(V: np.ndarray, floor: float = 0.0) -> np.ndarray:
+    # Orthonormal basis of range(V) by SVD, without the directions whose
+    # singular value is at or below 1e-12 * sigma_max or ``floor``.
     if V.shape[1] == 0:
         return V
     U, s, _ = np.linalg.svd(V, full_matrices=False)
     if s.size == 0 or s[0] == 0.0:
         return V[:, :0]
-    keep = s > max(rank_tol * s[0], floor)
+    keep = s > max(1e-12 * s[0], floor)
     return U[:, keep]
 
 

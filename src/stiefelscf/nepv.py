@@ -191,7 +191,7 @@ class _EigenStep(_Step):
         self.eps_before = eps
         failed = tried and spect is None
         if spect is None:
-            spect = _top_k(_sym(H), self.obj.k)
+            spect = _top_k(H, self.obj.k)
         self.guard = None if failed else spect.next_vector
         return spect
 

@@ -24,17 +24,18 @@ and the single-term ``eval_atomic`` and ``grad_atomic``, are one-line
 wrappers over a fresh evaluation, kept because the benchmark's per-layer
 tracer wraps them by name; other per-point quantities are read off ``at(P)``.
 
-An objective is checked once, when it is built: term shapes and selectors,
-the field recipe against the selectors, and the alignment rule (a
+An objective is checked once, when it is built: its order 1 <= k <= n, term
+shapes and selectors, and the alignment rule (a
 ``stiefelscf.alignment.PolarAlignment``) against the terms.
 
-There are two field recipes: "generic" (H = G P' + P G' from the gradient G)
-and "composition" (the per-term fields weighted by the outer partials), which
-every catalog family except the partial-selector sumct uses.  For the trace
-ratio (x2 + x3) / x1^theta over (tr(P'BP), tr(P'AP), tr(P'D)) the
-composition gives (2 / b^theta) (A + sym(D P') - theta (a + d) / b B) with
-M = b^-theta D'P; ``ComposedObjective.theta_data`` reads theta, A, B and D
-off such an objective's meta and terms.
+The selectors decide the field recipe.  When every term covers all k
+columns the field is the "composition" one, the per-term fields weighted by
+the outer partials; otherwise (column-block terms, as in sumct) it is the
+"generic" H = G P' + P G' from the gradient G.  For the trace ratio
+(x2 + x3) / x1^theta over (tr(P'BP), tr(P'AP), tr(P'D)) the composition
+gives (2 / b^theta) (A + sym(D P') - theta (a + d) / b B) with
+M = b^-theta D'P; ``ComposedObjective.theta_data`` reads theta off the outer
+function and A, B and D off the terms.
 """
 
 from __future__ import annotations
@@ -55,7 +56,6 @@ __all__ = [
     "NegativeBaseError",
     "OuterFunction",
     "PointEvaluation",
-    "RecipeRequiresFullSelectors",
     "ThetaRatioData",
     "eval_atomic",
     "grad_atomic",
@@ -77,10 +77,6 @@ FIELD_IDENTITY_TOL = 1e-10
 
 class NegativeBaseError(ValueError):
     """A power term with s > 1 was evaluated where its base is negative."""
-
-
-class RecipeRequiresFullSelectors(ValueError):
-    """The composition field recipe needs every term to use all columns."""
 
 
 def _matpow(M: np.ndarray, m: int) -> np.ndarray:
@@ -213,8 +209,10 @@ class OuterFunction:
     """Outer scalar function phi with its partial derivatives.
 
     ``value`` maps an N-vector of term values to a scalar; ``partials`` maps
-    it to the N-vector of partial derivatives.  Whether phi carries an ascent
-    guarantee is declared by the objective that uses it
+    it to the N-vector of partial derivatives.  ``theta`` is the exponent of
+    the trace ratio (x2 + x3) / x1^theta made by ``outer_theta_ratio``, and
+    None for every other phi.  Whether phi carries an ascent guarantee is
+    declared by the objective that uses it
     (``ComposedObjective.npdo_monotone`` / ``nepv_monotone``), not here.
     """
 
@@ -222,6 +220,7 @@ class OuterFunction:
     value: Callable[[np.ndarray], float]
     partials: Callable[[np.ndarray], np.ndarray]
     name: str = "custom"
+    theta: float | None = None
 
 
 def outer_sum(dim: int) -> OuterFunction:
@@ -274,7 +273,7 @@ def outer_theta_ratio(theta: float) -> OuterFunction:
         p[2] = 1.0 / x[0] ** th
         return p
 
-    return OuterFunction(3, value, partials, name="theta_ratio")
+    return OuterFunction(3, value, partials, name="theta_ratio", theta=th)
 
 
 def outer_ratio_squared(theta: float) -> OuterFunction:
@@ -328,15 +327,17 @@ class FieldEvaluation:
 class ComposedObjective:
     """Objective f = phi o T over n-by-k Stiefel points.
 
-    ``field_recipe`` selects how the symmetric field H(P) is produced:
+    ``field_recipe`` is read off the selectors, not set: it is
+    ``"composition"`` (per-term fields weighted by the outer partials) when
+    every term covers all k columns, else ``"generic"``
+    (H = grad P' + P grad').  A full-column objective that wants the generic
+    field is written as what that field belongs to, a sum of column-block
+    terms.
 
-    * ``"generic"``      - H = grad P' + P grad', always valid;
-    * ``"composition"``  - per-term fields weighted by the outer partials
-                           (requires every selector to cover all columns).
-
-    ``theta_data`` is a read-only view, derived rather than stored: for the
-    theta-ratio outer over the terms (B, A, D) it is
-    ``ThetaRatioData(meta["theta"], A, B, D)`` with the terms' own matrices,
+    ``theta_data`` is a read-only view, derived rather than stored: for an
+    ``outer_theta_ratio`` over the full-column terms (B, A, D), quadratic,
+    quadratic and linear with m = s = c = 1, it is
+    ``ThetaRatioData(outer.theta, A, B, D)`` with the terms' own matrices,
     else None.
 
     ``alignment`` is the ``PolarAlignment`` rule the solvers use to map
@@ -350,10 +351,9 @@ class ComposedObjective:
     ``at(P)`` returns the ``PointEvaluation`` at P, which caches each term's
     products and what is derived from them; ``value``, ``euclidean_grad``,
     ``riemannian_grad``, ``script_d`` and ``field`` read one fresh
-    evaluation each.  ``__post_init__`` validates the terms, the recipe and
-    the alignment rule once (``RecipeRequiresFullSelectors`` for the
-    composition recipe over a partial selector, ``TypeError`` for an
-    alignment that is not a ``PolarAlignment``, and ``PolarAlignment.check``).
+    evaluation each.  ``__post_init__`` validates 1 <= k <= n, the terms and
+    the alignment rule once (``TypeError`` for an alignment that is not a
+    ``PolarAlignment``, and ``PolarAlignment.check``).
     Instances are immutable and hold no cache, so evaluations are pure and
     reentrant (outer-function callbacks must themselves be reentrant).
     """
@@ -362,18 +362,17 @@ class ComposedObjective:
     k: int
     terms: tuple[AtomicTerm, ...]
     outer: OuterFunction
-    field_recipe: str = "generic"
     alignment: PolarAlignment = PolarAlignment(blocks=())
     npdo_monotone: bool = False
     nepv_monotone: bool = False
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        if not 1 <= self.k <= self.n:
+            raise ValueError(f"need 1 <= k <= n, got n = {self.n}, k = {self.k}")
         if self.outer.dim != len(self.terms):
             raise ValueError(
                 f"outer dimension {self.outer.dim} != number of terms {len(self.terms)}")
-        if self.field_recipe not in ("generic", "composition"):
-            raise ValueError(f"unknown field recipe {self.field_recipe!r}")
         for t in self.terms:
             if t.cols is not None and (t.cols[-1] >= self.k):
                 raise ValueError(f"selector {t.cols} out of bounds for k = {self.k}")
@@ -384,23 +383,28 @@ class ComposedObjective:
             if t.kind == "quadratic" and t.matrix.shape != (self.n, self.n):
                 raise ValueError(
                     f"quadratic term matrix shape {t.matrix.shape} != ({self.n}, {self.n})")
-        if self.field_recipe == "composition" and any(
-                t.cols is not None and len(t.cols) != self.k for t in self.terms):
-            raise RecipeRequiresFullSelectors(
-                "composition field recipe needs full-column selectors; "
-                "use the generic recipe for partial-column objectives")
         if not isinstance(self.alignment, PolarAlignment):
             raise TypeError(f"alignment must be a PolarAlignment, got "
                             f"{type(self.alignment).__name__}")
         self.alignment.check(self)
 
     @property
+    def field_recipe(self) -> str:
+        """The field recipe the selectors decide (see above)."""
+        full = all(t.width(self.k) == self.k for t in self.terms)
+        return "composition" if full else "generic"
+
+    @property
     def theta_data(self) -> ThetaRatioData | None:
-        """The trace-ratio data read off the terms, or None (see above)."""
-        if self.outer.name != "theta_ratio" or "theta" not in self.meta:
+        """The trace-ratio data read off the outer function and the terms,
+        or None (see above)."""
+        kinds = ("quadratic", "quadratic", "linear")
+        if (self.outer.theta is None or self.field_recipe != "composition"
+                or tuple(t.kind for t in self.terms) != kinds
+                or any((t.m, t.s, t.c) != (1, 1.0, 1.0) for t in self.terms)):
             return None
         B, A, D = (t.matrix for t in self.terms)
-        return ThetaRatioData(self.meta["theta"], A, B, D)
+        return ThetaRatioData(self.outer.theta, A, B, D)
 
     def at(self, P) -> "PointEvaluation":
         """The evaluation of f at P; P is validated here, once."""
@@ -421,7 +425,7 @@ class ComposedObjective:
         return self.at(P).script_d
 
     def field(self, P) -> FieldEvaluation:
-        """Symmetric field H(P) and mismatch M(P) per the configured recipe."""
+        """Symmetric field H(P) and mismatch M(P) per the objective's recipe."""
         return self.at(P).field
 
     # -- structural transforms ----------------------------------------------
@@ -429,11 +433,12 @@ class ComposedObjective:
     def transform(self, T) -> "ComposedObjective":
         """Objective g(Z) = f(T @ Z) with the atomic structure substituted.
 
-        Linear matrices map to T' D and quadratic ones to T' A T; selectors,
-        outer function, field recipe and monotonicity declarations carry
-        over.  Used for subspace restriction (orthonormal T, the reduced
-        problem of the subspace-accelerated solvers, whose field is
-        T' H(TZ) T with mismatch M(TZ)) and metric lifting (T = R^{-1}).
+        Linear matrices map to T' D and quadratic ones to T' A T; selectors
+        (and so the field recipe), outer function and monotonicity
+        declarations carry over, and T needs at least k columns.  Used for
+        subspace restriction (orthonormal T, the reduced problem of the
+        subspace-accelerated solvers, whose field is T' H(TZ) T with
+        mismatch M(TZ)) and metric lifting (T = R^{-1}).
         """
         T = as_matrix(T, "T")
         if T.shape[0] != self.n:
@@ -444,7 +449,6 @@ class ComposedObjective:
             for t in self.terms)
         return ComposedObjective(
             n=T.shape[1], k=self.k, terms=terms, outer=self.outer,
-            field_recipe=self.field_recipe,
             alignment=self.alignment.transform(T),
             npdo_monotone=self.npdo_monotone, nepv_monotone=self.nepv_monotone,
             meta=dict(self.meta))
@@ -510,9 +514,9 @@ class PointEvaluation:
         This is the matrix driving the optimal alignment rotation; weights
         are the outer partials times each term's own chain factor.
         """
-        D = np.zeros(self.P.shape)
+        D, k = np.zeros(self.P.shape), self.obj.k
         for i, (w, t) in enumerate(zip(self.partials, self.obj.terms)):
-            if t.kind == "linear" and t.m == 1 and t.cols is None:
+            if t.kind == "linear" and t.m == 1 and t.width(k) == k:
                 D += w * self.atom(i)[3] * t.matrix
         return D
 

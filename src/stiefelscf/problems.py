@@ -15,8 +15,9 @@ dft          tr(P'AP) + phi(diag(PP')) with a convex phi preset
 quad_lin2    tr(P'AP) + tr((P'D)^2)
 procrustes   min ||CP - B||_F^2 recast as a MAXBET subproblem
 
-Each builder wires the family's documented field recipe and alignment rule
-and declares which framework carries a per-step ascent guarantee for it.
+Each builder wires the family's alignment rule and declares which framework
+carries a per-step ascent guarantee for it; the terms' selectors decide the
+field recipe (generic for sumct's column blocks, composition elsewhere).
 """
 
 from __future__ import annotations
@@ -195,7 +196,7 @@ def build(spec: ProblemSpec) -> ComposedObjective:
         psd = _check_psd(A)
         return ComposedObjective(
             n, k, (AtomicTerm.quadratic(A),), outer_sum(1),
-            field_recipe="composition", alignment=PolarAlignment(blocks=()),
+            alignment=PolarAlignment(blocks=()),
             npdo_monotone=psd, nepv_monotone=True, meta=meta)
 
     if fam == "mbsub":
@@ -204,8 +205,7 @@ def build(spec: ProblemSpec) -> ComposedObjective:
         psd = _check_psd(A)
         terms = (AtomicTerm.quadratic(A), AtomicTerm.linear(D))
         return ComposedObjective(
-            n, k, terms, outer_sum(2), field_recipe="composition",
-            alignment=PolarAlignment(),
+            n, k, terms, outer_sum(2), alignment=PolarAlignment(),
             npdo_monotone=psd, nepv_monotone=True, meta=meta)
 
     if fam == "sumct":
@@ -229,7 +229,7 @@ def build(spec: ProblemSpec) -> ComposedObjective:
                     for D_j, cols in zip(D_list, spec.blocks)])
         lin_idx = tuple(range(len(spec.blocks), len(terms)))
         return ComposedObjective(
-            n, k, tuple(terms), outer_sum(len(terms)), field_recipe="generic",
+            n, k, tuple(terms), outer_sum(len(terms)),
             alignment=PolarAlignment(blocks=lin_idx),
             npdo_monotone=all_psd, nepv_monotone=all_psd, meta=meta)
 
@@ -262,9 +262,8 @@ def build(spec: ProblemSpec) -> ComposedObjective:
         else:
             align = PolarAlignment() if squared else PolarAlignment(D)
         outer = (outer_ratio_squared if squared else outer_theta_ratio)(theta)
-        meta["theta"] = theta
         return ComposedObjective(
-            n, k, terms, outer, field_recipe="composition", alignment=align,
+            n, k, terms, outer, alignment=align,
             npdo_monotone=False, nepv_monotone=True, meta=meta)
 
     if fam == "umds":
@@ -272,7 +271,7 @@ def build(spec: ProblemSpec) -> ComposedObjective:
         terms = tuple(AtomicTerm.quadratic(A_j, m=2) for A_j in A_list)
         return ComposedObjective(
             n, k, terms, outer_sum(len(terms)),
-            field_recipe="composition", alignment=PolarAlignment(blocks=()),
+            alignment=PolarAlignment(blocks=()),
             npdo_monotone=all_psd, nepv_monotone=all_psd, meta=meta)
 
     if fam == "trcp":
@@ -280,8 +279,7 @@ def build(spec: ProblemSpec) -> ComposedObjective:
         terms = tuple(AtomicTerm.quadratic(A_j) for A_j in A_list)
         outer = _trace_composition_outer(spec, len(terms), lead=False)
         return ComposedObjective(
-            n, k, terms, outer, field_recipe="composition",
-            alignment=PolarAlignment(blocks=()),
+            n, k, terms, outer, alignment=PolarAlignment(blocks=()),
             npdo_monotone=all_psd, nepv_monotone=True, meta=meta)
 
     if fam == "dft":
@@ -295,8 +293,7 @@ def build(spec: ProblemSpec) -> ComposedObjective:
             terms.append(AtomicTerm.quadratic(E))
         outer = _trace_composition_outer(spec, n, lead=True)
         return ComposedObjective(
-            n, k, tuple(terms), outer, field_recipe="composition",
-            alignment=PolarAlignment(blocks=()),
+            n, k, tuple(terms), outer, alignment=PolarAlignment(blocks=()),
             npdo_monotone=psd, nepv_monotone=True, meta=meta)
 
     if fam == "quad_lin2":
@@ -305,8 +302,7 @@ def build(spec: ProblemSpec) -> ComposedObjective:
         psd = _check_psd(A)
         terms = (AtomicTerm.quadratic(A), AtomicTerm.linear(D, m=2))
         return ComposedObjective(
-            n, k, terms, outer_sum(2), field_recipe="composition",
-            alignment=PolarAlignment(D),
+            n, k, terms, outer_sum(2), alignment=PolarAlignment(D),
             npdo_monotone=psd, nepv_monotone=True, meta=meta)
 
     if fam == "procrustes":
@@ -345,8 +341,7 @@ def build_procrustes_ls(C, B) -> ComposedObjective:
     meta = {"family": "procrustes", "C": C, "B": B,
             "offset": float(np.linalg.norm(B) ** 2)}
     return ComposedObjective(
-        n, k, terms, outer_sum(2), field_recipe="composition",
-        alignment=PolarAlignment(),
+        n, k, terms, outer_sum(2), alignment=PolarAlignment(),
         npdo_monotone=False, nepv_monotone=True, meta=meta)
 
 

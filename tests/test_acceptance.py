@@ -150,13 +150,12 @@ def _atom_objectives(n=6, k=2):
             align = PolarAlignment(D) if s > 1.0 else PolarAlignment(blocks=())
             yield f"linear-m{m}-s{s}", ComposedObjective(
                 n, k, (AtomicTerm.linear(D, m=m, s=s),), outer_sum(1),
-                field_recipe="composition", alignment=align), s > 1.0
+                alignment=align), s > 1.0
     for m in (1, 2):
         for s in (1.0, 2.0, 1.5):
             A = A_ind if (m == 1 and s == 1.0) else A_psd
             yield f"quadratic-m{m}-s{s}", ComposedObjective(
-                n, k, (AtomicTerm.quadratic(A, m=m, s=s),), outer_sum(1),
-                field_recipe="composition"), False
+                n, k, (AtomicTerm.quadratic(A, m=m, s=s),), outer_sum(1)), False
 
 
 def _family_objectives(n=7, k=2, seed=0):
@@ -243,7 +242,6 @@ def test_criterion_3_one_step_closed_forms():
     rng = np.random.default_rng(3)
     D = rng.standard_normal((9, 3))
     lin = ComposedObjective(9, 3, (AtomicTerm.linear(D),), outer_sum(1),
-                            field_recipe="composition",
                             alignment=ss.PolarAlignment(),
                             npdo_monotone=True)
     rep = ss.npdo_scf(lin, random_stiefel(9, 3, 0))
@@ -371,9 +369,12 @@ def test_criterion_9_locg_acceleration():
     assert fast.num_iterations < plain.num_iterations
 
     # The eigenvector solver resolves the plain eigenvalue objective in one
-    # shot, so its head-to-head uses the generic P-dependent field.
-    sep_gen = ComposedObjective(n, k, (AtomicTerm.quadratic(A),), outer_sum(1),
-                                field_recipe="generic", nepv_monotone=True)
+    # shot (its composition field 2A does not depend on P), so its
+    # head-to-head uses the generic P-dependent field, which belongs to sep
+    # written as a sum of one-column traces tr(p_j'Ap_j).
+    sep_gen = ComposedObjective(
+        n, k, tuple(AtomicTerm.quadratic(A, cols=(j,)) for j in range(k)),
+        outer_sum(k), nepv_monotone=True)
     plain_n = ss.nepv_scf(sep_gen, P0)
     fast_n = ss.nepv_locg(sep_gen, P0)
     assert plain_n.converged and fast_n.converged

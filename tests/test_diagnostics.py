@@ -69,7 +69,6 @@ class TestBruteForceOracle:
         rng = np.random.default_rng(3)
         D = rng.standard_normal((4, 2))
         obj = ComposedObjective(4, 2, (AtomicTerm.linear(D),), outer_sum(1),
-                                field_recipe="composition",
                                 alignment=PolarAlignment(),
                                 nepv_monotone=True)
         best_f, _ = brute_force_oracle(obj, budget=60, seed=0)

@@ -151,6 +151,23 @@ class TestTopKEigenpairs:
         assert np.allclose(span, np.diag([1.0, 1.0, 0.0]), atol=1e-12)
         assert out.gap == pytest.approx(2.0)
 
+    def test_clustered_spectrum_the_range_solve_cuts_short(self):
+        # On this spectrum dsyevr returned 1 of the 3 pairs asked for, with
+        # info = 0; the top pairs and the gap must still be those of eigh,
+        # within the tolerances of the property below (||H|| < 1).
+        spectrum = [-3.0, 1.0, 1.0, 1.0, 1e-14, 2.0, -1.6259730522369593,
+                    1.0, -2.7002857242383396, 1.0, -2.0, -2.465665306554751,
+                    2.0, 1.0]
+        n = len(spectrum)
+        Q, _ = np.linalg.qr(np.random.default_rng(2340906).standard_normal((n, n)))
+        H = sym_part((Q * (1e-3 * np.array(spectrum))) @ Q.T)
+        out = top_k_eigenpairs(H, 2)
+        w = np.linalg.eigh(H)[0][::-1]
+        assert np.max(np.abs(out.eigenvalues - w[:2])) <= 1e-12
+        assert abs(out.gap - (w[1] - w[2])) <= 1e-12
+        V = out.eigenbasis
+        assert np.linalg.norm(H @ V - V * out.eigenvalues) <= 1e-10
+
     def test_degenerate_spectrum(self):
         out = top_k_eigenpairs(np.eye(4), 2)
         assert np.allclose(out.eigenvalues, [1.0, 1.0])

@@ -249,14 +249,16 @@ class TestNepvLocg:
 
     def test_accelerates_generic_field_sep(self):
         # With the P-dependent generic field the plain iteration crawls at
-        # the 0.99 eigenvalue ratio; the subspace variant should not.
+        # the 0.99 eigenvalue ratio; the subspace variant should not.  sep
+        # written as a sum of one-column traces has that field.
         n, k = 50, 2
         vals = np.concatenate([[1.5, 1.0], np.linspace(0.99, 0.01, n - 2)])
         rng = np.random.default_rng(15)
         Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
         A = sym_part(Q @ np.diag(vals) @ Q.T)
-        obj = ComposedObjective(n, k, (AtomicTerm.quadratic(A),), outer_sum(1),
-                                field_recipe="generic", nepv_monotone=True)
+        obj = ComposedObjective(
+            n, k, tuple(AtomicTerm.quadratic(A, cols=(j,)) for j in range(k)),
+            outer_sum(k), nepv_monotone=True)
         P0 = random_stiefel(n, k, 7)
         plain = nepv_scf(obj, P0)
         metric = nepv_locg(obj, P0)

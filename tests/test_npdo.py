@@ -31,7 +31,6 @@ def make_psd(n, seed, shift=0.0):
 def linear_objective(D):
     n, k = D.shape
     return ComposedObjective(n, k, (AtomicTerm.linear(D),), outer_sum(1),
-                             field_recipe="composition",
                              alignment=PolarAlignment(),
                              npdo_monotone=True, nepv_monotone=True)
 

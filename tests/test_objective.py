@@ -1,14 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stiefelscf.alignment import PolarAlignment
 from stiefelscf.kernels import random_stiefel, sym_part
+from stiefelscf.nepv import nepv_scf_step
 from stiefelscf import objective
 from stiefelscf.objective import (
     AtomicTerm,
     ComposedObjective,
     NegativeBaseError,
-    RecipeRequiresFullSelectors,
     eval_atomic,
     grad_atomic,
     outer_ratio_squared,
@@ -144,13 +146,19 @@ class TestGradAtomic:
                 assert lhs == pytest.approx(2 * s * m * val, rel=1e-10, abs=1e-10)
 
 
-def mbsub_objective(n, k, seed, psd=True):
+def mbsub_objective(n, k, seed, psd=True, split=False):
+    """tr(P'AP + P'D) with full-column terms, or with ``split`` as the sum
+    over columns j of tr(p_j'Ap_j + p_j'd_j), the same f with the generic
+    field."""
     rng = np.random.default_rng(seed)
     A = make_psd(n, seed) if psd else sym_part(rng.standard_normal((n, n)))
     D = rng.standard_normal((n, k))
     terms = (AtomicTerm.quadratic(A), AtomicTerm.linear(D))
-    return ComposedObjective(n, k, terms, outer_sum(2),
-                             field_recipe="composition",
+    if split:
+        terms = tuple(t for j in range(k) for t in (
+            AtomicTerm.quadratic(A, cols=(j,)),
+            AtomicTerm.linear(D[:, [j]], cols=(j,))))
+    return ComposedObjective(n, k, terms, outer_sum(len(terms)),
                              alignment=PolarAlignment(blocks=())), A, D
 
 
@@ -173,8 +181,7 @@ class TestComposedObjective:
         terms = (AtomicTerm.quadratic(np.eye(n)),
                  AtomicTerm.quadratic(np.zeros((n, n))),
                  AtomicTerm.linear(np.array([[1.0], [0.0]])))
-        obj = ComposedObjective(n, k, terms, outer_ratio_squared(0.5),
-                                field_recipe="composition")
+        obj = ComposedObjective(n, k, terms, outer_ratio_squared(0.5))
         assert obj.value(np.array([[1.0], [0.0]])) == pytest.approx(1.0)
 
     @pytest.mark.parametrize("outer", [outer_theta_ratio, outer_ratio_squared])
@@ -200,7 +207,7 @@ class TestComposedObjective:
         D = rng.standard_normal((n, k))
         obj = ComposedObjective(
             n, k, (AtomicTerm.quadratic(A), AtomicTerm.linear(D, m=2)),
-            outer_sum(2), field_recipe="composition")
+            outer_sum(2))
         for seed in range(3):
             P = random_stiefel(n, k, seed)
             expected = 2 * A @ P + 2 * D @ (P.T @ D)
@@ -212,8 +219,7 @@ class TestComposedObjective:
         terms = (AtomicTerm.quadratic(make_psd(n, 1, 0.3), m=2),
                  AtomicTerm.linear(rng.standard_normal((n, k)), m=1),
                  AtomicTerm.quadratic(make_psd(n, 2), m=1, s=2.0))
-        obj = ComposedObjective(n, k, terms, outer_weighted_sum([1.0, 0.5, 0.25]),
-                                field_recipe="composition")
+        obj = ComposedObjective(n, k, terms, outer_weighted_sum([1.0, 0.5, 0.25]))
         for seed in range(5):
             P = random_stiefel(n, k, seed)
             G = obj.euclidean_grad(P)
@@ -247,7 +253,7 @@ class TestComposedObjective:
         A1, A2 = make_psd(6, 1), make_psd(6, 2)
         obj = ComposedObjective(
             6, 3, (AtomicTerm.quadratic(A1, m=2), AtomicTerm.quadratic(A2)),
-            outer_sum(2), field_recipe="composition")
+            outer_sum(2))
         P = random_stiefel(6, 3, 0)
         base = obj.value(P)
         for t in range(5):
@@ -262,13 +268,19 @@ class TestComposedObjective:
         with pytest.raises(ValueError):
             ComposedObjective(3, 2, (AtomicTerm.quadratic(np.eye(3), cols=(2,)),),
                               outer_sum(1))
+        for k in (0, 5):
+            with pytest.raises(ValueError, match=f"n = 3, k = {k}"):
+                ComposedObjective(3, k, (AtomicTerm.quadratic(np.eye(3)),),
+                                  outer_sum(1))
+        obj, _, _ = mbsub_objective(6, 2, 1)
+        with pytest.raises(ValueError, match="n = 1, k = 2"):
+            obj.transform(random_stiefel(6, 1, 0))
 
 
 class TestField:
     def test_sep_field_is_2a(self):
         A = sym_part(np.random.default_rng(0).standard_normal((5, 5)))
-        obj = ComposedObjective(5, 2, (AtomicTerm.quadratic(A),), outer_sum(1),
-                                field_recipe="composition")
+        obj = ComposedObjective(5, 2, (AtomicTerm.quadratic(A),), outer_sum(1))
         for seed in range(3):
             P = random_stiefel(5, 2, seed)
             fe = obj.field(P)
@@ -277,9 +289,8 @@ class TestField:
             assert fe.asymmetry <= 1e-12
 
     def test_generic_field_identity_mbsub(self):
-        obj, A, D = mbsub_objective(6, 2, 4, psd=False)
-        obj = ComposedObjective(obj.n, obj.k, obj.terms, obj.outer,
-                                field_recipe="generic")
+        obj, A, D = mbsub_objective(6, 2, 4, psd=False, split=True)
+        assert obj.field_recipe == "generic"
         for seed in range(5):
             P = random_stiefel(6, 2, seed)
             fe = obj.field(P)
@@ -293,18 +304,20 @@ class TestField:
         rng = np.random.default_rng(21)
         D = rng.standard_normal((n, k))
         A = make_psd(n, 31)
-        cases = []
-        for recipe in ("generic", "composition"):
-            cases.append(ComposedObjective(
-                n, k,
-                (AtomicTerm.quadratic(A, m=2), AtomicTerm.linear(D, m=2),
-                 AtomicTerm.linear(D, m=1, s=2.0)),
-                outer_weighted_sum([1.0, 0.7, 0.2]), field_recipe=recipe))
+        partial = (AtomicTerm.quadratic(A, m=2, cols=(0,)),
+                   AtomicTerm.linear(D[:, 1:], m=2, cols=(1,)),
+                   AtomicTerm.linear(D, m=1, s=2.0))
+        full = (AtomicTerm.quadratic(A, m=2), AtomicTerm.linear(D, m=2),
+                AtomicTerm.linear(D, m=1, s=2.0))
+        cases = [ComposedObjective(n, k, terms,
+                                   outer_weighted_sum([1.0, 0.7, 0.2]))
+                 for terms in (partial, full)]
+        assert [c.field_recipe for c in cases] == ["generic", "composition"]
         B = make_psd(n, 41, shift=1.0)
         cases.append(ComposedObjective(
             n, k,
             (AtomicTerm.quadratic(B), AtomicTerm.quadratic(A), AtomicTerm.linear(D)),
-            outer_theta_ratio(0.5), field_recipe="composition"))
+            outer_theta_ratio(0.5)))
         for obj in cases:
             for seed in range(100):
                 P = random_stiefel(n, k, seed)
@@ -326,7 +339,7 @@ class TestField:
         obj = ComposedObjective(
             n, k,
             (AtomicTerm.quadratic(B), AtomicTerm.quadratic(A), AtomicTerm.linear(D)),
-            outer_theta_ratio(0.0), field_recipe="composition")
+            outer_theta_ratio(0.0))
         P = random_stiefel(n, k, 0)
         fe = obj.field(P)
         assert np.allclose(fe.H, 2 * A + D @ P.T + P @ D.T, atol=1e-12)
@@ -338,7 +351,7 @@ class TestField:
         n, k, c = 9, 3, 0.5
         A = make_psd(n, 50 + m)
         obj = ComposedObjective(n, k, (AtomicTerm.quadratic(A, m=m, c=c),),
-                                outer_sum(1), field_recipe="composition")
+                                outer_sum(1))
         for seed in range(5):
             P = random_stiefel(n, k, seed)
             fe = obj.field(P)
@@ -347,12 +360,6 @@ class TestField:
             assert np.linalg.norm(fe.H - old) <= 1e-12 * np.linalg.norm(old)
             resid = fe.H @ P - obj.euclidean_grad(P) - P @ fe.mismatch
             assert np.linalg.norm(resid) <= 1e-12 * np.linalg.norm(fe.H)
-
-    def test_composition_requires_full_selectors(self):
-        with pytest.raises(RecipeRequiresFullSelectors):
-            ComposedObjective(
-                4, 2, (AtomicTerm.quadratic(np.eye(4), cols=(0,)),),
-                outer_sum(1), field_recipe="composition")
 
     def test_field_trace_identity_composition(self):
         # tr(P'HP) = sum_i 2 s_i m_i phi_i value_i for the composition recipe.
@@ -363,8 +370,7 @@ class TestField:
         terms = (AtomicTerm.quadratic(A, m=2, c=0.5),
                  AtomicTerm.linear(D, m=2),
                  AtomicTerm.quadratic(A, m=1, s=2.0))
-        obj = ComposedObjective(n, k, terms, outer_weighted_sum([1.0, 0.3, 0.1]),
-                                field_recipe="composition")
+        obj = ComposedObjective(n, k, terms, outer_weighted_sum([1.0, 0.3, 0.1]))
         gammas = [2 * 1 * 2, 2 * 1 * 2, 2 * 2 * 1]
         for seed in range(20):
             P = random_stiefel(n, k, seed)
@@ -377,9 +383,7 @@ class TestField:
 
     def test_field_trace_identity_generic(self):
         # tr(P'HP) = 2 tr(P'G) for the generic recipe.
-        obj, A, D = mbsub_objective(6, 2, 14, psd=False)
-        obj = ComposedObjective(obj.n, obj.k, obj.terms, obj.outer,
-                                field_recipe="generic")
+        obj, A, D = mbsub_objective(6, 2, 14, psd=False, split=True)
         for seed in range(20):
             P = random_stiefel(6, 2, seed)
             fe = obj.field(P)
@@ -389,14 +393,25 @@ class TestField:
 
     def test_mismatch_asymmetry_zero_for_sep_positive_generic(self):
         A = make_psd(5, 6)
-        obj = ComposedObjective(5, 2, (AtomicTerm.quadratic(A),), outer_sum(1),
-                                field_recipe="composition")
+        obj = ComposedObjective(5, 2, (AtomicTerm.quadratic(A),), outer_sum(1))
         assert obj.at(random_stiefel(5, 2, 1)).field.asymmetry <= 1e-12
 
     def test_mismatch_asymmetry_positive_generically(self):
         obj, _, _ = mbsub_objective(6, 2, 8)
         vals = [obj.at(random_stiefel(6, 2, s)).field.asymmetry for s in range(5)]
         assert all(v > 1e-6 for v in vals)
+
+    def test_an_explicit_full_selector_is_a_full_selector(self):
+        # Field recipe, field and alignment matrix are those of cols=None.
+        obj, A, D = mbsub_objective(6, 2, 5)
+        full = ComposedObjective(6, 2, (AtomicTerm.quadratic(A, cols=(0, 1)),
+                                        AtomicTerm.linear(D, cols=(0, 1))),
+                                 outer_sum(2))
+        assert full.field_recipe == "composition"
+        for seed in range(3):
+            P = random_stiefel(6, 2, seed)
+            assert np.array_equal(full.script_d(P), obj.script_d(P))
+            assert np.array_equal(full.field(P).H, obj.field(P).H)
 
     def test_transform_substitutes_structure(self):
         obj, A, D = mbsub_objective(7, 2, 12)
@@ -422,8 +437,7 @@ def evaluation_objectives(n=7, k=3):
     yield ComposedObjective(
         n, k, (AtomicTerm.quadratic(B), AtomicTerm.quadratic(A),
                AtomicTerm.linear(D)),
-        outer_theta_ratio(0.5), field_recipe="composition",
-        meta={"theta": 0.5})
+        outer_theta_ratio(0.5))
 
 
 class TestPointEvaluation:
@@ -471,3 +485,60 @@ class TestPointEvaluation:
             P = random_stiefel(obj.n, obj.k, seed)
             num = np.trace(P.T @ A @ P) + np.trace(P.T @ D)
             assert obj.at(P).theta_sign_ok == (num >= 0.0)
+
+
+class TestThetaData:
+    def test_read_off_the_outer_function(self):
+        # A hand-built ratio carries theta in its outer function alone, and
+        # the eigenvector step guards and records it like a built one.
+        obj = list(evaluation_objectives())[1]
+        assert obj.meta == {} and obj.outer.theta == 0.5
+        assert obj.theta_data.theta == 0.5
+        _, rec = nepv_scf_step(obj, random_stiefel(obj.n, obj.k, 0))
+        assert rec.d_trace_norm is not None
+
+    def test_none_off_the_ratio_layout(self):
+        obj = list(evaluation_objectives())[1]
+        B, A, D = obj.terms
+        for terms, outer in (
+                ((B, A, D), outer_ratio_squared(0.5)),
+                ((B, A, D), outer_weighted_sum([1.0, 1.0, 1.0])),
+                ((B, A, AtomicTerm.linear(D.matrix, c=2.0)),
+                 outer_theta_ratio(0.5)),
+                ((B, A, AtomicTerm.linear(D.matrix[:, :2], cols=(0, 1))),
+                 outer_theta_ratio(0.5))):
+            assert ComposedObjective(obj.n, obj.k, terms, outer).theta_data is None
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), n=st.integers(2, 7), seed=st.integers(0, 2**16))
+def test_field_recipe_is_read_off_the_selectors(data, n, seed):
+    # Composition exactly when every term covers all k columns (no selector
+    # or an explicit full tuple); either field satisfies the field identity.
+    k = data.draw(st.integers(1, n))
+    rng = np.random.default_rng(seed)
+    terms = []
+    for _ in range(data.draw(st.integers(1, 3))):
+        cols = data.draw(st.sampled_from(
+            [None, tuple(range(k))] + (["subset"] if k > 1 else [])))
+        if cols == "subset":
+            cols = tuple(sorted(data.draw(st.lists(
+                st.integers(0, k - 1), min_size=1, max_size=k - 1,
+                unique=True))))
+        width = k if cols is None else len(cols)
+        m = data.draw(st.sampled_from([1, 2]))
+        if data.draw(st.booleans()):
+            terms.append(AtomicTerm.linear(
+                rng.standard_normal((n, width)), m=m, cols=cols))
+        else:
+            terms.append(AtomicTerm.quadratic(
+                sym_part(rng.standard_normal((n, n))), m=m, cols=cols))
+    obj = ComposedObjective(n, k, tuple(terms), outer_weighted_sum(
+        rng.uniform(0.5, 2.0, len(terms))))
+    full = all(t.cols is None or len(t.cols) == k for t in terms)
+    assert obj.field_recipe == ("composition" if full else "generic")
+    P = random_stiefel(n, k, seed)
+    at = obj.at(P)
+    H = at.field.H
+    resid = np.linalg.norm(H @ P - at.euclidean_grad - P @ at.field.mismatch)
+    assert resid <= objective.FIELD_IDENTITY_TOL * max(1.0, np.linalg.norm(H))

@@ -468,10 +468,12 @@ class TestRatioObjective:
         assert sq.theta_data is None
 
     def test_theta_tr_recipe_is_gone(self):
+        # The recipe is read off the selectors; no caller can set one.
         olda = build(ProblemSpec("olda", 5, 2, {"A": make_psd(5, 1),
                                                 "B": make_psd(5, 2, 1.0)}))
-        with pytest.raises(ValueError, match="unknown field recipe"):
-            dataclasses.replace(olda, field_recipe="theta_tr")
+        assert olda.field_recipe == "composition"
+        assert "field_recipe" not in {
+            f.name for f in dataclasses.fields(ComposedObjective)}
 
     def assert_view(self, obj, theta, A, B, D):
         td = obj.theta_data

@@ -1,0 +1,40 @@
+"""``tools/same_outputs.py`` compares two program trees pair by pair on the
+benchmark's instances."""
+
+import importlib.util
+import shutil
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
+
+
+def _tool():
+    spec = importlib.util.spec_from_file_location(
+        "_same_outputs", ROOT / "tools" / "same_outputs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_the_same_tree_gives_no_differences(capsys):
+    assert _tool().main([str(SRC), str(SRC), "--tiny"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "0 of 52 (instance, solver) pairs differ"]
+
+
+def test_a_changed_inner_tolerance_shows_in_the_locg_pairs(tmp_path, capsys):
+    copy = tmp_path / "src"
+    shutil.copytree(SRC, copy, ignore=shutil.ignore_patterns("__pycache__"))
+    npdo = copy / "stiefelscf" / "npdo.py"
+    text = npdo.read_text()
+    assert text.count("\nINNER_TOL_FRACTION = 0.25\n") == 1
+    npdo.write_text(text.replace("\nINNER_TOL_FRACTION = 0.25\n",
+                                 "\nINNER_TOL_FRACTION = 0.1\n"))
+    assert _tool().main([str(SRC), str(copy), "--tiny"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    differing = [line.split()[1] for line in lines
+                 if line.startswith("differs: ")]
+    assert differing
+    assert all(key.endswith("-locg") for key in differing)
+    assert lines[-1] == f"{len(differing)} of 52 (instance, solver) pairs differ"
