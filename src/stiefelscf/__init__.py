@@ -65,7 +65,6 @@ from .problems import (
     generalized_kkt_residual,
     lift_m_orthogonal,
     m_orthogonality_drift,
-    procrustes_residual,
 )
 from .diagnostics import (
     SizeTooLargeForOracle,

@@ -7,8 +7,9 @@ Usage::
                  [--report out.json] [--oracle BUDGET]
                  [--audit {grad,series,theta,certs,all}] [--batch DIR]
 
-Exit codes: 0 converged, 1 input error or failed solve, 2 iteration budget
-exhausted, 3 audit failure or a solve stopped by a violated declared ascent.
+Exit codes: 0 converged, 1 input error, failed solve or unwritable output,
+2 iteration budget exhausted, 3 audit failure or a solve stopped by a
+violated declared ascent.
 Set STIEFEL_SCF_LOG={off,info,debug} for logging.
 Runs are reproducible bit-for-bit given the problem file, flags and seed.
 """
@@ -34,11 +35,11 @@ from .diagnostics import (
     series_audit,
     theta_step_audit,
 )
-from .kernels import random_stiefel
+from .kernels import as_matrix, random_stiefel
 from .nepv import nepv_certificates, nepv_locg, nepv_scf
 from .npdo import NpdoConfig, npdo_certificates, npdo_locg, npdo_scf
 from .objective import FIELD_IDENTITY_TOL
-from .problems import ProblemSpec, build, procrustes_residual
+from .problems import ProblemSpec, build
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -173,7 +174,12 @@ def _atomic_write(path, text: str) -> None:
 
 
 def _jsonable(value):
-    if isinstance(value, (np.floating, np.integer)):
+    """The report payload ``value`` (nested dicts of scalars) with numpy
+    scalars as Python ones and each non-finite float as its repr ("inf",
+    "-inf", "nan", as ``_fmt`` writes them)."""
+    if isinstance(value, dict):
+        return {key: _jsonable(v) for key, v in value.items()}
+    if isinstance(value, np.generic):
         value = value.item()
     if isinstance(value, float) and not np.isfinite(value):
         return repr(value)
@@ -181,8 +187,9 @@ def _jsonable(value):
 
 
 def write_report(path, payload: dict) -> None:
-    clean = json.loads(json.dumps(payload, default=_jsonable, sort_keys=True))
-    _atomic_write(path, json.dumps(clean, indent=2, sort_keys=True) + "\n")
+    """Write the report as strict JSON, atomically (temp file + rename)."""
+    _atomic_write(path, json.dumps(_jsonable(payload), indent=2,
+                                   sort_keys=True, allow_nan=False) + "\n")
 
 
 def _certificates(obj, P, framework: str) -> dict:
@@ -288,9 +295,11 @@ def run_one(args) -> int:
                         "f_initial": report.f_initial,
                         "declared_ascent": getattr(obj, f"{framework}_monotone")},
     }
-    if obj.meta.get("family") == "procrustes":
-        payload["diagnostics"]["procrustes_residual"] = procrustes_residual(
-            obj, report.point)
+    if spec.family == "procrustes":
+        # As the builder reads them: a 1-d array is one column.
+        C, B = (as_matrix(spec.matrices[name]) for name in "CB")
+        payload["diagnostics"]["procrustes_residual"] = float(
+            np.linalg.norm(C @ report.point - B))
 
     audits_ok = True
     if args.audit:
@@ -316,10 +325,16 @@ def run_one(args) -> int:
         payload["diagnostics"]["oracle_best"] = best_f
         payload["diagnostics"]["oracle_gap"] = best_f - report.f_final
 
-    if args.trace:
-        write_trace(args.trace, report)
-    if args.report:
-        write_report(args.report, payload)
+    for path, write, data in ((args.trace, write_trace, report),
+                              (args.report, write_report, payload)):
+        if path:
+            try:
+                write(path, data)
+            except OSError as exc:
+                # An unwritable output path ends this problem only.
+                print(f"error: cannot write {path}: {exc.strerror or exc}",
+                      file=sys.stderr)
+                return EXIT_INPUT
     if report.stop_reason == "ascent_violated":
         # The objective broke the ascent it declares: an audit failure.
         return EXIT_AUDIT

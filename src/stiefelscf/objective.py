@@ -24,6 +24,11 @@ and the single-term ``eval_atomic`` and ``grad_atomic``, are one-line
 wrappers over a fresh evaluation, kept because the benchmark's per-layer
 tracer wraps them by name; other per-point quantities are read off ``at(P)``.
 
+An objective holds only what defines f and how the solvers treat it: n, k,
+the terms, the outer function, the alignment rule and the two ascent
+declarations, so a transformed objective carries no stale copy of the data
+of the problem it came from.
+
 An objective is checked once, when it is built: its order 1 <= k <= n, term
 shapes and selectors, and the alignment rule (a
 ``stiefelscf.alignment.PolarAlignment``) against the terms.
@@ -40,7 +45,7 @@ function and A, B and D off the terms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Callable
 
@@ -211,15 +216,15 @@ class OuterFunction:
     ``value`` maps an N-vector of term values to a scalar; ``partials`` maps
     it to the N-vector of partial derivatives.  ``theta`` is the exponent of
     the trace ratio (x2 + x3) / x1^theta made by ``outer_theta_ratio``, and
-    None for every other phi.  Whether phi carries an ascent guarantee is
-    declared by the objective that uses it
-    (``ComposedObjective.npdo_monotone`` / ``nepv_monotone``), not here.
+    None for every other phi.  These four fields are all of phi: it has no
+    name, and whether it carries an ascent guarantee is declared by the
+    objective that uses it (``ComposedObjective.npdo_monotone`` /
+    ``nepv_monotone``), not here.
     """
 
     dim: int
     value: Callable[[np.ndarray], float]
     partials: Callable[[np.ndarray], np.ndarray]
-    name: str = "custom"
     theta: float | None = None
 
 
@@ -229,7 +234,6 @@ def outer_sum(dim: int) -> OuterFunction:
         dim,
         lambda x: float(np.sum(x)),
         lambda x: np.ones(dim),
-        name="sum",
     )
 
 
@@ -240,7 +244,6 @@ def outer_weighted_sum(weights) -> OuterFunction:
         w.size,
         lambda x: float(w @ np.asarray(x)),
         lambda x: w.copy(),
-        name="weighted_sum",
     )
 
 
@@ -273,7 +276,7 @@ def outer_theta_ratio(theta: float) -> OuterFunction:
         p[2] = 1.0 / x[0] ** th
         return p
 
-    return OuterFunction(3, value, partials, name="theta_ratio", theta=th)
+    return OuterFunction(3, value, partials, theta=th)
 
 
 def outer_ratio_squared(theta: float) -> OuterFunction:
@@ -294,7 +297,7 @@ def outer_ratio_squared(theta: float) -> OuterFunction:
         p[2] = p[1]
         return p
 
-    return OuterFunction(3, value, partials, name="ratio_squared")
+    return OuterFunction(3, value, partials)
 
 
 @dataclass(frozen=True)
@@ -326,6 +329,9 @@ class FieldEvaluation:
 @dataclass(frozen=True)
 class ComposedObjective:
     """Objective f = phi o T over n-by-k Stiefel points.
+
+    Its seven fields are all it holds: n, k, the terms, the outer function,
+    the alignment rule and the two ascent declarations.
 
     ``field_recipe`` is read off the selectors, not set: it is
     ``"composition"`` (per-term fields weighted by the outer partials) when
@@ -365,7 +371,6 @@ class ComposedObjective:
     alignment: PolarAlignment = PolarAlignment(blocks=())
     npdo_monotone: bool = False
     nepv_monotone: bool = False
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if not 1 <= self.k <= self.n:
@@ -450,8 +455,7 @@ class ComposedObjective:
         return ComposedObjective(
             n=T.shape[1], k=self.k, terms=terms, outer=self.outer,
             alignment=self.alignment.transform(T),
-            npdo_monotone=self.npdo_monotone, nepv_monotone=self.nepv_monotone,
-            meta=dict(self.meta))
+            npdo_monotone=self.npdo_monotone, nepv_monotone=self.nepv_monotone)
 
 
 class PointEvaluation:

@@ -18,6 +18,10 @@ procrustes   min ||CP - B||_F^2 recast as a MAXBET subproblem
 Each builder wires the family's alignment rule and declares which framework
 carries a per-step ascent guarantee for it; the terms' selectors decide the
 field recipe (generic for sumct's column blocks, composition elsewhere).
+A built objective holds only what defines f: the family name and the input
+matrices stay with the ``ProblemSpec`` (or the caller), so a quantity of the
+original problem, such as the Procrustes residual ||CP - B||_F, is computed
+from them.
 """
 
 from __future__ import annotations
@@ -47,7 +51,6 @@ __all__ = [
     "lift_m_orthogonal",
     "m_orthogonality_drift",
     "generalized_kkt_residual",
-    "procrustes_residual",
 ]
 
 FAMILIES = ("sep", "mbsub", "sumct", "theta_tr", "olda", "occa",
@@ -177,7 +180,7 @@ def _trace_composition_outer(spec: ProblemSpec, ell: int, lead: bool) -> OuterFu
         x = np.asarray(x, dtype=float)
         return np.concatenate((np.ones(off), dphi(w, x[off:])))
 
-    return OuterFunction(ell + off, value, partials, name=spec.phi)
+    return OuterFunction(ell + off, value, partials)
 
 
 def build(spec: ProblemSpec) -> ComposedObjective:
@@ -189,7 +192,6 @@ def build(spec: ProblemSpec) -> ComposedObjective:
         # An infinite one makes f infinite at every point.
         raise ValueError(
             f"phi_weight must be nonnegative and finite, got {spec.phi_weight!r}")
-    meta = {"family": fam}
 
     if fam == "sep":
         A = _get(spec, "A", (n, n), symmetric=True)
@@ -197,7 +199,7 @@ def build(spec: ProblemSpec) -> ComposedObjective:
         return ComposedObjective(
             n, k, (AtomicTerm.quadratic(A),), outer_sum(1),
             alignment=PolarAlignment(blocks=()),
-            npdo_monotone=psd, nepv_monotone=True, meta=meta)
+            npdo_monotone=psd, nepv_monotone=True)
 
     if fam == "mbsub":
         A = _get(spec, "A", (n, n), symmetric=True)
@@ -206,7 +208,7 @@ def build(spec: ProblemSpec) -> ComposedObjective:
         terms = (AtomicTerm.quadratic(A), AtomicTerm.linear(D))
         return ComposedObjective(
             n, k, terms, outer_sum(2), alignment=PolarAlignment(),
-            npdo_monotone=psd, nepv_monotone=True, meta=meta)
+            npdo_monotone=psd, nepv_monotone=True)
 
     if fam == "sumct":
         if spec.blocks is None:
@@ -231,7 +233,7 @@ def build(spec: ProblemSpec) -> ComposedObjective:
         return ComposedObjective(
             n, k, tuple(terms), outer_sum(len(terms)),
             alignment=PolarAlignment(blocks=lin_idx),
-            npdo_monotone=all_psd, nepv_monotone=all_psd, meta=meta)
+            npdo_monotone=all_psd, nepv_monotone=all_psd)
 
     if fam in _RATIO_FAMILIES:
         # The squared ratio differs in its theta range, outer and alignment.
@@ -264,7 +266,7 @@ def build(spec: ProblemSpec) -> ComposedObjective:
         outer = (outer_ratio_squared if squared else outer_theta_ratio)(theta)
         return ComposedObjective(
             n, k, terms, outer, alignment=align,
-            npdo_monotone=False, nepv_monotone=True, meta=meta)
+            npdo_monotone=False, nepv_monotone=True)
 
     if fam == "umds":
         A_list, all_psd = _A_list(spec)
@@ -272,7 +274,7 @@ def build(spec: ProblemSpec) -> ComposedObjective:
         return ComposedObjective(
             n, k, terms, outer_sum(len(terms)),
             alignment=PolarAlignment(blocks=()),
-            npdo_monotone=all_psd, nepv_monotone=all_psd, meta=meta)
+            npdo_monotone=all_psd, nepv_monotone=all_psd)
 
     if fam == "trcp":
         A_list, all_psd = _A_list(spec)
@@ -280,7 +282,7 @@ def build(spec: ProblemSpec) -> ComposedObjective:
         outer = _trace_composition_outer(spec, len(terms), lead=False)
         return ComposedObjective(
             n, k, terms, outer, alignment=PolarAlignment(blocks=()),
-            npdo_monotone=all_psd, nepv_monotone=True, meta=meta)
+            npdo_monotone=all_psd, nepv_monotone=True)
 
     if fam == "dft":
         A = _get(spec, "A", (n, n), symmetric=True)
@@ -294,7 +296,7 @@ def build(spec: ProblemSpec) -> ComposedObjective:
         outer = _trace_composition_outer(spec, n, lead=True)
         return ComposedObjective(
             n, k, tuple(terms), outer, alignment=PolarAlignment(blocks=()),
-            npdo_monotone=psd, nepv_monotone=True, meta=meta)
+            npdo_monotone=psd, nepv_monotone=True)
 
     if fam == "quad_lin2":
         A = _get(spec, "A", (n, n), symmetric=True)
@@ -303,7 +305,7 @@ def build(spec: ProblemSpec) -> ComposedObjective:
         terms = (AtomicTerm.quadratic(A), AtomicTerm.linear(D, m=2))
         return ComposedObjective(
             n, k, terms, outer_sum(2), alignment=PolarAlignment(D),
-            npdo_monotone=psd, nepv_monotone=True, meta=meta)
+            npdo_monotone=psd, nepv_monotone=True)
 
     if fam == "procrustes":
         C = _get(spec, "C", None)
@@ -323,8 +325,10 @@ def build_procrustes_ls(C, B) -> ComposedObjective:
 
     Expanding the square gives ||CP - B||_F^2 = ||B||_F^2 - f(P) with
     f(P) = tr(P'(-C'C)P) + tr(P' 2C'B), so maximizing f minimizes the
-    residual; the constant offset makes the equivalence checkable at every
-    iterate.  The quadratic matrix is negative semidefinite, so only the
+    residual.  The objective keeps neither C nor B: the caller holds them
+    and checks the equivalence at any P as
+    ``np.linalg.norm(C @ P - B) ** 2 + f(P) == np.linalg.norm(B) ** 2``.
+    The quadratic matrix is negative semidefinite, so only the
     eigenvector-based solver carries the ascent guarantee.
     """
     C = as_matrix(C, "C")
@@ -338,19 +342,9 @@ def build_procrustes_ls(C, B) -> ComposedObjective:
     A = sym_part(-C.T @ C)
     D_eff = 2.0 * C.T @ B
     terms = (AtomicTerm.quadratic(A), AtomicTerm.linear(D_eff))
-    meta = {"family": "procrustes", "C": C, "B": B,
-            "offset": float(np.linalg.norm(B) ** 2)}
     return ComposedObjective(
         n, k, terms, outer_sum(2), alignment=PolarAlignment(),
-        npdo_monotone=False, nepv_monotone=True, meta=meta)
-
-
-def procrustes_residual(obj: ComposedObjective, P) -> float:
-    """||CP - B||_F reconstructed from a least-squares objective."""
-    if obj.meta.get("family") != "procrustes":
-        raise ValueError("objective was not built by build_procrustes_ls")
-    C, B = obj.meta["C"], obj.meta["B"]
-    return float(np.linalg.norm(C @ as_matrix(P, "P") - B))
+        npdo_monotone=False, nepv_monotone=True)
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,12 @@ from stiefelscf.cli import (
 )
 from stiefelscf.kernels import random_stiefel
 from stiefelscf.nepv import nepv_certificates, nepv_scf
-from stiefelscf.npdo import IterationRecord, SolveReport, npdo_certificates
+from stiefelscf.npdo import (
+    IterationRecord,
+    NpdoConfig,
+    SolveReport,
+    npdo_certificates,
+)
 from stiefelscf.objective import FIELD_IDENTITY_TOL
 from stiefelscf.problems import FAMILIES, OUTER_PRESETS, build
 
@@ -228,6 +233,46 @@ class TestRun:
                    else nepv_certificates)
         assert json.loads(report.read_text())["certificates"] == certify(
             obj, rep.point)
+
+    def test_report_is_strict_json(self, tmp_path):
+        # At n = k the eigenvector route's gap is infinite; the report holds
+        # it as the string "inf", not the non-standard literal Infinity.
+        p = write_problem(tmp_path / "square.json", dict(VALID_DOCS["sep"], k=3))
+        report = tmp_path / "report.json"
+        assert main(["run", "--problem", str(p), "--solver", "nepv",
+                     "--report", str(report)]) == EXIT_OK
+
+        def refuse(name):
+            raise ValueError(f"non-standard JSON constant {name}")
+
+        doc = json.loads(report.read_text(), parse_constant=refuse)
+        assert doc["certificates"]["gap"] == "inf"
+
+    def test_unwritable_trace_exits_one(self, sep_file, tmp_path, capsys):
+        trace = tmp_path / "missing" / "t.csv"
+        assert main(["run", "--problem", str(sep_file),
+                     "--trace", str(trace)]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err == f"error: cannot write {trace}: No such file or directory\n"
+
+    def test_procrustes_residual_is_that_of_the_solved_point(self, tmp_path):
+        rng = np.random.default_rng(5)
+        C = rng.standard_normal((7, 4))
+        B = rng.standard_normal((7, 2))
+        p = write_problem(tmp_path / "procrustes.json", {
+            "family": "procrustes", "n": 4, "k": 2,
+            "matrices": {"C": C.tolist(), "B": B.tolist()}})
+        report = tmp_path / "report.json"
+        assert main(["run", "--problem", str(p), "--solver", "nepv",
+                     "--seed", "4", "--report", str(report)]) == EXIT_OK
+        doc = json.loads(report.read_text())
+        rep = nepv_scf(build(load_problem(p)), random_stiefel(4, 2, 4),
+                       NpdoConfig(tol=1e-8, max_iter=5000))
+        residual = doc["diagnostics"]["procrustes_residual"]
+        assert residual == np.linalg.norm(C @ rep.point - B)
+        assert residual ** 2 + doc["f_final"] == pytest.approx(
+            np.linalg.norm(B) ** 2, rel=1e-9)
 
     def test_zero_max_iter_certifies_the_start(self, sep_file, tmp_path):
         report = tmp_path / "report.json"
@@ -504,6 +549,19 @@ class TestBatch:
         assert (d / "good_trace.csv").exists()
         assert not (d / "bad_report.json").exists()
         assert capsys.readouterr().err == "error: solve failed: injected\n"
+
+    def test_unwritable_report_ends_that_problem_only(self, tmp_path, capsys):
+        d = tmp_path / "batch"
+        d.mkdir()
+        for name in ("a", "c"):
+            write_problem(d / f"{name}.json", VALID_DOCS["sep"])
+        (d / "a_report.json").mkdir()
+        assert main(["run", "--batch", str(d)]) == EXIT_INPUT
+        assert json.loads((d / "c_report.json").read_text())["converged"]
+        assert (d / "c_trace.csv").exists()
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err == f"error: cannot write {d / 'a_report.json'}: Is a directory\n"
 
     def test_leaves_warning_filters_alone(self, tmp_path):
         # Worker threads must not install or restore process-wide filters.

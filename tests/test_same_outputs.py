@@ -9,6 +9,12 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 
 
+def _copy(tmp_path):
+    copy = tmp_path / "src"
+    shutil.copytree(SRC, copy, ignore=shutil.ignore_patterns("__pycache__"))
+    return copy
+
+
 def _tool():
     spec = importlib.util.spec_from_file_location(
         "_same_outputs", ROOT / "tools" / "same_outputs.py")
@@ -24,8 +30,7 @@ def test_the_same_tree_gives_no_differences(capsys):
 
 
 def test_a_changed_inner_tolerance_shows_in_the_locg_pairs(tmp_path, capsys):
-    copy = tmp_path / "src"
-    shutil.copytree(SRC, copy, ignore=shutil.ignore_patterns("__pycache__"))
+    copy = _copy(tmp_path)
     npdo = copy / "stiefelscf" / "npdo.py"
     text = npdo.read_text()
     assert text.count("\nINNER_TOL_FRACTION = 0.25\n") == 1
@@ -38,3 +43,18 @@ def test_a_changed_inner_tolerance_shows_in_the_locg_pairs(tmp_path, capsys):
     assert differing
     assert all(key.endswith("-locg") for key in differing)
     assert lines[-1] == f"{len(differing)} of 52 (instance, solver) pairs differ"
+
+
+def test_a_changed_report_layout_shows_in_every_pair(tmp_path, capsys):
+    # The same values written with another indent: the report text differs.
+    copy = _copy(tmp_path)
+    cli = copy / "stiefelscf" / "cli.py"
+    text = cli.read_text()
+    assert text.count("indent=2") == 1
+    cli.write_text(text.replace("indent=2", "indent=1"))
+    assert _tool().main([str(SRC), str(copy), "--tiny"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 53
+    assert all(line.startswith("differs: ") and line.endswith(" (report)")
+               for line in lines[:-1])
+    assert lines[-1] == "52 of 52 (instance, solver) pairs differ"

@@ -14,7 +14,8 @@ tiny only with ``--tiny``) every (instance, solver) pair is solved through
 "certs", "--trace", ..., "--report", ...])``, with the solver settings the
 benchmark uses.  Each side runs in one subprocess with ``PYTHONPATH`` set to
 its tree and BLAS at one thread.  The problem files, the traces, the
-reports (problem path masked) and the exit codes are then compared; each
+report texts (each side's problem path masked) and the exit codes are then
+compared byte for byte; each
 pair that differs is printed with what differs, and the exit code is 1 if
 any pair differs, else 0.
 """
@@ -87,8 +88,9 @@ def _outputs(out: Path, key: str, code) -> dict:
 
     report = read(d / f"{solver}.json")
     if report is not None:
-        report = json.loads(report)
-        report["problem"] = "<problem>"
+        # The text, so whitespace, key order and float spelling count too.
+        report = report.replace(json.dumps(str(d / "problem.json")),
+                                '"<problem>"')
     return {"exit code": code, "problem": read(d / "problem.json"),
             "trace": read(d / f"{solver}.csv"), "report": report}
 
