@@ -3,7 +3,8 @@
 Plain SCF on tr(P'AP) is subspace iteration: it converges linearly at the
 eigenvalue ratio, which is painful when the spectrum barely separates.  The
 accelerated variant maximizes over span[P, Riemannian gradient, previous
-iterate] each outer step and cuts the count by an order of magnitude.
+iterate, plain step] each outer step, starting from the plain step, and cuts
+the count by an order of magnitude.
 """
 
 import numpy as np

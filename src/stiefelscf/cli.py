@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import sys
 import tempfile
@@ -142,7 +143,7 @@ def load_problem(path) -> ProblemSpec:
 def _fmt(x) -> str:
     if x is None:
         return ""
-    if isinstance(x, float) and not np.isfinite(x):
+    if isinstance(x, float) and not math.isfinite(x):
         return "inf" if x > 0 else ("-inf" if x < 0 else "nan")
     return repr(float(x))
 
@@ -198,11 +199,13 @@ def _certificates(obj, P, framework: str) -> dict:
             else nepv_certificates)(obj, P)
 
 
-def run_audits(which: set[str], obj, report, spec, framework: str) -> tuple[dict, bool]:
+def run_audits(which: set[str], obj, report, spec, framework: str, *,
+               certs: dict | None = None) -> tuple[dict, bool]:
     """Execute the requested audits; returns (diagnostics, all_passed).
 
-    The ``certs`` audit computes the certificates of ``framework`` at the
-    report's point.
+    The ``certs`` audit checks the certificates of ``framework`` at the
+    report's point: ``certs`` when given (as ``run_one`` computed them for
+    its report), else computed here.
     """
     diag: dict = {}
     ok = True
@@ -229,9 +232,11 @@ def run_audits(which: set[str], obj, report, spec, framework: str) -> tuple[dict
         mono = monotonicity_audit(report)
         diag["monotone"] = mono
         certs_ok = mono["ok"]
-        # As in the solve, a non-finite value is a result, not a warning.
-        with np.errstate(all="ignore"):
-            c = _certificates(obj, report.point, framework)
+        c = certs
+        if c is None:
+            # As in the solve, a non-finite value is a result, not a warning.
+            with np.errstate(all="ignore"):
+                c = _certificates(obj, report.point, framework)
         if "lambda_min_of_multiplier" in c:
             certs_ok &= (c["lambda_min_of_multiplier"]
                          >= -1e-8 * max(c["multiplier_norm"], 1e-300))
@@ -293,6 +298,8 @@ def run_one(args) -> int:
         "certificates": certs,
         "diagnostics": {"stop_reason": report.stop_reason,
                         "f_initial": report.f_initial,
+                        "inner_iters": sum(rec.inner_iters or 0
+                                           for rec in report.iterations),
                         "declared_ascent": getattr(obj, f"{framework}_monotone")},
     }
     if spec.family == "procrustes":
@@ -309,7 +316,8 @@ def run_one(args) -> int:
                                     or args.solver != "nepv"):
             which.discard("theta")
         try:
-            diag, audits_ok = run_audits(which, obj, report, spec, framework)
+            diag, audits_ok = run_audits(which, obj, report, spec, framework,
+                                         certs=certs)
         except ProblemFileError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_INPUT

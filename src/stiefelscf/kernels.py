@@ -263,7 +263,7 @@ def ritz_top_k(H, P, HP, guard, tol: float,
 def trace_norm(B) -> float:
     """Sum of the singular values of ``B`` (nuclear norm)."""
     B = as_matrix(B, "B")
-    return float(scipy.linalg.svdvals(B).sum())
+    return float(np.linalg.svd(B, compute_uv=False).sum())
 
 
 def canonical_sin_theta(X, Y) -> tuple[float, float]:

@@ -3,8 +3,9 @@
 Each step replaces P by an orthonormal basis of the invariant subspace of
 H(P) belonging to its k largest eigenvalues, followed by the objective's
 alignment rotation.  The accelerated variant restricts the field to the
-subspace spanned by [P, Riemannian gradient, previous iterate]: the reduced
-field is W' H(WZ) W, which inherits the ascent guarantee.
+subspace spanned by [P, Riemannian gradient, previous iterate, plain step]:
+the reduced field is W' H(WZ) W, which inherits the ascent guarantee, and
+its inner solve starts at the plain step.
 
 The step need not solve the eigenproblem exactly.  The NEPv basic
 assumption bounds f(P_hat) - f(P) below by a multiple of the trace gain
@@ -20,7 +21,9 @@ P lies in the Krylov space the trace gain is >= 0, and the record carries
 the Ritz gap, the gap of the eigenproblem the step solved.  Otherwise the
 step falls back to the dense LAPACK solve, which also serves the first
 step, every step after a failed attempt, small fields and the
-``nepv_locg`` inner problems.  ``nepv_certificates``, the exit
+``nepv_locg`` inner problems (order at most 4k).  The plain-step proposal
+of each ``nepv_locg`` outer step is a step at full size like any other,
+warm from the second on.  ``nepv_certificates``, the exit
 certificates at a point, always reads the exact spectrum.
 """
 
@@ -43,7 +46,6 @@ from .npdo import (
     NpdoConfig,
     SolveReport,
     _alignment_certificates,
-    _landing,
     _one_step,
     _scf,
     _Step,
@@ -130,7 +132,7 @@ class _EigenStep(_Step):
     The top k pairs come from the warm Ritz solve where the module
     docstring says so, else from the dense solve.  ``warm`` holds when the
     field has order n >= ``WARM_MIN_N`` and room for the Krylov blocks,
-    (RITZ_MAX_BLOCKS + 1)(k + 1) < n, so inner problems of order <= 3k stay
+    (RITZ_MAX_BLOCKS + 1)(k + 1) < n, so inner problems of order <= 4k stay
     dense.  ``guard`` is the previous step's (k+1)-th vector, or None before
     the first step and after a failed attempt.
     """
@@ -151,7 +153,7 @@ class _EigenStep(_Step):
         eps = _nepv_residual_from_field(at.P, at.field.H, HP)
         return eps, (HP, {"eps_nepv": eps})
 
-    def step(self, at, f, ctx):
+    def propose(self, at, ctx):
         obj, P, field, (HP, residuals) = self.obj, at.P, at.field, ctx
         sign_violated = self.sign_guard and not at.theta_sign_ok
         if sign_violated:
@@ -166,8 +168,7 @@ class _EigenStep(_Step):
             # gradient, then apply the objective's own rule.
             basis = basis @ _polar_square(basis.T @ at.euclidean_grad)
         _, P_next = align_rotation(obj.alignment, basis, at)
-        landed, landing = _landing(at, P_next)
-        fields = dict(landing, **residuals, gap=spect.gap,
+        fields = dict(residuals, gap=spect.gap,
                       eta=eta, m_asymmetry=field.asymmetry,
                       gap_degenerate=spect.gap < GAP_DEGENERATE,
                       sign_violated=sign_violated)
@@ -175,7 +176,7 @@ class _EigenStep(_Step):
             PhD = spect.eigenbasis.T @ self.ratio.D
             fields["d_trace_norm"] = trace_norm(PhD)
             fields["d_cross"] = float(np.trace(PhD @ (P.T @ spect.eigenbasis)))
-        return landed, fields
+        return P_next, fields
 
     def _top_pairs(self, H, P, HP, eps):
         # The warm Ritz pairs when they pass, else the dense top k+1.  The
@@ -229,10 +230,13 @@ def nepv_locg(obj: ComposedObjective, P0, cfg: NepvConfig | None = None,
               callback=None) -> SolveReport:
     """Subspace-accelerated eigenvector SCF.
 
-    Outer steps maximize f over range([P, grad, previous P]); the inner
-    solver is the plain eigenvector SCF on the reduced field, started from
-    the first k columns of the identity, to a fraction of the current
-    residual.
+    Each outer step computes the plain eigenvector step P_hat from P (warm
+    from the second step on, where the field allows) and maximizes f over
+    range(W), W = [P, orth(grad, previous P, P_hat)], at most 4k columns;
+    the inner solver is the plain eigenvector SCF on the reduced field,
+    started from Z0 = polar(W'P_hat), so W Z0 = P_hat, to a fraction of the
+    current residual.  Each outer step thus gains at least what the plain
+    step gains.
     """
     cfg = cfg or NepvConfig()
     return _scf(obj, P0, cfg, _SubspaceStep(obj, _EigenStep, nepv_scf),

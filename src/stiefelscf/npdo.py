@@ -4,8 +4,9 @@ The plain iteration repeatedly replaces P by the orthogonal polar factor of
 the Euclidean gradient, followed by the objective's alignment rotation; it
 ascends f monotonically whenever the objective declares the framework's
 ascent guarantee.  The accelerated variant maximizes over the subspace
-spanned by [P, Riemannian gradient, previous iterate], solving the reduced
-problem with the plain iteration.
+spanned by [P, Riemannian gradient, previous iterate, plain step], solving
+the reduced problem with the plain iteration started at the plain step, so
+each of its steps gains at least what the plain step gains.
 
 Every solver in the package, the eigenvector route of ``stiefelscf.nepv``
 included, runs one SCF loop (``_scf``) over a step kind: the polar step
@@ -44,7 +45,6 @@ import numpy as np
 from .alignment import align_rotation
 from .kernels import (
     _sym,
-    canonical_sin_theta,
     orthonormalize_against,
     polar_factor,
     require_stiefel,
@@ -115,7 +115,9 @@ class IterationRecord:
     step bound holds; a dense step records the field's own gap.
     ``eta`` is the trace gain of the inner step (the realized f-gain for
     accelerated outer steps); ``step_angle`` is the Frobenius sine distance
-    between consecutive column spaces.  The eigenvector step flags a gap
+    between consecutive column spaces, ||P_next - P(P'P_next)||_F, formed
+    directly rather than from the cosines (1 - sigma^2 would lose digits at
+    small angles).  The eigenvector step flags a gap
     below ``nepv.GAP_DEGENERATE`` (``gap_degenerate``: whole-sequence
     convergence is not guaranteed, per-step ascent still holds) and an
     incoming P that fails the ratio sign condition tr(P'AP + P'D) >= 0
@@ -123,7 +125,8 @@ class IterationRecord:
     of a solver whose ascent the objective declares sets ``ascent_violated``
     when it lowers f by more than ``MONOTONE_SLACK`` relative, which ends
     the solve.  An accelerated step sets any of the three flags when a
-    record of its inner solve does.
+    record of its inner solve does, and the first two also when its
+    plain-step proposal does.
     """
 
     index: int
@@ -242,10 +245,11 @@ def _alignment_certificates(at: PointEvaluation, certs: dict) -> dict:
 def _landing(at: PointEvaluation, P_next):
     # The evaluation at P_next, and the record fields every step kind
     # shares: f there and the Frobenius sine distance between the two
-    # column spaces.
+    # column spaces, ||(I - PP')P_next||_F, from one n-by-k product.
     landed = PointEvaluation(at.obj, P_next)
-    return landed, {"f": landed.value,
-                    "step_angle": canonical_sin_theta(at.P, P_next)[1]}
+    P = at.P
+    return landed, {"f": landed.value, "step_angle": float(
+        np.linalg.norm(P_next - P @ (P.T @ P_next)))}
 
 
 def _sigma_min(pol) -> float:
@@ -260,14 +264,22 @@ class _Step:
     ``(extra, fields)``: what the residual computed beyond the evaluation
     (or None) and the record fields measured at P, handed on to
     ``step(at, f, ctx)``, which returns ``(evaluation at P_next, record
-    fields)`` given f = f(P).  ``monotone`` switches the ascent check on
-    (see ``_take_step``); ``done(f, f_next)`` names a stop reason after a
-    step, or returns None.  Steps keep per-solve state, so every solve
-    builds its own.
+    fields)`` given f = f(P).  A plain step kind defines
+    ``propose(at, ctx)``, which returns ``(P_next, fields)``: the aligned
+    iterate and every record field but the landing's; its ``step`` is
+    ``propose`` followed by ``_landing``.  ``monotone`` switches the ascent
+    check on (see ``_take_step``); ``done(f, f_next)`` names a stop reason
+    after a step, or returns None.  Steps keep per-solve state, so every
+    solve builds its own.
     """
 
     monotone = False
     _stagnant = 0
+
+    def step(self, at, f, ctx):
+        P_next, fields = self.propose(at, ctx)
+        landed, landing = _landing(at, P_next)
+        return landed, dict(landing, **fields)
 
     def done(self, f, f_next):
         if abs(f_next - f) < 1e-16 * max(1.0, abs(f_next)):
@@ -293,29 +305,34 @@ class _PolarStep(_Step):
         return eps_kkt + eps_sym, (pol, dict(
             eps_kkt=eps_kkt, eps_sym=eps_sym, sigma_min=_sigma_min(pol)))
 
-    def step(self, at, f, ctx):
+    def propose(self, at, ctx):
         pol, fields = ctx
         eta = pol.trace_norm - float(np.trace(at.P.T @ at.euclidean_grad))
         _, P_next = align_rotation(self.obj.alignment, pol.orthogonal_factor, at)
-        landed, landing = _landing(at, P_next)
-        return landed, dict(landing, **fields, eta=eta)
+        return P_next, dict(fields, eta=eta)
 
 
 class _SubspaceStep(_Step):
-    """Maximize f over range([P, Riemannian gradient, previous iterate]).
+    """Maximize f over range([P, Riemannian gradient, previous iterate,
+    plain step]), starting from the plain step.
 
-    The reduced problem f(WZ) = ``obj.transform(W)``, W an orthonormal
-    basis of that subspace, is solved by ``solve``, the public plain solver
-    of the step kind ``plain``, from Z0 = the first k columns of the
-    identity (the previous-iterate block is absent on the first step), to
-    ``INNER_TOL_FRACTION`` of the outer residual within ``INNER_MAX_ITER``
-    iterations.  Residual and ``monotone`` are the plain step's, so the
-    realized gain is checked for ascent until a record carries
-    ``sign_violated``.
+    The plain step kind ``plain`` proposes P_hat from P, as its own step
+    would.  The reduced problem f(WZ) = ``obj.transform(W)``, W an
+    orthonormal basis of [P, R, P_prev, P_hat] (the previous-iterate block
+    is absent on the first step; on the polar route P_hat lies in
+    range([P, R]) and deflates away), is solved by ``solve``, the public
+    plain solver of that step kind, from Z0 = polar(W'P_hat), so W Z0 =
+    P_hat, to ``INNER_TOL_FRACTION`` of the outer residual within
+    ``INNER_MAX_ITER`` iterations.  The inner solve ascends from P_hat, so
+    each outer step gains at least what the plain step gains.  Residual and
+    ``monotone`` are the plain step's, so the realized gain is checked for
+    ascent until a record carries ``sign_violated``.  The plain step kind
+    keeps its per-solve state across outer steps (the warm Ritz guard of
+    the eigen step).
     The record keeps the fields the plain residual measured at P (eps_kkt,
     eps_sym and sigma_min, or eps_nepv), the realized f-gain as ``eta``,
     the inner iteration count, and ``gap_degenerate``/``sign_violated``/
-    ``ascent_violated`` when any inner record has them.
+    ``ascent_violated`` when the proposal or any inner record has them.
     """
 
     def __init__(self, obj: ComposedObjective, plain, solve):
@@ -327,33 +344,35 @@ class _SubspaceStep(_Step):
         self.stalled = False
 
     def residual(self, at):
-        res, (_, fields) = self.outer.residual(at)
-        return res, (res, fields)
+        res, ctx = self.outer.residual(at)
+        return res, (res, ctx)
 
     def step(self, at, f, ctx):
         obj, P = self.obj, at.P
-        res, plain_fields = ctx
+        res, plain_ctx = ctx
+        P_hat, proposal = self.outer.propose(at, plain_ctx)
         R = at.riemannian_grad
-        V = R if self.P_before is None else np.hstack([R, self.P_before])
-        W_extra = orthonormalize_against(P, V)
+        V = [R, P_hat] if self.P_before is None else [R, self.P_before, P_hat]
+        W_extra = orthonormalize_against(P, np.hstack(V))
         W = np.hstack([P, W_extra]) if W_extra.shape[1] else P.copy()
         red = obj.transform(W)
-        Z0 = np.eye(W.shape[1], obj.k)
+        Z0 = polar_factor(W.T @ P_hat).orthogonal_factor
         inner = self.solve(red, Z0, NpdoConfig(
             tol=max(INNER_TOL_FRACTION * res, 1e-15), max_iter=INNER_MAX_ITER))
         landed, fields = _landing(at, W @ inner.point)
         gain = fields["f"] - f
-        # A step that cannot move means the Riemannian gradient vanishes on
-        # range(W), so P is already a KKT point.
+        # A step that stays at the plain step and gains nothing means the
+        # plain step gains nothing either: P is already its fixed point.
         self.stalled = (np.linalg.norm(inner.point - Z0) <= 1e-14
                         and gain <= 1e-14 * max(1.0, abs(f)))
         self.P_before = P
-        flags = {name: any(getattr(rec, name) for rec in inner.iterations)
+        flags = {name: proposal.get(name, False)
+                 or any(getattr(rec, name) for rec in inner.iterations)
                  for name in ("gap_degenerate", "sign_violated",
                               "ascent_violated")}
         if flags["sign_violated"]:
             self.monotone = False
-        return landed, dict(fields, **plain_fields, **flags, eta=gain,
+        return landed, dict(fields, **plain_ctx[1], **flags, eta=gain,
                             inner_iters=inner.num_iterations)
 
     def done(self, f, f_next):
@@ -436,10 +455,13 @@ def npdo_locg(obj: ComposedObjective, P0, cfg: NpdoConfig | None = None,
               callback=None) -> SolveReport:
     """Subspace-accelerated polar SCF.
 
-    Each outer step maximizes f over range([P, grad, previous P]) by running
-    the plain polar SCF on the reduced problem from Z0 = the first k columns
-    of the identity (the previous-iterate block is absent on the first
-    step).  The inner tolerance is a fraction of the current outer residual.
+    Each outer step computes the plain polar step P_hat from P and
+    maximizes f over range(W), W = [P, orth(grad, previous P, P_hat)] (the
+    previous-iterate block is absent on the first step; P_hat lies in
+    range([P, grad]), so W has at most 3k columns), by running the plain
+    polar SCF on the reduced problem from Z0 = polar(W'P_hat), so W Z0 =
+    P_hat: each outer step gains at least what the plain step gains.  The
+    inner tolerance is a fraction of the current outer residual.
     """
     cfg = cfg or NpdoConfig()
     return _scf(obj, P0, cfg, _SubspaceStep(obj, _PolarStep, npdo_scf),

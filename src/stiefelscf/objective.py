@@ -149,7 +149,7 @@ def _atom(term: AtomicTerm, P_i: np.ndarray):
     # c base^s and the chain factor c s base^(s-1), with base = tr(S^m).
     X = term.matrix if term.kind == "linear" else term.matrix @ P_i
     S = P_i.T @ X
-    base = float(np.trace(_matpow(S, term.m)))
+    base = float(_matpow(S, term.m).trace())
     if term.s == 1.0:
         return X, S, term.c * base, term.c
     if base < 0.0:
@@ -162,6 +162,8 @@ def _atom_grad(term: AtomicTerm, X: np.ndarray, S: np.ndarray, chain: float):
     # Gradient with respect to P_i from the products and chain factor of
     # ``_atom``: m D (P_i'D)^(m-1) or 2m A P_i (P_i'AP_i)^(m-1), times chain.
     scale = 2.0 * term.m if term.kind == "quadratic" else term.m
+    if term.m == 1:
+        return chain * (scale * X)
     return chain * (scale * X @ _matpow(S, term.m - 1))
 
 

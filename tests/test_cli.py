@@ -197,6 +197,42 @@ class TestRun:
         assert doc["diagnostics"]["monotone"]["ok"] is True
         assert doc["diagnostics"]["certificates_ok"] is True
 
+    @pytest.mark.parametrize("solver", sorted(cli.SOLVERS))
+    def test_certs_audit_reuses_the_report_certificates(
+            self, mbsub_file, tmp_path, monkeypatch, solver):
+        # The audit checks the certificates the report carries: one
+        # certificate call per problem.
+        calls = []
+        for name in ("npdo_certificates", "nepv_certificates"):
+            real = getattr(cli, name)
+            monkeypatch.setattr(cli, name, lambda obj, P, real=real: (
+                calls.append(real) or real(obj, P)))
+        report = tmp_path / "r.json"
+        code = main(["run", "--problem", str(mbsub_file), "--solver", solver,
+                     "--audit", "certs", "--report", str(report)])
+        assert code == EXIT_OK
+        assert len(calls) == 1
+        assert json.loads(report.read_text())["diagnostics"]["certificates_ok"]
+
+    @pytest.mark.parametrize("solver", sorted(cli.SOLVERS))
+    def test_report_counts_the_inner_iterations(self, mbsub_file, tmp_path,
+                                                monkeypatch, solver):
+        # diagnostics.inner_iters totals the inner iterations of a *_locg
+        # solve's records; a plain solve has none.
+        reports = []
+        real = cli.SOLVERS[solver]
+        monkeypatch.setitem(cli.SOLVERS, solver, lambda *a: (
+            reports.append(real(*a)) or reports[-1]))
+        report = tmp_path / "r.json"
+        assert main(["run", "--problem", str(mbsub_file), "--solver", solver,
+                     "--report", str(report)]) == EXIT_OK
+        inner = [rec.inner_iters for rec in reports[0].iterations]
+        count = json.loads(report.read_text())["diagnostics"]["inner_iters"]
+        if solver.endswith("locg"):
+            assert count == sum(inner) > 0
+        else:
+            assert count == 0 and set(inner) == {None}
+
     def test_full_audit_suite(self, mbsub_file):
         code = main(["run", "--problem", str(mbsub_file), "--solver", "nepv",
                      "--audit", "all"])

@@ -356,8 +356,12 @@ class TestWarmStep:
         assert len(warm) >= report.num_iterations - len(dense)
         dense.clear()
         warm.clear()
-        # The inner problems of nepv_locg have order at most 3k: dense.
+        # Each nepv_locg outer step solves the full-size field once, for its
+        # plain-step proposal: dense on the first step, warm after it.  The
+        # reduced problems have order at most 4k and are always dense.
         report = nepv_locg(obj, P0)
         assert report.converged
-        assert dense and max(dense) <= 3 * k
-        assert warm == []
+        reduced = [order for order in dense if order < n]
+        assert reduced and max(reduced) <= 4 * k
+        assert [order for order in dense if order == n] == [n]
+        assert warm == [n] * (report.num_iterations - 1)

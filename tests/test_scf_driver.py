@@ -375,6 +375,55 @@ def test_declared_ascent_holds_on_random_psd_instances(family, seed, n, k,
                     f"{family}/{name} step {i}: {f!r} -> {f_next!r}")
 
 
+@pytest.mark.parametrize("family", CATALOG + INDEFINITE_TRCP)
+@settings(max_examples=6, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(6, 30),
+       k=st.integers(1, 3), theta=st.sampled_from([0.0, 0.3, 0.5, 1.0]))
+def test_locg_steps_gain_at_least_the_plain_step(family, seed, n, k, theta):
+    # The subspace step starts its inner solve at the plain step's iterate,
+    # so on a route the family declares monotone each outer step gains at
+    # least what the plain step gains from the same P.
+    rng = np.random.default_rng(seed)
+    obj = build(random_catalog_spec(family, n, k, rng, theta))
+    P0 = random_stiefel(n, k, seed)
+    for route, declared in (("npdo", obj.npdo_monotone),
+                            ("nepv", obj.nepv_monotone)):
+        if not declared:
+            continue
+        step, _, cfg_cls = ROUTES[route]
+        landed = []
+        report = ACCELERATED[route](obj, P0, cfg_cls(max_iter=30),
+                                    lambda i, P: landed.append(P))
+        starts = [project_feasible(obj, P0)] + landed
+        fs = [report.f_initial] + [r.f for r in report.iterations]
+        for i, (P, f, f_next) in enumerate(zip(starts, fs, fs[1:])):
+            _, plain = step(obj, P)
+            slack = MONOTONE_SLACK * max(1.0, abs(f))
+            assert f_next - f >= plain.f - f - slack, (
+                f"{family}/{route}-locg step {i}: gain {f_next - f!r} < "
+                f"plain gain {plain.f - f!r}")
+
+
+@pytest.mark.parametrize("route", sorted(ROUTES))
+@pytest.mark.parametrize("angle", [1e-7, 1e-4, 0.3])
+def test_step_angle_is_the_sine_distance_to_the_landed_point(route, angle):
+    # step_angle is ||Q_perp' P_next||_F, Q_perp an orthonormal complement of
+    # range(P), to rounding even at small angles, where 1 - sigma^2 of the
+    # cosines would lose about half the digits.  P is the top-k eigenbasis
+    # of A with its first column turned by `angle`.
+    n, k = 12, 3
+    rng = np.random.default_rng(7)
+    U, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    obj = build(ProblemSpec("sep", n, k, {
+        "A": (U * np.arange(n, 0, -1.0)) @ U.T}))
+    P = U[:, :k].copy()
+    P[:, 0] = np.cos(angle) * U[:, 0] + np.sin(angle) * U[:, k]
+    P_next, rec = ROUTES[route][0](obj, P)
+    Q_perp = np.linalg.qr(P, mode="complete")[0][:, k:]
+    assert rec.step_angle == pytest.approx(
+        np.linalg.norm(Q_perp.T @ P_next), rel=0, abs=1e-13)
+
+
 def close(a, b, rel=1e-12):
     return np.linalg.norm(a - b) <= rel * max(1.0, np.linalg.norm(b))
 
