@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .kernels import _sym, polar_factor
+from .kernels import _polar, _sym
 
 __all__ = [
     "BlockOverlapError",
@@ -32,7 +32,7 @@ def _polar_square(M: np.ndarray) -> np.ndarray:
     # Orthogonal polar factor of a square matrix; identity for (near-)zero M.
     if np.linalg.norm(M) < 1e-300:
         return np.eye(M.shape[0])
-    return polar_factor(M).orthogonal_factor
+    return _polar(M).orthogonal_factor
 
 
 def _is_psd_matrix(S: np.ndarray, scale: float, tol: float = 1e-10) -> bool:

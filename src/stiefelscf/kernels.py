@@ -136,6 +136,12 @@ def polar_factor(B) -> PolarDecomposition:
     n, k = B.shape
     if k > n:
         raise ValueError(f"polar_factor needs a tall matrix, got shape {B.shape}")
+    return _polar(B)
+
+
+def _polar(B: np.ndarray) -> PolarDecomposition:
+    # polar_factor without the input checks, for a tall matrix the package
+    # formed.
     U, s, Vt = np.linalg.svd(B, full_matrices=False)
     P = U @ Vt
     Lam = _sym(Vt.T @ (s[:, None] * Vt))

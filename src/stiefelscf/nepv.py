@@ -232,11 +232,13 @@ def nepv_locg(obj: ComposedObjective, P0, cfg: NepvConfig | None = None,
 
     Each outer step computes the plain eigenvector step P_hat from P (warm
     from the second step on, where the field allows) and maximizes f over
-    range(W), W = [P, orth(grad, previous P, P_hat)], at most 4k columns;
+    range(W), W = [P, orth(grad, previous P), orth(P_hat)], at most 4k
+    columns (P_hat's block holds its component outside the others);
     the inner solver is the plain eigenvector SCF on the reduced field,
     started from Z0 = polar(W'P_hat), so W Z0 = P_hat, to a fraction of the
     current residual.  Each outer step thus gains at least what the plain
-    step gains.
+    step gains.  The reduced problem and the landed point are built from
+    one full-size product block per quadratic term, for A W.
     """
     cfg = cfg or NepvConfig()
     return _scf(obj, P0, cfg, _SubspaceStep(obj, _EigenStep, nepv_scf),

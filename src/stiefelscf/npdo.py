@@ -43,12 +43,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .alignment import align_rotation
-from .kernels import (
-    _sym,
-    orthonormalize_against,
-    polar_factor,
-    require_stiefel,
-)
+from .kernels import _orth_against, _polar, _sym, require_stiefel
 from .objective import ComposedObjective, PointEvaluation
 
 __all__ = [
@@ -242,11 +237,12 @@ def _alignment_certificates(at: PointEvaluation, certs: dict) -> dict:
     return certs
 
 
-def _landing(at: PointEvaluation, P_next):
-    # The evaluation at P_next, and the record fields every step kind
-    # shares: f there and the Frobenius sine distance between the two
-    # column spaces, ||(I - PP')P_next||_F, from one n-by-k product.
-    landed = PointEvaluation(at.obj, P_next)
+def _landing(at: PointEvaluation, P_next, products=None):
+    # The evaluation at P_next (handed the products it holds, see
+    # PointEvaluation), and the record fields every step kind shares: f
+    # there and the Frobenius sine distance between the two column spaces,
+    # ||(I - PP')P_next||_F, from one n-by-k product.
+    landed = PointEvaluation(at.obj, P_next, products)
     P = at.P
     return landed, {"f": landed.value, "step_angle": float(
         np.linalg.norm(P_next - P @ (P.T @ P_next)))}
@@ -301,7 +297,7 @@ class _PolarStep(_Step):
     def residual(self, at):
         G = at.euclidean_grad
         eps_kkt, eps_sym = _kkt_residuals_from_grad(at.P, G)
-        pol = polar_factor(G)
+        pol = _polar(G)
         return eps_kkt + eps_sym, (pol, dict(
             eps_kkt=eps_kkt, eps_sym=eps_sym, sigma_min=_sigma_min(pol)))
 
@@ -317,18 +313,24 @@ class _SubspaceStep(_Step):
     plain step]), starting from the plain step.
 
     The plain step kind ``plain`` proposes P_hat from P, as its own step
-    would.  The reduced problem f(WZ) = ``obj.transform(W)``, W an
-    orthonormal basis of [P, R, P_prev, P_hat] (the previous-iterate block
-    is absent on the first step; on the polar route P_hat lies in
-    range([P, R]) and deflates away), is solved by ``solve``, the public
-    plain solver of that step kind, from Z0 = polar(W'P_hat), so W Z0 =
-    P_hat, to ``INNER_TOL_FRACTION`` of the outer residual within
-    ``INNER_MAX_ITER`` iterations.  The inner solve ascends from P_hat, so
-    each outer step gains at least what the plain step gains.  Residual and
-    ``monotone`` are the plain step's, so the realized gain is checked for
-    ascent until a record carries ``sign_violated``.  The plain step kind
-    keeps its per-solve state across outer steps (the warm Ritz guard of
-    the eigen step).
+    would.  The basis is W = [P, orth(R, P_prev)], the previous-iterate
+    block absent on the first step, with P_hat's component outside range(W)
+    appended only when its norm exceeds the deflation floor: on the polar
+    route P_hat lies in range([P, R]) unless the gradient is rank-deficient,
+    so there it adds nothing.  The reduced problem f(WZ) is
+    ``obj.transform(W, AW)``, with A W for each quadratic term made by
+    ``PointEvaluation.basis_products`` with one product, reusing the A P
+    the evaluation at P holds, so an outer step reads each term matrix
+    once.  It is solved by ``solve``, the public plain
+    solver of that step kind, from Z0 = polar(W'P_hat), so W Z0 = P_hat, to
+    ``INNER_TOL_FRACTION`` of the outer residual within ``INNER_MAX_ITER``
+    iterations, and the step lands on W Z evaluated from the products
+    (A W) Z, which costs no full-size product.  The inner solve ascends
+    from P_hat, so each outer step gains at least what the plain step
+    gains.  Residual and ``monotone`` are the plain step's, so the realized
+    gain is checked for ascent until a record carries ``sign_violated``.
+    The plain step kind keeps its per-solve state across outer steps (the
+    warm Ritz guard of the eigen step).
     The record keeps the fields the plain residual measured at P (eps_kkt,
     eps_sym and sigma_min, or eps_nepv), the realized f-gain as ``eta``,
     the inner iteration count, and ``gap_degenerate``/``sign_violated``/
@@ -352,18 +354,28 @@ class _SubspaceStep(_Step):
         res, plain_ctx = ctx
         P_hat, proposal = self.outer.propose(at, plain_ctx)
         R = at.riemannian_grad
-        V = [R, P_hat] if self.P_before is None else [R, self.P_before, P_hat]
-        W_extra = orthonormalize_against(P, np.hstack(V))
-        W = np.hstack([P, W_extra]) if W_extra.shape[1] else P.copy()
-        red = obj.transform(W)
-        Z0 = polar_factor(W.T @ P_hat).orthogonal_factor
-        inner = self.solve(red, Z0, NpdoConfig(
+        V = R if self.P_before is None else np.hstack([R, self.P_before])
+        # Deflation floor: directions below it are rounding at the scale of
+        # the inputs (P_prev and P_hat have orthonormal columns).
+        floor = 1e-12 * max(1.0, float(np.linalg.norm(R)))
+        W = np.hstack([P, _orth_against(P, V, floor)])
+        # P_hat joins W only with a part outside it, which on the polar
+        # route needs a rank-deficient gradient, so that W Z0 = P_hat.
+        r = P_hat - W @ (W.T @ P_hat)
+        if np.linalg.norm(r) > floor:
+            W = np.hstack([W, _orth_against(W, r, floor)])
+        AW = at.basis_products(W)
+        Z0 = _polar(W.T @ P_hat).orthogonal_factor
+        inner = self.solve(obj.transform(W, AW), Z0, NpdoConfig(
             tol=max(INNER_TOL_FRACTION * res, 1e-15), max_iter=INNER_MAX_ITER))
-        landed, fields = _landing(at, W @ inner.point)
+        Z = inner.point
+        landed, fields = _landing(at, W @ Z, [
+            None if X is None else X @ t.select(Z)
+            for t, X in zip(obj.terms, AW)])
         gain = fields["f"] - f
         # A step that stays at the plain step and gains nothing means the
         # plain step gains nothing either: P is already its fixed point.
-        self.stalled = (np.linalg.norm(inner.point - Z0) <= 1e-14
+        self.stalled = (np.linalg.norm(Z - Z0) <= 1e-14
                         and gain <= 1e-14 * max(1.0, abs(f)))
         self.P_before = P
         flags = {name: proposal.get(name, False)
@@ -456,12 +468,15 @@ def npdo_locg(obj: ComposedObjective, P0, cfg: NpdoConfig | None = None,
     """Subspace-accelerated polar SCF.
 
     Each outer step computes the plain polar step P_hat from P and
-    maximizes f over range(W), W = [P, orth(grad, previous P, P_hat)] (the
+    maximizes f over range(W), W = [P, orth(grad, previous P)] (the
     previous-iterate block is absent on the first step; P_hat lies in
-    range([P, grad]), so W has at most 3k columns), by running the plain
-    polar SCF on the reduced problem from Z0 = polar(W'P_hat), so W Z0 =
-    P_hat: each outer step gains at least what the plain step gains.  The
-    inner tolerance is a fraction of the current outer residual.
+    range([P, grad]) and adds a block to W only when the gradient is
+    rank-deficient, so W has at most 3k columns otherwise), by running the plain polar SCF on the
+    reduced problem from Z0 = polar(W'P_hat), so W Z0 = P_hat: each outer
+    step gains at least what the plain step gains.  The inner tolerance is
+    a fraction of the current outer residual.  An outer step forms one
+    full-size product block per quadratic term, for A W, and lands without
+    another, so it reads each term matrix once, as a plain step does.
     """
     cfg = cfg or NpdoConfig()
     return _scf(obj, P0, cfg, _SubspaceStep(obj, _PolarStep, npdo_scf),

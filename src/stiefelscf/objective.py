@@ -18,7 +18,12 @@ keeps them.  The term values, f, the outer partials, both gradients, the
 alignment matrix scriptD and the field are derived from those products, so
 one point costs one A P product per quadratic term however many of them a
 solver step asks for.  The solvers carry the evaluation at each iterate from
-the step that produced it to the next.  The objective's ``value``,
+the step that produced it to the next.  An evaluation can also be handed
+its products.  The subspace step forms A W for its basis W = [P, ...] with
+one product per term matrix (``PointEvaluation.basis_products``, which
+reuses the A P the evaluation holds); ``transform`` builds W' A W from that
+A W, and the point P = W Z it lands on is evaluated from (A W) Z, so the
+landed point costs no A P product.  The objective's ``value``,
 ``euclidean_grad``, ``riemannian_grad``, ``script_d`` and ``field`` methods,
 and the single-term ``eval_atomic`` and ``grad_atomic``, are one-line
 wrappers over a fresh evaluation, kept because the benchmark's per-layer
@@ -145,9 +150,15 @@ class AtomicTerm:
 
 def _atom(term: AtomicTerm, P_i: np.ndarray):
     # (X, S, value, chain) of one term at its selected columns P_i: X = D for
-    # the linear kind or A P_i for the quadratic kind, S = P_i' X, the value
-    # c base^s and the chain factor c s base^(s-1), with base = tr(S^m).
+    # the linear kind or A P_i for the quadratic kind, the one full-size
+    # product, and the rest from ``_atom_from``.
     X = term.matrix if term.kind == "linear" else term.matrix @ P_i
+    return _atom_from(term, P_i, X)
+
+
+def _atom_from(term: AtomicTerm, P_i: np.ndarray, X: np.ndarray):
+    # ``_atom`` given X: S = P_i' X, the value c base^s and the chain factor
+    # c s base^(s-1), with base = tr(S^m), in O(n k_i^2).
     S = P_i.T @ X
     base = float(_matpow(S, term.m).trace())
     if term.s == 1.0:
@@ -437,23 +448,25 @@ class ComposedObjective:
 
     # -- structural transforms ----------------------------------------------
 
-    def transform(self, T) -> "ComposedObjective":
+    def transform(self, T, products=None) -> "ComposedObjective":
         """Objective g(Z) = f(T @ Z) with the atomic structure substituted.
 
-        Linear matrices map to T' D and quadratic ones to T' A T; selectors
+        Linear matrices map to T' D and quadratic ones to T' (A T); selectors
         (and so the field recipe), outer function and monotonicity
         declarations carry over, and T needs at least k columns.  Used for
         subspace restriction (orthonormal T, the reduced problem of the
         subspace-accelerated solvers, whose field is T' H(TZ) T with
-        mismatch M(TZ)) and metric lifting (T = R^{-1}).
+        mismatch M(TZ)) and metric lifting (T = R^{-1}).  ``products``, if
+        given, holds per term the product A T a caller already formed, or
+        None where this forms it (linear terms read none).
         """
         T = as_matrix(T, "T")
         if T.shape[0] != self.n:
             raise ValueError(f"transform rows {T.shape[0]} != n = {self.n}")
         terms = tuple(
             replace(t, matrix=T.T @ t.matrix if t.kind == "linear"
-                    else _sym(T.T @ t.matrix @ T))
-            for t in self.terms)
+                    else _sym(T.T @ (t.matrix @ T if AT is None else AT)))
+            for t, AT in zip(self.terms, products or [None] * len(self.terms)))
         return ComposedObjective(
             n=T.shape[1], k=self.k, terms=terms, outer=self.outer,
             alignment=self.alignment.transform(T),
@@ -467,21 +480,43 @@ class PointEvaluation:
     it directly for the iterates they produce.  ``atom(i)`` holds term i's
     products (X, S, value, chain factor) of ``_atom``, computed on first use
     (one A P_i product for a quadratic term); the other attributes are
-    derived from them on first use and kept.  An evaluation belongs to the
+    derived from them on first use and kept.  ``products``, if given, holds
+    per term an X = A P_i the caller already has, or None where ``atom``
+    forms it: the subspace step lands on P = W Z with X = (A W) Z_i, so its
+    landed point costs no full-size product.  An evaluation belongs to the
     code that made it and is never shared, which keeps the objective itself
     free of mutable state; treat the arrays it returns as read-only.
     """
 
-    def __init__(self, obj: ComposedObjective, P: np.ndarray):
+    def __init__(self, obj: ComposedObjective, P: np.ndarray, products=None):
         self.obj, self.P = obj, P
         self._atoms = [None] * len(obj.terms)
+        self._products = products or [None] * len(obj.terms)
 
     def atom(self, i: int):
         a = self._atoms[i]
         if a is None:
-            t = self.obj.terms[i]
-            a = self._atoms[i] = _atom(t, t.select(self.P))
+            t, X = self.obj.terms[i], self._products[i]
+            P_i = t.select(self.P)
+            a = self._atoms[i] = (_atom(t, P_i) if X is None
+                                  else _atom_from(t, P_i, X))
         return a
+
+    def basis_products(self, W: np.ndarray) -> list:
+        """A W for each quadratic term (None for a linear one), for a basis
+        W whose leading k columns are P: a full-column term reuses the A P
+        this evaluation holds and multiplies A by the other columns only; a
+        column-block term, which holds A P_i for its own columns alone,
+        multiplies A by all of W.  Either way, one product with A."""
+        k, out = self.obj.k, []
+        for i, t in enumerate(self.obj.terms):
+            if t.kind == "linear":
+                out.append(None)
+            elif t.cols is None:
+                out.append(np.hstack([self.atom(i)[0], t.matrix @ W[:, k:]]))
+            else:
+                out.append(t.matrix @ W)
+        return out
 
     @cached_property
     def term_values(self) -> np.ndarray:

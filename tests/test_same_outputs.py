@@ -58,3 +58,31 @@ def test_a_changed_report_layout_shows_in_every_pair(tmp_path, capsys):
     assert all(line.startswith("differs: ") and line.endswith(" (report)")
                for line in lines[:-1])
     assert lines[-1] == "52 of 52 (instance, solver) pairs differ"
+
+
+def test_a_perturbed_f_is_the_same_within_rtol(tmp_path, capsys):
+    # f written 1e-14 relative off, in the trace and in the report: a byte
+    # difference, within rtol 1e-12.
+    copy = _copy(tmp_path)
+    cli = copy / "stiefelscf" / "cli.py"
+    text = cli.read_text()
+    edits = (("_fmt(rec.f)", "_fmt(rec.f * (1 + 1e-14))"),
+             ('"f_final": report.f_final,',
+              '"f_final": report.f_final * (1 + 1e-14),'))
+    for old, new in edits:
+        assert text.count(old) == 1
+        text = text.replace(old, new)
+    cli.write_text(text)
+    tool = _tool()
+    assert tool.main([str(SRC), str(copy), "--tiny"]) == 1
+    assert capsys.readouterr().out.splitlines()[-1].endswith(" pairs differ")
+    assert tool.main([str(SRC), str(copy), "--tiny", "--rtol", "1e-12"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1].startswith("0 of 52 (instance, solver) pairs differ "
+                                "beyond rtol 1e-12; ")
+    described = [line for line in lines if line.startswith("    exit code")]
+    assert described
+    assert all(line == "    exit code same; stop reason same; iterations same"
+               for line in described)
+    assert tool.main([str(SRC), str(copy), "--tiny", "--rtol", "1e-16"]) == 1
+    assert not capsys.readouterr().out.splitlines()[-1].startswith("0 of ")

@@ -5,6 +5,7 @@ iteration forms, ascent as a stop reason that holds with or without
 lifting rest on."""
 
 import ast
+import dataclasses
 import json
 import os
 import subprocess
@@ -17,8 +18,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stiefelscf import objective
-from stiefelscf.kernels import random_stiefel
+from stiefelscf import npdo, objective
+from stiefelscf.kernels import orthonormalize_against, random_stiefel
 from stiefelscf.nepv import (
     NepvConfig,
     nepv_certificates,
@@ -36,6 +37,7 @@ from stiefelscf.npdo import (
     npdo_scf_step,
     project_feasible,
 )
+from stiefelscf.objective import PointEvaluation
 from stiefelscf.problems import FAMILIES as CATALOG
 from stiefelscf.problems import ProblemSpec, build, lift_m_orthogonal
 
@@ -299,6 +301,61 @@ def test_one_product_per_quadratic_term_per_iteration(family, route,
     assert quad * iters <= len(products) <= quad * (iters + 2)
 
 
+class _Counted(np.ndarray):
+    # A term matrix that logs every matrix product it takes part in, A X or
+    # X A, wherever in the package it is formed; results are plain arrays.
+    log: list = []
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if ufunc is np.matmul:
+            _Counted.log.append(ufunc)
+        return getattr(ufunc, method)(*(np.asarray(x) for x in inputs),
+                                      **kwargs)
+
+
+@pytest.mark.parametrize("route", sorted(ACCELERATED))
+@pytest.mark.parametrize("family", ["sep", "mbsub", "sumct", "theta_tr"])
+def test_one_product_block_per_quadratic_term_per_outer_step(family, route,
+                                                              monkeypatch):
+    # Every full-size product with a term matrix of a *_locg solve: one
+    # block per quadratic term per outer step (for A W), plus at most two at
+    # the start, and none in the landing, which evaluates the new point from
+    # (A W) Z.
+    obj = build(family_spec(family, n=30, k=3))
+    obj = dataclasses.replace(obj, terms=tuple(
+        dataclasses.replace(t, matrix=t.matrix.view(_Counted))
+        if t.kind == "quadratic" else t for t in obj.terms))
+    quad = sum(t.kind == "quadratic" for t in obj.terms)
+    log = []
+    monkeypatch.setattr(_Counted, "log", log)
+    in_landing = []
+    real = npdo._landing
+
+    def landing(at, *args):
+        before = len(log)
+        out = real(at, *args)
+        out[0].value  # what the step reads of the landed point
+        if at.obj is obj:  # an outer step, not one of an inner solve
+            in_landing.append(len(log) - before)
+        return out
+
+    monkeypatch.setattr(npdo, "_landing", landing)
+    _, _, cfg_cls = ROUTES[route]
+    report = ACCELERATED[route](obj, random_stiefel(obj.n, obj.k, 5), cfg_cls())
+    iters = report.num_iterations
+    assert report.converged and iters >= 1
+    assert in_landing == [0] * iters
+    assert quad * iters <= len(log) <= quad * (iters + 2)
+
+
+def _landed(obj, at, W, Z):
+    # The evaluation at W Z from the products (A W) Z, as the subspace step
+    # lands.
+    AW = at.basis_products(W)
+    return AW, PointEvaluation(obj, W @ Z, [
+        None if X is None else X @ t.select(Z) for t, X in zip(obj.terms, AW)])
+
+
 # trcp with one indefinite A_j under each nonlinear preset.  Its
 # quad_penalty partials can be negative, yet NEPv ascent for a convex phi of
 # quadratic traces does not depend on their sign; NPDo, which needs every
@@ -402,6 +459,68 @@ def test_locg_steps_gain_at_least_the_plain_step(family, seed, n, k, theta):
             assert f_next - f >= plain.f - f - slack, (
                 f"{family}/{route}-locg step {i}: gain {f_next - f!r} < "
                 f"plain gain {plain.f - f!r}")
+
+
+@pytest.mark.parametrize("family", CATALOG + INDEFINITE_TRCP)
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(3, 16),
+       k=st.integers(1, 3), extra=st.integers(0, 6),
+       theta=st.sampled_from([0.0, 0.3, 0.5, 1.0]))
+def test_carried_products_match_fresh_ones(family, seed, n, k, extra, theta):
+    # For W = [P, W_extra] orthonormal: the reduced problem built from the
+    # products A W of basis_products is transform(W), and the point W Z
+    # evaluated from (A W) Z is obj.at(W Z), both within 1e-12 relative.
+    k = min(k, n)
+    rng = np.random.default_rng(seed)
+    obj = build(random_catalog_spec(family, n, k, rng, theta))
+    P = random_stiefel(n, k, seed)
+    W = np.hstack([P, orthonormalize_against(
+        P, rng.standard_normal((n, min(extra, n - k))))])
+    Z = random_stiefel(W.shape[1], k, seed + 1)
+    at = obj.at(P)
+    AW, landed = _landed(obj, at, W, Z)
+    for given_t, formed_t in zip(obj.transform(W, AW).terms,
+                                 obj.transform(W).terms):
+        assert close(given_t.matrix, formed_t.matrix)
+    fresh = obj.at(W @ Z)
+    assert close(landed.value, fresh.value)
+    assert close(landed.euclidean_grad, fresh.euclidean_grad)
+    assert close(landed.field.H, fresh.field.H)
+    assert close(landed.field.mismatch, fresh.field.mismatch)
+
+
+@pytest.mark.parametrize("family", ["sep", "mbsub"])
+def test_carried_products_stay_close_over_a_long_solve(family, monkeypatch):
+    # No outer step recomputes A P: each lands with (A W) Z from the A P it
+    # carried in.  After 250 outer steps the carried products still match a
+    # fresh A P within 1e-12 relative.  A slow spectrum (relative gap 1e-3)
+    # and an unreachable tolerance keep the solve going.
+    n, k = 50, 2
+    vals = np.concatenate([[1.5, 1.0], np.linspace(0.999, 0.01, n - 2)])
+    rng = np.random.default_rng(10)
+    Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    A = 0.5 * ((Q * vals) @ Q.T + ((Q * vals) @ Q.T).T)
+    mats = {"A": A} if family == "sep" else {
+        "A": A, "D": 1e-3 * rng.standard_normal((n, k))}
+    obj = build(ProblemSpec(family, n, k, mats))
+    landed = []
+    real = npdo._landing
+
+    def landing(at, *args):
+        out = real(at, *args)
+        if at.obj is obj:  # an outer step, not one of an inner solve
+            landed.append(out[0])
+        return out
+
+    monkeypatch.setattr(npdo, "_landing", landing)
+    report = npdo_locg(obj, random_stiefel(n, k, 6),
+                       NpdoConfig(tol=1e-300, max_iter=250))
+    assert report.stop_reason == "max_iter" and len(landed) == 250
+    at = landed[-1]
+    assert np.array_equal(at.P, report.point)
+    X = at.atom(0)[0]
+    assert close(X, A @ at.P)
+    assert abs(at.value - obj.at(at.P).value) <= 1e-12 * abs(at.value)
 
 
 @pytest.mark.parametrize("route", sorted(ROUTES))

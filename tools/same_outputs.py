@@ -4,7 +4,7 @@ instances.
 
 Usage::
 
-    python tools/same_outputs.py OLD_SRC NEW_SRC [--tiny]
+    python tools/same_outputs.py OLD_SRC NEW_SRC [--tiny] [--rtol RTOL]
 
 OLD_SRC and NEW_SRC are directories holding a ``stiefelscf`` package, such
 as the ``src`` of two checkouts.  For each workload of
@@ -18,12 +18,21 @@ report texts (each side's problem path masked) and the exit codes are then
 compared byte for byte; each
 pair that differs is printed with what differs, and the exit code is 1 if
 any pair differs, else 0.
+
+With ``--rtol`` each pair that differs is also printed with whether its
+exit code, stop reason and iteration count match, and with the largest
+relative difference in ``f_final`` and in each trace column, a difference
+|a - b| taken relative to max(1, |a|), as the package's own rounding
+slacks are.  A pair whose problem file, exit code, texts and non-numeric
+values match, and whose numbers (trace cells and report values alike) all
+lie within RTOL, counts as the same; only the other pairs set exit code 1.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import subprocess
 import sys
@@ -96,7 +105,8 @@ def _outputs(out: Path, key: str, code) -> dict:
 
 
 def compare(old: Path, new: Path) -> tuple[int, dict[str, list[str]]]:
-    """The number of pairs, and for each pair that differs, what differs."""
+    """The number of pairs, and for each pair that differs, the parts that
+    differ and their ``numeric_diff``."""
     codes = [json.loads((side / "codes.json").read_text())
              for side in (old, new)]
     keys = sorted(set(codes[0]) | set(codes[1]))
@@ -106,8 +116,104 @@ def compare(old: Path, new: Path) -> tuple[int, dict[str, list[str]]]:
                 for side, c in zip((old, new), codes))
         parts = [part for part in a if a[part] != b[part]]
         if parts:
-            differing[key] = parts
+            differing[key] = (parts, numeric_diff(a, b))
     return len(keys), differing
+
+
+def _rel(a: float, b: float) -> float:
+    # |a - b| relative to max(1, |a|); 0 for equal values, inf for unequal
+    # ones of which one is not finite.
+    if a == b:
+        return 0.0
+    if not (math.isfinite(a) and math.isfinite(b)):
+        return float("inf")
+    return abs(a - b) / max(1.0, abs(a))
+
+
+def _number(x):
+    # The float of a trace cell or report value, or None for anything else
+    # (an empty cell, a string, a bool).
+    if isinstance(x, bool):
+        return None
+    try:
+        return float(x)
+    except (TypeError, ValueError):
+        return None
+
+
+def _json_rel(a, b, path: str = "") -> tuple[float, str]:
+    # The largest relative difference between two parsed reports, and the
+    # path of the value where it occurs; inf where their structure or a
+    # non-numeric value differs.
+    if isinstance(a, dict) and isinstance(b, dict):
+        if a.keys() != b.keys():
+            return float("inf"), path
+        return max((_json_rel(a[key], b[key], f"{path}.{key}".lstrip("."))
+                    for key in a), default=(0.0, path))
+    x, y = _number(a), _number(b)
+    if x is None or y is None or isinstance(a, str) or isinstance(b, str):
+        return (0.0 if a == b else float("inf")), path
+    return _rel(x, y), path
+
+
+def _trace_rel(a: str | None, b: str | None) -> dict[str, float]:
+    # Per trace column, the largest relative difference; the key "rows" is
+    # inf when the header or the row count differs.
+    if a is None or b is None:
+        return {"rows": 0.0 if a == b else float("inf")}
+    (head_a, *rows_a), (head_b, *rows_b) = a.splitlines(), b.splitlines()
+    if head_a != head_b or len(rows_a) != len(rows_b):
+        return {"rows": float("inf")}
+    names = head_a.split(",")
+    worst = dict.fromkeys(names, 0.0)
+    for row_a, row_b in zip(rows_a, rows_b):
+        for name, x, y in zip(names, row_a.split(","), row_b.split(",")):
+            if x != y:
+                nx, ny = _number(x), _number(y)
+                worst[name] = max(worst[name], float("inf") if nx is None
+                                  or ny is None else _rel(nx, ny))
+    return worst
+
+
+def numeric_diff(a: dict, b: dict) -> dict:
+    """How two sides' outputs of one pair (see ``_outputs``) differ:
+    whether the exit code, stop reason and iteration count match, the
+    relative difference in ``f_final``, the largest one per trace column,
+    the largest one over the report's values with its key path, and
+    ``worst``, the largest relative difference over everything (inf
+    where a non-numeric part differs)."""
+    reports = [None if side["report"] is None else json.loads(side["report"])
+               for side in (a, b)]
+
+    def field(report, *path):
+        for key in path:
+            if not isinstance(report, dict):
+                return None
+            report = report.get(key)
+        return report
+
+    out = {"exit code": a["exit code"] == b["exit code"],
+           "stop reason": (field(reports[0], "diagnostics", "stop_reason")
+                           == field(reports[1], "diagnostics", "stop_reason")),
+           "iterations": field(reports[0], "iters") == field(reports[1], "iters")}
+    out["f_final"] = _json_rel(*(field(r, "f_final") for r in reports))[0]
+    out["columns"] = _trace_rel(a["trace"], b["trace"])
+    out["report"] = _json_rel(*reports)
+    same_text = a["problem"] == b["problem"] and out["exit code"]
+    out["worst"] = max(0.0 if same_text else float("inf"), out["report"][0],
+                       *out["columns"].values())
+    return out
+
+
+def _describe(diff: dict) -> list[str]:
+    # The two lines printed under a differing pair in --rtol mode.
+    match = "; ".join(f"{name} {'same' if diff[name] else 'DIFFERS'}"
+                      for name in ("exit code", "stop reason", "iterations"))
+    cols = ", ".join(f"{name} {rel:.1e}" for name, rel in diff["columns"].items())
+    return [f"    {match}",
+            f"    largest relative difference: f_final {diff['f_final']:.1e}; "
+            f"report {diff['report'][0]:.1e} ({diff['report'][1]}); "
+            f"trace {cols}"]
 
 
 def main(argv=None) -> int:
@@ -116,6 +222,10 @@ def main(argv=None) -> int:
     p.add_argument("new_src", type=Path)
     p.add_argument("--tiny", action="store_true",
                    help="the tiny instances only")
+    p.add_argument("--rtol", type=float, default=None,
+                   help="count pairs whose numbers differ by at most this "
+                        "relative amount as the same, and describe each "
+                        "pair that differs")
     args = p.parse_args(argv)
     sizes = ["tiny"] if args.tiny else ["full", "tiny"]
     with tempfile.TemporaryDirectory() as tmp:
@@ -132,10 +242,21 @@ def main(argv=None) -> int:
             print("error: a side failed to run", file=sys.stderr)
             return 2
         total, differing = compare(*outs)
-    for key, parts in differing.items():
-        print(f"differs: {key} ({', '.join(parts)})")
-    print(f"{len(differing)} of {total} (instance, solver) pairs differ")
-    return 1 if differing else 0
+    if args.rtol is None:
+        for key, (parts, _) in differing.items():
+            print(f"differs: {key} ({', '.join(parts)})")
+        print(f"{len(differing)} of {total} (instance, solver) pairs differ")
+        return 1 if differing else 0
+    beyond = 0
+    for key, (parts, diff) in differing.items():
+        within = diff["worst"] <= args.rtol
+        beyond += not within
+        print(f"{'within rtol' if within else 'differs'}: {key} "
+              f"({', '.join(parts)})")
+        print("\n".join(_describe(diff)))
+    print(f"{beyond} of {total} (instance, solver) pairs differ beyond rtol "
+          f"{args.rtol:g}; {len(differing) - beyond} differ within it")
+    return 1 if beyond else 0
 
 
 if __name__ == "__main__":
