@@ -1,9 +1,14 @@
 """Dense linear-algebra kernels shared by the Stiefel SCF solvers.
 
 All routines operate on plain NumPy arrays.  Orthonormal matrices ("Stiefel
-points") are n-by-k arrays P with P.T @ P = I_k; symmetric matrices are stored
-fully.  Every function is a pure function of its inputs, so results are safe
-to share between threads.
+points") are n-by-k arrays P with P.T @ P = I_k.  Symmetric matrices that
+the package keeps, such as the objectives' term matrices, are stored fully
+and exactly symmetric, A == A.T bit for bit (``require_symmetric`` and
+``sym_part`` return such copies).  A product A X with one is formed as (X'A)'
+by ``_sym_matmul``: for a C-ordered A and a thin X that runs the same
+arithmetic on the BLAS GEMM path that packs the large operand well.  Every
+function is a pure function of its inputs, so results are safe to share
+between threads.
 
 Sign conventions
 ----------------
@@ -80,6 +85,12 @@ def sym_part(M) -> np.ndarray:
 def _sym(M: np.ndarray) -> np.ndarray:
     # sym_part without the input checks, for products the package formed.
     return 0.5 * (M + M.T)
+
+
+def _sym_matmul(A: np.ndarray, X: np.ndarray) -> np.ndarray:
+    # A @ X for an exactly symmetric A, unchecked, formed as (X'A)' and
+    # returned C-contiguous so later products round as they would on A @ X.
+    return np.ascontiguousarray((X.T @ A).T)
 
 
 def require_symmetric(H, name: str = "H") -> np.ndarray:

@@ -23,11 +23,33 @@ its products.  The subspace step forms A W for its basis W = [P, ...] with
 one product per term matrix (``PointEvaluation.basis_products``, which
 reuses the A P the evaluation holds); ``transform`` builds W' A W from that
 A W, and the point P = W Z it lands on is evaluated from (A W) Z, so the
-landed point costs no A P product.  The objective's ``value``,
-``euclidean_grad``, ``riemannian_grad``, ``script_d`` and ``field`` methods,
-and the single-term ``eval_atomic`` and ``grad_atomic``, are one-line
-wrappers over a fresh evaluation, kept because the benchmark's per-layer
-tracer wraps them by name; other per-point quantities are read off ``at(P)``.
+landed point costs no A P product.
+
+Each of these full-size products with a term matrix, A P_i, A W and A T, is
+formed as (X'A)' by ``kernels._sym_matmul``.  That is A X because every
+quadratic term matrix is exactly symmetric (``AtomicTerm`` refuses any
+other).  For a C-ordered n-by-n A and a thin X it runs on the BLAS GEMM path
+that packs the large operand well.  One run of ``tools/product_timing.py``
+on OpenBLAS 0.3.31 (Haswell kernels, one thread) gave, in median
+microseconds per product:
+
+    n, k       A @ X   (X'A)'
+    1000, 2     1386     962
+    1000, 4     1398    1092
+    1000, 8     1511    1193
+    1000, 12    2066    1372
+    200, 8        27      29
+    40, 3        3.6     5.2
+
+so an NPDo solve at n = 1000, where the product is most of the work, takes
+about a fifth less time, and at n <= 200 the two differ by a microsecond or
+two.
+
+The objective's ``value``, ``euclidean_grad``, ``riemannian_grad``,
+``script_d`` and ``field`` methods, and the single-term ``eval_atomic`` and
+``grad_atomic``, are one-line wrappers over a fresh evaluation, kept because
+the benchmark's per-layer tracer wraps them by name; other per-point
+quantities are read off ``at(P)``.
 
 An objective holds only what defines f and how the solvers treat it: n, k,
 the terms, the outer function, the alignment rule and the two ascent
@@ -57,7 +79,7 @@ from typing import Callable
 import numpy as np
 
 from .alignment import PolarAlignment
-from .kernels import _sym, as_matrix, require_symmetric
+from .kernels import _sym, _sym_matmul, as_matrix, require_symmetric
 
 __all__ = [
     "AtomicTerm",
@@ -101,9 +123,11 @@ def _matpow(M: np.ndarray, m: int) -> np.ndarray:
 class AtomicTerm:
     """One atomic component c * [tr(.)^m]^s with a column selector.
 
-    ``matrix`` is D (n-by-k_i) for the linear kind or A (n-by-n symmetric)
-    for the quadratic kind.  ``cols`` is None for "all columns of P", else a
-    nonempty, strictly increasing tuple of column indices in 0..k-1.
+    ``matrix`` is D (n-by-k_i) for the linear kind or A (n-by-n, exactly
+    symmetric: A == A.T bit for bit, else ``ValueError``) for the quadratic
+    kind; ``quadratic`` symmetrizes a matrix within ``SYMMETRY_TOL``.
+    ``cols`` is None for "all columns of P", else a nonempty, strictly
+    increasing tuple of column indices in 0..k-1.
     """
 
     kind: str
@@ -122,6 +146,10 @@ class AtomicTerm:
             raise ValueError(f"power s must be >= 1, got {self.s}")
         if self.c <= 0.0:
             raise ValueError(f"scale c must be > 0, got {self.c}")
+        if self.kind == "quadratic" and not np.array_equal(self.matrix,
+                                                           self.matrix.T):
+            # The gradient 2 A P and the product (P'A)' hold only for A = A'.
+            raise ValueError("quadratic term matrix must be exactly symmetric")
         if self.cols is not None:
             if not self.cols or min(self.cols) < 0:
                 raise ValueError("selector columns must be a nonempty tuple "
@@ -152,7 +180,7 @@ def _atom(term: AtomicTerm, P_i: np.ndarray):
     # (X, S, value, chain) of one term at its selected columns P_i: X = D for
     # the linear kind or A P_i for the quadratic kind, the one full-size
     # product, and the rest from ``_atom_from``.
-    X = term.matrix if term.kind == "linear" else term.matrix @ P_i
+    X = term.matrix if term.kind == "linear" else _sym_matmul(term.matrix, P_i)
     return _atom_from(term, P_i, X)
 
 
@@ -465,7 +493,8 @@ class ComposedObjective:
             raise ValueError(f"transform rows {T.shape[0]} != n = {self.n}")
         terms = tuple(
             replace(t, matrix=T.T @ t.matrix if t.kind == "linear"
-                    else _sym(T.T @ (t.matrix @ T if AT is None else AT)))
+                    else _sym(T.T @ (_sym_matmul(t.matrix, T) if AT is None
+                                     else AT)))
             for t, AT in zip(self.terms, products or [None] * len(self.terms)))
         return ComposedObjective(
             n=T.shape[1], k=self.k, terms=terms, outer=self.outer,
@@ -513,9 +542,10 @@ class PointEvaluation:
             if t.kind == "linear":
                 out.append(None)
             elif t.cols is None:
-                out.append(np.hstack([self.atom(i)[0], t.matrix @ W[:, k:]]))
+                out.append(np.hstack([self.atom(i)[0],
+                                      _sym_matmul(t.matrix, W[:, k:])]))
             else:
-                out.append(t.matrix @ W)
+                out.append(_sym_matmul(t.matrix, W))
         return out
 
     @cached_property

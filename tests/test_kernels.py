@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from stiefelscf.nepv import GAP_DEGENERATE
 from stiefelscf.kernels import (
+    _sym_matmul,
     canonical_sin_theta,
     orthonormalize_against,
     polar_factor,
@@ -324,6 +325,29 @@ class TestSymPart:
     def test_rejects_nonsquare(self):
         with pytest.raises(ValueError):
             sym_part(np.ones((2, 3)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 64), data=st.data(),
+       layout=st.sampled_from(["C", "F", "column slice", "fancy index"]))
+def test_sym_matmul_is_the_product_for_every_layout(seed, n, data, layout):
+    # (X'A)' equals A X for a symmetric A whatever the layout of X,
+    # including the ones the package passes: a column slice W[:, k:] of a
+    # basis and a fancy-indexed column block.  The result is C-contiguous.
+    k = data.draw(st.integers(1, n), label="k")
+    rng = np.random.default_rng(seed)
+    G = rng.standard_normal((n, n))
+    A = G + G.T
+    W = rng.standard_normal((n, n + k))
+    X = {"C": W[:, :k].copy(),
+         "F": np.asfortranarray(W[:, :k]),
+         "column slice": W[:, n:],
+         "fancy index": W[:, sorted(rng.choice(n + k, k, replace=False))],
+         }[layout]
+    out = _sym_matmul(A, X)
+    assert out.shape == (n, k) and out.flags.c_contiguous
+    scale = max(1.0, np.linalg.norm(A) * np.linalg.norm(X))
+    assert np.abs(out - A @ X).max() <= 1e-14 * scale
 
 
 class TestCanonicalSinTheta:

@@ -80,6 +80,20 @@ class TestEvalAtomic:
         with pytest.raises(ValueError, match=">= 0"):
             AtomicTerm.quadratic(np.eye(2), cols=(-1,))
 
+    def test_a_quadratic_matrix_is_exactly_symmetric(self):
+        # A direct term refuses a matrix one ulp off symmetric, whose
+        # gradient 2 A P would be wrong; ``quadratic`` symmetrizes one
+        # within SYMMETRY_TOL.
+        A = sym_part(make_psd(5, 1))
+        off = A.copy()
+        off[0, 1] = np.nextafter(off[0, 1], np.inf)
+        with pytest.raises(ValueError, match="exactly symmetric"):
+            AtomicTerm("quadratic", off)
+        assert AtomicTerm("quadratic", A).matrix is A
+        term = AtomicTerm.quadratic(off)
+        assert np.array_equal(term.matrix, term.matrix.T)
+        assert np.allclose(term.matrix, A, rtol=0.0, atol=1e-15)
+
 
 class TestGradAtomic:
     def test_linear_m1_is_constant_d(self):

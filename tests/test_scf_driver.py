@@ -303,14 +303,23 @@ def test_one_product_per_quadratic_term_per_iteration(family, route,
 
 class _Counted(np.ndarray):
     # A term matrix that logs every matrix product it takes part in, A X or
-    # X A, wherever in the package it is formed; results are plain arrays.
+    # X A, wherever in the package it is formed, as the operand it was (0
+    # for A X, 1 for X A); results are plain arrays.
     log: list = []
 
     def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
         if ufunc is np.matmul:
-            _Counted.log.append(ufunc)
+            _Counted.log.append(next(i for i, x in enumerate(inputs)
+                                     if isinstance(x, _Counted)))
         return getattr(ufunc, method)(*(np.asarray(x) for x in inputs),
                                       **kwargs)
+
+
+def _counted(obj):
+    # obj with its quadratic term matrices viewed as _Counted.
+    return dataclasses.replace(obj, terms=tuple(
+        dataclasses.replace(t, matrix=t.matrix.view(_Counted))
+        if t.kind == "quadratic" else t for t in obj.terms))
 
 
 @pytest.mark.parametrize("route", sorted(ACCELERATED))
@@ -321,10 +330,7 @@ def test_one_product_block_per_quadratic_term_per_outer_step(family, route,
     # block per quadratic term per outer step (for A W), plus at most two at
     # the start, and none in the landing, which evaluates the new point from
     # (A W) Z.
-    obj = build(family_spec(family, n=30, k=3))
-    obj = dataclasses.replace(obj, terms=tuple(
-        dataclasses.replace(t, matrix=t.matrix.view(_Counted))
-        if t.kind == "quadratic" else t for t in obj.terms))
+    obj = _counted(build(family_spec(family, n=30, k=3)))
     quad = sum(t.kind == "quadratic" for t in obj.terms)
     log = []
     monkeypatch.setattr(_Counted, "log", log)
@@ -346,6 +352,22 @@ def test_one_product_block_per_quadratic_term_per_outer_step(family, route,
     assert report.converged and iters >= 1
     assert in_landing == [0] * iters
     assert quad * iters <= len(log) <= quad * (iters + 2)
+
+
+@pytest.mark.parametrize("solve", [npdo_scf, npdo_locg, nepv_scf, nepv_locg])
+@pytest.mark.parametrize("family", ["sep", "mbsub", "sumct", "theta_tr"])
+def test_every_product_with_a_term_matrix_is_formed_as_xa(family, solve,
+                                                           monkeypatch):
+    # The package forms A X for a term matrix A as (X'A)', the layout that
+    # runs faster on BLAS for a thin X: in every full-size product of a
+    # solve the term matrix is the right operand.
+    obj = _counted(build(family_spec(family, n=30, k=3)))
+    log = []
+    monkeypatch.setattr(_Counted, "log", log)
+    cfg_cls = NpdoConfig if solve.__module__ == npdo.__name__ else NepvConfig
+    report = solve(obj, random_stiefel(obj.n, obj.k, 5), cfg_cls())
+    assert report.num_iterations >= 1
+    assert log and set(log) == {1}
 
 
 def _landed(obj, at, W, Z):
@@ -487,6 +509,31 @@ def test_carried_products_match_fresh_ones(family, seed, n, k, extra, theta):
     assert close(landed.euclidean_grad, fresh.euclidean_grad)
     assert close(landed.field.H, fresh.field.H)
     assert close(landed.field.mismatch, fresh.field.mismatch)
+
+
+@pytest.mark.parametrize("family", CATALOG + INDEFINITE_TRCP)
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(3, 16),
+       k=st.integers(1, 3), extra=st.integers(0, 6),
+       theta=st.sampled_from([0.0, 0.3, 0.5, 1.0]))
+def test_quadratic_term_matrices_are_exactly_symmetric(family, seed, n, k,
+                                                       extra, theta):
+    # A X is formed as (X'A)', which is A X only for A == A' bit for bit:
+    # every quadratic matrix the package builds is exactly symmetric, from
+    # build, both ways of transform and metric lifting.
+    k = min(k, n)
+    rng = np.random.default_rng(seed)
+    obj = build(random_catalog_spec(family, n, k, rng, theta))
+    P = random_stiefel(n, k, seed)
+    W = np.hstack([P, orthonormalize_against(
+        P, rng.standard_normal((n, min(extra, n - k))))])
+    G = rng.standard_normal((n, n))
+    lifted, _ = lift_m_orthogonal(obj, G @ G.T / n + np.eye(n))
+    for made in (obj, obj.transform(W),
+                 obj.transform(W, obj.at(P).basis_products(W)), lifted):
+        for t in made.terms:
+            if t.kind == "quadratic":
+                assert np.array_equal(t.matrix, t.matrix.T)
 
 
 @pytest.mark.parametrize("family", ["sep", "mbsub"])
