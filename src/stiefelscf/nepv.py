@@ -125,9 +125,9 @@ class _EigenStep(_Step):
 
     For a ratio exponent strictly between 0 and 1 the sign condition
     tr(P'AP + P'D) >= 0 is checked at the incoming P of each step; a
-    violation sets the record's ``sign_violated`` and switches the ascent
-    check off for the rest of the solve.  A gap below ``GAP_DEGENERATE``
-    sets the record's ``gap_degenerate``.
+    violation sets the record's ``sign_violated``, on which the driver
+    switches the ascent check off for the rest of the solve.  A gap below
+    ``GAP_DEGENERATE`` sets the record's ``gap_degenerate``.
 
     The top k pairs come from the warm Ritz solve where the module
     docstring says so, else from the dense solve.  ``warm`` holds when the
@@ -156,8 +156,6 @@ class _EigenStep(_Step):
     def propose(self, at, ctx):
         obj, P, field, (HP, residuals) = self.obj, at.P, at.field, ctx
         sign_violated = self.sign_guard and not at.theta_sign_ok
-        if sign_violated:
-            self.monotone = False
         H = field.H
         spect = self._top_pairs(H, P, HP, residuals["eps_nepv"])
         eta = float(spect.eigenvalues.sum() - np.trace(P.T @ HP))
@@ -213,9 +211,9 @@ def nepv_scf(obj: ComposedObjective, P0, cfg: NepvConfig | None = None,
              callback=None) -> SolveReport:
     """Eigenvector SCF loop over the objective's field recipe.
 
-    Iterates until the field residual drops below tolerance or the budget
-    runs out; ``nepv_certificates`` certifies the returned point.  Each
-    record flags a near-degenerate gap (``gap_degenerate``); for a
+    Iterates until the field residual drops below tolerance, f stagnates or
+    the budget runs out; ``nepv_certificates`` certifies the returned point.
+    Each record flags a near-degenerate gap (``gap_degenerate``); for a
     ratio exponent strictly between 0 and 1 the sign condition
     tr(P'AP + P'D) >= 0 is checked each iteration, and a violation flags
     the record (``sign_violated``) and switches the ascent check off for the
@@ -236,10 +234,12 @@ def nepv_locg(obj: ComposedObjective, P0, cfg: NepvConfig | None = None,
     columns (P_hat's block holds its component outside the others);
     the inner solver is the plain eigenvector SCF on the reduced field,
     started from Z0 = polar(W'P_hat), so W Z0 = P_hat, to a fraction of the
-    current residual.  Each outer step thus gains at least what the plain
-    step gains.  The reduced problem and the landed point are built from
-    one full-size product block per quadratic term, for A W.
+    current residual; the inner iterations of all outer steps together are
+    at most ``cfg.max_iter``.  Each outer step thus gains at least what the
+    plain step gains.  The reduced problem and the landed point are built
+    from one full-size product block per quadratic term, for A W.  It stops
+    by the same rule as ``nepv_scf``.
     """
     cfg = cfg or NepvConfig()
-    return _scf(obj, P0, cfg, _SubspaceStep(obj, _EigenStep, nepv_scf),
-                callback)
+    return _scf(obj, P0, cfg, _SubspaceStep(obj, _EigenStep, nepv_scf,
+                                            cfg.max_iter), callback)

@@ -25,14 +25,17 @@ The exit certificates are a function of a point, not of a solve:
 any P, the returned point of a solve included.  No solve computes them, so
 the inner solves of the subspace step pay nothing for them.
 
-A solve reports only through its ``SolveReport``: an exhausted budget is
-``converged=False, stop_reason="max_iter"``, and what the theory's
+A solve reports only through its ``SolveReport``, and ``_scf`` alone ends
+it, by one rule for every solver, plain or accelerated: ``converged`` when
+the step kind's residual at the current point is at most ``tol``,
+``stagnated`` after ``STAGNATION_LIMIT`` consecutive flat steps,
+``ascent_violated`` at the first step that lowers f although the objective
+declares the framework's ascent guarantee, and ``max_iter`` when the budget
+runs out.  Step kinds only measure and propose.  What the theory's
 assumptions say about each step (a degenerate eigenvalue gap, a violated
-ratio sign condition) is a flag on that step's ``IterationRecord``.  A step
-that lowers f although the objective declares the framework's ascent
-guarantee is flagged ``ascent_violated`` and ends the solve with that stop
-reason.  A solve never warns, and no check depends on
-``python -O``.  A solve's settings are ``(tol, max_iter)``.
+ratio sign condition) is a flag on that step's ``IterationRecord``.  A solve
+never warns, and no check depends on ``python -O``.  A solve's settings are
+``(tol, max_iter)``.
 """
 
 from __future__ import annotations
@@ -65,13 +68,14 @@ ZERO_GRAD_FLOOR = 1e-300
 # Monotonicity slack: ascent is exact in theory, rounding only in practice.
 MONOTONE_SLACK = 1e-12
 
-# Stagnation guard of the plain steps: stop after this many consecutive
-# steps whose f-change |f_next - f| is below 1e-16 * max(1, |f_next|) while
-# the residual stays above tolerance.
+# Stagnation guard of every solve: stop after this many consecutive steps
+# whose f-change |f_next - f| is below 1e-16 * max(1, |f_next|) while the
+# residual stays above tolerance.
 STAGNATION_LIMIT = 50
 
 # Inner solve of the subspace step: each outer step solves its reduced
-# problem to this fraction of the outer residual, within this budget.
+# problem to this fraction of the outer residual, within this budget or
+# what is left of the solve's total inner budget, whichever is smaller.
 INNER_TOL_FRACTION = 0.25
 INNER_MAX_ITER = 200
 
@@ -79,12 +83,14 @@ INNER_MAX_ITER = 200
 @dataclass(frozen=True)
 class NpdoConfig:
     """Settings of a solve, for every solver: the residual tolerance and the
-    iteration budget (outer steps for the subspace-accelerated variants).
+    iteration budget.  For the subspace-accelerated variants ``max_iter``
+    bounds the outer steps and, separately, the inner iterations of all
+    their inner solves together.
 
     Residuals are always scaled by the Frobenius norm of the gradient or
-    field; the subspace inner solve uses ``INNER_TOL_FRACTION`` and
-    ``INNER_MAX_ITER``.  ``max_iter = 0`` takes no step: the solve returns
-    its (projected) start, which ``npdo_certificates`` or
+    field; each subspace inner solve uses ``INNER_TOL_FRACTION`` and at most
+    ``INNER_MAX_ITER`` iterations.  ``max_iter = 0`` takes no step: the
+    solve returns its (projected) start, which ``npdo_certificates`` or
     ``nepv.nepv_certificates`` then certify.
     """
 
@@ -259,30 +265,20 @@ class _Step:
     point P.  ``residual(at)`` returns ``(residual, ctx)``, where ``ctx`` is
     ``(extra, fields)``: what the residual computed beyond the evaluation
     (or None) and the record fields measured at P, handed on to
-    ``step(at, f, ctx)``, which returns ``(evaluation at P_next, record
-    fields)`` given f = f(P).  A plain step kind defines
-    ``propose(at, ctx)``, which returns ``(P_next, fields)``: the aligned
-    iterate and every record field but the landing's; its ``step`` is
-    ``propose`` followed by ``_landing``.  ``monotone`` switches the ascent
-    check on (see ``_take_step``); ``done(f, f_next)`` names a stop reason
-    after a step, or returns None.  Steps keep per-solve state, so every
-    solve builds its own.
+    ``step(at, f, res, ctx)``, which returns ``(evaluation at P_next,
+    record fields)`` given f = f(P) and the residual res.  A plain step
+    kind defines ``propose(at, ctx)``, which returns ``(P_next, fields)``:
+    the aligned iterate and every record field but the landing's; its
+    ``step`` is ``propose`` followed by ``_landing``.  ``monotone`` switches
+    the ascent check on (see ``_take_step``).  A step kind only measures
+    and proposes: ``_scf`` decides when a solve ends.  Steps keep
+    per-solve state, so every solve builds its own.
     """
 
-    monotone = False
-    _stagnant = 0
-
-    def step(self, at, f, ctx):
+    def step(self, at, f, res, ctx):
         P_next, fields = self.propose(at, ctx)
         landed, landing = _landing(at, P_next)
         return landed, dict(landing, **fields)
-
-    def done(self, f, f_next):
-        if abs(f_next - f) < 1e-16 * max(1.0, abs(f_next)):
-            self._stagnant += 1
-            return "stagnated" if self._stagnant >= STAGNATION_LIMIT else None
-        self._stagnant = 0
-        return None
 
 
 class _PolarStep(_Step):
@@ -324,11 +320,14 @@ class _SubspaceStep(_Step):
     once.  It is solved by ``solve``, the public plain
     solver of that step kind, from Z0 = polar(W'P_hat), so W Z0 = P_hat, to
     ``INNER_TOL_FRACTION`` of the outer residual within ``INNER_MAX_ITER``
-    iterations, and the step lands on W Z evaluated from the products
-    (A W) Z, which costs no full-size product.  The inner solve ascends
-    from P_hat, so each outer step gains at least what the plain step
-    gains.  Residual and ``monotone`` are the plain step's, so the realized
-    gain is checked for ascent until a record carries ``sign_violated``.
+    iterations or the ``budget`` of inner iterations the solve has left,
+    whichever is smaller; once the budget is spent, the inner solve takes
+    no step and the outer step lands on its start, P_hat.  The step lands
+    on W Z evaluated from the products (A W) Z, which costs no full-size
+    product.  The inner solve ascends from P_hat, so each outer step gains
+    at least what the plain step gains.  Residual and ``monotone`` are the
+    plain step's, so the realized gain is checked for ascent until a record
+    carries ``sign_violated``.
     The plain step kind keeps its per-solve state across outer steps (the
     warm Ritz guard of the eigen step).
     The record keeps the fields the plain residual measured at P (eps_kkt,
@@ -337,22 +336,17 @@ class _SubspaceStep(_Step):
     ``ascent_violated`` when the proposal or any inner record has them.
     """
 
-    def __init__(self, obj: ComposedObjective, plain, solve):
-        self.obj, self.solve = obj, solve
+    def __init__(self, obj: ComposedObjective, plain, solve, budget: int):
+        self.obj, self.solve, self.budget = obj, solve, budget
         self.outer = plain(obj)
+        self.residual = self.outer.residual
         self.monotone = self.outer.monotone
         self.name = f"{plain.name}-locg"
         self.P_before = None
-        self.stalled = False
 
-    def residual(self, at):
-        res, ctx = self.outer.residual(at)
-        return res, (res, ctx)
-
-    def step(self, at, f, ctx):
+    def step(self, at, f, res, ctx):
         obj, P = self.obj, at.P
-        res, plain_ctx = ctx
-        P_hat, proposal = self.outer.propose(at, plain_ctx)
+        P_hat, proposal = self.outer.propose(at, ctx)
         R = at.riemannian_grad
         V = R if self.P_before is None else np.hstack([R, self.P_before])
         # Deflation floor: directions below it are rounding at the scale of
@@ -367,35 +361,30 @@ class _SubspaceStep(_Step):
         AW = at.basis_products(W)
         Z0 = _polar(W.T @ P_hat).orthogonal_factor
         inner = self.solve(obj.transform(W, AW), Z0, NpdoConfig(
-            tol=max(INNER_TOL_FRACTION * res, 1e-15), max_iter=INNER_MAX_ITER))
+            tol=max(INNER_TOL_FRACTION * res, 1e-15),
+            max_iter=min(INNER_MAX_ITER, self.budget)))
+        self.budget -= inner.num_iterations
         Z = inner.point
         landed, fields = _landing(at, W @ Z, [
             None if X is None else X @ t.select(Z)
             for t, X in zip(obj.terms, AW)])
-        gain = fields["f"] - f
-        # A step that stays at the plain step and gains nothing means the
-        # plain step gains nothing either: P is already its fixed point.
-        self.stalled = (np.linalg.norm(Z - Z0) <= 1e-14
-                        and gain <= 1e-14 * max(1.0, abs(f)))
         self.P_before = P
         flags = {name: proposal.get(name, False)
                  or any(getattr(rec, name) for rec in inner.iterations)
                  for name in ("gap_degenerate", "sign_violated",
                               "ascent_violated")}
-        if flags["sign_violated"]:
-            self.monotone = False
-        return landed, dict(fields, **plain_ctx[1], **flags, eta=gain,
+        return landed, dict(fields, **ctx[1], **flags, eta=fields["f"] - f,
                             inner_iters=inner.num_iterations)
 
-    def done(self, f, f_next):
-        return "converged" if self.stalled else None
 
-
-def _take_step(step: _Step, at: PointEvaluation, f, ctx, i: int):
-    # One step and its record.  A declared-monotone step that lowers f
-    # beyond rounding slack is flagged; the check is plain code, so
-    # `python -O` keeps it.
-    landed, fields = step.step(at, f, ctx)
+def _take_step(step: _Step, at: PointEvaluation, f, res, ctx, i: int):
+    # One step and its record.  A record that carries ``sign_violated``
+    # switches the ascent check off for the rest of the solve, this step
+    # included; while it is on, a step that lowers f beyond rounding slack
+    # is flagged.  The check is plain code, so `python -O` keeps it.
+    landed, fields = step.step(at, f, res, ctx)
+    if fields.get("sign_violated"):
+        step.monotone = False
     if step.monotone and fields["f"] < f - MONOTONE_SLACK * max(1.0, abs(f)):
         fields["ascent_violated"] = True
     return landed, IterationRecord(i, **fields)
@@ -403,28 +392,27 @@ def _take_step(step: _Step, at: PointEvaluation, f, ctx, i: int):
 
 def _scf(obj: ComposedObjective, P0, cfg: NpdoConfig, step: _Step,
          callback=None) -> SolveReport:
-    # The one SCF loop: project the start, then test the residual, step,
-    # record and test for a stop (a flagged ascent violation first) until
-    # the budget runs out.
+    # The one SCF loop and the one stop rule: project the start, then test
+    # the residual, step, record and test for a stop (a flagged ascent
+    # violation first, then stagnation) until the budget runs out.
     at = _feasible_start(obj, P0)
     f0 = f = at.value
     records: list[IterationRecord] = []
-    stop = "max_iter"
+    stop, flat = "max_iter", 0
     for i in range(cfg.max_iter):
         res, ctx = step.residual(at)
         if res <= cfg.tol:
             stop = "converged"
             break
-        landed, rec = _take_step(step, at, f, ctx, i)
+        landed, rec = _take_step(step, at, f, res, ctx, i)
         records.append(rec)
         if callback is not None:
             callback(i, landed.P)
         logger.debug("%s iter %d: f=%.12g res=%.3e", step.name, i, rec.f, res)
-        reason = ("ascent_violated" if rec.ascent_violated
-                  else step.done(f, rec.f))
+        flat = flat + 1 if abs(rec.f - f) < 1e-16 * max(1.0, abs(rec.f)) else 0
         at, f = landed, rec.f
-        if reason is not None:
-            stop = reason
+        if rec.ascent_violated or flat >= STAGNATION_LIMIT:
+            stop = "ascent_violated" if rec.ascent_violated else "stagnated"
             break
     return SolveReport(
         point=at.P, f_final=f, f_initial=f0, converged=stop == "converged",
@@ -433,8 +421,8 @@ def _scf(obj: ComposedObjective, P0, cfg: NpdoConfig, step: _Step,
 
 def _one_step(step: _Step, P):
     at = PointEvaluation(step.obj, require_stiefel(P))
-    _, ctx = step.residual(at)
-    landed, rec = _take_step(step, at, at.value, ctx, 0)
+    res, ctx = step.residual(at)
+    landed, rec = _take_step(step, at, at.value, res, ctx, 0)
     return landed.P, rec
 
 
@@ -453,11 +441,12 @@ def npdo_scf(obj: ComposedObjective, P0, cfg: NpdoConfig | None = None,
              callback=None) -> SolveReport:
     """Polar-decomposition SCF loop.
 
-    Iterates until eps_kkt + eps_sym <= tol, the iteration budget runs out
-    or a step breaks the declared ascent (``stop_reason="ascent_violated"``,
-    the point it landed on returned).  Infeasible starts are projected by
-    one alignment application.  ``callback``, if given, is called as
-    callback(i, P_next) after every step.
+    Iterates until eps_kkt + eps_sym <= tol, the iteration budget runs out,
+    f stagnates or a step breaks the declared ascent
+    (``stop_reason="ascent_violated"``, the point it landed on returned).
+    Infeasible starts are projected by one alignment application.
+    ``callback``, if given, is called as callback(i, P_next) after every
+    step.
     """
     cfg = cfg or NpdoConfig()
     return _scf(obj, P0, cfg, _PolarStep(obj), callback)
@@ -474,10 +463,12 @@ def npdo_locg(obj: ComposedObjective, P0, cfg: NpdoConfig | None = None,
     rank-deficient, so W has at most 3k columns otherwise), by running the plain polar SCF on the
     reduced problem from Z0 = polar(W'P_hat), so W Z0 = P_hat: each outer
     step gains at least what the plain step gains.  The inner tolerance is
-    a fraction of the current outer residual.  An outer step forms one
-    full-size product block per quadratic term, for A W, and lands without
-    another, so it reads each term matrix once, as a plain step does.
+    a fraction of the current outer residual, and the inner iterations of
+    all outer steps together are at most ``cfg.max_iter``.  An outer step
+    forms one full-size product block per quadratic term, for A W, and
+    lands without another, so it reads each term matrix once, as a plain
+    step does.  It stops by the same rule as ``npdo_scf``.
     """
     cfg = cfg or NpdoConfig()
-    return _scf(obj, P0, cfg, _SubspaceStep(obj, _PolarStep, npdo_scf),
-                callback)
+    return _scf(obj, P0, cfg, _SubspaceStep(obj, _PolarStep, npdo_scf,
+                                            cfg.max_iter), callback)

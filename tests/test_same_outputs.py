@@ -86,3 +86,24 @@ def test_a_perturbed_f_is_the_same_within_rtol(tmp_path, capsys):
                for line in described)
     assert tool.main([str(SRC), str(copy), "--tiny", "--rtol", "1e-16"]) == 1
     assert not capsys.readouterr().out.splitlines()[-1].startswith("0 of ")
+
+
+def test_false_convergence_is_counted_on_each_side(tmp_path, capsys):
+    # A copy whose solves stop at 100 x tol says "converged" where the
+    # certificate residual exceeds the benchmark's tolerance: the tool lists
+    # those pairs on the new side and none on the old.
+    copy = _copy(tmp_path)
+    npdo = copy / "stiefelscf" / "npdo.py"
+    text = npdo.read_text()
+    assert text.count("if res <= cfg.tol:") == 1
+    npdo.write_text(text.replace("if res <= cfg.tol:",
+                                 "if res <= 100 * cfg.tol:"))
+    assert _tool().main([str(SRC), str(copy), "--tiny"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    false = [line.split()[3] for line in lines
+             if line.startswith("falsely converged (")]
+    assert not any(line.startswith("falsely converged (old)")
+                   for line in lines)
+    assert false
+    assert f"0 old, {len(false)} new pairs say converged above 1.01 x tol " \
+           "1e-08" in lines

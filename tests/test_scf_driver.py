@@ -24,6 +24,7 @@ from stiefelscf.nepv import (
     NepvConfig,
     nepv_certificates,
     nepv_locg,
+    nepv_residual,
     nepv_scf,
     nepv_scf_step,
 )
@@ -31,7 +32,8 @@ from stiefelscf.npdo import (
     MONOTONE_SLACK,
     STAGNATION_LIMIT,
     NpdoConfig,
-    _Step,
+    _scf,
+    kkt_residuals,
     npdo_locg,
     npdo_scf,
     npdo_scf_step,
@@ -88,15 +90,41 @@ def test_step_is_iteration_zero(family, route):
     assert rec == report.iterations[0]
 
 
+class _Scripted:
+    # A step kind that never meets tol and records a scripted f on each
+    # step, staying at the point it was handed.
+    name, monotone = "scripted", False
+
+    def __init__(self, fs):
+        self.fs = iter(fs)
+
+    def residual(self, at):
+        return 1.0, None
+
+    def step(self, at, f, res, ctx):
+        return at, {"f": next(self.fs)}
+
+
 def test_only_flat_steps_count_as_stagnant():
-    falling = _Step()
-    f = 1e6
-    for _ in range(STAGNATION_LIMIT):
-        assert falling.done(f, f - 1.0) is None
-        f -= 1.0
-    flat = _Step()
-    reasons = [flat.done(1.0, 1.0) for _ in range(STAGNATION_LIMIT)]
-    assert reasons == [None] * (STAGNATION_LIMIT - 1) + ["stagnated"]
+    # The driver counts consecutive flat steps: falling steps never stop a
+    # solve, and STAGNATION_LIMIT flat ones in a row stop it "stagnated",
+    # a falling step in between starting the count again.
+    obj = build(family_spec("sep"))
+    P0 = random_stiefel(obj.n, obj.k, 0)
+    f0 = obj.value(project_feasible(obj, P0))
+    budget = NpdoConfig(max_iter=3 * STAGNATION_LIMIT)
+    falling = _scf(obj, P0, budget, _Scripted(
+        f0 - 1.0 - i for i in range(3 * STAGNATION_LIMIT)))
+    assert falling.stop_reason == "max_iter"
+    assert falling.num_iterations == 3 * STAGNATION_LIMIT
+    flat = _scf(obj, P0, budget, _Scripted([f0] * (3 * STAGNATION_LIMIT)))
+    assert flat.stop_reason == "stagnated" and not flat.converged
+    assert flat.num_iterations == STAGNATION_LIMIT
+    broken = [f0] * (STAGNATION_LIMIT - 1) + [f0 - 1.0] * (
+        2 * STAGNATION_LIMIT + 1)
+    restarted = _scf(obj, P0, budget, _Scripted(broken))
+    assert restarted.stop_reason == "stagnated"
+    assert restarted.num_iterations == 2 * STAGNATION_LIMIT
 
 
 def report_only_case(case):
@@ -329,8 +357,10 @@ def test_one_product_block_per_quadratic_term_per_outer_step(family, route,
     # Every full-size product with a term matrix of a *_locg solve: one
     # block per quadratic term per outer step (for A W), plus at most two at
     # the start, and none in the landing, which evaluates the new point from
-    # (A W) Z.
+    # (A W) Z.  A solve on a route the family does not declare (theta_tr on
+    # the polar route) converges nowhere near, so it runs a short budget out.
     obj = _counted(build(family_spec(family, n=30, k=3)))
+    declared = getattr(obj, f"{route}_monotone")
     quad = sum(t.kind == "quadratic" for t in obj.terms)
     log = []
     monkeypatch.setattr(_Counted, "log", log)
@@ -347,9 +377,13 @@ def test_one_product_block_per_quadratic_term_per_outer_step(family, route,
 
     monkeypatch.setattr(npdo, "_landing", landing)
     _, _, cfg_cls = ROUTES[route]
-    report = ACCELERATED[route](obj, random_stiefel(obj.n, obj.k, 5), cfg_cls())
+    cfg = cfg_cls() if declared else cfg_cls(max_iter=10)
+    report = ACCELERATED[route](obj, random_stiefel(obj.n, obj.k, 5), cfg)
     iters = report.num_iterations
-    assert report.converged and iters >= 1
+    if declared:
+        assert report.converged and iters >= 1
+    else:
+        assert report.stop_reason == "max_iter" and iters == 10
     assert in_landing == [0] * iters
     assert quad * iters <= len(log) <= quad * (iters + 2)
 
@@ -423,6 +457,66 @@ def random_catalog_spec(family, n, k, rng, theta):
         theta *= 0.5
     return ProblemSpec(family, n, k, {"A": psd(0.3), "B": psd(1.0),
                                       "D": 0.5 * D}, theta=theta)
+
+
+# A solve tests its residual on the evaluation it carries, the check below
+# on a fresh one; 1% of tol absorbs the rounding between the two.
+RESIDUAL_MARGIN = 1.01
+
+
+def converged_means_the_residual_met_tol(obj, report, cfg, route):
+    # A converged report's point meets tol in its route's plain residual,
+    # and the inner iterations of a *_locg solve total at most max_iter.
+    P = report.point
+    res = sum(kkt_residuals(obj, P)) if route == "npdo" else nepv_residual(
+        obj, P)
+    assert not report.converged or res <= RESIDUAL_MARGIN * cfg.tol, (
+        f"{report.solver} converged at residual {res:.3g}")
+    assert sum(rec.inner_iters or 0 for rec in report.iterations) \
+        <= cfg.max_iter
+
+
+def undeclared_locg_case(case):
+    # Two objectives the polar route does not declare, where npdo_locg once
+    # reported "converged" far from a stationary point: theta_tr at n=30
+    # (plain residual 0.62 after 52 outer steps) and a random procrustes
+    # (after 1 outer step at f = -17.79; nepv_scf reaches 3.178).
+    if case == "theta_tr":
+        return build(family_spec("theta_tr", n=30, k=3)), random_stiefel(
+            30, 3, 5)
+    rng = np.random.default_rng(3)
+    C, B = rng.standard_normal((8, 6)), rng.standard_normal((8, 1))
+    return (build(ProblemSpec("procrustes", 6, 1, {"C": C, "B": B})),
+            random_stiefel(6, 1, 0))
+
+
+@pytest.mark.parametrize("case", ["theta_tr", "procrustes"])
+def test_locg_converges_only_where_the_plain_residual_meets_tol(case):
+    obj, P0 = undeclared_locg_case(case)
+    assert not obj.npdo_monotone
+    cfg = NpdoConfig(max_iter=200)
+    report = npdo_locg(obj, P0, cfg)
+    converged_means_the_residual_met_tol(obj, report, cfg, "npdo")
+    assert report.stop_reason == "max_iter"
+    assert sum(rec.inner_iters for rec in report.iterations) == cfg.max_iter
+
+
+@pytest.mark.parametrize("family", CATALOG + INDEFINITE_TRCP)
+@settings(max_examples=5, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(3, 10),
+       k=st.integers(1, 3), theta=st.sampled_from([0.0, 0.3, 0.5, 1.0]))
+def test_locg_converged_means_the_plain_residual_met_tol(family, seed, n, k,
+                                                         theta):
+    # On either route, declared or not, a *_locg solve says "converged"
+    # only where its plain residual meets tol, and its inner iterations
+    # stay within max_iter.
+    rng = np.random.default_rng(seed)
+    obj = build(random_catalog_spec(family, n, k, rng, theta))
+    P0 = random_stiefel(n, k, seed)
+    for route, solve in ACCELERATED.items():
+        cfg = ROUTES[route][2](max_iter=20)
+        converged_means_the_residual_met_tol(obj, solve(obj, P0, cfg), cfg,
+                                             route)
 
 
 @pytest.mark.parametrize("family", CATALOG + INDEFINITE_TRCP)

@@ -26,6 +26,12 @@ relative difference in ``f_final`` and in each trace column, a difference
 slacks are.  A pair whose problem file, exit code, texts and non-numeric
 values match, and whose numbers (trace cells and report values alike) all
 lie within RTOL, counts as the same; only the other pairs set exit code 1.
+
+Each side's falsely converged pairs are printed too: those whose report
+says ``converged`` while its certificate residual (``eps_kkt + eps_sym`` on
+the polar route, ``eps_nepv`` on the eigenvector route) exceeds
+``FALSE_MARGIN`` times the benchmark's tolerance, followed by the count on
+each side.  They do not change the exit code.
 """
 
 from __future__ import annotations
@@ -46,6 +52,10 @@ ROOT = Path(__file__).resolve().parent.parent
 _ONE_THREAD = {name: "1" for name in (
     "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
     "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")}
+
+# A converged solve tests its residual on the evaluation it carries, the
+# certificates on a fresh one; 1% of the tolerance absorbs their rounding.
+FALSE_MARGIN = 1.01
 
 # The program of each side's subprocess: argv is this directory, the output
 # directory and the sizes.
@@ -118,6 +128,25 @@ def compare(old: Path, new: Path) -> tuple[int, dict[str, list[str]]]:
         if parts:
             differing[key] = (parts, numeric_diff(a, b))
     return len(keys), differing
+
+
+def false_convergence(out: Path, tol: float) -> dict[str, float]:
+    """The pairs of one side whose report says ``converged`` while the
+    certificate residual of their route exceeds ``FALSE_MARGIN * tol``,
+    with that residual."""
+    found = {}
+    for key in json.loads((out / "codes.json").read_text()):
+        path = out / f"{key}.json"
+        if not path.is_file():
+            continue
+        report = json.loads(path.read_text())
+        certs = report["certificates"]
+        res = (certs["eps_kkt"] + certs["eps_sym"]
+               if key.rsplit("/", 1)[1].startswith("npdo")
+               else certs["eps_nepv"])
+        if report["converged"] and res > FALSE_MARGIN * tol:
+            found[key] = res
+    return found
 
 
 def _rel(a: float, b: float) -> float:
@@ -242,6 +271,16 @@ def main(argv=None) -> int:
             print("error: a side failed to run", file=sys.stderr)
             return 2
         total, differing = compare(*outs)
+        sys.path.append(str(ROOT))
+        from perfbench.workloads import TOL
+        false = [false_convergence(out, TOL) for out in outs]
+    if any(false):
+        for side, found in zip(("old", "new"), false):
+            for key, res in found.items():
+                print(f"falsely converged ({side}): {key} (certificate "
+                      f"residual {res:.2e})")
+        print(f"{len(false[0])} old, {len(false[1])} new pairs say converged "
+              f"above {FALSE_MARGIN:g} x tol {TOL:g}")
     if args.rtol is None:
         for key, (parts, _) in differing.items():
             print(f"differs: {key} ({', '.join(parts)})")
