@@ -47,7 +47,6 @@ from .npdo import (
     npdo_certificates,
     npdo_locg,
     npdo_scf,
-    npdo_scf_step,
 )
 from .nepv import (
     NepvConfig,
@@ -55,7 +54,6 @@ from .nepv import (
     nepv_locg,
     nepv_residual,
     nepv_scf,
-    nepv_scf_step,
 )
 from .problems import (
     MLifting,

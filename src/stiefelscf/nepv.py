@@ -46,7 +46,6 @@ from .npdo import (
     NpdoConfig,
     SolveReport,
     _alignment_certificates,
-    _one_step,
     _scf,
     _Step,
     _SubspaceStep,
@@ -59,7 +58,6 @@ __all__ = [
     "nepv_locg",
     "nepv_residual",
     "nepv_scf",
-    "nepv_scf_step",
 ]
 
 
@@ -193,18 +191,6 @@ class _EigenStep(_Step):
             spect = _top_k(H, self.obj.k)
         self.guard = None if failed else spect.next_vector
         return spect
-
-
-def nepv_scf_step(obj: ComposedObjective, P):
-    """One eigenvector-SCF step: top-k eigenbasis of H(P), then alignment.
-
-    Returns ``(P_next, record)``, exactly as iteration 0 of ``nepv_scf``
-    from P: the record's residual and ``sign_violated`` flag are evaluated
-    at the incoming P, its f at P_next, and it carries the eigenvalue gap
-    plus the ``gap_degenerate`` flag when the gap falls below
-    ``GAP_DEGENERATE``.
-    """
-    return _one_step(_EigenStep(obj), P)
 
 
 def nepv_scf(obj: ComposedObjective, P0, cfg: NepvConfig | None = None,

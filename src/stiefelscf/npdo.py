@@ -11,8 +11,7 @@ each of its steps gains at least what the plain step gains.
 Every solver in the package, the eigenvector route of ``stiefelscf.nepv``
 included, runs one SCF loop (``_scf``) over a step kind: the polar step
 here, the eigen step there, and the subspace step, whose inner solve
-re-enters the same loop through the plain solver.  The public single-step
-functions run the same step code as iteration 0 of their solver.
+re-enters the same loop through the plain solver.
 
 The loop carries the objective's ``PointEvaluation`` at the current iterate:
 a step lands on P_next by evaluating f there, and the next iteration's
@@ -57,7 +56,6 @@ __all__ = [
     "npdo_certificates",
     "npdo_locg",
     "npdo_scf",
-    "npdo_scf_step",
 ]
 
 logger = logging.getLogger("stiefelscf")
@@ -215,14 +213,10 @@ def npdo_certificates(obj: ComposedObjective, P) -> dict:
     })
 
 
-def project_feasible(obj: ComposedObjective, P0) -> np.ndarray:
-    """One alignment application, used to bring an infeasible start into the
-    feasible subset (the same mechanism the iteration uses mid-run)."""
-    return _feasible_start(obj, P0).P
-
-
 def _feasible_start(obj: ComposedObjective, P0) -> PointEvaluation:
-    # The evaluation at the projected start point (see project_feasible).
+    # The evaluation at the start point, brought into the feasible subset by
+    # one alignment application when it lies outside (the same mechanism
+    # the iteration uses mid-run).
     start = PointEvaluation(obj, require_stiefel(P0))
     rule = obj.alignment
     try:
@@ -270,8 +264,9 @@ class _Step:
     kind defines ``propose(at, ctx)``, which returns ``(P_next, fields)``:
     the aligned iterate and every record field but the landing's; its
     ``step`` is ``propose`` followed by ``_landing``.  ``monotone`` switches
-    the ascent check on (see ``_take_step``).  A step kind only measures
-    and proposes: ``_scf`` decides when a solve ends.  Steps keep
+    the ascent check on, and ``_scf`` switches it off after a record that
+    carries ``sign_violated``.  A step kind only measures and proposes:
+    ``_scf`` flags each step and decides when a solve ends.  Steps keep
     per-solve state, so every solve builds its own.
     """
 
@@ -377,24 +372,15 @@ class _SubspaceStep(_Step):
                             inner_iters=inner.num_iterations)
 
 
-def _take_step(step: _Step, at: PointEvaluation, f, res, ctx, i: int):
-    # One step and its record.  A record that carries ``sign_violated``
-    # switches the ascent check off for the rest of the solve, this step
-    # included; while it is on, a step that lowers f beyond rounding slack
-    # is flagged.  The check is plain code, so `python -O` keeps it.
-    landed, fields = step.step(at, f, res, ctx)
-    if fields.get("sign_violated"):
-        step.monotone = False
-    if step.monotone and fields["f"] < f - MONOTONE_SLACK * max(1.0, abs(f)):
-        fields["ascent_violated"] = True
-    return landed, IterationRecord(i, **fields)
-
-
 def _scf(obj: ComposedObjective, P0, cfg: NpdoConfig, step: _Step,
          callback=None) -> SolveReport:
     # The one SCF loop and the one stop rule: project the start, then test
-    # the residual, step, record and test for a stop (a flagged ascent
-    # violation first, then stagnation) until the budget runs out.
+    # the residual, step, flag and record the step, and test for a stop (a
+    # flagged ascent violation first, then stagnation) until the budget runs
+    # out.  A record that carries ``sign_violated`` switches the ascent
+    # check off for the rest of the solve, this step included; while it is
+    # on, a step that lowers f beyond rounding slack is flagged.  The check
+    # is plain code, so `python -O` keeps it.
     at = _feasible_start(obj, P0)
     f0 = f = at.value
     records: list[IterationRecord] = []
@@ -404,7 +390,13 @@ def _scf(obj: ComposedObjective, P0, cfg: NpdoConfig, step: _Step,
         if res <= cfg.tol:
             stop = "converged"
             break
-        landed, rec = _take_step(step, at, f, res, ctx, i)
+        landed, fields = step.step(at, f, res, ctx)
+        if fields.get("sign_violated"):
+            step.monotone = False
+        slack = MONOTONE_SLACK * max(1.0, abs(f))
+        if step.monotone and fields["f"] < f - slack:
+            fields["ascent_violated"] = True
+        rec = IterationRecord(i, **fields)
         records.append(rec)
         if callback is not None:
             callback(i, landed.P)
@@ -417,24 +409,6 @@ def _scf(obj: ComposedObjective, P0, cfg: NpdoConfig, step: _Step,
     return SolveReport(
         point=at.P, f_final=f, f_initial=f0, converged=stop == "converged",
         stop_reason=stop, iterations=records, solver=step.name)
-
-
-def _one_step(step: _Step, P):
-    at = PointEvaluation(step.obj, require_stiefel(P))
-    res, ctx = step.residual(at)
-    landed, rec = _take_step(step, at, at.value, res, ctx, 0)
-    return landed.P, rec
-
-
-def npdo_scf_step(obj: ComposedObjective, P):
-    """One polar-SCF step: polar factor of the gradient, then alignment.
-
-    Returns ``(P_next, record)``, exactly as iteration 0 of ``npdo_scf``
-    from P: the record's residuals are evaluated at the incoming P and its
-    f at P_next, and it is flagged ``ascent_violated`` when a declared
-    ascent fails.
-    """
-    return _one_step(_PolarStep(obj), P)
 
 
 def npdo_scf(obj: ComposedObjective, P0, cfg: NpdoConfig | None = None,

@@ -365,9 +365,6 @@ class MLifting:
     def backward(self, Z) -> np.ndarray:
         return scipy.linalg.solve_triangular(self.R, as_matrix(Z, "Z"), lower=False)
 
-    def cholesky_reconstruction(self) -> np.ndarray:
-        return self.R.T @ self.R
-
 
 def lift_m_orthogonal(obj: ComposedObjective, M) -> tuple[ComposedObjective, MLifting]:
     """Lift an objective under the constraint P'MP = I to plain orthonormality.

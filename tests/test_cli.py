@@ -60,6 +60,10 @@ VALID_DOCS = {
                                       [[1.0, 0, 0], [0, 3.0, 0], [0, 0, 2.0]]],
                            "D_list": [[[1.0], [0.0], [0.5]],
                                       [[0.0], [1.0], [0.0]]]}},
+    "theta_tr": {"family": "theta_tr", "n": 3, "k": 2, "theta": 0.5,
+                 "matrices": {"A": [[2.0, 0, 0], [0, 1.0, 0], [0, 0, 0.5]],
+                              "B": [[1.0, 0, 0], [0, 1.0, 0], [0, 0, 1.0]],
+                              "D": [[1.0, 0], [0, 1.0], [0, 0]]}},
 }
 
 
@@ -145,6 +149,14 @@ class TestLoadProblem:
         ("trcp", "phi_weight", "{}"),
         ("trcp", "phi_weight", '"abc"'),
         ("trcp", "phi_weight", "1e400"),
+        ("trcp", "phi_weight", "true"),
+        ("trcp", "phi", "[1]"),
+        ("trcp", "phi", "1"),
+        ("sep", "phi", "null"),
+        ("theta_tr", "theta", "true"),
+        ("theta_tr", "theta", "false"),
+        ("theta_tr", "theta", '"0.5"'),
+        ("trcp", "phi_weight", '"0.5"'),
     ])
     def test_malformed_field_exits_one_naming_it(self, tmp_path, capsys,
                                                  doc, key, raw):
@@ -364,7 +376,21 @@ class TestRun:
                      "--report", str(report)])
         assert code in (EXIT_OK, EXIT_MAXITER, EXIT_AUDIT)
         diag = json.loads(report.read_text())["diagnostics"]
-        assert "theta_step" not in diag and "series" in diag
+        # The series bound, like the theta bound, covers plain steps only.
+        assert "theta_step" not in diag
+        assert ("series" in diag) == (solver == "npdo")
+
+    @pytest.mark.parametrize("solver", ["npdo-locg", "nepv-locg"])
+    def test_series_audit_without_plain_solver_exit_one(self, mbsub_file,
+                                                        capsys, solver):
+        # The summability bound holds for plain steps only; nepv-locg's
+        # outer records carry no gap, so the audit would weigh every term 0
+        # and pass whatever the trace.
+        code = main(["run", "--problem", str(mbsub_file), "--solver", solver,
+                     "--audit", "series"])
+        assert code == EXIT_INPUT
+        assert capsys.readouterr().err == (
+            "error: series audit needs --solver npdo or nepv\n")
 
     @pytest.mark.parametrize("solver", ["npdo", "npdo-locg", "nepv-locg"])
     def test_theta_audit_without_plain_nepv_exit_one(self, theta_file, capsys,

@@ -11,7 +11,7 @@ from stiefelscf.diagnostics import (
 )
 from stiefelscf.kernels import random_stiefel, trace_norm
 from stiefelscf.nepv import nepv_scf
-from stiefelscf.npdo import IterationRecord, SolveReport, npdo_scf
+from stiefelscf.npdo import IterationRecord, NpdoConfig, SolveReport, npdo_scf
 from stiefelscf.objective import AtomicTerm, ComposedObjective, outer_sum
 from stiefelscf.alignment import PolarAlignment
 from stiefelscf.problems import ProblemSpec, build
@@ -40,12 +40,12 @@ class TestGradientCheck:
         obj = ComposedObjective(5, 2, (AtomicTerm.linear(D, m=3, s=2.0),),
                                 outer_sum(1),
                                 alignment=PolarAlignment(D))
-        from stiefelscf.npdo import project_feasible
-
-        # Check at feasible points, where the power's base is nonnegative.
+        # Check at feasible points, where the power's base is nonnegative:
+        # the starts a solve takes.
         worst = 0.0
         for t in range(5):
-            P = project_feasible(obj, random_stiefel(5, 2, t))
+            P = npdo_scf(obj, random_stiefel(5, 2, t),
+                         NpdoConfig(max_iter=0)).point
             G = obj.euclidean_grad(P)
             FD = np.zeros_like(G)
             h = 1e-6

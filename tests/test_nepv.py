@@ -12,7 +12,6 @@ from stiefelscf.nepv import (
     nepv_locg,
     nepv_residual,
     nepv_scf,
-    nepv_scf_step,
 )
 from stiefelscf.npdo import npdo_scf
 from stiefelscf.objective import AtomicTerm, ComposedObjective, outer_sum
@@ -52,18 +51,22 @@ class TestNepvScfStep:
         A = np.diag([5.0, 3.0, 1.0])
         obj = build(ProblemSpec("sep", 3, 2, {"A": A}))
         for seed in range(3):
-            P1, rec = nepv_scf_step(obj, random_stiefel(3, 2, seed))
-            assert obj.value(P1) == pytest.approx(8.0, abs=1e-12)
-            assert rec.eta >= -1e-12
+            report = nepv_scf(obj, random_stiefel(3, 2, seed),
+                              NepvConfig(tol=1e-300, max_iter=1))
+            assert obj.value(report.point) == pytest.approx(8.0, abs=1e-12)
+            assert report.iterations[0].eta >= -1e-12
 
     def test_occa_alignment_keeps_ptd_psd(self):
         n, k = 8, 2
         rng = np.random.default_rng(2)
         obj = build(ProblemSpec("occa", n, k, {
             "B": make_psd(n, 20, 1.0), "D": rng.standard_normal((n, k))}))
-        P = random_stiefel(n, k, 0)
-        for _ in range(5):
-            P, rec = nepv_scf_step(obj, P)
+        landed = []
+        nepv_scf(obj, random_stiefel(n, k, 0),
+                 NepvConfig(tol=1e-300, max_iter=5),
+                 lambda i, P: landed.append(P))
+        assert len(landed) == 5
+        for P in landed:
             S = sym_part(P.T @ obj.theta_data.D)
             assert np.linalg.eigvalsh(S)[0] >= -1e-12
 
@@ -77,8 +80,11 @@ class TestNepvScfStep:
         P = obj.alignment.rotate(random_stiefel(n, k, 1),
                                  obj.at(random_stiefel(n, k, 1)))[1]
         f = obj.value(P)
-        for _ in range(20):
-            P, rec = nepv_scf_step(obj, P)
+        landed = []
+        nepv_scf(obj, P, NepvConfig(tol=1e-300, max_iter=20),
+                 lambda i, P: landed.append(P))
+        assert len(landed) == 20
+        for P in landed:
             f_next = obj.value(P)
             assert f_next >= f - 1e-12 * max(1.0, abs(f))
             f = f_next

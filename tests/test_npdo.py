@@ -16,7 +16,6 @@ from stiefelscf.npdo import (
     npdo_certificates,
     npdo_locg,
     npdo_scf,
-    npdo_scf_step,
 )
 from stiefelscf.objective import AtomicTerm, ComposedObjective, outer_sum
 from stiefelscf.problems import ProblemSpec, build
@@ -145,16 +144,16 @@ class TestNpdoScfStep:
         D = rng.standard_normal((7, 2))
         obj = linear_objective(D)
         P0 = random_stiefel(7, 2, 1)
-        P1, rec = npdo_scf_step(obj, P0)
-        assert obj.value(P1) == pytest.approx(trace_norm(D), rel=1e-12)
-        assert rec.eta >= -1e-12
+        report = npdo_scf(obj, P0, NpdoConfig(tol=1e-300, max_iter=1))
+        assert obj.value(report.point) == pytest.approx(trace_norm(D),
+                                                        rel=1e-12)
+        assert report.iterations[0].eta >= -1e-12
 
     def test_sep_k1_power_iteration(self):
         A = np.diag([5.0, 3.0, 1.0])
         obj = build(ProblemSpec("sep", 3, 1, {"A": A}))
-        P = np.full((3, 1), 1.0 / np.sqrt(3.0))
-        for _ in range(200):
-            P, _ = npdo_scf_step(obj, P)
+        P0 = np.full((3, 1), 1.0 / np.sqrt(3.0))
+        P = npdo_scf(obj, P0, NpdoConfig(tol=1e-300, max_iter=200)).point
         assert abs(P[0, 0]) == pytest.approx(1.0, abs=1e-10)
         assert obj.value(P) == pytest.approx(5.0, abs=1e-9)
 
@@ -344,6 +343,24 @@ class TestConfig:
             assert report.stop_reason == "max_iter" and not report.converged
             assert np.array_equal(report.point, P0)
             assert npdo_certificates(obj, report.point)["eps_kkt"] > 0
+        # An infeasible start: P0'D is not symmetric, so P0 lies outside the
+        # feasible subset of the D rule.  The solve takes no step and returns
+        # the start brought into it by one alignment application.
+        n, k = 6, 2
+        D = np.random.default_rng(4).standard_normal((n, k))
+        obj = build(ProblemSpec("mbsub", n, k, {"A": make_psd(n, 3), "D": D}))
+        P0 = random_stiefel(n, k, 0)
+        assert not obj.alignment.is_feasible(obj.at(P0))
+        for solve in (npdo_scf, npdo_locg):
+            report = solve(obj, P0, NpdoConfig(max_iter=0))
+            assert report.num_iterations == 0
+            assert report.stop_reason == "max_iter" and not report.converged
+            assert obj.alignment.is_feasible(obj.at(report.point))
+            certs = npdo_certificates(obj, report.point)
+            assert certs["alignment_psd_margin"] >= (
+                -1e-12 * max(certs["alignment_matrix_norm"], 1.0))
+            S = report.point.T @ D
+            assert np.linalg.norm(S - S.T) <= 1e-12 * np.linalg.norm(D, 2)
 
     def test_settings_are_tol_and_max_iter(self):
         assert [f.name for f in dataclasses.fields(NpdoConfig)] == ["tol", "max_iter"]

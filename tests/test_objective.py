@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from stiefelscf.alignment import PolarAlignment
 from stiefelscf.kernels import random_stiefel, sym_part
-from stiefelscf.nepv import nepv_scf_step
+from stiefelscf.nepv import NepvConfig, nepv_scf
 from stiefelscf import objective
 from stiefelscf.objective import (
     AtomicTerm,
@@ -511,8 +511,9 @@ class TestThetaData:
         assert "meta" not in {f.name for f in dataclasses.fields(obj)}
         assert obj.outer.theta == 0.5
         assert obj.theta_data.theta == 0.5
-        _, rec = nepv_scf_step(obj, random_stiefel(obj.n, obj.k, 0))
-        assert rec.d_trace_norm is not None
+        report = nepv_scf(obj, random_stiefel(obj.n, obj.k, 0),
+                          NepvConfig(tol=1e-300, max_iter=1))
+        assert report.iterations[0].d_trace_norm is not None
 
     def test_none_off_the_ratio_layout(self):
         obj = list(evaluation_objectives())[1]

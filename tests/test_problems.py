@@ -388,7 +388,7 @@ class TestMLifting:
         _, lift = lift_m_orthogonal(obj, M)
         Z = random_stiefel(5, 2, 2)
         assert np.allclose(lift.forward(lift.backward(Z)), Z, atol=1e-12)
-        assert np.allclose(lift.cholesky_reconstruction(), M, atol=1e-10)
+        assert np.allclose(lift.R.T @ lift.R, M, atol=1e-10)
 
     def test_values_agree_across_the_metric_map(self):
         n, k = 6, 2

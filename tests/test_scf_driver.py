@@ -1,4 +1,4 @@
-"""The shared SCF loop: each step function equals iteration 0 of its solver,
+"""The shared SCF loop: a one-iteration solve is iteration 0 of a longer one,
 the steps' stop rules, the report as the only channel, the products one
 iteration forms, ascent as a stop reason that holds with or without
 ``python -O``, and the structural transforms the subspace step and metric
@@ -26,7 +26,6 @@ from stiefelscf.nepv import (
     nepv_locg,
     nepv_residual,
     nepv_scf,
-    nepv_scf_step,
 )
 from stiefelscf.npdo import (
     MONOTONE_SLACK,
@@ -36,8 +35,6 @@ from stiefelscf.npdo import (
     kkt_residuals,
     npdo_locg,
     npdo_scf,
-    npdo_scf_step,
-    project_feasible,
 )
 from stiefelscf.objective import PointEvaluation
 from stiefelscf.problems import FAMILIES as CATALOG
@@ -70,24 +67,33 @@ def family_spec(family, n=9, k=3):
 
 
 FAMILIES = ["sep", "mbsub", "sumct", "quad_lin2", "occa", "theta_tr"]
-ROUTES = {
-    "npdo": (npdo_scf_step, npdo_scf, NpdoConfig),
-    "nepv": (nepv_scf_step, nepv_scf, NepvConfig),
-}
+ROUTES = {"npdo": (npdo_scf, NpdoConfig), "nepv": (nepv_scf, NepvConfig)}
 ACCELERATED = {"npdo": npdo_locg, "nepv": nepv_locg}
+
+
+def one_step(solve, obj, P):
+    # The landed point and record of one plain step from a feasible P: a
+    # one-iteration solve with a tolerance no residual meets.
+    report = solve(obj, P, NpdoConfig(tol=1e-300, max_iter=1))
+    return report.point, report.iterations[0]
 
 
 @pytest.mark.parametrize("route", sorted(ROUTES))
 @pytest.mark.parametrize("family", FAMILIES)
 def test_step_is_iteration_zero(family, route):
-    step_fn, solve, cfg_cls = ROUTES[route]
+    # A one-iteration solve, which the tests here take as one step, lands
+    # where iteration 0 of a longer solve from the same start lands, with
+    # the same record: the budget does not change the first step.
+    solve, cfg_cls = ROUTES[route]
     obj = build(family_spec(family))
-    P = project_feasible(obj, random_stiefel(obj.n, obj.k, 5))
-    P_next, rec = step_fn(obj, P)
-    report = solve(obj, P, cfg_cls(max_iter=1))
-    assert report.num_iterations == 1
-    assert np.array_equal(P_next, report.point)
-    assert rec == report.iterations[0]
+    P0 = random_stiefel(obj.n, obj.k, 5)
+    landed = []
+    longer = solve(obj, P0, cfg_cls(max_iter=3),
+                   lambda i, P: landed.append(P))
+    report = solve(obj, P0, cfg_cls(max_iter=1))
+    assert report.num_iterations == 1 and longer.num_iterations >= 1
+    assert np.array_equal(report.point, landed[0])
+    assert report.iterations[0] == longer.iterations[0]
 
 
 class _Scripted:
@@ -111,7 +117,7 @@ def test_only_flat_steps_count_as_stagnant():
     # a falling step in between starting the count again.
     obj = build(family_spec("sep"))
     P0 = random_stiefel(obj.n, obj.k, 0)
-    f0 = obj.value(project_feasible(obj, P0))
+    f0 = npdo_scf(obj, P0, NpdoConfig(max_iter=0)).f_initial
     budget = NpdoConfig(max_iter=3 * STAGNATION_LIMIT)
     falling = _scf(obj, P0, budget, _Scripted(
         f0 - 1.0 - i for i in range(3 * STAGNATION_LIMIT)))
@@ -154,12 +160,11 @@ def test_solves_report_without_warnings(case):
         warnings.simplefilter("error")
         reports = {solve.__name__: solve(obj, P0, cfg)
                    for solve in (npdo_scf, npdo_locg, nepv_scf, nepv_locg)}
-        steps = {step.__name__: step(obj, project_feasible(obj, P0))[1]
-                 for step in (npdo_scf_step, nepv_scf_step)}
     if case == "budget":
         for report in reports.values():
             assert report.stop_reason == "max_iter" and not report.converged
-    eigen_records = reports["nepv_scf"].iterations + [steps["nepv_scf_step"]]
+    eigen_records = reports["nepv_scf"].iterations
+    assert eigen_records
     flag = {"gap": "gap_degenerate", "sign": "sign_violated"}.get(case)
     if flag is not None:
         assert all(getattr(rec, flag) for rec in eigen_records)
@@ -220,7 +225,7 @@ def test_library_raises_no_warnings():
 DESCENT_SCRIPT = """
 import dataclasses
 import numpy as np
-from stiefelscf.npdo import npdo_locg, npdo_scf, npdo_scf_step
+from stiefelscf.npdo import npdo_locg, npdo_scf
 from stiefelscf.problems import ProblemSpec, build
 obj = build(ProblemSpec("sep", 4, 1, {"A": np.diag([3.0, 1.0, 1.0, -5.0])}))
 obj = dataclasses.replace(obj, npdo_monotone=True)
@@ -232,8 +237,6 @@ for solve in (npdo_scf, npdo_locg):
     out[solve.__name__] = [rep.stop_reason, rep.converged, rep.f_initial,
                            rep.f_final,
                            [r.ascent_violated for r in rep.iterations]]
-_, rec = npdo_scf_step(obj, P0)
-out["npdo_scf_step"] = [rec.ascent_violated, rec.f]
 """
 
 
@@ -247,7 +250,6 @@ def test_declared_ascent_failure_is_a_stop_reason_with_or_without_O():
         stop, converged, f0, f, flags = out[name]
         assert stop == "ascent_violated" and not converged, name
         assert flags == [True] and f < f0, name
-    assert out["npdo_scf_step"] == [True, out["npdo_scf"][3]]
     proc = subprocess.run(
         [sys.executable, "-O", "-c",
          DESCENT_SCRIPT + "import json; print(json.dumps(out))"],
@@ -322,7 +324,7 @@ def test_one_product_per_quadratic_term_per_iteration(family, route,
         return real(term, P_i)
 
     monkeypatch.setattr(objective, "_atom", counting)
-    _, solve, cfg_cls = ROUTES[route]
+    solve, cfg_cls = ROUTES[route]
     report = solve(obj, random_stiefel(obj.n, obj.k, 5), cfg_cls())
     iters = report.num_iterations
     assert report.converged and iters >= 1
@@ -376,7 +378,7 @@ def test_one_product_block_per_quadratic_term_per_outer_step(family, route,
         return out
 
     monkeypatch.setattr(npdo, "_landing", landing)
-    _, _, cfg_cls = ROUTES[route]
+    _, cfg_cls = ROUTES[route]
     cfg = cfg_cls() if declared else cfg_cls(max_iter=10)
     report = ACCELERATED[route](obj, random_stiefel(obj.n, obj.k, 5), cfg)
     iters = report.num_iterations
@@ -514,7 +516,7 @@ def test_locg_converged_means_the_plain_residual_met_tol(family, seed, n, k,
     obj = build(random_catalog_spec(family, n, k, rng, theta))
     P0 = random_stiefel(n, k, seed)
     for route, solve in ACCELERATED.items():
-        cfg = ROUTES[route][2](max_iter=20)
+        cfg = ROUTES[route][1](max_iter=20)
         converged_means_the_residual_met_tol(obj, solve(obj, P0, cfg), cfg,
                                              route)
 
@@ -537,7 +539,7 @@ def test_declared_ascent_holds_on_random_psd_instances(family, seed, n, k,
                             ("nepv", obj.nepv_monotone)):
         if not declared:
             continue
-        _, solve, cfg_cls = ROUTES[route]
+        solve, cfg_cls = ROUTES[route]
         for solver in (solve, ACCELERATED[route]):
             report = solver(obj, P0, cfg_cls(max_iter=300))
             name = solver.__name__
@@ -563,14 +565,14 @@ def test_locg_steps_gain_at_least_the_plain_step(family, seed, n, k, theta):
                             ("nepv", obj.nepv_monotone)):
         if not declared:
             continue
-        step, _, cfg_cls = ROUTES[route]
+        solve, cfg_cls = ROUTES[route]
         landed = []
         report = ACCELERATED[route](obj, P0, cfg_cls(max_iter=30),
                                     lambda i, P: landed.append(P))
-        starts = [project_feasible(obj, P0)] + landed
+        starts = [solve(obj, P0, cfg_cls(max_iter=0)).point] + landed
         fs = [report.f_initial] + [r.f for r in report.iterations]
         for i, (P, f, f_next) in enumerate(zip(starts, fs, fs[1:])):
-            _, plain = step(obj, P)
+            _, plain = one_step(solve, obj, P)
             slack = MONOTONE_SLACK * max(1.0, abs(f))
             assert f_next - f >= plain.f - f - slack, (
                 f"{family}/{route}-locg step {i}: gain {f_next - f!r} < "
@@ -678,7 +680,7 @@ def test_step_angle_is_the_sine_distance_to_the_landed_point(route, angle):
         "A": (U * np.arange(n, 0, -1.0)) @ U.T}))
     P = U[:, :k].copy()
     P[:, 0] = np.cos(angle) * U[:, 0] + np.sin(angle) * U[:, k]
-    P_next, rec = ROUTES[route][0](obj, P)
+    P_next, rec = one_step(ROUTES[route][0], obj, P)
     Q_perp = np.linalg.qr(P, mode="complete")[0][:, k:]
     assert rec.step_angle == pytest.approx(
         np.linalg.norm(Q_perp.T @ P_next), rel=0, abs=1e-13)
