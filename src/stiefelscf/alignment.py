@@ -53,11 +53,12 @@ class PolarAlignment:
     fixed matrix ``D`` or, when ``D`` is None, by the objective's
     scriptD(P_prev) (the partial-weighted sum of its linear matrices, which
     makes the rotation also increase f).  Otherwise ``blocks`` lists linear
-    terms of the objective, one block each over that term's selector,
-    driven by the term's matrix weighted by its outer partial and scale at
-    P_prev; the selectors must be pairwise column-disjoint.  ``blocks=()``
-    means no rotation, for right-unitarily invariant objectives, and is the
-    default rule of ``ComposedObjective``.  Each block guarantees
+    terms of the objective by index, one block each over that term's
+    selector, driven by the term's matrix weighted by its outer partial
+    (``PointEvaluation.term_partials``) and scale at P_prev; the selectors
+    must be pairwise column-disjoint.  ``blocks=()`` means no rotation, for
+    right-unitarily invariant objectives, and is the default rule of
+    ``ComposedObjective``.  Each block guarantees
     P_next[:, C_j]' D_j >= 0.  ``check`` validates the rule against its
     objective once, when the objective is built, so the other methods
     assume a valid rule.
@@ -106,7 +107,7 @@ class PolarAlignment:
             return [(None, 1.0, at.script_d if self.D is None else self.D)]
         if not self.blocks:
             return []
-        obj, phi = at.obj, at.partials
+        obj, phi = at.obj, at.term_partials
         drivers = []
         for idx in self.blocks:
             t = obj.terms[idx]

@@ -153,9 +153,17 @@ def series_audit(report, framework: str) -> dict:
     framework) or the eigenvalue gap (eigenvector framework) -- must have
     non-decreasing partial sums bounded by 2 (f_final - f_initial) + slack.
     The audit also rechecks f-monotonicity: an oscillating trace must fail.
+    A report whose ``solver`` names any other solver than ``framework``'s
+    plain one raises ``ValueError``: the bound holds for plain steps only,
+    and the outer records of ``nepv_locg`` carry no gap, which would weigh
+    every term 0.  A report built by hand, whose ``solver`` is empty, is
+    audited as its records stand.
     """
     if framework not in ("npdo", "nepv"):
         raise ValueError(f"framework must be 'npdo' or 'nepv', got {framework!r}")
+    if report.solver not in ("", framework):
+        raise ValueError(f"series audit of {framework} needs a plain "
+                         f"{framework} trace, got a {report.solver} report")
     if not report.iterations:
         return {"ok": True, "sum_angles": 0.0, "sum_residuals": 0.0,
                 "bound": SERIES_SLACK, "monotone": True, "terms_nonneg": True}

@@ -196,17 +196,20 @@ def top_k_eigenpairs(H, k: int) -> SpectralTopK:
     n = H.shape[0]
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n = {n}, got k = {k}")
-    return _top_k(H, k)
+    return _top_k(H, k, np.empty(H.shape, order="F"))
 
 
-def _top_k(H: np.ndarray, k: int) -> SpectralTopK:
+def _top_k(H: np.ndarray, k: int, work: np.ndarray) -> SpectralTopK:
     # top_k_eigenpairs without the input checks, for a matrix the package
-    # formed, symmetrized here.  il..iu are 1-based indices into the
-    # ascending spectrum.  On a tightly clustered spectrum dsyevr can return
-    # fewer than the k+1 pairs asked for with info = 0; the full eigh of H
-    # then supplies them.
+    # formed, symmetrized here into ``work``, a Fortran-ordered n-by-n array
+    # that dsyevr then overwrites (the bits of _sym(H), with no copy made by
+    # f2py).  il..iu are 1-based indices into the ascending spectrum.  On a
+    # tightly clustered spectrum dsyevr can return fewer than the k+1 pairs
+    # asked for with info = 0; the full eigh of H then supplies them.
     n = H.shape[0]
-    w, V, m, _, info = _syevr(_sym(H), compute_v=1, range="I",
+    np.add(H, H.T, out=work)
+    work *= 0.5
+    w, V, m, _, info = _syevr(work, compute_v=1, range="I",
                               il=max(n - k, 1), iu=n, overwrite_a=1)
     if info != 0:
         raise np.linalg.LinAlgError(f"dsyevr failed with info = {info}")

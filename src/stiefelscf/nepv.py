@@ -132,7 +132,9 @@ class _EigenStep(_Step):
     field has order n >= ``WARM_MIN_N`` and room for the Krylov blocks,
     (RITZ_MAX_BLOCKS + 1)(k + 1) < n, so inner problems of order <= 4k stay
     dense.  ``guard`` is the previous step's (k+1)-th vector, or None before
-    the first step and after a failed attempt.
+    the first step and after a failed attempt.  ``work`` is the n-by-n
+    array every dense solve of the step symmetrizes H into (see the
+    ``objective`` module docstring for why it lives as long as the solve).
     """
 
     name = "nepv"
@@ -145,6 +147,7 @@ class _EigenStep(_Step):
         n, k = obj.n, obj.k
         self.warm = n >= WARM_MIN_N and (RITZ_MAX_BLOCKS + 1) * (k + 1) < n
         self.guard = self.eps_before = None
+        self.work = np.empty((n, n), order="F")
 
     def residual(self, at):
         HP = at.field.H @ at.P
@@ -188,7 +191,7 @@ class _EigenStep(_Step):
         self.eps_before = eps
         failed = tried and spect is None
         if spect is None:
-            spect = _top_k(H, self.obj.k)
+            spect = _top_k(H, self.obj.k, self.work)
         self.guard = None if failed else spect.next_vector
         return spect
 

@@ -1,15 +1,18 @@
 """Composed matrix-trace objectives on the Stiefel manifold.
 
-An objective is f(P) = phi(T(P)) where each component of T is an atomic term
+An objective is f(P) = phi(T(P)) where T stacks the coordinates of atomic
+terms
 
-    c * [tr((P_i' D)^m)]^s        ("linear" kind)
-    c * [tr((P_i' A P_i)^m)]^s    ("quadratic" kind)
+    c * [tr((P_i' D)^m)]^s        ("linear" kind, one coordinate)
+    c * [tr((P_i' A P_i)^m)]^s    ("quadratic" kind, one coordinate)
+    c * diag(R P_i P_i' R')       ("diagonal" kind, one per row of R)
 
 with P_i a column selection of P, and phi is a scalar outer function supplied
-as paired value/partials callbacks.  The objective knows how to produce its
-value, Euclidean gradient, Riemannian gradient, and the symmetric field H(P)
-used by the eigenvector-based solver together with the mismatch matrix M(P)
-whose symmetry certifies that a field solution is a KKT point.
+as paired value/partials callbacks over all the coordinates, term after
+term.  The objective knows how to produce its value, Euclidean gradient,
+Riemannian gradient, and the symmetric field H(P) used by the
+eigenvector-based solver together with the mismatch matrix M(P) whose
+symmetry certifies that a field solution is a KKT point.
 
 Everything is evaluated through ``ComposedObjective.at(P)``, a
 ``PointEvaluation`` that validates P once and computes each term's products
@@ -44,6 +47,28 @@ microseconds per product:
 so an NPDo solve at n = 1000, where the product is most of the work, takes
 about a fifth less time, and at n <= 200 the two differ by a microsecond or
 two.
+
+The diagonal atom is the density of the Kohn-Sham-type model of Liu, Wang,
+Wen and Yuan (SIAM J. Matrix Anal. Appl. 35(2), 2014): its coordinate
+x_r = tr(P_i' R' e_r e_r' R P_i) is the squared norm of row r of R P_i, its
+gradient is 2 R' diag(w) R P_i and its field 2 R' diag(w) R for the outer
+partials w of its coordinates.  ``AtomicTerm.diagonal`` builds
+it with R the identity, stored as None, which costs nothing to hold: the
+field then adds 2 w to the diagonal of H, and no product is formed.
+``transform`` maps R to R T.  It stands in for n rank-one quadratic atoms
+e_r e_r', which held one dense n-by-n matrix and formed one n-by-k product
+each per evaluation (121 terms and 14 MB for ``dft`` at n = 120, 8 GB at
+n = 1000).
+
+The n-by-n field is made afresh at each evaluation.  Those 14 MB of row
+atoms had also kept glibc from trimming the top of its heap; without them
+the heap is trimmed after each step, and the next step's fresh n-by-n
+arrays fault in zeroed pages.  So the dense eigenvector step (``nepv``)
+owns one n-by-n array for the whole solve, which it symmetrizes H into and
+LAPACK overwrites.  Counting ``ru_minflt`` around each ``eigen-route``
+solve of the benchmark loop (n = 200), an ``mbsub``/nepv solve takes 8361
+minor page faults without that array, 379 with it and 0 with the row
+atoms, and the workload's ``solves_per_kref`` is about 100, 131 and 118.
 
 The objective's ``value``, ``euclidean_grad``, ``riemannian_grad``,
 ``script_d`` and ``field`` methods, and the single-term ``eval_atomic`` and
@@ -121,29 +146,34 @@ def _matpow(M: np.ndarray, m: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class AtomicTerm:
-    """One atomic component c * [tr(.)^m]^s with a column selector.
+    """One atomic component c * [tr(.)^m]^s, or c * diag(R P_i P_i' R'),
+    with a column selector.
 
-    ``matrix`` is D (n-by-k_i) for the linear kind or A (n-by-n, exactly
+    ``matrix`` is D (n-by-k_i) for the linear kind, A (n-by-n, exactly
     symmetric: A == A.T bit for bit, else ``ValueError``) for the quadratic
-    kind; ``quadratic`` symmetrizes a matrix within ``SYMMETRY_TOL``.
+    kind, and R for the diagonal kind: None for the identity, else an
+    N-by-n matrix (``transform`` makes R T).  ``quadratic`` symmetrizes a
+    matrix within ``SYMMETRY_TOL``.  The diagonal kind takes m = s = 1.
     ``cols`` is None for "all columns of P", else a nonempty, strictly
     increasing tuple of column indices in 0..k-1.
     """
 
     kind: str
-    matrix: np.ndarray
+    matrix: np.ndarray | None
     m: int = 1
     s: float = 1.0
     c: float = 1.0
     cols: tuple[int, ...] | None = None
 
     def __post_init__(self):
-        if self.kind not in ("linear", "quadratic"):
+        if self.kind not in ("linear", "quadratic", "diagonal"):
             raise ValueError(f"unknown atomic kind {self.kind!r}")
         if int(self.m) != self.m or self.m < 1:
             raise ValueError(f"power m must be an integer >= 1, got {self.m}")
         if self.s < 1.0:
             raise ValueError(f"power s must be >= 1, got {self.s}")
+        if self.kind == "diagonal" and (self.m, self.s) != (1, 1.0):
+            raise ValueError("a diagonal term takes m = s = 1")
         if self.c <= 0.0:
             raise ValueError(f"scale c must be > 0, got {self.c}")
         if self.kind == "quadratic" and not np.array_equal(self.matrix,
@@ -169,8 +199,20 @@ class AtomicTerm:
         return AtomicTerm("quadratic", A, m=int(m), s=float(s), c=float(c),
                           cols=None if cols is None else tuple(cols))
 
+    @staticmethod
+    def diagonal() -> "AtomicTerm":
+        """diag(P P'), R the identity."""
+        return AtomicTerm("diagonal", None)
+
     def width(self, k: int) -> int:
         return k if self.cols is None else len(self.cols)
+
+    def coords(self, n: int) -> int:
+        """Number of outer coordinates over n-by-k points: the rows of R
+        (n for the identity) for the diagonal kind, else 1."""
+        if self.kind != "diagonal":
+            return 1
+        return n if self.matrix is None else self.matrix.shape[0]
 
     def select(self, P: np.ndarray) -> np.ndarray:
         return P if self.cols is None else P[:, list(self.cols)]
@@ -179,7 +221,11 @@ class AtomicTerm:
 def _atom(term: AtomicTerm, P_i: np.ndarray):
     # (X, S, value, chain) of one term at its selected columns P_i: X = D for
     # the linear kind or A P_i for the quadratic kind, the one full-size
-    # product, and the rest from ``_atom_from``.
+    # product, and the rest from ``_atom_from``.  The diagonal kind has
+    # X = R P_i, no S, and the vector of squared row norms of X as value.
+    if term.kind == "diagonal":
+        X = P_i if term.matrix is None else term.matrix @ P_i
+        return X, None, term.c * np.sum(X * X, axis=1), term.c
     X = term.matrix if term.kind == "linear" else _sym_matmul(term.matrix, P_i)
     return _atom_from(term, P_i, X)
 
@@ -206,11 +252,28 @@ def _atom_grad(term: AtomicTerm, X: np.ndarray, S: np.ndarray, chain: float):
     return chain * (scale * X @ _matpow(S, term.m - 1))
 
 
-def _add_term_field(H, M, term: AtomicTerm, P, X, S, w: float) -> None:
+def _term_grad(term: AtomicTerm, X, S, chain, w):
+    # w times the gradient with respect to P_i of ``_atom_grad``, for the
+    # term's outer partial w; a diagonal term takes the vector of its
+    # coordinates' partials and gives 2 R' diag(chain w) R P_i.
+    if term.kind != "diagonal":
+        return w * _atom_grad(term, X, S, chain)
+    G_i = (2.0 * chain * w)[:, None] * X
+    return G_i if term.matrix is None else term.matrix.T @ G_i
+
+
+def _add_term_field(H, M, term: AtomicTerm, P, X, S, w) -> None:
     # Add w times one full-selector term's symmetric field H_t and mismatch
     # M_t, where H_t P - grad_t = P M_t before the chain factor (folded into
-    # w) and X, S are the products of ``_atom``.  Quadratic terms satisfy
-    # grad = H_t P exactly, so their M_t is zero.
+    # w, a vector for a diagonal term) and X, S are the products of
+    # ``_atom``.  Quadratic and diagonal terms satisfy grad = H_t P exactly,
+    # so their M_t is zero.
+    if term.kind == "diagonal":
+        if term.matrix is None:
+            H.flat[::H.shape[0] + 1] += 2.0 * w
+        else:
+            H += (term.matrix.T * (2.0 * w)) @ term.matrix
+        return
     if term.kind == "quadratic":
         if term.m == 1:
             H += (2.0 * w) * term.matrix
@@ -228,8 +291,16 @@ def _add_term_field(H, M, term: AtomicTerm, P, X, S, w: float) -> None:
     M += (w * term.m) * _matpow(S, term.m).T
 
 
+def _one_coordinate(term: AtomicTerm) -> None:
+    if term.kind == "diagonal":
+        raise ValueError("a diagonal term has one coordinate per row of R, "
+                         "not one value; read them off at(P).term_values")
+
+
 def eval_atomic(term: AtomicTerm, P) -> float:
-    """Value c * base^s of one atomic term at P."""
+    """Value c * base^s of one linear or quadratic term at P (``ValueError``
+    for a diagonal term, which has many)."""
+    _one_coordinate(term)
     return _atom(term, term.select(as_matrix(P, "P")))[2]
 
 
@@ -238,8 +309,11 @@ def grad_atomic(term: AtomicTerm, P) -> np.ndarray:
 
     The base gradients are m D (P'D)^(m-1) for the linear kind and
     2m A P (P'AP)^(m-1) for the quadratic kind; powers s > 1 apply the chain
-    rule c s base^(s-1).  Columns outside the term's selector are zero.
+    rule c s base^(s-1).  Columns outside the term's selector are zero.  A
+    diagonal term, whose many coordinates have no one gradient, raises
+    ``ValueError``.
     """
+    _one_coordinate(term)
     P = as_matrix(P, "P")
     X, S, _, chain = _atom(term, term.select(P))
     G_i = _atom_grad(term, X, S, chain)
@@ -416,9 +490,10 @@ class ComposedObjective:
     def __post_init__(self):
         if not 1 <= self.k <= self.n:
             raise ValueError(f"need 1 <= k <= n, got n = {self.n}, k = {self.k}")
-        if self.outer.dim != len(self.terms):
-            raise ValueError(
-                f"outer dimension {self.outer.dim} != number of terms {len(self.terms)}")
+        coords = sum(t.coords(self.n) for t in self.terms)
+        if self.outer.dim != coords:
+            raise ValueError(f"outer dimension {self.outer.dim} != number of "
+                             f"term coordinates {coords}")
         for t in self.terms:
             if t.cols is not None and (t.cols[-1] >= self.k):
                 raise ValueError(f"selector {t.cols} out of bounds for k = {self.k}")
@@ -429,6 +504,10 @@ class ComposedObjective:
             if t.kind == "quadratic" and t.matrix.shape != (self.n, self.n):
                 raise ValueError(
                     f"quadratic term matrix shape {t.matrix.shape} != ({self.n}, {self.n})")
+            if (t.kind == "diagonal" and t.matrix is not None
+                    and (t.matrix.ndim != 2 or t.matrix.shape[1] != self.n)):
+                raise ValueError(f"diagonal term matrix shape "
+                                 f"{t.matrix.shape} != (N, {self.n})")
         if not isinstance(self.alignment, PolarAlignment):
             raise TypeError(f"alignment must be a PolarAlignment, got "
                             f"{type(self.alignment).__name__}")
@@ -479,27 +558,36 @@ class ComposedObjective:
     def transform(self, T, products=None) -> "ComposedObjective":
         """Objective g(Z) = f(T @ Z) with the atomic structure substituted.
 
-        Linear matrices map to T' D and quadratic ones to T' (A T); selectors
-        (and so the field recipe), outer function and monotonicity
-        declarations carry over, and T needs at least k columns.  Used for
-        subspace restriction (orthonormal T, the reduced problem of the
-        subspace-accelerated solvers, whose field is T' H(TZ) T with
-        mismatch M(TZ)) and metric lifting (T = R^{-1}).  ``products``, if
-        given, holds per term the product A T a caller already formed, or
-        None where this forms it (linear terms read none).
+        Linear matrices map to T' D, quadratic ones to T' (A T) and a
+        diagonal term's R to R T; selectors (and so the field recipe), outer
+        function and monotonicity declarations carry over, and T needs at
+        least k columns.  Used for subspace restriction (orthonormal T, the
+        reduced problem of the subspace-accelerated solvers, whose field is
+        T' H(TZ) T with mismatch M(TZ)) and metric lifting (T = R^{-1}).
+        ``products``, if given, holds per term the product A T a caller
+        already formed, or None where this forms it (linear and diagonal
+        terms read none).
         """
         T = as_matrix(T, "T")
         if T.shape[0] != self.n:
             raise ValueError(f"transform rows {T.shape[0]} != n = {self.n}")
         terms = tuple(
-            replace(t, matrix=T.T @ t.matrix if t.kind == "linear"
-                    else _sym(T.T @ (_sym_matmul(t.matrix, T) if AT is None
-                                     else AT)))
+            replace(t, matrix=_transformed(t, T, AT))
             for t, AT in zip(self.terms, products or [None] * len(self.terms)))
         return ComposedObjective(
             n=T.shape[1], k=self.k, terms=terms, outer=self.outer,
             alignment=self.alignment.transform(T),
             npdo_monotone=self.npdo_monotone, nepv_monotone=self.nepv_monotone)
+
+
+def _transformed(t: AtomicTerm, T: np.ndarray, AT) -> np.ndarray:
+    # The matrix of term t in ``ComposedObjective.transform(T)``, given the
+    # product A T or None.
+    if t.kind == "linear":
+        return T.T @ t.matrix
+    if t.kind == "diagonal":
+        return T if t.matrix is None else t.matrix @ T
+    return _sym(T.T @ (_sym_matmul(t.matrix, T) if AT is None else AT))
 
 
 class PointEvaluation:
@@ -532,14 +620,14 @@ class PointEvaluation:
         return a
 
     def basis_products(self, W: np.ndarray) -> list:
-        """A W for each quadratic term (None for a linear one), for a basis
+        """A W for each quadratic term (None for another kind), for a basis
         W whose leading k columns are P: a full-column term reuses the A P
         this evaluation holds and multiplies A by the other columns only; a
         column-block term, which holds A P_i for its own columns alone,
         multiplies A by all of W.  Either way, one product with A."""
         k, out = self.obj.k, []
         for i, t in enumerate(self.obj.terms):
-            if t.kind == "linear":
+            if t.kind != "quadratic":
                 out.append(None)
             elif t.cols is None:
                 out.append(np.hstack([self.atom(i)[0],
@@ -550,7 +638,8 @@ class PointEvaluation:
 
     @cached_property
     def term_values(self) -> np.ndarray:
-        return np.array([self.atom(i)[2] for i in range(len(self.obj.terms))])
+        """The coordinates of T(P), term after term."""
+        return np.hstack([self.atom(i)[2] for i in range(len(self.obj.terms))])
 
     @cached_property
     def value(self) -> float:
@@ -558,15 +647,27 @@ class PointEvaluation:
 
     @cached_property
     def partials(self) -> np.ndarray:
+        """The outer partials, one per coordinate of ``term_values``."""
         return self.obj.outer.partials(self.term_values)
+
+    @cached_property
+    def term_partials(self) -> list:
+        """The outer partials by term: one float per linear or quadratic
+        term, the vector over its coordinates for a diagonal one."""
+        p, n, out, off = self.partials, self.obj.n, [], 0
+        for t in self.obj.terms:
+            size = t.coords(n)
+            out.append(p[off:off + size] if t.kind == "diagonal" else p[off])
+            off += size
+        return out
 
     @cached_property
     def euclidean_grad(self) -> np.ndarray:
         G = np.zeros(self.P.shape)
-        for i, (w, t) in enumerate(zip(self.partials, self.obj.terms)):
-            if w != 0.0:
+        for i, (w, t) in enumerate(zip(self.term_partials, self.obj.terms)):
+            if t.kind == "diagonal" or w != 0.0:
                 X, S, _, chain = self.atom(i)
-                G_i = w * _atom_grad(t, X, S, chain)
+                G_i = _term_grad(t, X, S, chain, w)
                 if t.cols is None:
                     G += G_i
                 else:
@@ -586,7 +687,7 @@ class PointEvaluation:
         are the outer partials times each term's own chain factor.
         """
         D, k = np.zeros(self.P.shape), self.obj.k
-        for i, (w, t) in enumerate(zip(self.partials, self.obj.terms)):
+        for i, (w, t) in enumerate(zip(self.term_partials, self.obj.terms)):
             if t.kind == "linear" and t.m == 1 and t.width(k) == k:
                 D += w * self.atom(i)[3] * t.matrix
         return D
@@ -598,8 +699,8 @@ class PointEvaluation:
         if obj.field_recipe == "composition":
             H = np.zeros((obj.n, obj.n))
             M = np.zeros((obj.k, obj.k))
-            for i, (w, t) in enumerate(zip(self.partials, obj.terms)):
-                if w != 0.0:
+            for i, (w, t) in enumerate(zip(self.term_partials, obj.terms)):
+                if t.kind == "diagonal" or w != 0.0:
                     X, S, _, chain = self.atom(i)
                     _add_term_field(H, M, t, P, X, S, w * chain)
         else:

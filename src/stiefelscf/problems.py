@@ -11,7 +11,8 @@ occa         theta_tr with theta = 1/2, A = 0 (orthogonal CCA)
 theta_tr_sq  the squared ratio as a convex composition, 0 <= theta <= 1/2
 umds        sum_i ||P'A_iP||_F^2
 trcp         phi(tr(P'A_1P), ..., tr(P'A_NP)) for a convex phi preset
-dft          tr(P'AP) + phi(diag(PP')) with a convex phi preset
+dft          tr(P'AP) + phi(diag(PP')) with a convex phi preset, diag(PP')
+             one diagonal atom (n coordinates, no stored matrix)
 quad_lin2    tr(P'AP) + tr((P'D)^2)
 procrustes   min ||CP - B||_F^2 recast as a MAXBET subproblem
 
@@ -287,15 +288,11 @@ def build(spec: ProblemSpec) -> ComposedObjective:
     if fam == "dft":
         A = _get(spec, "A", (n, n), symmetric=True)
         psd = _check_psd(A)
-        terms = [AtomicTerm.quadratic(A)]
-        # diag(PP')_i = tr(P' e_i e_i' P): one rank-one quadratic atom per row.
-        for i in range(n):
-            E = np.zeros((n, n))
-            E[i, i] = 1.0
-            terms.append(AtomicTerm.quadratic(E))
+        # diag(PP') is one diagonal atom with n coordinates, after tr(P'AP).
+        terms = (AtomicTerm.quadratic(A), AtomicTerm.diagonal())
         outer = _trace_composition_outer(spec, n, lead=True)
         return ComposedObjective(
-            n, k, tuple(terms), outer, alignment=PolarAlignment(blocks=()),
+            n, k, terms, outer, alignment=PolarAlignment(blocks=()),
             npdo_monotone=psd, nepv_monotone=True)
 
     if fam == "quad_lin2":

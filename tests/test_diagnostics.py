@@ -10,8 +10,14 @@ from stiefelscf.diagnostics import (
     theta_step_audit,
 )
 from stiefelscf.kernels import random_stiefel, trace_norm
-from stiefelscf.nepv import nepv_scf
-from stiefelscf.npdo import IterationRecord, NpdoConfig, SolveReport, npdo_scf
+from stiefelscf.nepv import nepv_locg, nepv_scf
+from stiefelscf.npdo import (
+    IterationRecord,
+    NpdoConfig,
+    SolveReport,
+    npdo_locg,
+    npdo_scf,
+)
 from stiefelscf.objective import AtomicTerm, ComposedObjective, outer_sum
 from stiefelscf.alignment import PolarAlignment
 from stiefelscf.problems import ProblemSpec, build
@@ -140,6 +146,21 @@ class TestSeriesAudit:
     def test_rejects_unknown_framework(self):
         with pytest.raises(ValueError):
             series_audit(synthetic_report([0.0, 1.0]), "foo")
+
+    def test_refuses_an_accelerated_or_other_route_report(self):
+        # A *_locg report's outer records carry no gap, so the nepv audit
+        # would weigh every term 0 and pass; it is refused instead, as is a
+        # report of the other plain route.
+        n, k = 12, 3
+        rng = np.random.default_rng(0)
+        obj = build(ProblemSpec("mbsub", n, k, {
+            "A": make_psd(n, 3), "D": rng.standard_normal((n, k))}))
+        P0 = random_stiefel(n, k, 0)
+        for solve, framework in ((nepv_locg, "nepv"), (npdo_locg, "npdo"),
+                                 (npdo_scf, "nepv"), (nepv_scf, "npdo")):
+            with pytest.raises(ValueError, match="plain"):
+                series_audit(solve(obj, P0), framework)
+        assert series_audit(nepv_scf(obj, P0), "nepv")["ok"]
 
 
 class TestThetaStepAudit:

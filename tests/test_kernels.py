@@ -6,7 +6,9 @@ from hypothesis import strategies as st
 
 from stiefelscf.nepv import GAP_DEGENERATE
 from stiefelscf.kernels import (
+    _sym,
     _sym_matmul,
+    _top_k,
     canonical_sin_theta,
     orthonormalize_against,
     polar_factor,
@@ -145,6 +147,37 @@ class TestPolarFactor:
 
 
 class TestTopKEigenpairs:
+    @pytest.mark.parametrize("case", ["exact", "rounded", "clustered"])
+    def test_symmetrizing_into_the_workspace_gives_the_sym_bits(self, case):
+        # _top_k symmetrizes H into its workspace: the same bits as solving
+        # from _sym(H), which is exactly symmetric, for an exactly symmetric
+        # H, one that is symmetric only to rounding, and one on which dsyevr
+        # returns too few pairs (the eigh fallback).  H is left as it was.
+        rng = np.random.default_rng(11)
+        n, k = 40, 4
+        G = rng.standard_normal((n, n))
+        if case == "exact":
+            H = G + G.T
+        elif case == "rounded":
+            H = (G * rng.uniform(0.5, 2.0, n)) @ G.T
+            assert not np.array_equal(H, H.T)
+        else:
+            spectrum = [-3.0, 1.0, 1.0, 1.0, 1e-14, 2.0, -1.6259730522369593,
+                        1.0, -2.7002857242383396, 1.0, -2.0,
+                        -2.465665306554751, 2.0, 1.0]
+            n, k = len(spectrum), 2
+            Q, _ = np.linalg.qr(np.random.default_rng(2340906)
+                                .standard_normal((n, n)))
+            H = sym_part((Q * (1e-3 * np.array(spectrum))) @ Q.T)
+        before = H.copy()
+        into = _top_k(H, k, np.empty((n, n), order="F"))
+        ref = _top_k(_sym(H), k, np.empty((n, n), order="F"))
+        assert np.array_equal(H, before)
+        assert np.array_equal(ref.eigenvalues, into.eigenvalues)
+        assert np.array_equal(ref.eigenbasis, into.eigenbasis)
+        assert ref.gap == into.gap
+        assert np.array_equal(ref.next_vector, into.next_vector)
+
     def test_diagonal(self):
         out = top_k_eigenpairs(np.diag([5.0, 3.0, 1.0]), 2)
         assert np.allclose(out.eigenvalues, [5.0, 3.0])

@@ -352,7 +352,7 @@ class TestWarmStep:
         dense, warm = [], []
         top_k, ritz = nepv_module._top_k, nepv_module.ritz_top_k
         monkeypatch.setattr(nepv_module, "_top_k",
-                            lambda H, k: dense.append(len(H)) or top_k(H, k))
+                            lambda H, *a: dense.append(len(H)) or top_k(H, *a))
         monkeypatch.setattr(nepv_module, "ritz_top_k",
                             lambda H, *a: warm.append(len(H)) or ritz(H, *a))
         P0 = random_stiefel(n, k, 0)
@@ -371,3 +371,29 @@ class TestWarmStep:
         assert reduced and max(reduced) <= 4 * k
         assert [order for order in dense if order == n] == [n]
         assert warm == [n] * (report.num_iterations - 1)
+
+    def test_dense_step_reuses_one_workspace_per_solve(self, monkeypatch):
+        # Every dense solve of one nepv_scf solve symmetrizes into the same
+        # n-by-n Fortran-ordered array; a second solve gets its own, so the
+        # workspace is per-solve state and solves can run side by side.
+        n, k = 40, 3
+        assert n < nepv_module.WARM_MIN_N  # every step is dense
+        rng = np.random.default_rng(1)
+        obj = build(ProblemSpec("mbsub", n, k, {
+            "A": make_psd(n, 2), "D": rng.standard_normal((n, k))}))
+        works = []
+        top_k = nepv_module._top_k
+        monkeypatch.setattr(nepv_module, "_top_k",
+                            lambda H, k, work: works.append(work)
+                            or top_k(H, k, work))
+        P0 = random_stiefel(n, k, 0)
+        first = nepv_scf(obj, P0)
+        steps = first.num_iterations
+        assert first.converged and steps >= 2 and len(works) == steps
+        assert all(w is works[0] for w in works)
+        assert works[0].shape == (n, n) and works[0].flags.f_contiguous
+        second = nepv_scf(obj, P0)
+        assert len(works) == 2 * steps
+        assert works[steps] is not works[0]
+        assert all(w is works[steps] for w in works[steps:])
+        assert np.array_equal(second.point, first.point)

@@ -560,3 +560,55 @@ def test_field_recipe_is_read_off_the_selectors(data, n, seed):
     H = at.field.H
     resid = np.linalg.norm(H @ P - at.euclidean_grad - P @ at.field.mismatch)
     assert resid <= objective.FIELD_IDENTITY_TOL * max(1.0, np.linalg.norm(H))
+
+
+class TestDiagonalTerm:
+    def objective(self, n=5, k=2):
+        A = make_psd(n, 0)
+        return ComposedObjective(
+            n, k, (AtomicTerm.quadratic(A), AtomicTerm.diagonal()),
+            outer_weighted_sum(np.linspace(1.0, 2.0, n + 1)))
+
+    def test_outer_dimension_counts_coordinates(self):
+        obj = self.objective()
+        with pytest.raises(ValueError, match="coordinates 6"):
+            dataclasses.replace(obj, outer=outer_sum(2))
+        assert obj.transform(np.eye(5)[:, :3]).outer.dim == 6
+
+    def test_single_term_functions_refuse_it(self):
+        P = random_stiefel(5, 2, 0)
+        for fn in (eval_atomic, grad_atomic):
+            with pytest.raises(ValueError, match="diagonal"):
+                fn(AtomicTerm.diagonal(), P)
+
+    def test_takes_no_powers(self):
+        for kw in ({"m": 2}, {"s": 2.0}):
+            with pytest.raises(ValueError, match="m = s = 1"):
+                AtomicTerm("diagonal", None, **kw)
+
+    def test_values_gradient_and_field_in_closed_form(self):
+        # x = diag(R P P' R'), gradient 2 R' diag(w) R P and field
+        # 2 R' diag(w) R, for R = I and for R = T after transform(T).
+        obj = self.objective()
+        w = obj.outer.partials(None)[1:]
+        P = random_stiefel(5, 2, 1)
+        at = obj.at(P)
+        A = obj.terms[0].matrix
+        assert np.array_equal(at.term_values[1:], np.sum(P * P, axis=1))
+        assert np.allclose(at.euclidean_grad, 2 * A @ P + 2 * w[:, None] * P,
+                           rtol=0, atol=1e-13)
+        assert np.allclose(at.field.H, 2 * A + 2 * np.diag(w), rtol=0,
+                           atol=1e-13)
+        T = np.linalg.qr(np.random.default_rng(2).standard_normal((5, 4)))[0]
+        red = obj.transform(T)
+        assert red.terms[1].matrix is T
+        Z = random_stiefel(4, 2, 3)
+        red_at = red.at(Z)
+        assert np.allclose(red_at.term_values, obj.at(T @ Z).term_values,
+                           rtol=0, atol=1e-13)
+        assert np.allclose(red_at.field.H, T.T @ obj.at(T @ Z).field.H @ T,
+                           rtol=0, atol=1e-13)
+        assert np.allclose(red_at.euclidean_grad,
+                           T.T @ obj.at(T @ Z).euclidean_grad, rtol=0,
+                           atol=1e-13)
+        assert red_at.basis_products(np.eye(4))[1] is None

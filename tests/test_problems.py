@@ -10,7 +10,7 @@ from stiefelscf.diagnostics import gradient_check
 from stiefelscf.kernels import polar_factor, random_stiefel, sym_part
 from stiefelscf.nepv import nepv_scf
 from stiefelscf.npdo import npdo_scf
-from stiefelscf.objective import ComposedObjective
+from stiefelscf.objective import AtomicTerm, ComposedObjective
 from stiefelscf.problems import (
     OUTER_PRESETS,
     MLifting,
@@ -495,3 +495,71 @@ class TestRatioObjective:
         lifted, lift = lift_m_orthogonal(obj, M)
         T = np.linalg.inv(lift.R)
         self.assert_view(lifted, 0.7, T.T @ A @ T, T.T @ B @ T, T.T @ D)
+
+
+def _row_atom_dft(obj):
+    # The same dft objective with diag(PP') written as n rank-one quadratic
+    # atoms e_i e_i' after tr(P'AP), under the same outer function.
+    n = obj.n
+    rows = []
+    for i in range(n):
+        E = np.zeros((n, n))
+        E[i, i] = 1.0
+        rows.append(AtomicTerm.quadratic(E))
+    return ComposedObjective(n, obj.k, (obj.terms[0], *rows), obj.outer,
+                             alignment=obj.alignment,
+                             npdo_monotone=obj.npdo_monotone,
+                             nepv_monotone=obj.nepv_monotone)
+
+
+def _rel_close(a, b, rel=1e-12):
+    return np.linalg.norm(np.asarray(a) - b) <= rel * np.linalg.norm(b)
+
+
+class TestDiagonalAtom:
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 40),
+           k=st.integers(1, 40), phi=st.sampled_from(OUTER_PRESETS),
+           weight=st.floats(0.0, 2.0), extra=st.integers(0, 120))
+    def test_dft_matches_the_row_atoms(self, seed, n, k, phi, weight, extra):
+        # f, the Euclidean gradient and the field H of dft's diagonal atom
+        # agree with n explicit e_i e_i' atoms within 1e-12 relative, at P
+        # and in the reduced problem transform(W) for an orthonormal W with
+        # k to 4k columns.
+        k = min(k, n)
+        rng = np.random.default_rng(seed)
+        obj = build(ProblemSpec("dft", n, k, {"A": make_psd(n, seed % 997)},
+                                phi=phi, phi_weight=weight))
+        assert [t.kind for t in obj.terms] == ["quadratic", "diagonal"]
+        ref = _row_atom_dft(obj)
+        m = min(n, k + extra % (3 * k + 1))
+        W, _ = np.linalg.qr(rng.standard_normal((n, m)))
+        Z = random_stiefel(W.shape[1], k, seed % 991)
+        P = random_stiefel(n, k, seed % 983)
+        for new, old, X in ((obj, ref, P),
+                            (obj.transform(W), ref.transform(W), Z)):
+            a, b = new.at(X), old.at(X)
+            assert _rel_close(a.term_values, b.term_values)
+            assert _rel_close(a.value, b.value)
+            assert _rel_close(a.euclidean_grad, b.euclidean_grad)
+            assert _rel_close(a.field.H, b.field.H)
+            assert not a.field.mismatch.any()
+
+    def test_dft_keeps_both_declarations(self):
+        n, k = 6, 2
+        psd = build(ProblemSpec("dft", n, k, {"A": make_psd(n, 1)}))
+        A = np.diag([1.0, 0.5, 0.0, -0.1, -1.0, -2.0])
+        indefinite = build(ProblemSpec("dft", n, k, {"A": A}))
+        assert (psd.npdo_monotone, psd.nepv_monotone) == (True, True)
+        assert (indefinite.npdo_monotone, indefinite.nepv_monotone) == (
+            False, True)
+
+    def test_dft_at_n_1000_holds_one_matrix(self):
+        # Two terms, and no n-by-n array beyond A's own copy.
+        n, k = 1000, 8
+        G = np.random.default_rng(0).standard_normal((n, n))
+        A = G + G.T
+        obj = build(ProblemSpec("dft", n, k, {"A": A}, phi="quad_penalty"))
+        assert len(obj.terms) == 2 and obj.outer.dim == n + 1
+        held = sum(t.matrix.nbytes for t in obj.terms if t.matrix is not None)
+        assert held <= A.nbytes + 8 * n * k
