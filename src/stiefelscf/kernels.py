@@ -21,6 +21,7 @@ row index.  The polar factors need no such rule: flipping a singular pair
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -91,6 +92,29 @@ def _sym_matmul(A: np.ndarray, X: np.ndarray) -> np.ndarray:
     # A @ X for an exactly symmetric A, unchecked, formed as (X'A)' and
     # returned C-contiguous so later products round as they would on A @ X.
     return np.ascontiguousarray((X.T @ A).T)
+
+
+# Frobenius norms inside this range are taken plainly: their squares can
+# neither overflow nor lose digits to underflow.
+PLAIN_NORM_RANGE = (1e-140, 1e140)
+
+
+def _scaled_norm(X: np.ndarray) -> tuple[float, float]:
+    # (s, ||X / s||_F), so ||X||_F = s ||X / s||_F and a ratio of norms
+    # ||Y||_F / ||X||_F is ||Y / s||_F / ||X / s||_F.  s = 1 when the plain
+    # norm lies inside PLAIN_NORM_RANGE, which keeps its bits; else s is the
+    # largest |entry| of X, so the squares of X / s stay in range.  The
+    # plain norm is np.linalg.norm's own arithmetic, sqrt(x.x) over the
+    # entries in memory order, by the same BLAS dot; np.vdot, unlike
+    # ndarray.dot, raises no floating-point warning where it overflows.
+    x = X.ravel(order="K")
+    xi = math.sqrt(np.vdot(x, x))
+    if PLAIN_NORM_RANGE[0] < xi < PLAIN_NORM_RANGE[1]:
+        return 1.0, xi
+    s = float(np.max(np.abs(X)))
+    if not 0.0 < s < np.inf:
+        return 1.0, xi
+    return s, float(np.linalg.norm(X / s))
 
 
 def require_symmetric(H, name: str = "H") -> np.ndarray:
@@ -244,8 +268,10 @@ def ritz_top_k(H, P, HP, guard, tol: float,
     block left cannot reach ``tol``.  Returns None when a test fails, so the
     caller can fall back to a dense solve.  Because range(P) lies in the
     space, the k Ritz values sum to at least tr(P'HP), and by interlacing
-    none exceeds its eigenvalue.  ``H`` must be symmetric and P orthonormal;
-    neither is checked.
+    none exceeds its eigenvalue.  ``H`` is anything whose ``@`` applies a
+    symmetric matrix, read only as ``H @ X``: the array itself, or
+    ``objective.FactoredField``, which applies the field without forming
+    it.  P must be orthonormal; neither is checked.
     """
     k = P.shape[1]
     g = guard - P @ (P.T @ guard)

@@ -25,6 +25,18 @@ step, every step after a failed attempt, small fields and the
 of each ``nepv_locg`` outer step is a step at full size like any other,
 warm from the second on.  ``nepv_certificates``, the exit
 certificates at a point, always reads the exact spectrum.
+
+A step that tries the warm solve forms no n-by-n field when the field has
+the factored form ``objective.FactoredField`` (every term but a quadratic
+one with m >= 2 or a diagonal one with R != I): the Krylov blocks apply H
+one product per quadratic term, H P comes from the A P products the
+evaluation holds, and ||H||_F, the residual's denominator, from the Gram
+identity with the per-solve constants ``objective.field_gram``.  H is
+formed only by a dense solve, for the Gram identity where it cancels, by
+the ``nepv_locg`` inner problems and by the certificates.
+
+Residuals are ratios of Frobenius norms, taken at a data scale where they
+neither overflow nor underflow (``kernels._scaled_norm``).
 """
 
 from __future__ import annotations
@@ -34,6 +46,7 @@ import numpy as np
 from .alignment import _polar_square, align_rotation
 from .kernels import (
     RITZ_MAX_BLOCKS,
+    _scaled_norm,
     _sym,
     _top_k,
     require_stiefel,
@@ -50,7 +63,7 @@ from .npdo import (
     _Step,
     _SubspaceStep,
 )
-from .objective import ComposedObjective, PointEvaluation
+from .objective import ComposedObjective, PointEvaluation, field_gram
 
 __all__ = [
     "NepvConfig",
@@ -69,8 +82,12 @@ NepvConfig = NpdoConfig
 GAP_DEGENERATE = 1e-10
 
 # Fields of order below this take the dense step only: there the dense
-# solve costs no more than the warm Krylov blocks (measured crossover
-# between n = 60 and n = 80, BLAS at one thread).
+# solve costs about as much as the warm Krylov blocks.  With a warm step
+# that formed H the measured crossover lay between n = 60 and n = 80; with
+# the matrix-free warm step the per-step time of mbsub, theta_tr and
+# procrustes solves crosses between n = 50 and n = 70 at k = 3 and near
+# n = 50 at k = 8 (BLAS at one thread).  The bound stays at 80, where warm
+# steps are 0.6-0.9 times the dense cost.
 WARM_MIN_N = 80
 
 
@@ -78,14 +95,17 @@ def nepv_residual(obj: ComposedObjective, P) -> float:
     """Normalized field residual ||H(P)P - P(P'H(P)P)||_F / ||H(P)||_F."""
     P = require_stiefel(P)
     H = obj.field(P).H
-    return _nepv_residual_from_field(P, H, H @ P)
+    return _nepv_residual_from_field(P, H @ P, _scaled_norm(H))
 
 
-def _nepv_residual_from_field(P, H, HP) -> float:
-    # HP is the product H @ P.
-    xi = np.linalg.norm(H)
-    if xi < ZERO_GRAD_FLOOR:
+def _nepv_residual_from_field(P, HP, norm) -> float:
+    # HP is the product H @ P and norm = (s, xi) gives ||H||_F = s xi, as
+    # ``kernels._scaled_norm`` does; the ratio reads HP / s.
+    s, xi = norm
+    if s * xi < ZERO_GRAD_FLOOR:
         return 0.0
+    if s != 1.0:
+        HP = HP / s
     return float(np.linalg.norm(HP - P @ (P.T @ HP)) / xi)
 
 
@@ -107,14 +127,17 @@ def nepv_certificates(obj: ComposedObjective, P) -> dict:
     HP = H @ P
     omega_eigs = np.linalg.eigvalsh(_sym(P.T @ HP))[::-1]
     w = np.linalg.eigvalsh(_sym(H))[::-1]  # descending
-    identity = np.linalg.norm(HP - at.euclidean_grad - P @ field.mismatch)
+    s, xi = norm = _scaled_norm(H)
+    # The identity residual over max(1, ||H||_F), both read at the scale s.
+    r = HP - at.euclidean_grad - P @ field.mismatch
+    identity = np.linalg.norm(r if s == 1.0 else r / s)
     return _alignment_certificates(at, {
         "omega_vs_topk_max_dev": float(np.max(np.abs(omega_eigs - w[:k]))),
         "field_norm": float(max(abs(w[0]), abs(w[-1]))),
-        "field_identity": float(identity / max(1.0, np.linalg.norm(H))),
+        "field_identity": float(identity / max(1.0 / s, xi)),
         "mismatch_asymmetry": field.asymmetry,
         "gap": float(w[k - 1] - w[k]) if k < len(w) else np.inf,
-        "eps_nepv": _nepv_residual_from_field(P, H, HP),
+        "eps_nepv": _nepv_residual_from_field(P, HP, norm),
     })
 
 
@@ -132,7 +155,10 @@ class _EigenStep(_Step):
     field has order n >= ``WARM_MIN_N`` and room for the Krylov blocks,
     (RITZ_MAX_BLOCKS + 1)(k + 1) < n, so inner problems of order <= 4k stay
     dense.  ``guard`` is the previous step's (k+1)-th vector, or None before
-    the first step and after a failed attempt.  ``work`` is the n-by-n
+    the first step and after a failed attempt.  ``gram`` holds the
+    constants of ``FactoredField.frobenius_norm``, taken once per solve for
+    a warm step whose field has the factored form, else None; with a guard
+    the step's residual then reads that form.  ``work`` is the n-by-n
     array every dense solve of the step symmetrizes H into (see the
     ``objective`` module docstring for why it lives as long as the solve).
     """
@@ -146,19 +172,32 @@ class _EigenStep(_Step):
         self.sign_guard = self.ratio is not None and 0.0 < self.ratio.theta < 1.0
         n, k = obj.n, obj.k
         self.warm = n >= WARM_MIN_N and (RITZ_MAX_BLOCKS + 1) * (k + 1) < n
+        self.gram = field_gram(obj) if self.warm else None
         self.guard = self.eps_before = None
         self.work = np.empty((n, n), order="F")
 
     def residual(self, at):
-        HP = at.field.H @ at.P
-        eps = _nepv_residual_from_field(at.P, at.field.H, HP)
-        return eps, (HP, {"eps_nepv": eps})
+        # A step that will try the warm solve on a field with a factored
+        # form reads H P and ||H||_F off that form and forms no H (unless
+        # the Gram identity cannot be trusted); any other step forms H.
+        if self.gram is not None and self.guard is not None:
+            field = at.factored_field
+            HP = field.HP
+            if not np.isfinite(HP).all():
+                raise ValueError("field H(P) has non-finite entries")
+            xi = field.frobenius_norm(self.gram)
+            norm = (1.0, xi) if xi is not None else _scaled_norm(at.field.H)
+        else:
+            field = at.field.H
+            HP = field @ at.P
+            norm = _scaled_norm(field)
+        eps = _nepv_residual_from_field(at.P, HP, norm)
+        return eps, ((field, HP, norm), {"eps_nepv": eps})
 
     def propose(self, at, ctx):
-        obj, P, field, (HP, residuals) = self.obj, at.P, at.field, ctx
+        obj, P, (field, HP, norm), residuals = self.obj, at.P, *ctx
         sign_violated = self.sign_guard and not at.theta_sign_ok
-        H = field.H
-        spect = self._top_pairs(H, P, HP, residuals["eps_nepv"])
+        spect = self._top_pairs(at, field, HP, residuals["eps_nepv"], norm)
         eta = float(spect.eigenvalues.sum() - np.trace(P.T @ HP))
         basis = spect.eigenbasis
         if obj.field_recipe == "generic":
@@ -168,7 +207,7 @@ class _EigenStep(_Step):
             basis = basis @ _polar_square(basis.T @ at.euclidean_grad)
         _, P_next = align_rotation(obj.alignment, basis, at)
         fields = dict(residuals, gap=spect.gap,
-                      eta=eta, m_asymmetry=field.asymmetry,
+                      eta=eta, m_asymmetry=at.asymmetry,
                       gap_degenerate=spect.gap < GAP_DEGENERATE,
                       sign_violated=sign_violated)
         if self.ratio is not None:
@@ -177,21 +216,23 @@ class _EigenStep(_Step):
             fields["d_cross"] = float(np.trace(PhD @ (P.T @ spect.eigenbasis)))
         return P_next, fields
 
-    def _top_pairs(self, H, P, HP, eps):
-        # The warm Ritz pairs when they pass, else the dense top k+1.  The
-        # residual bound shrinks with the last contraction eps/eps_before,
-        # so a fast-converging solve keeps its rate.  A failed attempt drops
-        # the guard, so the next step goes dense without trying.
+    def _top_pairs(self, at, field, HP, eps, norm):
+        # The warm Ritz pairs of ``field`` (H, or the factored form that
+        # applies it) when they pass, else the dense top k+1 of the formed
+        # H.  The residual bound shrinks with the last contraction
+        # eps/eps_before, so a fast-converging solve keeps its rate.  A
+        # failed attempt drops the guard, so the next step goes dense
+        # without trying.
         tried = self.warm and self.guard is not None
         spect = None
         if tried:
             rate = min(1.0, eps / self.eps_before)
-            tol = INNER_TOL_FRACTION * rate * eps * np.linalg.norm(H)
-            spect = ritz_top_k(H, P, HP, self.guard, tol, GAP_DEGENERATE)
+            tol = INNER_TOL_FRACTION * rate * eps * (norm[0] * norm[1])
+            spect = ritz_top_k(field, at.P, HP, self.guard, tol, GAP_DEGENERATE)
         self.eps_before = eps
         failed = tried and spect is None
         if spect is None:
-            spect = _top_k(H, self.obj.k, self.work)
+            spect = _top_k(at.field.H, self.obj.k, self.work)
         self.guard = None if failed else spect.next_vector
         return spect
 

@@ -45,7 +45,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .alignment import align_rotation
-from .kernels import _orth_against, _polar, _sym, require_stiefel
+from .kernels import _orth_against, _polar, _scaled_norm, _sym, require_stiefel
 from .objective import ComposedObjective, PointEvaluation
 
 __all__ = [
@@ -182,9 +182,14 @@ def kkt_residuals(obj: ComposedObjective, P):
 
 
 def _kkt_residuals_from_grad(P, G):
-    xi = np.linalg.norm(G)
-    if xi < ZERO_GRAD_FLOOR:
+    # Both residuals are ratios of norms, so G may be scaled (by
+    # ``kernels._scaled_norm``, at data scales whose plain norms overflow or
+    # underflow).
+    s, xi = _scaled_norm(G)
+    if s * xi < ZERO_GRAD_FLOOR:
         return 0.0, 0.0
+    if s != 1.0:
+        G = G / s
     PtG = P.T @ G
     eps_kkt = float(np.linalg.norm(G - P @ PtG) / xi)
     eps_sym = float(np.linalg.norm(PtG - PtG.T) / xi)

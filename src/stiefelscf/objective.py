@@ -60,15 +60,24 @@ e_r e_r', which held one dense n-by-n matrix and formed one n-by-k product
 each per evaluation (121 terms and 14 MB for ``dft`` at n = 120, 8 GB at
 n = 1000).
 
-The n-by-n field is made afresh at each evaluation.  Those 14 MB of row
+The field comes in two forms.  ``PointEvaluation.field`` forms the n-by-n
+H, for a dense eigensolve and the certificates.  ``factored_field`` holds
+it as ``FactoredField``, sum_q c_q A_q + diag(v) + U P' + P U', built from
+the products the evaluation already has: it applies H at one product per
+quadratic term, gives H P in O(n k^2) and ||H||_F by a Gram identity, so a
+warm eigenvector step forms no n-by-n matrix.  The mismatch M and its
+asymmetry need neither form.
+
+A formed field is made afresh at each evaluation.  Those 14 MB of row
 atoms had also kept glibc from trimming the top of its heap; without them
 the heap is trimmed after each step, and the next step's fresh n-by-n
 arrays fault in zeroed pages.  So the dense eigenvector step (``nepv``)
 owns one n-by-n array for the whole solve, which it symmetrizes H into and
 LAPACK overwrites.  Counting ``ru_minflt`` around each ``eigen-route``
-solve of the benchmark loop (n = 200), an ``mbsub``/nepv solve takes 8361
+solve of the benchmark loop (n = 200), an ``mbsub``/nepv solve took 8361
 minor page faults without that array, 379 with it and 0 with the row
-atoms, and the workload's ``solves_per_kref`` is about 100, 131 and 118.
+atoms, and the workload's ``solves_per_kref`` was about 100, 131 and 118,
+while every step still formed H.
 
 The objective's ``value``, ``euclidean_grad``, ``riemannian_grad``,
 ``script_d`` and ``field`` methods, and the single-term ``eval_atomic`` and
@@ -104,17 +113,25 @@ from typing import Callable
 import numpy as np
 
 from .alignment import PolarAlignment
-from .kernels import _sym, _sym_matmul, as_matrix, require_symmetric
+from .kernels import (
+    PLAIN_NORM_RANGE,
+    _sym,
+    _sym_matmul,
+    as_matrix,
+    require_symmetric,
+)
 
 __all__ = [
     "AtomicTerm",
     "ComposedObjective",
+    "FactoredField",
     "FieldEvaluation",
     "NegativeBaseError",
     "OuterFunction",
     "PointEvaluation",
     "ThetaRatioData",
     "eval_atomic",
+    "field_gram",
     "grad_atomic",
     "outer_ratio_squared",
     "outer_sum",
@@ -130,6 +147,11 @@ RATIO_DENOMINATOR_FLOOR = 1e-14
 # which ``nepv.nepv_certificates`` measures (``field_identity``); only
 # rounding error is expected.
 FIELD_IDENTITY_TOL = 1e-10
+
+# The Gram identity gives ||H||_F^2 as a signed sum; below this fraction of
+# the sum of its terms' magnitudes, cancellation may have cost it its
+# digits, and the field is formed instead (``FactoredField.frobenius_norm``).
+GRAM_CANCELLATION = 1e-8
 
 
 class NegativeBaseError(ValueError):
@@ -262,12 +284,10 @@ def _term_grad(term: AtomicTerm, X, S, chain, w):
     return G_i if term.matrix is None else term.matrix.T @ G_i
 
 
-def _add_term_field(H, M, term: AtomicTerm, P, X, S, w) -> None:
-    # Add w times one full-selector term's symmetric field H_t and mismatch
-    # M_t, where H_t P - grad_t = P M_t before the chain factor (folded into
-    # w, a vector for a diagonal term) and X, S are the products of
-    # ``_atom``.  Quadratic and diagonal terms satisfy grad = H_t P exactly,
-    # so their M_t is zero.
+def _add_term_field(H, term: AtomicTerm, P, X, S, w) -> None:
+    # Add w times one full-selector term's symmetric field H_t, where
+    # H_t P - grad_t = P M_t before the chain factor (folded into w, a
+    # vector for a diagonal term) and X, S are the products of ``_atom``.
     if term.kind == "diagonal":
         if term.matrix is None:
             H.flat[::H.shape[0] + 1] += 2.0 * w
@@ -288,7 +308,13 @@ def _add_term_field(H, M, term: AtomicTerm, P, X, S, w) -> None:
     Y = (w * term.m) * (X @ _matpow(S, term.m - 1) @ P.T)
     H += Y
     H += Y.T
-    M += (w * term.m) * _matpow(S, term.m).T
+
+
+def _factored(term: AtomicTerm) -> bool:
+    # Whether the term's field is one of the parts of ``FactoredField``.
+    return (term.kind == "linear"
+            or (term.kind == "quadratic" and term.m == 1)
+            or (term.kind == "diagonal" and term.matrix is None))
 
 
 def _one_coordinate(term: AtomicTerm) -> None:
@@ -428,17 +454,124 @@ class ThetaRatioData:
 
 @dataclass(frozen=True)
 class FieldEvaluation:
-    """Symmetric field H(P) with the KKT-equivalence mismatch M(P).
+    """The formed n-by-n field H(P) with the KKT-equivalence mismatch M(P).
 
     The identity H(P) P - grad f(P) = P M(P) holds by construction and is
     measured by ``nepv.nepv_certificates``, not per evaluation;
     ``asymmetry`` is ||M - M'||_F / max(1, ||M||_F), which vanishes exactly
-    when a field solution at P is a KKT point.
+    when a field solution at P is a KKT point.  M and its asymmetry need no
+    H: ``PointEvaluation.mismatch`` and ``asymmetry`` give them alone.
     """
 
     H: np.ndarray
     mismatch: np.ndarray
     asymmetry: float
+
+
+class FactoredField:
+    """The field H(P) in factored form, applied without forming it:
+
+        H = sum_q c_q A_q + diag(v) + U P' + P U'.
+
+    The sum runs over the m = 1 quadratic terms, with c_q twice the term's
+    outer partial times its chain factor; v is twice the diagonal atoms'
+    weights (R the identity); U is the sum over the linear terms of
+    (w m) D (P'D)^(m-1), with w the same weight.  For the generic recipe
+    U = G and no other part is present.  Made by
+    ``PointEvaluation.factored_field``, which holds each A_q P.
+
+    ``apply(X)`` is H X at one product per quadratic term, and ``H @ X``
+    calls it, so ``kernels.ritz_top_k`` runs on this as on the formed H.
+    ``HP`` is H P in O(n k^2) from the held A_q P.  ``frobenius_norm`` is
+    ||H||_F by the Gram identity
+
+        ||H||_F^2 = sum_qr c_q c_r <A_q, A_r> + 2 sum_q c_q v.diag(A_q)
+                    + ||v||^2 + 4 sum_q c_q <A_q P, U> + 4 <v o P, U>
+                    + 2 <U'U, P'P> + 2 tr((U'P)^2)
+
+    (2 <U'U, P'P> is 2 ||U||_F^2 on the Stiefel manifold), from the
+    per-objective constants of ``field_gram``.
+    """
+
+    def __init__(self, P: np.ndarray, quad: list, v, U):
+        # quad holds (q, c_q, A_q, A_q P) for each quadratic term with
+        # c_q != 0, q its row in ``field_gram``; v and U are None when absent.
+        self.P, self.quad, self.v, self.U = P, quad, v, U
+
+    def apply(self, X: np.ndarray) -> np.ndarray:
+        """H X, with one product per quadratic term matrix."""
+        return self._plus_low_rank(
+            X, [c * _sym_matmul(A, X) for _, c, A, _ in self.quad])
+
+    __matmul__ = apply
+
+    @cached_property
+    def HP(self) -> np.ndarray:
+        """H P, from the products A_q P."""
+        return self._plus_low_rank(self.P, [c * AP for _, c, _, AP in self.quad])
+
+    def _plus_low_rank(self, X, quad_products) -> np.ndarray:
+        # H X given c_q A_q X for each quadratic term.
+        P, v, U = self.P, self.v, self.U
+        HX = np.zeros(X.shape)
+        for AX in quad_products:
+            HX += AX
+        if v is not None:
+            HX += v[:, None] * X
+        if U is not None:
+            HX += U @ (P.T @ X)
+            HX += P @ (U.T @ X)
+        return HX
+
+    def frobenius_norm(self, gram) -> float | None:
+        """||H||_F by the Gram identity, given ``field_gram`` of the
+        objective, or None where it cannot be trusted: when the sum is not
+        above ``GRAM_CANCELLATION`` times the sum of its terms' magnitudes,
+        or its root falls outside ``kernels.PLAIN_NORM_RANGE`` (the data
+        scale overflows or underflows it).  The caller then forms H."""
+        inner, diags = gram
+        P, v, U, quad = self.P, self.v, self.U, self.quad
+        with np.errstate(over="ignore", invalid="ignore"):
+            terms = [c_q * c_r * inner[q, r]
+                     for q, c_q, _, _ in quad for r, c_r, _, _ in quad]
+            if v is not None:
+                dv = diags @ v
+                terms += [2.0 * c_q * dv[q] for q, c_q, _, _ in quad]
+                terms.append(v @ v)
+            if U is not None:
+                UtP = U.T @ P
+                terms += [4.0 * c_q * np.vdot(AP, U) for _, c_q, _, AP in quad]
+                terms += [2.0 * np.vdot(U.T @ U, P.T @ P),
+                          2.0 * np.vdot(UtP, UtP.T)]
+                if v is not None:
+                    terms.append(4.0 * np.vdot(v[:, None] * P, U))
+            total = float(sum(terms))
+            size = float(sum(abs(t) for t in terms))
+        lo, hi = PLAIN_NORM_RANGE
+        if lo * lo < total < hi * hi and total > GRAM_CANCELLATION * size:
+            return float(np.sqrt(total))
+        return None
+
+
+def field_gram(obj: "ComposedObjective") -> tuple | None:
+    """The per-objective constants of ``FactoredField.frobenius_norm``: the
+    Gram matrix <A_q, A_r> of the m = 1 quadratic term matrices and the rows
+    diag(A_q), none of either for the generic recipe.  None when the field
+    has no factored form (a composition with a quadratic term of m >= 2 or
+    a diagonal term with R != I) or a Gram entry is not finite."""
+    n = obj.n
+    if obj.field_recipe == "generic":
+        return np.zeros((0, 0)), np.zeros((0, n))
+    if not all(_factored(t) for t in obj.terms):
+        return None
+    mats = [t.matrix for t in obj.terms if t.kind == "quadratic"]
+    inner = np.empty((len(mats), len(mats)))
+    for a, A in enumerate(mats):
+        for b in range(a, len(mats)):
+            inner[a, b] = inner[b, a] = np.vdot(A, mats[b])
+    if not np.isfinite(inner).all():
+        return None
+    return inner, np.array([np.diag(A) for A in mats]).reshape(len(mats), n)
 
 
 @dataclass(frozen=True)
@@ -693,25 +826,70 @@ class PointEvaluation:
         return D
 
     @cached_property
+    def mismatch(self) -> np.ndarray:
+        """M(P) of the field identity H(P) P - grad f(P) = P M(P): G'P for
+        the generic recipe, else the linear terms' (w m) (P'D)^m', with w
+        the outer partial times the chain factor (quadratic and diagonal
+        terms satisfy grad = H_t P exactly)."""
+        obj, P = self.obj, self.P
+        if obj.field_recipe == "generic":
+            return self.euclidean_grad.T @ P
+        M = np.zeros((obj.k, obj.k))
+        for i, (w, t) in enumerate(zip(self.term_partials, obj.terms)):
+            if t.kind == "linear" and w != 0.0:
+                _, S, _, chain = self.atom(i)
+                M += (w * chain * t.m) * _matpow(S, t.m).T
+        return M
+
+    @cached_property
+    def asymmetry(self) -> float:
+        """||M - M'||_F / max(1, ||M||_F) of ``mismatch``."""
+        M = self.mismatch
+        return float(np.linalg.norm(M - M.T) / max(1.0, np.linalg.norm(M)))
+
+    @cached_property
     def field(self) -> FieldEvaluation:
-        """Symmetric field H(P) and mismatch M(P) per the objective's recipe."""
+        """The formed symmetric field H(P) and mismatch M(P) per the
+        objective's recipe."""
         obj, P = self.obj, self.P
         if obj.field_recipe == "composition":
             H = np.zeros((obj.n, obj.n))
-            M = np.zeros((obj.k, obj.k))
             for i, (w, t) in enumerate(zip(self.term_partials, obj.terms)):
                 if t.kind == "diagonal" or w != 0.0:
                     X, S, _, chain = self.atom(i)
-                    _add_term_field(H, M, t, P, X, S, w * chain)
+                    _add_term_field(H, t, P, X, S, w * chain)
         else:
             G = self.euclidean_grad
             H = _sym(G @ P.T + P @ G.T)
-            M = G.T @ P
         if not np.isfinite(H).all():
             # Overflow in the data: a failed solve.
             raise ValueError("field H(P) has non-finite entries")
-        denom = max(1.0, np.linalg.norm(M))
-        return FieldEvaluation(H, M, float(np.linalg.norm(M - M.T) / denom))
+        return FieldEvaluation(H, self.mismatch, self.asymmetry)
+
+    @cached_property
+    def factored_field(self) -> FactoredField | None:
+        """The field in the factored form of ``FactoredField``, from the
+        products this evaluation holds, or None when a composition has a
+        term outside that form (``field_gram`` is None for it too)."""
+        obj, P = self.obj, self.P
+        if obj.field_recipe == "generic":
+            return FactoredField(P, [], None, self.euclidean_grad)
+        if not all(_factored(t) for t in obj.terms):
+            return None
+        quad, v, U, q = [], None, None, 0
+        for i, (w, t) in enumerate(zip(self.term_partials, obj.terms)):
+            if t.kind == "diagonal" or w != 0.0:
+                X, S, _, chain = self.atom(i)
+                w = w * chain
+                if t.kind == "quadratic":
+                    quad.append((q, 2.0 * w, t.matrix, X))
+                elif t.kind == "diagonal":
+                    v = 2.0 * w if v is None else v + 2.0 * w
+                else:
+                    U_t = (w * t.m) * (X if t.m == 1 else X @ _matpow(S, t.m - 1))
+                    U = U_t if U is None else U + U_t
+            q += t.kind == "quadratic"
+        return FactoredField(P, quad, v, U)
 
     @property
     def theta_sign_ok(self) -> bool:

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stiefelscf import nepv as nepv_module
+from stiefelscf import objective as objective_module
 from stiefelscf.cli import run_audits
 from stiefelscf.kernels import random_stiefel, sym_part, top_k_eigenpairs
 from stiefelscf.nepv import (
@@ -13,8 +14,13 @@ from stiefelscf.nepv import (
     nepv_residual,
     nepv_scf,
 )
-from stiefelscf.npdo import npdo_scf
-from stiefelscf.objective import AtomicTerm, ComposedObjective, outer_sum
+from stiefelscf.npdo import _feasible_start, kkt_residuals, npdo_scf
+from stiefelscf.objective import (
+    AtomicTerm,
+    ComposedObjective,
+    PointEvaluation,
+    outer_sum,
+)
 from stiefelscf.problems import ProblemSpec, build
 
 
@@ -354,7 +360,7 @@ class TestWarmStep:
         monkeypatch.setattr(nepv_module, "_top_k",
                             lambda H, *a: dense.append(len(H)) or top_k(H, *a))
         monkeypatch.setattr(nepv_module, "ritz_top_k",
-                            lambda H, *a: warm.append(len(H)) or ritz(H, *a))
+                            lambda H, P, *a: warm.append(len(P)) or ritz(H, P, *a))
         P0 = random_stiefel(n, k, 0)
         report = nepv_scf(obj, P0)
         assert report.converged
@@ -397,3 +403,99 @@ class TestWarmStep:
         assert works[steps] is not works[0]
         assert all(w is works[steps] for w in works[steps:])
         assert np.array_equal(second.point, first.point)
+
+    def test_a_warm_step_forms_no_field(self, monkeypatch):
+        # H is formed once per dense solve and never for a warm step, and
+        # each record's eps_nepv and m_asymmetry are what nepv_residual and
+        # the formed field give at the step's incoming point.
+        n, k = 200, 8
+        rng = np.random.default_rng(0)
+        obj = build(ProblemSpec("mbsub", n, k, {
+            "A": separated_psd(rng, n, k), "D": rng.standard_normal((n, k))}))
+        formed, dense = [], []
+        add, top_k = objective_module._add_term_field, nepv_module._top_k
+        monkeypatch.setattr(objective_module, "_add_term_field",
+                            lambda H, t, *a: (t.kind == "quadratic"
+                                              and formed.append(len(H)))
+                            or add(H, t, *a))
+        monkeypatch.setattr(nepv_module, "_top_k",
+                            lambda H, *a: dense.append(len(H)) or top_k(H, *a))
+        P0 = random_stiefel(n, k, 0)
+        landed = []
+        report = nepv_scf(obj, P0, callback=lambda i, P: landed.append(P))
+        assert report.converged and report.num_iterations >= 8
+        assert dense and formed == dense == [n] * len(dense)
+        assert len(dense) < report.num_iterations
+        monkeypatch.undo()
+        incoming = [_feasible_start(obj, P0).P] + landed[:-1]
+        for rec, P in zip(report.iterations, incoming):
+            assert rec.eps_nepv == pytest.approx(
+                nepv_residual(obj, P), rel=1e-12, abs=1e-12)
+            assert rec.m_asymmetry == pytest.approx(
+                obj.at(P).field.asymmetry, rel=1e-12, abs=1e-12)
+
+    def test_warm_residual_reads_the_factored_field(self):
+        n, k = 100, 2
+        rng = np.random.default_rng(3)
+        B = make_psd(n, 4, 1.0)
+        P = random_stiefel(n, k, 1)
+        guard = random_stiefel(n, 1, 2)
+        # mbsub: H P and ||H||_F come from the factored form, H is not formed.
+        obj = build(warm_family_spec("mbsub", n, k, rng))
+        step = nepv_module._EigenStep(obj)
+        step.guard = guard
+        at = PointEvaluation(obj, P)
+        eps, _ = step.residual(at)
+        assert "field" not in at.__dict__
+        assert eps == pytest.approx(nepv_residual(obj, P), rel=1e-12)
+        # olda with A = 2B + 1e-7 E: the Gram identity cancels, so the step
+        # forms H for its norm.
+        obj = build(ProblemSpec("olda", n, k, {
+            "A": 2.0 * B + 1e-7 * sym_part(rng.standard_normal((n, n))),
+            "B": B}))
+        step = nepv_module._EigenStep(obj)
+        step.guard = guard
+        at = PointEvaluation(obj, P)
+        eps, _ = step.residual(at)
+        assert "field" in at.__dict__
+        assert eps == pytest.approx(nepv_residual(obj, P), rel=1e-6)
+
+
+def scaled_sep(scale):
+    # sep with A = diag(linspace(3, 1, 6)) * scale, built directly: the
+    # catalog builder's own symmetry check overflows at 1e154.
+    A = np.diag(np.linspace(3.0, 1.0, 6)) * scale
+    return ComposedObjective(6, 2, (AtomicTerm("quadratic", A),),
+                             outer_sum(1), npdo_monotone=True,
+                             nepv_monotone=True)
+
+
+class TestExtremeScales:
+    # Residuals are ratios of norms, so they do not change with the data
+    # scale, even where a plain Frobenius norm overflows (1e154) or
+    # underflows (1e-170).
+    @pytest.mark.parametrize("scale", [1e154, 1e-170])
+    def test_residuals_and_certificates_keep_their_values(self, scale):
+        P = random_stiefel(6, 2, 0)
+        ref, obj = scaled_sep(1.0), scaled_sep(scale)
+        assert kkt_residuals(obj, P) == pytest.approx(kkt_residuals(ref, P),
+                                                      rel=1e-12)
+        assert nepv_residual(obj, P) == pytest.approx(nepv_residual(ref, P),
+                                                      rel=1e-12)
+        certs = nepv_certificates(obj, P)
+        assert certs["eps_nepv"] == pytest.approx(nepv_residual(ref, P),
+                                                  rel=1e-12)
+        assert 0.0 <= certs["field_identity"] <= 1e-12
+
+    @pytest.mark.parametrize("scale", [1e154, 1e-170])
+    def test_no_false_convergence(self, scale):
+        P0 = random_stiefel(6, 2, 0)
+        for solve in (nepv_scf, npdo_scf):
+            ref, rep = solve(scaled_sep(1.0), P0), solve(scaled_sep(scale), P0)
+            assert rep.num_iterations > 0
+            assert not rep.converged or (
+                rep.num_iterations == ref.num_iterations
+                and rep.f_final / scale == pytest.approx(5.6, rel=1e-12))
+        # The eigenvector route solves it as at scale 1, in one step.
+        rep = nepv_scf(scaled_sep(scale), P0)
+        assert rep.converged and rep.num_iterations == 1

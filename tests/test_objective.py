@@ -8,12 +8,14 @@ from hypothesis import strategies as st
 from stiefelscf.alignment import PolarAlignment
 from stiefelscf.kernels import random_stiefel, sym_part
 from stiefelscf.nepv import NepvConfig, nepv_scf
+from stiefelscf.problems import OUTER_PRESETS, ProblemSpec, build
 from stiefelscf import objective
 from stiefelscf.objective import (
     AtomicTerm,
     ComposedObjective,
     NegativeBaseError,
     eval_atomic,
+    field_gram,
     grad_atomic,
     outer_ratio_squared,
     outer_sum,
@@ -612,3 +614,118 @@ class TestDiagonalTerm:
                            T.T @ obj.at(T @ Z).euclidean_grad, rtol=0,
                            atol=1e-13)
         assert red_at.basis_products(np.eye(4))[1] is None
+
+
+def factored_spec(family, n, k, rng):
+    # A catalog spec of the family at order n with random matrices: symmetric
+    # indefinite A, positive definite B.
+    def sym():
+        return sym_part(rng.standard_normal((n, n)))
+
+    def pd():
+        G = rng.standard_normal((n, n))
+        return sym_part(G @ G.T / n + np.eye(n))
+
+    def phi():
+        return dict(phi=str(rng.choice(OUTER_PRESETS)),
+                    phi_weight=float(rng.uniform(0.0, 2.0)))
+
+    D = rng.standard_normal((n, k))
+    if family in ("mbsub", "quad_lin2"):
+        return ProblemSpec(family, n, k, {"A": sym(), "D": D})
+    if family == "theta_tr":
+        return ProblemSpec("theta_tr", n, k, {"A": sym(), "B": pd(), "D": D},
+                           theta=float(rng.uniform(0.0, 1.0)))
+    if family == "olda":
+        return ProblemSpec("olda", n, k, {"A": sym(), "B": pd()})
+    if family == "occa":
+        return ProblemSpec("occa", n, k, {"B": pd(), "D": D})
+    if family == "procrustes":
+        return ProblemSpec("procrustes", n, k, {
+            "C": rng.standard_normal((n + 3, n)),
+            "B": rng.standard_normal((n + 3, k))})
+    if family == "dft":
+        return ProblemSpec("dft", n, k, {"A": sym()}, **phi())
+    if family == "trcp":
+        return ProblemSpec("trcp", n, k, {"A_list": [sym(), sym()]}, **phi())
+    # sumct: one or two column blocks.
+    cut = int(rng.integers(1, k + 1))
+    blocks = tuple(b for b in (tuple(range(cut)), tuple(range(cut, k))) if b)
+    return ProblemSpec("sumct", n, k, {
+        "A_list": [sym() for _ in blocks],
+        "D_list": [rng.standard_normal((n, len(b))) for b in blocks]},
+        blocks=blocks)
+
+
+class TestFactoredField:
+    @settings(max_examples=80, deadline=None)
+    @given(family=st.sampled_from(["mbsub", "quad_lin2", "theta_tr", "olda",
+                                   "occa", "procrustes", "dft", "trcp",
+                                   "sumct"]),
+           seed=st.integers(0, 2**32 - 1), n=st.integers(2, 60),
+           data=st.data())
+    def test_matches_the_formed_field(self, family, seed, n, data):
+        k = data.draw(st.integers(1, n), label="k")
+        rng = np.random.default_rng(seed)
+        obj = build(factored_spec(family, n, k, rng))
+        P = random_stiefel(n, k, seed % 1000)
+        X = rng.standard_normal((n, data.draw(st.integers(1, k + 2), label="cols")))
+        # M and its asymmetry come without forming H ...
+        at = obj.at(P)
+        M, asymmetry = at.mismatch, at.asymmetry
+        factored = at.factored_field
+        assert "field" not in at.__dict__
+        # ... and match those of the formed field.
+        field = obj.at(P).field
+        H, norm = field.H, np.linalg.norm(field.H)
+        assert np.array_equal(M, field.mismatch)
+        assert asymmetry == field.asymmetry
+        assert np.linalg.norm(factored.apply(X) - H @ X) <= (
+            1e-12 * norm * np.linalg.norm(X))
+        assert np.array_equal(factored @ X, factored.apply(X))
+        assert np.linalg.norm(factored.HP - H @ P) <= 1e-12 * norm * np.sqrt(k)
+        assert factored.frobenius_norm(field_gram(obj)) == pytest.approx(
+            norm, rel=1e-12, abs=0.0)
+        # The identity H P - grad = P M holds on the factored H P.
+        resid = factored.HP - at.euclidean_grad - P @ M
+        assert np.linalg.norm(resid) <= (
+            objective.FIELD_IDENTITY_TOL * max(1.0, norm))
+
+    def test_cancelling_terms_fall_back_to_the_formed_field(self):
+        # olda with A = 2B + 1e-7 E: the field (2/b)(A - (a/b) B) is small
+        # against its two terms, so the Gram identity cancels to rounding
+        # and gives no norm; products with H still match.
+        n, k = 30, 3
+        rng = np.random.default_rng(5)
+        B = make_psd(n, 6, shift=1.0)
+        E = sym_part(rng.standard_normal((n, n)))
+        obj = build(ProblemSpec("olda", n, k, {"A": 2.0 * B + 1e-7 * E, "B": B}))
+        P = random_stiefel(n, k, 0)
+        factored, H = obj.at(P).factored_field, obj.at(P).field.H
+        assert factored.frobenius_norm(field_gram(obj)) is None
+        scale = sum(abs(c) * np.linalg.norm(A) for _, c, A, _ in factored.quad)
+        assert np.linalg.norm(H) <= 1e-5 * scale
+        assert np.linalg.norm(factored.HP - H @ P) <= 1e-14 * scale
+
+    @pytest.mark.parametrize("family", ["umds", "dft"])
+    def test_no_factored_form_outside_it(self, family):
+        # umds's m = 2 terms and a diagonal term with R != I (dft after a
+        # transform) have no factored form.
+        n, k = 8, 2
+        rng = np.random.default_rng(7)
+        A = sym_part(rng.standard_normal((n, n)))
+        if family == "umds":
+            obj = build(ProblemSpec("umds", n, k, {"A_list": [A]}))
+        else:
+            obj = build(ProblemSpec("dft", n, k, {"A": A})).transform(
+                np.linalg.qr(rng.standard_normal((n, n)))[0])
+        assert field_gram(obj) is None
+        assert obj.at(random_stiefel(n, k, 0)).factored_field is None
+
+    def test_overflowing_gram_gives_none(self):
+        # A term matrix whose squared norm overflows: no per-solve constants,
+        # and no warning.
+        A = np.diag(np.linspace(3.0, 1.0, 6)) * 1e160
+        obj = ComposedObjective(6, 2, (AtomicTerm("quadratic", A),),
+                                outer_sum(1))
+        assert field_gram(obj) is None
