@@ -107,11 +107,14 @@ def _scaled_norm(X: np.ndarray) -> tuple[float, float]:
     # plain norm is np.linalg.norm's own arithmetic, sqrt(x.x) over the
     # entries in memory order, by the same BLAS dot; np.vdot, unlike
     # ndarray.dot, raises no floating-point warning where it overflows.
+    # The largest |entry| is read as max(max, -min), which copies nothing:
+    # the zero H - H' of ``require_symmetric`` takes this path at every
+    # build, and |X| would cost it an n-by-n array.
     x = X.ravel(order="K")
     xi = math.sqrt(np.vdot(x, x))
     if PLAIN_NORM_RANGE[0] < xi < PLAIN_NORM_RANGE[1]:
         return 1.0, xi
-    s = float(np.max(np.abs(X)))
+    s = float(max(x.max(), -x.min()))
     if not 0.0 < s < np.inf:
         return 1.0, xi
     return s, float(np.linalg.norm(X / s))
@@ -123,7 +126,10 @@ def require_symmetric(H, name: str = "H") -> np.ndarray:
     H = as_matrix(H, name)
     if H.shape[0] != H.shape[1]:
         raise ValueError(f"{name} must be square, got shape {H.shape}")
-    if np.linalg.norm(H - H.T) > SYMMETRY_TOL * max(np.linalg.norm(H), 1.0):
+    # Both norms by _scaled_norm: a plain norm overflows at data scales past
+    # about 1e154 (and keeps its bits inside PLAIN_NORM_RANGE).
+    asym, size = math.prod(_scaled_norm(H - H.T)), math.prod(_scaled_norm(H))
+    if asym > SYMMETRY_TOL * max(size, 1.0):
         raise ValueError(f"{name} is not symmetric within {SYMMETRY_TOL:.1e}")
     return 0.5 * (H + H.T)
 
@@ -270,8 +276,8 @@ def ritz_top_k(H, P, HP, guard, tol: float,
     space, the k Ritz values sum to at least tr(P'HP), and by interlacing
     none exceeds its eigenvalue.  ``H`` is anything whose ``@`` applies a
     symmetric matrix, read only as ``H @ X``: the array itself, or
-    ``objective.FactoredField``, which applies the field without forming
-    it.  P must be orthonormal; neither is checked.
+    ``objective.FactoredField``, which applies the field from its terms'
+    parts without forming it.  P must be orthonormal; neither is checked.
     """
     k = P.shape[1]
     g = guard - P @ (P.T @ guard)

@@ -26,14 +26,19 @@ of each ``nepv_locg`` outer step is a step at full size like any other,
 warm from the second on.  ``nepv_certificates``, the exit
 certificates at a point, always reads the exact spectrum.
 
-A step that tries the warm solve forms no n-by-n field when the field has
-the factored form ``objective.FactoredField`` (every term but a quadratic
-one with m >= 2 or a diagonal one with R != I): the Krylov blocks apply H
-one product per quadratic term, H P comes from the A P products the
-evaluation holds, and ||H||_F, the residual's denominator, from the Gram
-identity with the per-solve constants ``objective.field_gram``.  H is
-formed only by a dense solve, for the Gram identity where it cancels, by
-the ``nepv_locg`` inner problems and by the certificates.
+A step that tries the warm solve reads the field in its factored form,
+``objective.FactoredField``: the Krylov blocks apply H part by part, at
+one product per quadratic term with m = 1, H P comes from the A P products
+the evaluation holds, and ||H||_F, the residual's denominator, from the
+Gram identity with the per-solve constants ``objective.field_gram``.  Such
+a step forms no n-by-n matrix unless the Gram identity gives no norm: where
+it cancels, and for a field with a quadratic term of m >= 2 or a diagonal
+term with R != I, which the identity does not cover, the step forms H for
+its norm.  H is otherwise formed
+(``FactoredField.dense``) only by a dense solve, by the ``nepv_locg`` inner
+problems and by the certificates.  A dense step takes H P as H @ P from the
+formed H, which at small n costs less than reading it off the factored
+form.
 
 Residuals are ratios of Frobenius norms, taken at a data scale where they
 neither overflow nor underflow (``kernels._scaled_norm``).
@@ -155,12 +160,12 @@ class _EigenStep(_Step):
     field has order n >= ``WARM_MIN_N`` and room for the Krylov blocks,
     (RITZ_MAX_BLOCKS + 1)(k + 1) < n, so inner problems of order <= 4k stay
     dense.  ``guard`` is the previous step's (k+1)-th vector, or None before
-    the first step and after a failed attempt.  ``gram`` holds the
-    constants of ``FactoredField.frobenius_norm``, taken once per solve for
-    a warm step whose field has the factored form, else None; with a guard
-    the step's residual then reads that form.  ``work`` is the n-by-n
-    array every dense solve of the step symmetrizes H into (see the
-    ``objective`` module docstring for why it lives as long as the solve).
+    the first step and after a failed attempt; with a guard a warm step's
+    residual reads the factored form.  ``gram`` holds the constants of
+    ``FactoredField.frobenius_norm``, taken once per solve when ``warm``
+    holds, else None.  ``work`` is the n-by-n array every dense solve of the
+    step symmetrizes H into (see the ``objective`` module docstring for why
+    it lives as long as the solve).
     """
 
     name = "nepv"
@@ -177,10 +182,10 @@ class _EigenStep(_Step):
         self.work = np.empty((n, n), order="F")
 
     def residual(self, at):
-        # A step that will try the warm solve on a field with a factored
-        # form reads H P and ||H||_F off that form and forms no H (unless
-        # the Gram identity cannot be trusted); any other step forms H.
-        if self.gram is not None and self.guard is not None:
+        # A step that will try the warm solve reads H P and ||H||_F off the
+        # factored form and forms no H (unless the Gram identity does not
+        # hold or cannot be trusted); a dense step forms H.
+        if self.warm and self.guard is not None:
             field = at.factored_field
             HP = field.HP
             if not np.isfinite(HP).all():

@@ -67,8 +67,9 @@ ZERO_GRAD_FLOOR = 1e-300
 MONOTONE_SLACK = 1e-12
 
 # Stagnation guard of every solve: stop after this many consecutive steps
-# whose f-change |f_next - f| is below 1e-16 * max(1, |f_next|) while the
-# residual stays above tolerance.
+# whose f-change |f_next - f| is at most 1e-16 * |f_next| while the
+# residual stays above tolerance.  The floor is relative alone, so it holds
+# at every data scale.
 STAGNATION_LIMIT = 50
 
 # Inner solve of the subspace step: each outer step solves its reduced
@@ -406,7 +407,7 @@ def _scf(obj: ComposedObjective, P0, cfg: NpdoConfig, step: _Step,
         if callback is not None:
             callback(i, landed.P)
         logger.debug("%s iter %d: f=%.12g res=%.3e", step.name, i, rec.f, res)
-        flat = flat + 1 if abs(rec.f - f) < 1e-16 * max(1.0, abs(rec.f)) else 0
+        flat = flat + 1 if abs(rec.f - f) <= 1e-16 * abs(rec.f) else 0
         at, f = landed, rec.f
         if rec.ascent_violated or flat >= STAGNATION_LIMIT:
             stop = "ascent_violated" if rec.ascent_violated else "stagnated"
@@ -439,14 +440,15 @@ def npdo_locg(obj: ComposedObjective, P0, cfg: NpdoConfig | None = None,
     maximizes f over range(W), W = [P, orth(grad, previous P)] (the
     previous-iterate block is absent on the first step; P_hat lies in
     range([P, grad]) and adds a block to W only when the gradient is
-    rank-deficient, so W has at most 3k columns otherwise), by running the plain polar SCF on the
-    reduced problem from Z0 = polar(W'P_hat), so W Z0 = P_hat: each outer
-    step gains at least what the plain step gains.  The inner tolerance is
-    a fraction of the current outer residual, and the inner iterations of
-    all outer steps together are at most ``cfg.max_iter``.  An outer step
-    forms one full-size product block per quadratic term, for A W, and
-    lands without another, so it reads each term matrix once, as a plain
-    step does.  It stops by the same rule as ``npdo_scf``.
+    rank-deficient, so W has at most 3k columns otherwise), by running the
+    plain polar SCF on the reduced problem from Z0 = polar(W'P_hat), so
+    W Z0 = P_hat: each outer step gains at least what the plain step gains.
+    The inner tolerance is a fraction of the current outer residual, and the
+    inner iterations of all outer steps together are at most
+    ``cfg.max_iter``.  An outer step forms one full-size product block per
+    quadratic term, for A W, and lands without another, so it reads each
+    term matrix once, as a plain step does.  It stops by the same rule as
+    ``npdo_scf``.
     """
     cfg = cfg or NpdoConfig()
     return _scf(obj, P0, cfg, _SubspaceStep(obj, _PolarStep, npdo_scf,

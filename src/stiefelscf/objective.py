@@ -60,13 +60,18 @@ e_r e_r', which held one dense n-by-n matrix and formed one n-by-k product
 each per evaluation (121 terms and 14 MB for ``dft`` at n = 120, 8 GB at
 n = 1000).
 
-The field comes in two forms.  ``PointEvaluation.field`` forms the n-by-n
-H, for a dense eigensolve and the certificates.  ``factored_field`` holds
-it as ``FactoredField``, sum_q c_q A_q + diag(v) + U P' + P U', built from
-the products the evaluation already has: it applies H at one product per
-quadratic term, gives H P in O(n k^2) and ||H||_F by a Gram identity, so a
-warm eigenvector step forms no n-by-n matrix.  The mismatch M and its
-asymmetry need neither form.
+The field has one form, ``FactoredField``, which
+``PointEvaluation.factored_field`` builds from the products the evaluation
+already has: each term contributes its own closed-form part, weighted by
+its outer partial, sum_q c_q A_q over the m = 1 quadratic terms, diag(v)
+over the diagonal terms with R = I, U P' + P U' over the linear terms and
+one low-rank pair Y Z' for each other term (for the generic recipe, U = G
+alone).  It applies H at one product
+per m = 1 quadratic term, gives H P in O(n k^2) and ||H||_F by a Gram
+identity where that holds, so a warm eigenvector step forms no n-by-n
+matrix.  Its ``dense()`` is the one place the n-by-n H is formed, for a
+dense eigensolve and the certificates; ``PointEvaluation.field`` holds it.
+The mismatch M and its asymmetry need neither.
 
 A formed field is made afresh at each evaluation.  Those 14 MB of row
 atoms had also kept glibc from trimming the top of its heap; without them
@@ -284,39 +289,6 @@ def _term_grad(term: AtomicTerm, X, S, chain, w):
     return G_i if term.matrix is None else term.matrix.T @ G_i
 
 
-def _add_term_field(H, term: AtomicTerm, P, X, S, w) -> None:
-    # Add w times one full-selector term's symmetric field H_t, where
-    # H_t P - grad_t = P M_t before the chain factor (folded into w, a
-    # vector for a diagonal term) and X, S are the products of ``_atom``.
-    if term.kind == "diagonal":
-        if term.matrix is None:
-            H.flat[::H.shape[0] + 1] += 2.0 * w
-        else:
-            H += (term.matrix.T * (2.0 * w)) @ term.matrix
-        return
-    if term.kind == "quadratic":
-        if term.m == 1:
-            H += (2.0 * w) * term.matrix
-        else:
-            # H_t = 2m A (P P'A)^(m-1) = 2m X S^(m-2) X', O(n^2 k).  For m = 2
-            # it is X X', symmetric as computed; for larger m it is symmetric
-            # to rounding, which top_k_eigenpairs' symmetrization absorbs.
-            Y = X if term.m == 2 else X @ _matpow(S, term.m - 2)
-            H += (2.0 * term.m * w) * (Y @ X.T)
-        return
-    # D (P'D)^(m-1) P' plus its transpose, exactly symmetric.
-    Y = (w * term.m) * (X @ _matpow(S, term.m - 1) @ P.T)
-    H += Y
-    H += Y.T
-
-
-def _factored(term: AtomicTerm) -> bool:
-    # Whether the term's field is one of the parts of ``FactoredField``.
-    return (term.kind == "linear"
-            or (term.kind == "quadratic" and term.m == 1)
-            or (term.kind == "diagonal" and term.matrix is None))
-
-
 def _one_coordinate(term: AtomicTerm) -> None:
     if term.kind == "diagonal":
         raise ValueError("a diagonal term has one coordinate per row of R, "
@@ -469,37 +441,45 @@ class FieldEvaluation:
 
 
 class FactoredField:
-    """The field H(P) in factored form, applied without forming it:
+    """The field H(P), held as the parts the objective's terms give it:
 
-        H = sum_q c_q A_q + diag(v) + U P' + P U'.
+        H = sum_q c_q A_q + diag(v) + U P' + P U' + sum_j Y_j Z_j'.
 
-    The sum runs over the m = 1 quadratic terms, with c_q twice the term's
-    outer partial times its chain factor; v is twice the diagonal atoms'
-    weights (R the identity); U is the sum over the linear terms of
-    (w m) D (P'D)^(m-1), with w the same weight.  For the generic recipe
-    U = G and no other part is present.  Made by
-    ``PointEvaluation.factored_field``, which holds each A_q P.
+    The first sum runs over the m = 1 quadratic terms, with c_q twice the
+    term's outer partial times its chain factor; v is twice the weights of
+    the diagonal terms with R the identity; U is the sum over the linear
+    terms of (w m) D (P'D)^(m-1), with w the same weight.  Each of the other
+    terms gives one pair (Y, Z): ((2 m w) X S^(m-2), X) for a quadratic term
+    with m >= 2, where X = A P and S = P'A P, and (R' diag(2 w), R') for a
+    diagonal term with R != I.  For the generic recipe U = G and no other
+    part is present.  Made by ``PointEvaluation.factored_field``, which
+    holds each A_q P.
 
-    ``apply(X)`` is H X at one product per quadratic term, and ``H @ X``
-    calls it, so ``kernels.ritz_top_k`` runs on this as on the formed H.
-    ``HP`` is H P in O(n k^2) from the held A_q P.  ``frobenius_norm`` is
-    ||H||_F by the Gram identity
+    ``dense()`` forms the n-by-n H; it is the one place the package does.
+    ``apply(X)`` is H X at one product per m = 1 quadratic term, and
+    ``H @ X`` calls it, so ``kernels.ritz_top_k`` runs on this as on the
+    formed H.  ``HP`` is H P in O(n k^2) from the held A_q P (O(n N k) for
+    a diagonal pair with N rows of R).  ``frobenius_norm`` is ||H||_F by
+    the Gram identity
 
         ||H||_F^2 = sum_qr c_q c_r <A_q, A_r> + 2 sum_q c_q v.diag(A_q)
                     + ||v||^2 + 4 sum_q c_q <A_q P, U> + 4 <v o P, U>
                     + 2 <U'U, P'P> + 2 tr((U'P)^2)
 
     (2 <U'U, P'P> is 2 ||U||_F^2 on the Stiefel manifold), from the
-    per-objective constants of ``field_gram``.
+    per-objective constants of ``field_gram``.  It is None when a pair is
+    present, which the identity does not cover, and where the sum cannot
+    be trusted.
     """
 
-    def __init__(self, P: np.ndarray, quad: list, v, U):
-        # quad holds (q, c_q, A_q, A_q P) for each quadratic term with
-        # c_q != 0, q its row in ``field_gram``; v and U are None when absent.
-        self.P, self.quad, self.v, self.U = P, quad, v, U
+    def __init__(self, P: np.ndarray, quad: list, v, U, pairs: list):
+        # quad holds (q, c_q, A_q, A_q P) for each m = 1 quadratic term with
+        # c_q != 0, q its row in ``field_gram``; v and U are None when
+        # absent; pairs holds the (Y, Z) of the other terms.
+        self.P, self.quad, self.v, self.U, self.pairs = P, quad, v, U, pairs
 
     def apply(self, X: np.ndarray) -> np.ndarray:
-        """H X, with one product per quadratic term matrix."""
+        """H X, with one product per m = 1 quadratic term matrix."""
         return self._plus_low_rank(
             X, [c * _sym_matmul(A, X) for _, c, A, _ in self.quad])
 
@@ -511,24 +491,49 @@ class FactoredField:
         return self._plus_low_rank(self.P, [c * AP for _, c, _, AP in self.quad])
 
     def _plus_low_rank(self, X, quad_products) -> np.ndarray:
-        # H X given c_q A_q X for each quadratic term.
+        # H X given c_q A_q X for each m = 1 quadratic term.
         P, v, U = self.P, self.v, self.U
         HX = np.zeros(X.shape)
         for AX in quad_products:
             HX += AX
         if v is not None:
             HX += v[:, None] * X
+        for Y, Z in self.pairs:
+            HX += Y @ (Z.T @ X)
         if U is not None:
             HX += U @ (P.T @ X)
             HX += P @ (U.T @ X)
         return HX
 
+    def dense(self) -> np.ndarray:
+        """The n-by-n H, summed from its parts (``ValueError`` when an
+        entry is not finite: overflow in the data, a failed solve)."""
+        P, n = self.P, self.P.shape[0]
+        H = np.zeros((n, n))
+        for _, c, A, _ in self.quad:
+            H += c * A
+        if self.v is not None:
+            H.flat[::n + 1] += self.v
+        for Y, Z in self.pairs:
+            H += Y @ Z.T
+        if self.U is not None:
+            UP = self.U @ P.T
+            H += UP
+            H += UP.T
+        if not np.isfinite(H).all():
+            raise ValueError("field H(P) has non-finite entries")
+        return H
+
     def frobenius_norm(self, gram) -> float | None:
         """||H||_F by the Gram identity, given ``field_gram`` of the
-        objective, or None where it cannot be trusted: when the sum is not
-        above ``GRAM_CANCELLATION`` times the sum of its terms' magnitudes,
-        or its root falls outside ``kernels.PLAIN_NORM_RANGE`` (the data
-        scale overflows or underflows it).  The caller then forms H."""
+        objective, or None where it does not hold or cannot be trusted:
+        when a pair is present, when the sum is not above
+        ``GRAM_CANCELLATION`` times the sum of its terms' magnitudes, or
+        when its root falls outside ``kernels.PLAIN_NORM_RANGE`` (the data
+        scale overflows or underflows it, or a Gram entry is not finite).
+        The caller then forms H."""
+        if self.pairs:
+            return None
         inner, diags = gram
         P, v, U, quad = self.P, self.v, self.U, self.quad
         with np.errstate(over="ignore", invalid="ignore"):
@@ -553,25 +558,17 @@ class FactoredField:
         return None
 
 
-def field_gram(obj: "ComposedObjective") -> tuple | None:
+def field_gram(obj: "ComposedObjective") -> tuple:
     """The per-objective constants of ``FactoredField.frobenius_norm``: the
     Gram matrix <A_q, A_r> of the m = 1 quadratic term matrices and the rows
-    diag(A_q), none of either for the generic recipe.  None when the field
-    has no factored form (a composition with a quadratic term of m >= 2 or
-    a diagonal term with R != I) or a Gram entry is not finite."""
-    n = obj.n
-    if obj.field_recipe == "generic":
-        return np.zeros((0, 0)), np.zeros((0, n))
-    if not all(_factored(t) for t in obj.terms):
-        return None
-    mats = [t.matrix for t in obj.terms if t.kind == "quadratic"]
+    diag(A_q), none of either for the generic recipe."""
+    mats = [] if obj.field_recipe == "generic" else [
+        t.matrix for t in obj.terms if t.kind == "quadratic" and t.m == 1]
     inner = np.empty((len(mats), len(mats)))
     for a, A in enumerate(mats):
         for b in range(a, len(mats)):
             inner[a, b] = inner[b, a] = np.vdot(A, mats[b])
-    if not np.isfinite(inner).all():
-        return None
-    return inner, np.array([np.diag(A) for A in mats]).reshape(len(mats), n)
+    return inner, np.array([np.diag(A) for A in mats]).reshape(len(mats), obj.n)
 
 
 @dataclass(frozen=True)
@@ -849,47 +846,37 @@ class PointEvaluation:
 
     @cached_property
     def field(self) -> FieldEvaluation:
-        """The formed symmetric field H(P) and mismatch M(P) per the
-        objective's recipe."""
-        obj, P = self.obj, self.P
-        if obj.field_recipe == "composition":
-            H = np.zeros((obj.n, obj.n))
-            for i, (w, t) in enumerate(zip(self.term_partials, obj.terms)):
-                if t.kind == "diagonal" or w != 0.0:
-                    X, S, _, chain = self.atom(i)
-                    _add_term_field(H, t, P, X, S, w * chain)
-        else:
-            G = self.euclidean_grad
-            H = _sym(G @ P.T + P @ G.T)
-        if not np.isfinite(H).all():
-            # Overflow in the data: a failed solve.
-            raise ValueError("field H(P) has non-finite entries")
-        return FieldEvaluation(H, self.mismatch, self.asymmetry)
+        """The formed symmetric field H(P) (``FactoredField.dense``) and
+        mismatch M(P) per the objective's recipe."""
+        return FieldEvaluation(self.factored_field.dense(), self.mismatch,
+                               self.asymmetry)
 
     @cached_property
-    def factored_field(self) -> FactoredField | None:
+    def factored_field(self) -> FactoredField:
         """The field in the factored form of ``FactoredField``, from the
-        products this evaluation holds, or None when a composition has a
-        term outside that form (``field_gram`` is None for it too)."""
+        products this evaluation holds."""
         obj, P = self.obj, self.P
         if obj.field_recipe == "generic":
-            return FactoredField(P, [], None, self.euclidean_grad)
-        if not all(_factored(t) for t in obj.terms):
-            return None
-        quad, v, U, q = [], None, None, 0
+            return FactoredField(P, [], None, self.euclidean_grad, [])
+        quad, v, U, pairs, q = [], None, None, [], 0
         for i, (w, t) in enumerate(zip(self.term_partials, obj.terms)):
             if t.kind == "diagonal" or w != 0.0:
                 X, S, _, chain = self.atom(i)
                 w = w * chain
-                if t.kind == "quadratic":
-                    quad.append((q, 2.0 * w, t.matrix, X))
+                if t.kind == "diagonal" and t.matrix is not None:
+                    pairs.append((t.matrix.T * (2.0 * w), t.matrix.T))
                 elif t.kind == "diagonal":
                     v = 2.0 * w if v is None else v + 2.0 * w
+                elif t.kind == "quadratic" and t.m == 1:
+                    quad.append((q, 2.0 * w, t.matrix, X))
+                elif t.kind == "quadratic":
+                    Y = X if t.m == 2 else X @ _matpow(S, t.m - 2)
+                    pairs.append(((2.0 * t.m * w) * Y, X))
                 else:
                     U_t = (w * t.m) * (X if t.m == 1 else X @ _matpow(S, t.m - 1))
                     U = U_t if U is None else U + U_t
-            q += t.kind == "quadratic"
-        return FactoredField(P, quad, v, U)
+            q += t.kind == "quadratic" and t.m == 1
+        return FactoredField(P, quad, v, U, pairs)
 
     @property
     def theta_sign_ok(self) -> bool:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -14,6 +16,7 @@ from stiefelscf.kernels import (
     polar_factor,
     random_stiefel,
     require_stiefel,
+    require_symmetric,
     ritz_top_k,
     sym_part,
     top_k_eigenpairs,
@@ -358,6 +361,24 @@ class TestSymPart:
     def test_rejects_nonsquare(self):
         with pytest.raises(ValueError):
             sym_part(np.ones((2, 3)))
+
+
+def test_require_symmetric_holds_one_n_by_n_array_at_a_time():
+    # Every build runs this on each symmetric matrix, so its peak memory is
+    # the benchmark's: at most one n-by-n array beyond the input (the zero
+    # H - H' once, then the result), whatever the scale of the data.
+    n = 500
+    G = np.random.default_rng(0).standard_normal((n, n))
+    for scale in (1.0, 1e154, 1e-170):
+        A = (G + G.T) * scale
+        tracemalloc.start()
+        try:
+            out = require_symmetric(A)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(out, A)
+        assert peak < 1.5 * A.nbytes
 
 
 @settings(max_examples=80, deadline=None)

@@ -413,11 +413,10 @@ class TestWarmStep:
         obj = build(ProblemSpec("mbsub", n, k, {
             "A": separated_psd(rng, n, k), "D": rng.standard_normal((n, k))}))
         formed, dense = [], []
-        add, top_k = objective_module._add_term_field, nepv_module._top_k
-        monkeypatch.setattr(objective_module, "_add_term_field",
-                            lambda H, t, *a: (t.kind == "quadratic"
-                                              and formed.append(len(H)))
-                            or add(H, t, *a))
+        form, top_k = objective_module.FactoredField.dense, nepv_module._top_k
+        monkeypatch.setattr(objective_module.FactoredField, "dense",
+                            lambda field: formed.append(len(field.P))
+                            or form(field))
         monkeypatch.setattr(nepv_module, "_top_k",
                             lambda H, *a: dense.append(len(H)) or top_k(H, *a))
         P0 = random_stiefel(n, k, 0)
@@ -433,6 +432,29 @@ class TestWarmStep:
                 nepv_residual(obj, P), rel=1e-12, abs=1e-12)
             assert rec.m_asymmetry == pytest.approx(
                 obj.at(P).field.asymmetry, rel=1e-12, abs=1e-12)
+
+    def test_a_warm_umds_solve_records_its_residuals(self, monkeypatch):
+        # umds's m = 2 terms are pairs of the factored form: a warm step
+        # applies them in its Krylov blocks and forms H only for the norm,
+        # which the Gram identity does not give.  Each record's eps_nepv is
+        # nepv_residual at the step's incoming point.
+        n, k = 120, 3
+        rng = np.random.default_rng(4)
+        obj = build(ProblemSpec("umds", n, k, {
+            "A_list": [separated_psd(rng, n, k), separated_psd(rng, n, k)]}))
+        dense, top_k = [], nepv_module._top_k
+        monkeypatch.setattr(nepv_module, "_top_k",
+                            lambda H, *a: dense.append(len(H)) or top_k(H, *a))
+        P0 = random_stiefel(n, k, 0)
+        landed = []
+        report = nepv_scf(obj, P0, callback=lambda i, P: landed.append(P))
+        assert report.converged
+        assert 0 < len(dense) < report.num_iterations  # a warm step was taken
+        monkeypatch.undo()
+        incoming = [_feasible_start(obj, P0).P] + landed[:-1]
+        for rec, P in zip(report.iterations, incoming):
+            assert rec.eps_nepv == pytest.approx(
+                nepv_residual(obj, P), rel=1e-12, abs=1e-12)
 
     def test_warm_residual_reads_the_factored_field(self):
         n, k = 100, 2
@@ -462,18 +484,34 @@ class TestWarmStep:
 
 
 def scaled_sep(scale):
-    # sep with A = diag(linspace(3, 1, 6)) * scale, built directly: the
-    # catalog builder's own symmetry check overflows at 1e154.
-    A = np.diag(np.linspace(3.0, 1.0, 6)) * scale
-    return ComposedObjective(6, 2, (AtomicTerm("quadratic", A),),
-                             outer_sum(1), npdo_monotone=True,
-                             nepv_monotone=True)
+    # sep with A = diag(linspace(3, 1, 6)) * scale.
+    return build(ProblemSpec("sep", 6, 2, {
+        "A": np.diag(np.linspace(3.0, 1.0, 6)) * scale}))
 
 
 class TestExtremeScales:
     # Residuals are ratios of norms, so they do not change with the data
     # scale, even where a plain Frobenius norm overflows (1e154) or
     # underflows (1e-170).
+    @pytest.mark.parametrize("scale", [1e154, 1e-170])
+    def test_the_catalog_builds_it(self, scale):
+        # The builder's symmetry check takes its norms at a safe scale, so
+        # it neither warns nor refuses the data.
+        obj = scaled_sep(scale)
+        assert np.array_equal(obj.terms[0].matrix,
+                              np.diag(np.linspace(3.0, 1.0, 6)) * scale)
+        assert obj.npdo_monotone and obj.nepv_monotone
+
+    @pytest.mark.parametrize("scale", [1e154, 1e-170])
+    def test_the_stagnation_floor_is_relative(self, scale):
+        # A step is flat when |f_next - f| <= 1e-16 |f_next|, at any scale:
+        # at 1e-170, where every f-change lies below 1e-16, the polar route
+        # still converges in as many steps as at scale 1.
+        P0 = random_stiefel(6, 2, 0)
+        ref, rep = npdo_scf(scaled_sep(1.0), P0), npdo_scf(scaled_sep(scale), P0)
+        assert ref.converged and rep.converged
+        assert rep.num_iterations == ref.num_iterations
+
     @pytest.mark.parametrize("scale", [1e154, 1e-170])
     def test_residuals_and_certificates_keep_their_values(self, scale):
         P = random_stiefel(6, 2, 0)

@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -648,6 +649,8 @@ def factored_spec(family, n, k, rng):
         return ProblemSpec("dft", n, k, {"A": sym()}, **phi())
     if family == "trcp":
         return ProblemSpec("trcp", n, k, {"A_list": [sym(), sym()]}, **phi())
+    if family == "umds":
+        return ProblemSpec("umds", n, k, {"A_list": [sym(), sym()]})
     # sumct: one or two column blocks.
     cut = int(rng.integers(1, k + 1))
     blocks = tuple(b for b in (tuple(range(cut)), tuple(range(cut, k))) if b)
@@ -657,19 +660,95 @@ def factored_spec(family, n, k, rng):
         blocks=blocks)
 
 
+def powers_objective(n, k, rng):
+    # Powers outside the catalog: a quadratic term with m = 3 and s = 1.5
+    # (A positive definite, so the base is positive), a linear one with
+    # m = 3 and c = 0.5, and a diagonal term with a random R.
+    G = rng.standard_normal((n, n))
+    A = sym_part(G @ G.T / n + np.eye(n))
+    R = rng.standard_normal((n + 2, n))
+    terms = (AtomicTerm.quadratic(A, m=3, s=1.5),
+             AtomicTerm.linear(rng.standard_normal((n, k)), m=3, c=0.5),
+             AtomicTerm("diagonal", R))
+    return ComposedObjective(n, k, terms, outer_sum(n + 4))
+
+
+def closed_form_field(obj, P):
+    # The field built term by term from each term's closed form, weighted by
+    # its outer partial times its chain factor c s base^(s-1):
+    # 2 c A (m = 1), 2 m X S^(m-2) X' with X = A P and S = P'A P (m >= 2),
+    # m D (P'D)^(m-1) P' plus its transpose, 2 R' diag(w) R, and G P' + P G'
+    # for the generic recipe.  Returns H and the sum of the norms of its
+    # parts, the scale of its rounding.
+    at = obj.at(P)
+    if obj.field_recipe == "generic":
+        G = at.euclidean_grad
+        part = G @ P.T + P @ G.T
+        return part, np.linalg.norm(part)
+    H, scale, w_all, off = np.zeros((obj.n, obj.n)), 0.0, at.partials, 0
+    for t in obj.terms:
+        size = t.coords(obj.n)
+        w, off = w_all[off:off + size], off + size
+        if t.kind == "diagonal":
+            R = np.eye(obj.n) if t.matrix is None else t.matrix
+            part = 2.0 * t.c * R.T @ np.diag(w) @ R
+        else:
+            if t.kind == "quadratic":
+                X = t.matrix @ P
+                S = P.T @ X
+            else:
+                S = P.T @ t.matrix
+            base = np.trace(np.linalg.matrix_power(S, t.m))
+            c = w[0] * t.c * t.s * base ** (t.s - 1.0)
+            if t.kind == "quadratic" and t.m == 1:
+                part = 2.0 * c * t.matrix
+            elif t.kind == "quadratic":
+                part = 2.0 * t.m * c * (
+                    X @ np.linalg.matrix_power(S, t.m - 2) @ X.T)
+            else:
+                Y = t.m * c * (
+                    t.matrix @ np.linalg.matrix_power(S, t.m - 1) @ P.T)
+                part = Y + Y.T
+        H += part
+        scale += np.linalg.norm(part)
+    return H, scale
+
+
+FACTORED_FAMILIES = ["mbsub", "quad_lin2", "theta_tr", "olda", "occa",
+                     "procrustes", "dft", "trcp", "umds", "sumct"]
+
+
+def factored_case(data, family, seed, n, k, rng):
+    # The family's objective at order n, transformed by an orthonormal n-by-n2
+    # W when ``data`` draws it (a dft term's R becomes W, R != I), and a
+    # Stiefel point of the objective's order.  n2 >= 2 as n is: at order 1
+    # the olda field cancels to rounding at its one point.
+    obj = build(factored_spec(family, n, k, rng))
+    if data.draw(st.booleans(), label="transformed"):
+        n2 = data.draw(st.integers(max(k, 2), n), label="n2")
+        obj = obj.transform(np.linalg.qr(rng.standard_normal((n, n2)))[0])
+    return obj, random_stiefel(obj.n, k, seed % 1000)
+
+
+def has_pairs(obj):
+    # Whether the field has a (Y, Z) part: a quadratic term with m >= 2 or a
+    # diagonal term with R != I, in a composition.
+    return obj.field_recipe == "composition" and any(
+        (t.kind == "quadratic" and t.m >= 2)
+        or (t.kind == "diagonal" and t.matrix is not None) for t in obj.terms)
+
+
 class TestFactoredField:
     @settings(max_examples=80, deadline=None)
-    @given(family=st.sampled_from(["mbsub", "quad_lin2", "theta_tr", "olda",
-                                   "occa", "procrustes", "dft", "trcp",
-                                   "sumct"]),
+    @given(family=st.sampled_from(FACTORED_FAMILIES),
            seed=st.integers(0, 2**32 - 1), n=st.integers(2, 60),
            data=st.data())
     def test_matches_the_formed_field(self, family, seed, n, data):
         k = data.draw(st.integers(1, n), label="k")
         rng = np.random.default_rng(seed)
-        obj = build(factored_spec(family, n, k, rng))
-        P = random_stiefel(n, k, seed % 1000)
-        X = rng.standard_normal((n, data.draw(st.integers(1, k + 2), label="cols")))
+        obj, P = factored_case(data, family, seed, n, k, rng)
+        X = rng.standard_normal((obj.n,
+                                 data.draw(st.integers(1, k + 2), label="cols")))
         # M and its asymmetry come without forming H ...
         at = obj.at(P)
         M, asymmetry = at.mismatch, at.asymmetry
@@ -684,12 +763,54 @@ class TestFactoredField:
             1e-12 * norm * np.linalg.norm(X))
         assert np.array_equal(factored @ X, factored.apply(X))
         assert np.linalg.norm(factored.HP - H @ P) <= 1e-12 * norm * np.sqrt(k)
-        assert factored.frobenius_norm(field_gram(obj)) == pytest.approx(
-            norm, rel=1e-12, abs=0.0)
+        # The Gram identity gives the norm unless a pair is present.
+        assert bool(factored.pairs) == has_pairs(obj)
+        if factored.pairs:
+            assert factored.frobenius_norm(field_gram(obj)) is None
+        else:
+            assert factored.frobenius_norm(field_gram(obj)) == pytest.approx(
+                norm, rel=1e-12, abs=0.0)
         # The identity H P - grad = P M holds on the factored H P.
         resid = factored.HP - at.euclidean_grad - P @ M
         assert np.linalg.norm(resid) <= (
             objective.FIELD_IDENTITY_TOL * max(1.0, norm))
+
+    @settings(max_examples=60, deadline=None)
+    @given(family=st.sampled_from(FACTORED_FAMILIES + ["powers"]),
+           seed=st.integers(0, 2**32 - 1), n=st.integers(2, 40),
+           data=st.data())
+    def test_dense_is_the_closed_form_field(self, family, seed, n, data):
+        k = data.draw(st.integers(1, n), label="k")
+        rng = np.random.default_rng(seed)
+        if family == "powers":
+            obj, P = powers_objective(n, k, rng), random_stiefel(n, k, seed % 1000)
+        else:
+            obj, P = factored_case(data, family, seed, n, k, rng)
+        H, scale = closed_form_field(obj, P)
+        dense = obj.at(P).factored_field.dense()
+        assert np.linalg.norm(dense - H) <= 1e-12 * scale
+        assert np.array_equal(obj.at(P).field.H, dense)
+
+    @pytest.mark.parametrize("family", ["umds", "dft"])
+    def test_pairs_hold_the_other_terms(self, family):
+        # umds's m = 2 terms and a diagonal term with R != I (dft after a
+        # transform) are (Y, Z) pairs of the factored form: its products
+        # and dense() include them, and the Gram identity gives no norm.
+        n, k = 8, 2
+        rng = np.random.default_rng(7)
+        A = sym_part(rng.standard_normal((n, n)))
+        if family == "umds":
+            obj = build(ProblemSpec("umds", n, k, {"A_list": [A, A @ A]}))
+        else:
+            obj = build(ProblemSpec("dft", n, k, {"A": A})).transform(
+                np.linalg.qr(rng.standard_normal((n, n)))[0])
+        P = random_stiefel(n, k, 0)
+        factored = obj.at(P).factored_field
+        assert len(factored.pairs) == (2 if family == "umds" else 1)
+        H, scale = closed_form_field(obj, P)
+        assert np.linalg.norm(factored.dense() - H) <= 1e-13 * scale
+        assert np.linalg.norm(factored.HP - H @ P) <= 1e-13 * scale
+        assert factored.frobenius_norm(field_gram(obj)) is None
 
     def test_cancelling_terms_fall_back_to_the_formed_field(self):
         # olda with A = 2B + 1e-7 E: the field (2/b)(A - (a/b) B) is small
@@ -707,25 +828,14 @@ class TestFactoredField:
         assert np.linalg.norm(H) <= 1e-5 * scale
         assert np.linalg.norm(factored.HP - H @ P) <= 1e-14 * scale
 
-    @pytest.mark.parametrize("family", ["umds", "dft"])
-    def test_no_factored_form_outside_it(self, family):
-        # umds's m = 2 terms and a diagonal term with R != I (dft after a
-        # transform) have no factored form.
-        n, k = 8, 2
-        rng = np.random.default_rng(7)
-        A = sym_part(rng.standard_normal((n, n)))
-        if family == "umds":
-            obj = build(ProblemSpec("umds", n, k, {"A_list": [A]}))
-        else:
-            obj = build(ProblemSpec("dft", n, k, {"A": A})).transform(
-                np.linalg.qr(rng.standard_normal((n, n)))[0])
-        assert field_gram(obj) is None
-        assert obj.at(random_stiefel(n, k, 0)).factored_field is None
-
     def test_overflowing_gram_gives_none(self):
-        # A term matrix whose squared norm overflows: no per-solve constants,
-        # and no warning.
+        # A term matrix whose squared norm overflows: its Gram entry is not
+        # finite, and the Gram identity gives no norm, with no warning.
         A = np.diag(np.linspace(3.0, 1.0, 6)) * 1e160
         obj = ComposedObjective(6, 2, (AtomicTerm("quadratic", A),),
                                 outer_sum(1))
-        assert field_gram(obj) is None
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            gram = field_gram(obj)
+            factored = obj.at(random_stiefel(6, 2, 0)).factored_field
+            assert factored.frobenius_norm(gram) is None
