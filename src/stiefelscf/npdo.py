@@ -40,6 +40,7 @@ never warns, and no check depends on ``python -O``.  A solve's settings are
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -351,14 +352,16 @@ class _SubspaceStep(_Step):
         R = at.riemannian_grad
         V = R if self.P_before is None else np.hstack([R, self.P_before])
         # Deflation floor: directions below it are rounding at the scale of
-        # the inputs (P_prev and P_hat have orthonormal columns).
-        floor = 1e-12 * max(1.0, float(np.linalg.norm(R)))
+        # the inputs (P_prev has orthonormal columns).  ||R||_F by
+        # _scaled_norm, which cannot overflow at extreme data scales.
+        floor = 1e-12 * max(1.0, math.prod(_scaled_norm(R)))
         W = np.hstack([P, _orth_against(P, V, floor)])
         # P_hat joins W only with a part outside it, which on the polar
-        # route needs a rank-deficient gradient, so that W Z0 = P_hat.
+        # route needs a rank-deficient gradient, so that W Z0 = P_hat.  That
+        # part has P_hat's unit scale, so its floor is 1e-12 whatever R's.
         r = P_hat - W @ (W.T @ P_hat)
-        if np.linalg.norm(r) > floor:
-            W = np.hstack([W, _orth_against(W, r, floor)])
+        if np.linalg.norm(r) > 1e-12:
+            W = np.hstack([W, _orth_against(W, r, 1e-12)])
         AW = at.basis_products(W)
         Z0 = _polar(W.T @ P_hat).orthogonal_factor
         inner = self.solve(obj.transform(W, AW), Z0, NpdoConfig(

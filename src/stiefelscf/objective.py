@@ -29,24 +29,28 @@ A W, and the point P = W Z it lands on is evaluated from (A W) Z, so the
 landed point costs no A P product.
 
 Each of these full-size products with a term matrix, A P_i, A W and A T, is
-formed as (X'A)' by ``kernels._sym_matmul``.  That is A X because every
-quadratic term matrix is exactly symmetric (``AtomicTerm`` refuses any
-other).  For a C-ordered n-by-n A and a thin X it runs on the BLAS GEMM path
-that packs the large operand well.  One run of ``tools/product_timing.py``
-on OpenBLAS 0.3.31 (Haswell kernels, one thread) gave, in median
-microseconds per product:
+formed by ``kernels._thin_matmul`` in row panels A[i:i+r] @ X of at most
+``kernels.PANEL_MNK`` = 100^3 multiply-adds each, the size up to which
+OpenBLAS runs its small-matrix GEMM kernel, which skips packing.  At n <= 200
+and k <= 25 one panel covers A and the product is A @ X.  One run of
+``tools/product_timing.py`` on OpenBLAS 0.3.31 (Haswell kernels, one thread)
+gave, in median microseconds per product:
 
-    n, k       A @ X   (X'A)'
-    1000, 2     1386     962
-    1000, 4     1398    1092
-    1000, 8     1511    1193
-    1000, 12    2066    1372
-    200, 8        27      29
-    40, 3        3.6     5.2
+    n, k       A @ X   panels   ratio
+    1000, 2     971.7    406.3    0.42
+    1000, 4    1015.5    458.8    0.45
+    1000, 8    1184.1    644.2    0.54
+    1000, 12   1597.0   1027.5    0.64
+    1000, 16   1482.9    843.9    0.57
+    2000, 4    4594.2   1915.0    0.42
+    200, 8       20.8     23.7    1.14
+    200, 24      45.8     50.3    1.10
+    40, 3         2.5      5.2    2.04
 
 so an NPDo solve at n = 1000, where the product is most of the work, takes
-about a fifth less time, and at n <= 200 the two differ by a microsecond or
-two.
+about 30% less time (``sep``/npdo on ``polar-route``: 428 to 294 ms, 433
+steps either way), and at n <= 200 the kernel's own per-call cost adds a
+microsecond or three.
 
 The diagonal atom is the density of the Kohn-Sham-type model of Liu, Wang,
 Wen and Yuan (SIAM J. Matrix Anal. Appl. 35(2), 2014): its coordinate
@@ -121,7 +125,7 @@ from .alignment import PolarAlignment
 from .kernels import (
     PLAIN_NORM_RANGE,
     _sym,
-    _sym_matmul,
+    _thin_matmul,
     as_matrix,
     require_symmetric,
 )
@@ -164,11 +168,14 @@ class NegativeBaseError(ValueError):
 
 
 def _matpow(M: np.ndarray, m: int) -> np.ndarray:
+    # M^m.  A power that overflows gives inf entries without a warning, for
+    # a later check, such as the field's finiteness test, to refuse.
     if m == 0:
         return np.eye(M.shape[0])
     if m == 1:
         return M
-    return np.linalg.matrix_power(M, m)
+    with np.errstate(over="ignore"):
+        return np.linalg.matrix_power(M, m)
 
 
 @dataclass(frozen=True)
@@ -205,7 +212,8 @@ class AtomicTerm:
             raise ValueError(f"scale c must be > 0, got {self.c}")
         if self.kind == "quadratic" and not np.array_equal(self.matrix,
                                                            self.matrix.T):
-            # The gradient 2 A P and the product (P'A)' hold only for A = A'.
+            # The gradient 2 A P and the field's part 2 c A hold only for
+            # A = A'.
             raise ValueError("quadratic term matrix must be exactly symmetric")
         if self.cols is not None:
             if not self.cols or min(self.cols) < 0:
@@ -253,7 +261,7 @@ def _atom(term: AtomicTerm, P_i: np.ndarray):
     if term.kind == "diagonal":
         X = P_i if term.matrix is None else term.matrix @ P_i
         return X, None, term.c * np.sum(X * X, axis=1), term.c
-    X = term.matrix if term.kind == "linear" else _sym_matmul(term.matrix, P_i)
+    X = term.matrix if term.kind == "linear" else _thin_matmul(term.matrix, P_i)
     return _atom_from(term, P_i, X)
 
 
@@ -481,7 +489,7 @@ class FactoredField:
     def apply(self, X: np.ndarray) -> np.ndarray:
         """H X, with one product per m = 1 quadratic term matrix."""
         return self._plus_low_rank(
-            X, [c * _sym_matmul(A, X) for _, c, A, _ in self.quad])
+            X, [c * _thin_matmul(A, X) for _, c, A, _ in self.quad])
 
     __matmul__ = apply
 
@@ -510,16 +518,19 @@ class FactoredField:
         entry is not finite: overflow in the data, a failed solve)."""
         P, n = self.P, self.P.shape[0]
         H = np.zeros((n, n))
-        for _, c, A, _ in self.quad:
-            H += c * A
-        if self.v is not None:
-            H.flat[::n + 1] += self.v
-        for Y, Z in self.pairs:
-            H += Y @ Z.T
-        if self.U is not None:
-            UP = self.U @ P.T
-            H += UP
-            H += UP.T
+        # Overflow in the sum shows as the entries that the test below
+        # refuses, so it raises no warning on the way.
+        with np.errstate(over="ignore", invalid="ignore"):
+            for _, c, A, _ in self.quad:
+                H += c * A
+            if self.v is not None:
+                H.flat[::n + 1] += self.v
+            for Y, Z in self.pairs:
+                H += Y @ Z.T
+            if self.U is not None:
+                UP = self.U @ P.T
+                H += UP
+                H += UP.T
         if not np.isfinite(H).all():
             raise ValueError("field H(P) has non-finite entries")
         return H
@@ -717,7 +728,7 @@ def _transformed(t: AtomicTerm, T: np.ndarray, AT) -> np.ndarray:
         return T.T @ t.matrix
     if t.kind == "diagonal":
         return T if t.matrix is None else t.matrix @ T
-    return _sym(T.T @ (_sym_matmul(t.matrix, T) if AT is None else AT))
+    return _sym(T.T @ (_thin_matmul(t.matrix, T) if AT is None else AT))
 
 
 class PointEvaluation:
@@ -761,9 +772,9 @@ class PointEvaluation:
                 out.append(None)
             elif t.cols is None:
                 out.append(np.hstack([self.atom(i)[0],
-                                      _sym_matmul(t.matrix, W[:, k:])]))
+                                      _thin_matmul(t.matrix, W[:, k:])]))
             else:
-                out.append(_sym_matmul(t.matrix, W))
+                out.append(_thin_matmul(t.matrix, W))
         return out
 
     @cached_property

@@ -1,4 +1,5 @@
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -6,10 +7,11 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stiefelscf import kernels
 from stiefelscf.nepv import GAP_DEGENERATE
 from stiefelscf.kernels import (
     _sym,
-    _sym_matmul,
+    _thin_matmul,
     _top_k,
     canonical_sin_theta,
     orthonormalize_against,
@@ -381,27 +383,55 @@ def test_require_symmetric_holds_one_n_by_n_array_at_a_time():
         assert peak < 1.5 * A.nbytes
 
 
-@settings(max_examples=80, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 64), data=st.data(),
-       layout=st.sampled_from(["C", "F", "column slice", "fancy index"]))
-def test_sym_matmul_is_the_product_for_every_layout(seed, n, data, layout):
-    # (X'A)' equals A X for a symmetric A whatever the layout of X,
+LAYOUTS = ["C", "F", "column slice", "fancy index"]
+
+
+def thin_product_case(rng, n, k, layout, symmetric):
+    # An n-by-n A, symmetric or not, and an n-by-k X in the given layout,
     # including the ones the package passes: a column slice W[:, k:] of a
-    # basis and a fancy-indexed column block.  The result is C-contiguous.
-    k = data.draw(st.integers(1, n), label="k")
-    rng = np.random.default_rng(seed)
+    # basis and a fancy-indexed column block.
     G = rng.standard_normal((n, n))
-    A = G + G.T
+    A = G + G.T if symmetric else G
     W = rng.standard_normal((n, n + k))
     X = {"C": W[:, :k].copy(),
          "F": np.asfortranarray(W[:, :k]),
          "column slice": W[:, n:],
          "fancy index": W[:, sorted(rng.choice(n + k, k, replace=False))],
          }[layout]
-    out = _sym_matmul(A, X)
-    assert out.shape == (n, k) and out.flags.c_contiguous
+    return A, X
+
+
+def assert_is_the_product(out, A, X):
+    assert out.shape == (A.shape[0], X.shape[1]) and out.flags.c_contiguous
     scale = max(1.0, np.linalg.norm(A) * np.linalg.norm(X))
     assert np.abs(out - A @ X).max() <= 1e-14 * scale
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 64), data=st.data(),
+       layout=st.sampled_from(LAYOUTS), symmetric=st.booleans())
+def test_thin_matmul_is_the_product_for_every_layout(seed, n, data, layout,
+                                                    symmetric):
+    # Row panels of at most PANEL_MNK multiply-adds give A X whatever the
+    # layout of X and whether or not A is symmetric.  PANEL_MNK is drawn
+    # from 1 (one row per panel) to n^2 k (one panel).  The result is
+    # C-contiguous.
+    k = data.draw(st.integers(1, n), label="k")
+    panel_mnk = data.draw(st.integers(1, n * n * k), label="PANEL_MNK")
+    A, X = thin_product_case(np.random.default_rng(seed), n, k, layout,
+                             symmetric)
+    with mock.patch.object(kernels, "PANEL_MNK", panel_mnk):
+        out = _thin_matmul(A, X)
+    assert_is_the_product(out, A, X)
+
+
+@pytest.mark.parametrize("layout", LAYOUTS)
+def test_thin_matmul_is_the_product_at_n_1000(layout):
+    # The unpatched PANEL_MNK at the polar-route shape n = 1000, k = 4: four
+    # panels of 250 rows, with a non-symmetric A.
+    assert kernels.PANEL_MNK // (1000 * 4) == 250
+    A, X = thin_product_case(np.random.default_rng(1), 1000, 4, layout, False)
+    assert_is_the_product(_thin_matmul(A, X), A, X)
 
 
 class TestCanonicalSinTheta:

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,7 +16,13 @@ from stiefelscf.nepv import (
     nepv_residual,
     nepv_scf,
 )
-from stiefelscf.npdo import _feasible_start, kkt_residuals, npdo_scf
+from stiefelscf.npdo import (
+    NpdoConfig,
+    _feasible_start,
+    kkt_residuals,
+    npdo_locg,
+    npdo_scf,
+)
 from stiefelscf.objective import (
     AtomicTerm,
     ComposedObjective,
@@ -537,3 +545,34 @@ class TestExtremeScales:
         # The eigenvector route solves it as at scale 1, in one step.
         rep = nepv_scf(scaled_sep(scale), P0)
         assert rep.converged and rep.num_iterations == 1
+
+    @pytest.mark.parametrize("scale", [1.0, 1e154, 1e-170])
+    @pytest.mark.parametrize("route", ["npdo", "nepv"])
+    def test_a_locg_first_step_gains_at_least_the_plain_step(self, route,
+                                                             scale):
+        # The plain step's iterate joins the subspace basis whatever the
+        # scale of the gradient, so the first outer step starts its inner
+        # solve there and gains at least as much; no norm overflows.
+        accelerated, plain, cfg_cls = {
+            "npdo": (npdo_locg, npdo_scf, NpdoConfig),
+            "nepv": (nepv_locg, nepv_scf, NepvConfig)}[route]
+        obj, P0 = scaled_sep(scale), random_stiefel(6, 2, 0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = accelerated(obj, P0, cfg_cls(max_iter=1))
+            one = plain(obj, P0, cfg_cls(max_iter=1))
+        gain = (rep.iterations[0].f - rep.f_initial) / scale
+        assert gain >= (one.f_final - one.f_initial) / scale - 1e-12
+        if route == "nepv":
+            assert rep.iterations[0].f / scale == pytest.approx(5.6,
+                                                                rel=1e-12)
+
+
+def test_an_overflowing_field_raises_only_its_value_error():
+    # umds with A = 1e160 I: the power S^2 and the field overflow.  The
+    # solve refuses the field with ValueError and raises no warning first.
+    obj = build(ProblemSpec("umds", 4, 2, {"A_list": [1e160 * np.eye(4)]}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="non-finite"):
+            nepv_scf(obj, random_stiefel(4, 2, 0))

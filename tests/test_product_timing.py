@@ -1,4 +1,4 @@
-"""``tools/product_timing.py`` times A @ X against the package's (X'A)'
+"""``tools/product_timing.py`` times A @ X against the package's row-panel
 kernel; only its output format is checked here, never a timing."""
 
 import re

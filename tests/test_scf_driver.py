@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stiefelscf import npdo, objective
+from stiefelscf import kernels, npdo, objective
 from stiefelscf.kernels import orthonormalize_against, random_stiefel
 from stiefelscf.nepv import (
     NepvConfig,
@@ -334,13 +334,15 @@ def test_one_product_per_quadratic_term_per_iteration(family, route,
 class _Counted(np.ndarray):
     # A term matrix that logs every matrix product it takes part in, A X or
     # X A, wherever in the package it is formed, as the operand it was (0
-    # for A X, 1 for X A); results are plain arrays.
+    # for A X, 1 for X A) and the shapes of both operands; results are plain
+    # arrays.
     log: list = []
 
     def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
         if ufunc is np.matmul:
-            _Counted.log.append(next(i for i, x in enumerate(inputs)
-                                     if isinstance(x, _Counted)))
+            _Counted.log.append((next(i for i, x in enumerate(inputs)
+                                      if isinstance(x, _Counted)),
+                                 *(np.shape(x) for x in inputs)))
         return getattr(ufunc, method)(*(np.asarray(x) for x in inputs),
                                       **kwargs)
 
@@ -394,16 +396,25 @@ def test_one_product_block_per_quadratic_term_per_outer_step(family, route,
 @pytest.mark.parametrize("family", ["sep", "mbsub", "sumct", "theta_tr"])
 def test_every_product_with_a_term_matrix_is_formed_as_xa(family, solve,
                                                            monkeypatch):
-    # The package forms A X for a term matrix A as (X'A)', the layout that
-    # runs faster on BLAS for a thin X: in every full-size product of a
-    # solve the term matrix is the right operand.
+    # The package forms A X for a term matrix A in row panels A[i:i+r] @ X
+    # of at most PANEL_MNK multiply-adds each (``kernels._thin_matmul``).
+    # With PANEL_MNK shrunk to 600 at n = 30, every full-size product of a
+    # solve, whose width runs from 1 column (a sumct block) to 4k = 12 (a
+    # *_locg basis), takes several panels: in each the term matrix is the
+    # left operand, the panel has fewer than n rows, and it keeps to the
+    # bound; the panels of a solve cover whole products.
     obj = _counted(build(family_spec(family, n=30, k=3)))
     log = []
     monkeypatch.setattr(_Counted, "log", log)
+    monkeypatch.setattr(kernels, "PANEL_MNK", 600)
     cfg_cls = NpdoConfig if solve.__module__ == npdo.__name__ else NepvConfig
     report = solve(obj, random_stiefel(obj.n, obj.k, 5), cfg_cls())
     assert report.num_iterations >= 1
-    assert log and set(log) == {1}
+    assert log
+    for operand, (rows, inner), (inner_x, cols) in log:
+        assert operand == 0 and inner == inner_x == obj.n
+        assert rows < obj.n and rows * inner * cols <= 600
+    assert sum(rows for _, (rows, _), _ in log) % obj.n == 0
 
 
 def _landed(obj, at, W, Z):
@@ -614,7 +625,7 @@ def test_carried_products_match_fresh_ones(family, seed, n, k, extra, theta):
        theta=st.sampled_from([0.0, 0.3, 0.5, 1.0]))
 def test_quadratic_term_matrices_are_exactly_symmetric(family, seed, n, k,
                                                        extra, theta):
-    # A X is formed as (X'A)', which is A X only for A == A' bit for bit:
+    # The gradient 2 A P and the field's part 2 c A hold only for A == A':
     # every quadratic matrix the package builds is exactly symmetric, from
     # build, both ways of transform and metric lifting.
     k = min(k, n)

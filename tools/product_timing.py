@@ -1,20 +1,22 @@
 #!/usr/bin/env python3
-"""Time a product A X with a symmetric A both ways the package could form it.
+"""Time a product A X with a term matrix A plainly and by the package's kernel.
 
 Usage::
 
     python tools/product_timing.py [N,K ...] [--repeats R]
 
 For each N,K shape (default: the benchmark's shapes 40,3 200,8 200,24
-1000,2 1000,4 1000,8 1000,12) this builds an exactly symmetric, C-ordered
-N-by-N A and a C-ordered N-by-K X, then times ``A @ X`` and the package's
-``kernels._sym_matmul(A, X)``, which forms (X'A)'.  The two are timed in
-alternation, R rounds each (default 31), and each round runs enough calls
-to last about a millisecond.  One row per shape gives the median
-microseconds per call of each and their ratio (kernel over ``A @ X``).
+1000,2 1000,4 1000,8 1000,12 1000,16, and 2000,4) this builds an exactly
+symmetric, C-ordered N-by-N A and a C-ordered N-by-K X, then times
+``A @ X`` and the package's ``kernels._thin_matmul(A, X)``, which forms it
+in row panels of at most ``kernels.PANEL_MNK`` multiply-adds.  The two are
+timed in alternation, R rounds each (default 31), and each round runs
+enough calls to last about a millisecond.  One row per shape gives the
+median microseconds per call of each and their ratio (kernel over
+``A @ X``).
 
 BLAS is pinned to one thread before numpy is imported, as in the
-benchmark.  Which layout is faster depends on the BLAS library and the CPU,
+benchmark.  Which form is faster depends on the BLAS library and the CPU,
 so the numbers hold only for the machine that printed them.
 """
 
@@ -33,10 +35,10 @@ for _name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
 import numpy as np  # noqa: E402
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
-from stiefelscf.kernels import _sym_matmul  # noqa: E402
+from stiefelscf.kernels import _thin_matmul  # noqa: E402
 
 DEFAULT_SHAPES = ("40,3", "200,8", "200,24", "1000,2", "1000,4", "1000,8",
-                  "1000,12")
+                  "1000,12", "1000,16", "2000,4")
 
 
 def _shape(text: str) -> tuple[int, int]:
@@ -55,12 +57,12 @@ def _calls_per_round(fn) -> int:
 
 
 def time_shape(n: int, k: int, repeats: int) -> tuple[float, float]:
-    """Median microseconds per call of ``A @ X`` and of ``_sym_matmul``."""
+    """Median microseconds per call of ``A @ X`` and of ``_thin_matmul``."""
     rng = np.random.default_rng(0)
     G = rng.standard_normal((n, n))
     A = G + G.T
     X = rng.standard_normal((n, k))
-    plain, kernel = (lambda: A @ X), (lambda: _sym_matmul(A, X))
+    plain, kernel = (lambda: A @ X), (lambda: _thin_matmul(A, X))
     calls = _calls_per_round(plain)
     samples = ([], [])
     for _ in range(repeats):
