@@ -23,7 +23,7 @@ from .kernels import (
 from .objective import (
     AtomicTerm,
     ComposedObjective,
-    FieldEvaluation,
+    FactoredField,
     NegativeBaseError,
     OuterFunction,
     ThetaRatioData,

@@ -26,19 +26,20 @@ of each ``nepv_locg`` outer step is a step at full size like any other,
 warm from the second on.  ``nepv_certificates``, the exit
 certificates at a point, always reads the exact spectrum.
 
-A step that tries the warm solve reads the field in its factored form,
-``objective.FactoredField``: the Krylov blocks apply H part by part, at
-one product per quadratic term with m = 1, H P comes from the A P products
-the evaluation holds, and ||H||_F, the residual's denominator, from the
-Gram identity with the per-solve constants ``objective.field_gram``.  Such
-a step forms no n-by-n matrix unless the Gram identity gives no norm: where
-it cancels, and for a field with a quadratic term of m >= 2 or a diagonal
-term with R != I, which the identity does not cover, the step forms H for
-its norm.  H is otherwise formed
-(``FactoredField.dense``) only by a dense solve, by the ``nepv_locg`` inner
-problems and by the certificates.  A dense step takes H P as H @ P from the
-formed H, which at small n costs less than reading it off the factored
-form.
+Every step reads one field object, the evaluation's
+``objective.FactoredField``, which answers H, H P, ||H||_F and the mismatch
+M(P).  A step that tries the warm solve applies H part by part in the
+Krylov blocks, at one product per quadratic term with m = 1, and takes H P
+from the A P products the evaluation holds and ||H||_F, the residual's
+denominator, from the Gram identity with the per-solve constants
+``objective.field_gram``.  Such a step forms no n-by-n matrix unless the
+Gram identity gives no norm: where it cancels, and for a field with a
+quadratic term of m >= 2 or a diagonal term with R != I, which the
+identity does not cover, the field forms H for its norm.  H is otherwise
+formed (``FactoredField.H``) only by a dense solve, by the ``nepv_locg``
+inner problems and by the certificates.  A dense step takes H P as H @ P
+from the formed H, which at small n costs less than reading it off the
+parts.
 
 Residuals are ratios of Frobenius norms, taken at a data scale where they
 neither overflow nor underflow (``kernels._scaled_norm``).
@@ -51,7 +52,6 @@ import numpy as np
 from .alignment import _polar_square, align_rotation
 from .kernels import (
     RITZ_MAX_BLOCKS,
-    _scaled_norm,
     _sym,
     _top_k,
     require_stiefel,
@@ -99,13 +99,13 @@ WARM_MIN_N = 80
 def nepv_residual(obj: ComposedObjective, P) -> float:
     """Normalized field residual ||H(P)P - P(P'H(P)P)||_F / ||H(P)||_F."""
     P = require_stiefel(P)
-    H = obj.field(P).H
-    return _nepv_residual_from_field(P, H @ P, _scaled_norm(H))
+    field = obj.field(P)
+    return _nepv_residual_from_field(P, field.H @ P, field.frobenius_norm())
 
 
 def _nepv_residual_from_field(P, HP, norm) -> float:
     # HP is the product H @ P and norm = (s, xi) gives ||H||_F = s xi, as
-    # ``kernels._scaled_norm`` does; the ratio reads HP / s.
+    # ``FactoredField.frobenius_norm`` does; the ratio reads HP / s.
     s, xi = norm
     if s * xi < ZERO_GRAD_FLOOR:
         return 0.0
@@ -132,7 +132,7 @@ def nepv_certificates(obj: ComposedObjective, P) -> dict:
     HP = H @ P
     omega_eigs = np.linalg.eigvalsh(_sym(P.T @ HP))[::-1]
     w = np.linalg.eigvalsh(_sym(H))[::-1]  # descending
-    s, xi = norm = _scaled_norm(H)
+    s, xi = norm = field.frobenius_norm()
     # The identity residual over max(1, ||H||_F), both read at the scale s.
     r = HP - at.euclidean_grad - P @ field.mismatch
     identity = np.linalg.norm(r if s == 1.0 else r / s)
@@ -161,11 +161,11 @@ class _EigenStep(_Step):
     (RITZ_MAX_BLOCKS + 1)(k + 1) < n, so inner problems of order <= 4k stay
     dense.  ``guard`` is the previous step's (k+1)-th vector, or None before
     the first step and after a failed attempt; with a guard a warm step's
-    residual reads the factored form.  ``gram`` holds the constants of
-    ``FactoredField.frobenius_norm``, taken once per solve when ``warm``
-    holds, else None.  ``work`` is the n-by-n array every dense solve of the
-    step symmetrizes H into (see the ``objective`` module docstring for why
-    it lives as long as the solve).
+    residual reads H P and ||H||_F off the field's parts.  ``gram`` holds
+    the constants of ``FactoredField.frobenius_norm``, taken once per solve
+    when ``warm`` holds, else None.  ``work`` is the n-by-n array every
+    dense solve of the step symmetrizes H into (see the ``objective`` module
+    docstring for why it lives as long as the solve).
     """
 
     name = "nepv"
@@ -183,26 +183,18 @@ class _EigenStep(_Step):
 
     def residual(self, at):
         # A step that will try the warm solve reads H P and ||H||_F off the
-        # factored form and forms no H (unless the Gram identity does not
-        # hold or cannot be trusted); a dense step forms H.
-        if self.warm and self.guard is not None:
-            field = at.factored_field
-            HP = field.HP
-            if not np.isfinite(HP).all():
-                raise ValueError("field H(P) has non-finite entries")
-            xi = field.frobenius_norm(self.gram)
-            norm = (1.0, xi) if xi is not None else _scaled_norm(at.field.H)
-        else:
-            field = at.field.H
-            HP = field @ at.P
-            norm = _scaled_norm(field)
+        # field's parts and forms no H (unless the Gram identity gives no
+        # norm); a dense step forms H.
+        field, warm = at.field, self.warm and self.guard is not None
+        HP = field.HP if warm else field.H @ at.P
+        norm = field.frobenius_norm(self.gram if warm else None)
         eps = _nepv_residual_from_field(at.P, HP, norm)
-        return eps, ((field, HP, norm), {"eps_nepv": eps})
+        return eps, ((HP, norm), {"eps_nepv": eps})
 
     def propose(self, at, ctx):
-        obj, P, (field, HP, norm), residuals = self.obj, at.P, *ctx
+        obj, P, (HP, norm), residuals = self.obj, at.P, *ctx
         sign_violated = self.sign_guard and not at.theta_sign_ok
-        spect = self._top_pairs(at, field, HP, residuals["eps_nepv"], norm)
+        spect = self._top_pairs(at, HP, residuals["eps_nepv"], norm)
         eta = float(spect.eigenvalues.sum() - np.trace(P.T @ HP))
         basis = spect.eigenbasis
         if obj.field_recipe == "generic":
@@ -212,7 +204,7 @@ class _EigenStep(_Step):
             basis = basis @ _polar_square(basis.T @ at.euclidean_grad)
         _, P_next = align_rotation(obj.alignment, basis, at)
         fields = dict(residuals, gap=spect.gap,
-                      eta=eta, m_asymmetry=at.asymmetry,
+                      eta=eta, m_asymmetry=at.field.asymmetry,
                       gap_degenerate=spect.gap < GAP_DEGENERATE,
                       sign_violated=sign_violated)
         if self.ratio is not None:
@@ -221,19 +213,19 @@ class _EigenStep(_Step):
             fields["d_cross"] = float(np.trace(PhD @ (P.T @ spect.eigenbasis)))
         return P_next, fields
 
-    def _top_pairs(self, at, field, HP, eps, norm):
-        # The warm Ritz pairs of ``field`` (H, or the factored form that
-        # applies it) when they pass, else the dense top k+1 of the formed
-        # H.  The residual bound shrinks with the last contraction
-        # eps/eps_before, so a fast-converging solve keeps its rate.  A
-        # failed attempt drops the guard, so the next step goes dense
-        # without trying.
+    def _top_pairs(self, at, HP, eps, norm):
+        # The warm Ritz pairs of the field, applied part by part, when they
+        # pass, else the dense top k+1 of the formed H.  The residual bound
+        # shrinks with the last contraction eps/eps_before, so a
+        # fast-converging solve keeps its rate.  A failed attempt drops the
+        # guard, so the next step goes dense without trying.
         tried = self.warm and self.guard is not None
         spect = None
         if tried:
             rate = min(1.0, eps / self.eps_before)
             tol = INNER_TOL_FRACTION * rate * eps * (norm[0] * norm[1])
-            spect = ritz_top_k(field, at.P, HP, self.guard, tol, GAP_DEGENERATE)
+            spect = ritz_top_k(at.field, at.P, HP, self.guard, tol,
+                               GAP_DEGENERATE)
         self.eps_before = eps
         failed = tried and spect is None
         if spect is None:

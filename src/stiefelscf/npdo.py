@@ -177,7 +177,8 @@ def kkt_residuals(obj: ComposedObjective, P):
 
     eps_kkt = ||G - P (P'G)||_F / xi and eps_sym = ||P'G - (P'G)'||_F / xi
     with G the Euclidean gradient and xi = ||G||_F.  A vanished gradient
-    returns (0, 0): the point is stationary of a degenerate kind.
+    returns (0, 0): the point is stationary of a degenerate kind.  A
+    gradient with an entry that is not finite raises ``ValueError``.
     """
     P = require_stiefel(P)
     return _kkt_residuals_from_grad(P, obj.euclidean_grad(P))
@@ -186,8 +187,11 @@ def kkt_residuals(obj: ComposedObjective, P):
 def _kkt_residuals_from_grad(P, G):
     # Both residuals are ratios of norms, so G may be scaled (by
     # ``kernels._scaled_norm``, at data scales whose plain norms overflow or
-    # underflow).
+    # underflow).  A gradient with an inf or NaN entry has no finite norm
+    # and is refused, as ``objective.FactoredField`` refuses such a field.
     s, xi = _scaled_norm(G)
+    if not np.isfinite(xi):
+        raise ValueError("gradient has non-finite entries")
     if s * xi < ZERO_GRAD_FLOOR:
         return 0.0, 0.0
     if s != 1.0:

@@ -64,18 +64,18 @@ e_r e_r', which held one dense n-by-n matrix and formed one n-by-k product
 each per evaluation (121 terms and 14 MB for ``dft`` at n = 120, 8 GB at
 n = 1000).
 
-The field has one form, ``FactoredField``, which
-``PointEvaluation.factored_field`` builds from the products the evaluation
-already has: each term contributes its own closed-form part, weighted by
-its outer partial, sum_q c_q A_q over the m = 1 quadratic terms, diag(v)
-over the diagonal terms with R = I, U P' + P U' over the linear terms and
-one low-rank pair Y Z' for each other term (for the generic recipe, U = G
-alone).  It applies H at one product
-per m = 1 quadratic term, gives H P in O(n k^2) and ||H||_F by a Gram
-identity where that holds, so a warm eigenvector step forms no n-by-n
-matrix.  Its ``dense()`` is the one place the n-by-n H is formed, for a
-dense eigensolve and the certificates; ``PointEvaluation.field`` holds it.
-The mismatch M and its asymmetry need neither.
+The field has one object per point, ``FactoredField``, which
+``PointEvaluation.field`` builds from the products the evaluation already
+has: each term contributes its own closed-form part, weighted by its outer
+partial, sum_q c_q A_q over the m = 1 quadratic terms, diag(v) over the
+diagonal terms with R = I, U P' + P U' over the linear terms and one
+low-rank pair Y Z' for each other term (for the generic recipe, U = G
+alone).  It applies H at one product per m = 1 quadratic term, gives H P in
+O(n k^2) and ||H||_F by a Gram identity where that holds, so a warm
+eigenvector step forms no n-by-n matrix.  Its ``H`` is the one place the
+n-by-n H is formed, for a dense eigensolve, for the norm where the Gram
+identity gives none, and for the certificates.  The mismatch M(P) is U'P
+for either recipe, so M and its asymmetry need no H.
 
 A formed field is made afresh at each evaluation.  Those 14 MB of row
 atoms had also kept glibc from trimming the top of its heap; without them
@@ -124,6 +124,7 @@ import numpy as np
 from .alignment import PolarAlignment
 from .kernels import (
     PLAIN_NORM_RANGE,
+    _scaled_norm,
     _sym,
     _thin_matmul,
     as_matrix,
@@ -134,7 +135,6 @@ __all__ = [
     "AtomicTerm",
     "ComposedObjective",
     "FactoredField",
-    "FieldEvaluation",
     "NegativeBaseError",
     "OuterFunction",
     "PointEvaluation",
@@ -159,7 +159,8 @@ FIELD_IDENTITY_TOL = 1e-10
 
 # The Gram identity gives ||H||_F^2 as a signed sum; below this fraction of
 # the sum of its terms' magnitudes, cancellation may have cost it its
-# digits, and the field is formed instead (``FactoredField.frobenius_norm``).
+# digits, and the norm is taken of the formed field instead
+# (``FactoredField.frobenius_norm``).
 GRAM_CANCELLATION = 1e-8
 
 
@@ -278,13 +279,20 @@ def _atom_from(term: AtomicTerm, P_i: np.ndarray, X: np.ndarray):
     return X, S, term.c * base**term.s, term.c * term.s * base ** (term.s - 1.0)
 
 
+def _times_power(X: np.ndarray, S: np.ndarray, p: int) -> np.ndarray:
+    # X S^p, X itself for p = 0.  Overflow gives inf entries without a
+    # warning, as in ``_matpow``.
+    if p == 0:
+        return X
+    with np.errstate(over="ignore"):
+        return X @ _matpow(S, p)
+
+
 def _atom_grad(term: AtomicTerm, X: np.ndarray, S: np.ndarray, chain: float):
     # Gradient with respect to P_i from the products and chain factor of
     # ``_atom``: m D (P_i'D)^(m-1) or 2m A P_i (P_i'AP_i)^(m-1), times chain.
     scale = 2.0 * term.m if term.kind == "quadratic" else term.m
-    if term.m == 1:
-        return chain * (scale * X)
-    return chain * (scale * X @ _matpow(S, term.m - 1))
+    return chain * _times_power(scale * X, S, term.m - 1)
 
 
 def _term_grad(term: AtomicTerm, X, S, chain, w):
@@ -432,24 +440,9 @@ class ThetaRatioData:
     D: np.ndarray
 
 
-@dataclass(frozen=True)
-class FieldEvaluation:
-    """The formed n-by-n field H(P) with the KKT-equivalence mismatch M(P).
-
-    The identity H(P) P - grad f(P) = P M(P) holds by construction and is
-    measured by ``nepv.nepv_certificates``, not per evaluation;
-    ``asymmetry`` is ||M - M'||_F / max(1, ||M||_F), which vanishes exactly
-    when a field solution at P is a KKT point.  M and its asymmetry need no
-    H: ``PointEvaluation.mismatch`` and ``asymmetry`` give them alone.
-    """
-
-    H: np.ndarray
-    mismatch: np.ndarray
-    asymmetry: float
-
-
 class FactoredField:
-    """The field H(P), held as the parts the objective's terms give it:
+    """The field H(P) at one point, held as the parts the objective's terms
+    give it:
 
         H = sum_q c_q A_q + diag(v) + U P' + P U' + sum_j Y_j Z_j'.
 
@@ -460,24 +453,39 @@ class FactoredField:
     terms gives one pair (Y, Z): ((2 m w) X S^(m-2), X) for a quadratic term
     with m >= 2, where X = A P and S = P'A P, and (R' diag(2 w), R') for a
     diagonal term with R != I.  For the generic recipe U = G and no other
-    part is present.  Made by ``PointEvaluation.factored_field``, which
-    holds each A_q P.
+    part is present.  Made by ``PointEvaluation.field``, which holds each
+    A_q P.  It is the package's one field object: H, H P, ||H||_F and the
+    mismatch M(P) are all read off it.
 
-    ``dense()`` forms the n-by-n H; it is the one place the package does.
-    ``apply(X)`` is H X at one product per m = 1 quadratic term, and
-    ``H @ X`` calls it, so ``kernels.ritz_top_k`` runs on this as on the
-    formed H.  ``HP`` is H P in O(n k^2) from the held A_q P (O(n N k) for
-    a diagonal pair with N rows of R).  ``frobenius_norm`` is ||H||_F by
-    the Gram identity
+    ``H`` is the n-by-n field, formed on first use; it is the one place the
+    package forms it.  ``apply(X)`` is H X at one product per m = 1
+    quadratic term, and ``field @ X`` calls it, so ``kernels.ritz_top_k``
+    runs on the field without forming H.  ``HP`` is H P in O(n k^2) from
+    the held A_q P (O(n N k) for a diagonal pair with N rows of R).  Each of
+    ``H`` and ``HP`` raises ``ValueError`` when an entry is not finite
+    (overflow in the data, a failed solve).
+
+    ``mismatch`` is M(P) of the identity H(P) P - grad f(P) = P M(P): every
+    part but U P' + P U' maps P to its term's gradient exactly, so
+    M = U'P for either recipe (G'P for the generic one), and zeros when no
+    U is present.  ``asymmetry`` is ||M - M'||_F / max(1, ||M||_F), which
+    vanishes exactly when a field solution at P is a KKT point.  Neither
+    needs H.
+
+    ``frobenius_norm(gram)`` is ||H||_F as (s, xi), ||H||_F = s xi, the
+    form of ``kernels._scaled_norm``.  Given the per-objective constants
+    ``gram`` of ``field_gram``, it comes from the Gram identity
 
         ||H||_F^2 = sum_qr c_q c_r <A_q, A_r> + 2 sum_q c_q v.diag(A_q)
                     + ||v||^2 + 4 sum_q c_q <A_q P, U> + 4 <v o P, U>
                     + 2 <U'U, P'P> + 2 tr((U'P)^2)
 
-    (2 <U'U, P'P> is 2 ||U||_F^2 on the Stiefel manifold), from the
-    per-objective constants of ``field_gram``.  It is None when a pair is
-    present, which the identity does not cover, and where the sum cannot
-    be trusted.
+    (2 <U'U, P'P> is 2 ||U||_F^2 on the Stiefel manifold) with s = 1, and
+    no H is formed.  Where the identity does not hold (a pair is present)
+    or cannot be trusted (the sum is not above ``GRAM_CANCELLATION`` times
+    the sum of its terms' magnitudes, or its root falls outside
+    ``kernels.PLAIN_NORM_RANGE``), and without ``gram``, it is
+    ``_scaled_norm(H)``.
     """
 
     def __init__(self, P: np.ndarray, quad: list, v, U, pairs: list):
@@ -496,7 +504,8 @@ class FactoredField:
     @cached_property
     def HP(self) -> np.ndarray:
         """H P, from the products A_q P."""
-        return self._plus_low_rank(self.P, [c * AP for _, c, _, AP in self.quad])
+        return _finite(self._plus_low_rank(
+            self.P, [c * AP for _, c, _, AP in self.quad]))
 
     def _plus_low_rank(self, X, quad_products) -> np.ndarray:
         # H X given c_q A_q X for each m = 1 quadratic term.
@@ -513,13 +522,13 @@ class FactoredField:
             HX += P @ (U.T @ X)
         return HX
 
-    def dense(self) -> np.ndarray:
-        """The n-by-n H, summed from its parts (``ValueError`` when an
-        entry is not finite: overflow in the data, a failed solve)."""
+    @cached_property
+    def H(self) -> np.ndarray:
+        """The n-by-n H, summed from its parts."""
         P, n = self.P, self.P.shape[0]
         H = np.zeros((n, n))
-        # Overflow in the sum shows as the entries that the test below
-        # refuses, so it raises no warning on the way.
+        # Overflow in the sum shows as the entries that ``_finite`` refuses,
+        # so it raises no warning on the way.
         with np.errstate(over="ignore", invalid="ignore"):
             for _, c, A, _ in self.quad:
                 H += c * A
@@ -531,42 +540,54 @@ class FactoredField:
                 UP = self.U @ P.T
                 H += UP
                 H += UP.T
-        if not np.isfinite(H).all():
-            raise ValueError("field H(P) has non-finite entries")
-        return H
+        return _finite(H)
 
-    def frobenius_norm(self, gram) -> float | None:
-        """||H||_F by the Gram identity, given ``field_gram`` of the
-        objective, or None where it does not hold or cannot be trusted:
-        when a pair is present, when the sum is not above
-        ``GRAM_CANCELLATION`` times the sum of its terms' magnitudes, or
-        when its root falls outside ``kernels.PLAIN_NORM_RANGE`` (the data
-        scale overflows or underflows it, or a Gram entry is not finite).
-        The caller then forms H."""
-        if self.pairs:
-            return None
-        inner, diags = gram
-        P, v, U, quad = self.P, self.v, self.U, self.quad
-        with np.errstate(over="ignore", invalid="ignore"):
-            terms = [c_q * c_r * inner[q, r]
-                     for q, c_q, _, _ in quad for r, c_r, _, _ in quad]
-            if v is not None:
-                dv = diags @ v
-                terms += [2.0 * c_q * dv[q] for q, c_q, _, _ in quad]
-                terms.append(v @ v)
-            if U is not None:
-                UtP = U.T @ P
-                terms += [4.0 * c_q * np.vdot(AP, U) for _, c_q, _, AP in quad]
-                terms += [2.0 * np.vdot(U.T @ U, P.T @ P),
-                          2.0 * np.vdot(UtP, UtP.T)]
+    @cached_property
+    def mismatch(self) -> np.ndarray:
+        """M(P) = U'P (see above)."""
+        k = self.P.shape[1]
+        return np.zeros((k, k)) if self.U is None else self.U.T @ self.P
+
+    @cached_property
+    def asymmetry(self) -> float:
+        """||M - M'||_F / max(1, ||M||_F) of ``mismatch``."""
+        M = self.mismatch
+        return float(np.linalg.norm(M - M.T) / max(1.0, np.linalg.norm(M)))
+
+    def frobenius_norm(self, gram=None) -> tuple[float, float]:
+        """||H||_F as (s, xi), by the Gram identity where it holds and
+        ``gram`` is given, else from the formed H (see above)."""
+        if gram is not None and not self.pairs:
+            inner, diags = gram
+            P, v, U, quad = self.P, self.v, self.U, self.quad
+            with np.errstate(over="ignore", invalid="ignore"):
+                terms = [c_q * c_r * inner[q, r]
+                         for q, c_q, _, _ in quad for r, c_r, _, _ in quad]
                 if v is not None:
-                    terms.append(4.0 * np.vdot(v[:, None] * P, U))
-            total = float(sum(terms))
-            size = float(sum(abs(t) for t in terms))
-        lo, hi = PLAIN_NORM_RANGE
-        if lo * lo < total < hi * hi and total > GRAM_CANCELLATION * size:
-            return float(np.sqrt(total))
-        return None
+                    dv = diags @ v
+                    terms += [2.0 * c_q * dv[q] for q, c_q, _, _ in quad]
+                    terms.append(v @ v)
+                if U is not None:
+                    UtP = U.T @ P
+                    terms += [4.0 * c_q * np.vdot(AP, U)
+                              for _, c_q, _, AP in quad]
+                    terms += [2.0 * np.vdot(U.T @ U, P.T @ P),
+                              2.0 * np.vdot(UtP, UtP.T)]
+                    if v is not None:
+                        terms.append(4.0 * np.vdot(v[:, None] * P, U))
+                total = float(sum(terms))
+                size = float(sum(abs(t) for t in terms))
+            lo, hi = PLAIN_NORM_RANGE
+            if lo * lo < total < hi * hi and total > GRAM_CANCELLATION * size:
+                return 1.0, float(np.sqrt(total))
+        return _scaled_norm(self.H)
+
+
+def _finite(X: np.ndarray) -> np.ndarray:
+    # H or H P, refused with ``ValueError`` when an entry is not finite.
+    if not np.isfinite(X).all():
+        raise ValueError("field H(P) has non-finite entries")
+    return X
 
 
 def field_gram(obj: "ComposedObjective") -> tuple:
@@ -690,8 +711,9 @@ class ComposedObjective:
         ``PointEvaluation.script_d``)."""
         return self.at(P).script_d
 
-    def field(self, P) -> FieldEvaluation:
-        """Symmetric field H(P) and mismatch M(P) per the objective's recipe."""
+    def field(self, P) -> FactoredField:
+        """The field H(P) with its mismatch M(P) per the objective's recipe
+        (``PointEvaluation.field``)."""
         return self.at(P).field
 
     # -- structural transforms ----------------------------------------------
@@ -834,38 +856,9 @@ class PointEvaluation:
         return D
 
     @cached_property
-    def mismatch(self) -> np.ndarray:
-        """M(P) of the field identity H(P) P - grad f(P) = P M(P): G'P for
-        the generic recipe, else the linear terms' (w m) (P'D)^m', with w
-        the outer partial times the chain factor (quadratic and diagonal
-        terms satisfy grad = H_t P exactly)."""
-        obj, P = self.obj, self.P
-        if obj.field_recipe == "generic":
-            return self.euclidean_grad.T @ P
-        M = np.zeros((obj.k, obj.k))
-        for i, (w, t) in enumerate(zip(self.term_partials, obj.terms)):
-            if t.kind == "linear" and w != 0.0:
-                _, S, _, chain = self.atom(i)
-                M += (w * chain * t.m) * _matpow(S, t.m).T
-        return M
-
-    @cached_property
-    def asymmetry(self) -> float:
-        """||M - M'||_F / max(1, ||M||_F) of ``mismatch``."""
-        M = self.mismatch
-        return float(np.linalg.norm(M - M.T) / max(1.0, np.linalg.norm(M)))
-
-    @cached_property
-    def field(self) -> FieldEvaluation:
-        """The formed symmetric field H(P) (``FactoredField.dense``) and
-        mismatch M(P) per the objective's recipe."""
-        return FieldEvaluation(self.factored_field.dense(), self.mismatch,
-                               self.asymmetry)
-
-    @cached_property
-    def factored_field(self) -> FactoredField:
-        """The field in the factored form of ``FactoredField``, from the
-        products this evaluation holds."""
+    def field(self) -> FactoredField:
+        """The field H(P) with its mismatch M(P), a ``FactoredField`` made
+        from the products this evaluation holds."""
         obj, P = self.obj, self.P
         if obj.field_recipe == "generic":
             return FactoredField(P, [], None, self.euclidean_grad, [])
@@ -881,10 +874,10 @@ class PointEvaluation:
                 elif t.kind == "quadratic" and t.m == 1:
                     quad.append((q, 2.0 * w, t.matrix, X))
                 elif t.kind == "quadratic":
-                    Y = X if t.m == 2 else X @ _matpow(S, t.m - 2)
+                    Y = _times_power(X, S, t.m - 2)
                     pairs.append(((2.0 * t.m * w) * Y, X))
                 else:
-                    U_t = (w * t.m) * (X if t.m == 1 else X @ _matpow(S, t.m - 1))
+                    U_t = (w * t.m) * _times_power(X, S, t.m - 1)
                     U = U_t if U is None else U + U_t
             q += t.kind == "quadratic" and t.m == 1
         return FactoredField(P, quad, v, U, pairs)

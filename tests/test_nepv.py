@@ -1,3 +1,4 @@
+import functools
 import warnings
 
 import numpy as np
@@ -421,10 +422,11 @@ class TestWarmStep:
         obj = build(ProblemSpec("mbsub", n, k, {
             "A": separated_psd(rng, n, k), "D": rng.standard_normal((n, k))}))
         formed, dense = [], []
-        form, top_k = objective_module.FactoredField.dense, nepv_module._top_k
-        monkeypatch.setattr(objective_module.FactoredField, "dense",
-                            lambda field: formed.append(len(field.P))
-                            or form(field))
+        form, top_k = objective_module.FactoredField.H.func, nepv_module._top_k
+        counted = functools.cached_property(
+            lambda field: formed.append(len(field.P)) or form(field))
+        counted.__set_name__(objective_module.FactoredField, "H")
+        monkeypatch.setattr(objective_module.FactoredField, "H", counted)
         monkeypatch.setattr(nepv_module, "_top_k",
                             lambda H, *a: dense.append(len(H)) or top_k(H, *a))
         P0 = random_stiefel(n, k, 0)
@@ -476,7 +478,7 @@ class TestWarmStep:
         step.guard = guard
         at = PointEvaluation(obj, P)
         eps, _ = step.residual(at)
-        assert "field" not in at.__dict__
+        assert "H" not in at.field.__dict__
         assert eps == pytest.approx(nepv_residual(obj, P), rel=1e-12)
         # olda with A = 2B + 1e-7 E: the Gram identity cancels, so the step
         # forms H for its norm.
@@ -487,7 +489,7 @@ class TestWarmStep:
         step.guard = guard
         at = PointEvaluation(obj, P)
         eps, _ = step.residual(at)
-        assert "field" in at.__dict__
+        assert "H" in at.field.__dict__
         assert eps == pytest.approx(nepv_residual(obj, P), rel=1e-6)
 
 
@@ -576,3 +578,28 @@ def test_an_overflowing_field_raises_only_its_value_error():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="non-finite"):
             nepv_scf(obj, random_stiefel(4, 2, 0))
+
+
+@pytest.mark.parametrize("solver", [npdo_scf, npdo_locg])
+def test_an_overflowing_gradient_raises_only_its_value_error(solver):
+    # The same umds instance on the polar route: the gradient 4 X S
+    # overflows, and the solve refuses it with ValueError, as the eigenvector
+    # route refuses the field, and raises no warning first.
+    obj = build(ProblemSpec("umds", 4, 2, {"A_list": [1e160 * np.eye(4)]}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="gradient has non-finite"):
+            solver(obj, random_stiefel(4, 2, 0))
+
+
+@pytest.mark.parametrize("solver", [npdo_scf, nepv_scf])
+def test_an_overflowing_linear_power_raises_only_its_value_error(solver):
+    # tr((P'D)^2) with D at 1e160: the product D (P'D) in the gradient and
+    # in the field's U overflows, and either route refuses it with
+    # ValueError and no warning first.
+    D = 1e160 * np.random.default_rng(0).standard_normal((4, 2))
+    obj = ComposedObjective(4, 2, (AtomicTerm.linear(D, m=2),), outer_sum(1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="non-finite"):
+            solver(obj, random_stiefel(4, 2, 0))

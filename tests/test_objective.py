@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stiefelscf.alignment import PolarAlignment
-from stiefelscf.kernels import random_stiefel, sym_part
+from stiefelscf.kernels import _scaled_norm, random_stiefel, sym_part
 from stiefelscf.nepv import NepvConfig, nepv_scf
 from stiefelscf.problems import OUTER_PRESETS, ProblemSpec, build
 from stiefelscf import objective
@@ -714,6 +714,37 @@ def closed_form_field(obj, P):
     return H, scale
 
 
+def column_block_objective(n, k, rng):
+    # A column-block objective, so on the generic recipe (k >= 2): a
+    # quadratic term with m = 2 on the first column, a linear one with
+    # m = 2 on the others and a full-column linear term.
+    D = rng.standard_normal((n, k))
+    terms = (AtomicTerm.quadratic(sym_part(rng.standard_normal((n, n))), m=2,
+                                  cols=(0,)),
+             AtomicTerm.linear(D[:, 1:], m=2, cols=tuple(range(1, k))),
+             AtomicTerm.linear(D))
+    return ComposedObjective(n, k, terms, outer_weighted_sum(
+        rng.uniform(0.5, 2.0, 3)))
+
+
+def closed_form_mismatch(obj, P):
+    # M(P) term by term: G'P for the generic recipe, else the sum over the
+    # linear terms of (w m) ((P'D)^m)', w the outer partial times the chain
+    # factor c s base^(s-1); quadratic and diagonal terms add nothing.
+    at = obj.at(P)
+    if obj.field_recipe == "generic":
+        return at.euclidean_grad.T @ P
+    M, w_all, off = np.zeros((obj.k, obj.k)), at.partials, 0
+    for t in obj.terms:
+        w, off = w_all[off], off + t.coords(obj.n)
+        if t.kind == "linear":
+            S = P.T @ t.matrix
+            base = np.trace(np.linalg.matrix_power(S, t.m))
+            c = w * t.c * t.s * base ** (t.s - 1.0)
+            M += c * t.m * np.linalg.matrix_power(S, t.m).T
+    return M
+
+
 FACTORED_FAMILIES = ["mbsub", "quad_lin2", "theta_tr", "olda", "occa",
                      "procrustes", "dft", "trcp", "umds", "sumct"]
 
@@ -751,10 +782,10 @@ class TestFactoredField:
                                  data.draw(st.integers(1, k + 2), label="cols")))
         # M and its asymmetry come without forming H ...
         at = obj.at(P)
-        M, asymmetry = at.mismatch, at.asymmetry
-        factored = at.factored_field
-        assert "field" not in at.__dict__
-        # ... and match those of the formed field.
+        factored = at.field
+        M, asymmetry = factored.mismatch, factored.asymmetry
+        assert "H" not in factored.__dict__
+        # ... and match those of a field whose H is formed.
         field = obj.at(P).field
         H, norm = field.H, np.linalg.norm(field.H)
         assert np.array_equal(M, field.mismatch)
@@ -763,13 +794,15 @@ class TestFactoredField:
             1e-12 * norm * np.linalg.norm(X))
         assert np.array_equal(factored @ X, factored.apply(X))
         assert np.linalg.norm(factored.HP - H @ P) <= 1e-12 * norm * np.sqrt(k)
-        # The Gram identity gives the norm unless a pair is present.
+        # The Gram identity gives the norm unless a pair is present, when
+        # the norm is that of the formed H.
         assert bool(factored.pairs) == has_pairs(obj)
+        s, xi = factored.frobenius_norm(field_gram(obj))
         if factored.pairs:
-            assert factored.frobenius_norm(field_gram(obj)) is None
+            assert (s, xi) == _scaled_norm(factored.H)
         else:
-            assert factored.frobenius_norm(field_gram(obj)) == pytest.approx(
-                norm, rel=1e-12, abs=0.0)
+            assert "H" not in factored.__dict__
+            assert s * xi == pytest.approx(norm, rel=1e-12, abs=0.0)
         # The identity H P - grad = P M holds on the factored H P.
         resid = factored.HP - at.euclidean_grad - P @ M
         assert np.linalg.norm(resid) <= (
@@ -787,15 +820,41 @@ class TestFactoredField:
         else:
             obj, P = factored_case(data, family, seed, n, k, rng)
         H, scale = closed_form_field(obj, P)
-        dense = obj.at(P).factored_field.dense()
+        dense = obj.at(P).field.H
         assert np.linalg.norm(dense - H) <= 1e-12 * scale
         assert np.array_equal(obj.at(P).field.H, dense)
+
+    @settings(max_examples=60, deadline=None)
+    @given(family=st.sampled_from(FACTORED_FAMILIES + ["powers", "blocks"]),
+           seed=st.integers(0, 2**32 - 1), n=st.integers(2, 40),
+           data=st.data())
+    def test_mismatch_is_the_per_term_closed_form(self, family, seed, n, data):
+        # M = U'P, one formula for both recipes, against each recipe's own
+        # closed form, and the identity H P - grad = P M on the formed H.
+        k = data.draw(st.integers(2 if family == "blocks" else 1, n),
+                      label="k")
+        rng = np.random.default_rng(seed)
+        P = random_stiefel(n, k, seed % 1000)
+        if family == "powers":
+            obj = powers_objective(n, k, rng)
+        elif family == "blocks":
+            obj = column_block_objective(n, k, rng)
+        else:
+            obj, P = factored_case(data, family, seed, n, k, rng)
+        at = obj.at(P)
+        M, M_ref = at.field.mismatch, closed_form_mismatch(obj, P)
+        assert np.linalg.norm(M - M_ref) <= 1e-12 * max(1.0, np.linalg.norm(M))
+        H = at.field.H
+        resid = H @ P - at.euclidean_grad - P @ M
+        assert np.linalg.norm(resid) <= (
+            objective.FIELD_IDENTITY_TOL * max(1.0, np.linalg.norm(H)))
 
     @pytest.mark.parametrize("family", ["umds", "dft"])
     def test_pairs_hold_the_other_terms(self, family):
         # umds's m = 2 terms and a diagonal term with R != I (dft after a
         # transform) are (Y, Z) pairs of the factored form: its products
-        # and dense() include them, and the Gram identity gives no norm.
+        # and H include them, and the Gram identity gives no norm: the norm
+        # is that of the formed H.
         n, k = 8, 2
         rng = np.random.default_rng(7)
         A = sym_part(rng.standard_normal((n, n)))
@@ -805,37 +864,43 @@ class TestFactoredField:
             obj = build(ProblemSpec("dft", n, k, {"A": A})).transform(
                 np.linalg.qr(rng.standard_normal((n, n)))[0])
         P = random_stiefel(n, k, 0)
-        factored = obj.at(P).factored_field
+        factored = obj.at(P).field
         assert len(factored.pairs) == (2 if family == "umds" else 1)
         H, scale = closed_form_field(obj, P)
-        assert np.linalg.norm(factored.dense() - H) <= 1e-13 * scale
+        assert np.linalg.norm(factored.H - H) <= 1e-13 * scale
         assert np.linalg.norm(factored.HP - H @ P) <= 1e-13 * scale
-        assert factored.frobenius_norm(field_gram(obj)) is None
+        assert factored.frobenius_norm(field_gram(obj)) == _scaled_norm(
+            factored.H)
 
     def test_cancelling_terms_fall_back_to_the_formed_field(self):
         # olda with A = 2B + 1e-7 E: the field (2/b)(A - (a/b) B) is small
         # against its two terms, so the Gram identity cancels to rounding
-        # and gives no norm; products with H still match.
+        # and gives no norm: the norm is that of the formed H.  Products
+        # with H still match.
         n, k = 30, 3
         rng = np.random.default_rng(5)
         B = make_psd(n, 6, shift=1.0)
         E = sym_part(rng.standard_normal((n, n)))
         obj = build(ProblemSpec("olda", n, k, {"A": 2.0 * B + 1e-7 * E, "B": B}))
         P = random_stiefel(n, k, 0)
-        factored, H = obj.at(P).factored_field, obj.at(P).field.H
-        assert factored.frobenius_norm(field_gram(obj)) is None
+        factored, H = obj.at(P).field, obj.at(P).field.H
+        assert factored.frobenius_norm(field_gram(obj)) == _scaled_norm(H)
+        assert "H" in factored.__dict__
         scale = sum(abs(c) * np.linalg.norm(A) for _, c, A, _ in factored.quad)
         assert np.linalg.norm(H) <= 1e-5 * scale
         assert np.linalg.norm(factored.HP - H @ P) <= 1e-14 * scale
 
     def test_overflowing_gram_gives_none(self):
         # A term matrix whose squared norm overflows: its Gram entry is not
-        # finite, and the Gram identity gives no norm, with no warning.
+        # finite, and the Gram identity gives no norm, with no warning: the
+        # norm is that of the formed H.
         A = np.diag(np.linspace(3.0, 1.0, 6)) * 1e160
         obj = ComposedObjective(6, 2, (AtomicTerm("quadratic", A),),
                                 outer_sum(1))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             gram = field_gram(obj)
-            factored = obj.at(random_stiefel(6, 2, 0)).factored_field
-            assert factored.frobenius_norm(gram) is None
+            factored = obj.at(random_stiefel(6, 2, 0)).field
+            norm = factored.frobenius_norm(gram)
+            assert "H" in factored.__dict__
+            assert norm == _scaled_norm(factored.H)

@@ -62,7 +62,8 @@ def test_a_changed_report_layout_shows_in_every_pair(tmp_path, capsys):
 
 def test_a_perturbed_f_is_the_same_within_rtol(tmp_path, capsys):
     # f written 1e-14 relative off, in the trace and in the report: a byte
-    # difference, within rtol 1e-12.
+    # difference, within rtol 1e-12.  The closing line names the trace
+    # column and the report key that moved, and nothing else.
     copy = _copy(tmp_path)
     cli = copy / "stiefelscf" / "cli.py"
     text = cli.read_text()
@@ -78,14 +79,17 @@ def test_a_perturbed_f_is_the_same_within_rtol(tmp_path, capsys):
     assert capsys.readouterr().out.splitlines()[-1].endswith(" pairs differ")
     assert tool.main([str(SRC), str(copy), "--tiny", "--rtol", "1e-12"]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert lines[-1].startswith("0 of 52 (instance, solver) pairs differ "
+    assert lines[-2].startswith("0 of 52 (instance, solver) pairs differ "
                                 "beyond rtol 1e-12; ")
+    assert lines[-1] == "differing trace columns: f; report keys: f_final"
     described = [line for line in lines if line.startswith("    exit code")]
     assert described
     assert all(line == "    exit code same; stop reason same; iterations same"
                for line in described)
     assert tool.main([str(SRC), str(copy), "--tiny", "--rtol", "1e-16"]) == 1
-    assert not capsys.readouterr().out.splitlines()[-1].startswith("0 of ")
+    lines = capsys.readouterr().out.splitlines()
+    assert not lines[-2].startswith("0 of ")
+    assert lines[-1] == "differing trace columns: f; report keys: f_final"
 
 
 def test_false_convergence_is_counted_on_each_side(tmp_path, capsys):

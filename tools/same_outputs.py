@@ -26,6 +26,8 @@ relative difference in ``f_final`` and in each trace column, a difference
 slacks are.  A pair whose problem file, exit code, texts and non-numeric
 values match, and whose numbers (trace cells and report values alike) all
 lie within RTOL, counts as the same; only the other pairs set exit code 1.
+The output then ends with one line naming every trace column and every
+report key path that differs in any pair.
 
 Each side's falsely converged pairs are printed too: those whose report
 says ``converged`` while its certificate residual (``eps_kkt + eps_sym`` on
@@ -170,19 +172,23 @@ def _number(x):
         return None
 
 
-def _json_rel(a, b, path: str = "") -> tuple[float, str]:
-    # The largest relative difference between two parsed reports, and the
-    # path of the value where it occurs; inf where their structure or a
-    # non-numeric value differs.
+def _json_diffs(a, b, path: str = "") -> dict[str, float]:
+    # The relative difference of each value that differs between two parsed
+    # reports, by key path; inf where their structure or a non-numeric
+    # value differs.
     if isinstance(a, dict) and isinstance(b, dict):
         if a.keys() != b.keys():
-            return float("inf"), path
-        return max((_json_rel(a[key], b[key], f"{path}.{key}".lstrip("."))
-                    for key in a), default=(0.0, path))
+            return {path: float("inf")}
+        out = {}
+        for key in a:
+            out.update(_json_diffs(a[key], b[key], f"{path}.{key}".lstrip(".")))
+        return out
     x, y = _number(a), _number(b)
     if x is None or y is None or isinstance(a, str) or isinstance(b, str):
-        return (0.0 if a == b else float("inf")), path
-    return _rel(x, y), path
+        rel = 0.0 if a == b else float("inf")
+    else:
+        rel = _rel(x, y)
+    return {path: rel} if rel else {}
 
 
 def _trace_rel(a: str | None, b: str | None) -> dict[str, float]:
@@ -208,9 +214,9 @@ def numeric_diff(a: dict, b: dict) -> dict:
     """How two sides' outputs of one pair (see ``_outputs``) differ:
     whether the exit code, stop reason and iteration count match, the
     relative difference in ``f_final``, the largest one per trace column,
-    the largest one over the report's values with its key path, and
-    ``worst``, the largest relative difference over everything (inf
-    where a non-numeric part differs)."""
+    the one of each report value that differs, by key path, and ``worst``,
+    the largest relative difference over everything (inf where a
+    non-numeric part differs)."""
     reports = [None if side["report"] is None else json.loads(side["report"])
                for side in (a, b)]
 
@@ -225,12 +231,13 @@ def numeric_diff(a: dict, b: dict) -> dict:
            "stop reason": (field(reports[0], "diagnostics", "stop_reason")
                            == field(reports[1], "diagnostics", "stop_reason")),
            "iterations": field(reports[0], "iters") == field(reports[1], "iters")}
-    out["f_final"] = _json_rel(*(field(r, "f_final") for r in reports))[0]
+    out["f_final"] = max(_json_diffs(*(field(r, "f_final") for r in reports))
+                         .values(), default=0.0)
     out["columns"] = _trace_rel(a["trace"], b["trace"])
-    out["report"] = _json_rel(*reports)
+    out["report"] = _json_diffs(*reports)
     same_text = a["problem"] == b["problem"] and out["exit code"]
-    out["worst"] = max(0.0 if same_text else float("inf"), out["report"][0],
-                       *out["columns"].values())
+    out["worst"] = max(0.0 if same_text else float("inf"),
+                       *out["report"].values(), *out["columns"].values())
     return out
 
 
@@ -239,10 +246,23 @@ def _describe(diff: dict) -> list[str]:
     match = "; ".join(f"{name} {'same' if diff[name] else 'DIFFERS'}"
                       for name in ("exit code", "stop reason", "iterations"))
     cols = ", ".join(f"{name} {rel:.1e}" for name, rel in diff["columns"].items())
+    path, rel = max(diff["report"].items(), key=lambda item: item[1],
+                    default=("", 0.0))
     return [f"    {match}",
             f"    largest relative difference: f_final {diff['f_final']:.1e}; "
-            f"report {diff['report'][0]:.1e} ({diff['report'][1]}); "
-            f"trace {cols}"]
+            f"report {rel:.1e} ({path}); trace {cols}"]
+
+
+def _aggregate(differing: dict) -> str:
+    # The closing line in --rtol mode: every trace column and report key
+    # path that differs in any pair.
+    diffs = [diff for _, diff in differing.values()]
+    columns = sorted({name for diff in diffs
+                      for name, rel in diff["columns"].items() if rel})
+    keys = sorted({path or "<report>" for diff in diffs
+                   for path in diff["report"]})
+    return (f"differing trace columns: {', '.join(columns) or 'none'}; "
+            f"report keys: {', '.join(keys) or 'none'}")
 
 
 def main(argv=None) -> int:
@@ -295,6 +315,7 @@ def main(argv=None) -> int:
         print("\n".join(_describe(diff)))
     print(f"{beyond} of {total} (instance, solver) pairs differ beyond rtol "
           f"{args.rtol:g}; {len(differing) - beyond} differ within it")
+    print(_aggregate(differing))
     return 1 if beyond else 0
 
 
