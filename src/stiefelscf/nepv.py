@@ -52,6 +52,7 @@ import numpy as np
 from .alignment import _polar_square, align_rotation
 from .kernels import (
     RITZ_MAX_BLOCKS,
+    _scaled_norm,
     _sym,
     _top_k,
     require_stiefel,
@@ -213,6 +214,18 @@ class _EigenStep(_Step):
             fields["d_cross"] = float(np.trace(PhD @ (P.T @ spect.eigenbasis)))
         return P_next, fields
 
+    def bound(self, at):
+        # The reduced field W'HW keeps Z0'W'HW Z0 = P'HP, so its norm is at
+        # least ||P'HP||_F, while the reduced residual's numerator
+        # W'(HP - P(P'HP)) is at most ||HP - P(P'HP)||_F: the bound is
+        # eps_nepv ||H||_F / ||P'HP||_F, with no need of ||H||_F.  The
+        # norms are taken at HP's scale.
+        P, HP = at.P, at.field.HP
+        HP = HP / _scaled_norm(HP)[0]
+        PtHP = P.T @ HP
+        den = np.linalg.norm(PtHP)
+        return float(np.linalg.norm(HP - P @ PtHP) / den) if den > 0 else np.inf
+
     def _top_pairs(self, at, HP, eps, norm):
         # The warm Ritz pairs of the field, applied part by part, when they
         # pass, else the dense top k+1 of the formed H.  The residual bound
@@ -264,8 +277,13 @@ def nepv_locg(obj: ComposedObjective, P0, cfg: NepvConfig | None = None,
     current residual; the inner iterations of all outer steps together are
     at most ``cfg.max_iter``.  Each outer step thus gains at least what the
     plain step gains.  The reduced problem and the landed point are built
-    from one full-size product block per quadratic term, for A W.  It stops
-    by the same rule as ``nepv_scf``.
+    from one full-size product block per quadratic term, for A W.  On the
+    first outer step and after one whose inner solve took no step, it first
+    evaluates f at P_hat; where the bound ||HP - P(P'HP)||_F / ||P'HP||_F
+    at P = P_hat (H the field there) meets the inner tolerance, or the
+    inner budget is spent, the step lands on P_hat as the plain step does,
+    with no basis, A W or inner solve.  It stops by the same rule as
+    ``nepv_scf``.
     """
     cfg = cfg or NepvConfig()
     return _scf(obj, P0, cfg, _SubspaceStep(obj, _EigenStep, nepv_scf,

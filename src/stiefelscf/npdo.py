@@ -6,7 +6,11 @@ ascends f monotonically whenever the objective declares the framework's
 ascent guarantee.  The accelerated variant maximizes over the subspace
 spanned by [P, Riemannian gradient, previous iterate, plain step], solving
 the reduced problem with the plain iteration started at the plain step, so
-each of its steps gains at least what the plain step gains.
+each of its steps gains at least what the plain step gains.  Where an
+exact bound on the reduced residual at the plain step shows that the inner
+solve would take no step, the accelerated step lands on the plain step
+directly (the plain landing, see ``_SubspaceStep``) and costs what a plain
+step costs.
 
 Every solver in the package, the eigenvector route of ``stiefelscf.nepv``
 included, runs one SCF loop (``_scf``) over a step kind: the polar step
@@ -248,14 +252,13 @@ def _alignment_certificates(at: PointEvaluation, certs: dict) -> dict:
     return certs
 
 
-def _landing(at: PointEvaluation, P_next, products=None):
-    # The evaluation at P_next (handed the products it holds, see
-    # PointEvaluation), and the record fields every step kind shares: f
-    # there and the Frobenius sine distance between the two column spaces,
-    # ||(I - PP')P_next||_F, from one n-by-k product.
-    landed = PointEvaluation(at.obj, P_next, products)
-    P = at.P
-    return landed, {"f": landed.value, "step_angle": float(
+def _landing(at: PointEvaluation, landed: PointEvaluation) -> dict:
+    # The record fields every step kind shares, read off the evaluations at
+    # P and at the landed point P_next: f there and the Frobenius sine
+    # distance between the two column spaces, ||(I - PP')P_next||_F, from
+    # one n-by-k product.
+    P, P_next = at.P, landed.P
+    return {"f": landed.value, "step_angle": float(
         np.linalg.norm(P_next - P @ (P.T @ P_next)))}
 
 
@@ -274,7 +277,10 @@ class _Step:
     record fields)`` given f = f(P) and the residual res.  A plain step
     kind defines ``propose(at, ctx)``, which returns ``(P_next, fields)``:
     the aligned iterate and every record field but the landing's; its
-    ``step`` is ``propose`` followed by ``_landing``.  ``monotone`` switches
+    ``step`` is ``propose`` followed by ``_landing``.  It also defines
+    ``bound(at)``: an upper bound, at the evaluation's point P, on its
+    residual of the reduced problem ``obj.transform(W)`` at Z0 = W'P, for
+    every orthonormal basis W whose range holds P.  ``monotone`` switches
     the ascent check on, and ``_scf`` switches it off after a record that
     carries ``sign_violated``.  A step kind only measures and proposes:
     ``_scf`` flags each step and decides when a solve ends.  Steps keep
@@ -283,8 +289,8 @@ class _Step:
 
     def step(self, at, f, res, ctx):
         P_next, fields = self.propose(at, ctx)
-        landed, landing = _landing(at, P_next)
-        return landed, dict(landing, **fields)
+        landed = PointEvaluation(self.obj, P_next)
+        return landed, dict(_landing(at, landed), **fields)
 
 
 class _PolarStep(_Step):
@@ -309,6 +315,15 @@ class _PolarStep(_Step):
         _, P_next = align_rotation(self.obj.alignment, pol.orthogonal_factor, at)
         return P_next, dict(fields, eta=eta)
 
+    def bound(self, at):
+        # The reduced gradient W'G keeps Z0'W'G = P'G: so its asymmetry, and
+        # a norm of at least ||P'G||_F = sqrt(1 - eps_kkt^2) ||G||_F, while
+        # its KKT part W'(G - PP'G) is at most ||G - PP'G||_F.
+        eps_kkt, eps_sym = _kkt_residuals_from_grad(at.P, at.euclidean_grad)
+        if eps_kkt >= 1.0:
+            return math.inf
+        return (eps_kkt + eps_sym) / math.sqrt(1.0 - eps_kkt * eps_kkt)
+
 
 class _SubspaceStep(_Step):
     """Maximize f over range([P, Riemannian gradient, previous iterate,
@@ -327,13 +342,22 @@ class _SubspaceStep(_Step):
     solver of that step kind, from Z0 = polar(W'P_hat), so W Z0 = P_hat, to
     ``INNER_TOL_FRACTION`` of the outer residual within ``INNER_MAX_ITER``
     iterations or the ``budget`` of inner iterations the solve has left,
-    whichever is smaller; once the budget is spent, the inner solve takes
-    no step and the outer step lands on its start, P_hat.  The step lands
-    on W Z evaluated from the products (A W) Z, which costs no full-size
-    product.  The inner solve ascends from P_hat, so each outer step gains
-    at least what the plain step gains.  Residual and ``monotone`` are the
-    plain step's, so the realized gain is checked for ascent until a record
-    carries ``sign_violated``.
+    whichever is smaller.  The step lands on W Z evaluated from the
+    products (A W) Z, which costs no full-size product.  The inner solve
+    ascends from P_hat, so each outer step gains at least what the plain
+    step gains.  Residual and ``monotone`` are the plain step's, so the
+    realized gain is checked for ascent until a record carries
+    ``sign_violated``.
+
+    Plain landing: on the first outer step, and after one whose inner solve
+    took no step, the step first evaluates f at P_hat, one product per
+    quadratic term, and reads the plain step kind's ``bound`` there.  When
+    the bound meets the inner tolerance or the budget is spent, the inner
+    solve would return Z0 untouched over any W, so the step lands on P_hat
+    with that evaluation and builds no basis, A W or reduced problem.
+    Otherwise the evaluation is dropped and the step runs as above, one
+    product block more.  Either way the record is the same.
+
     The plain step kind keeps its per-solve state across outer steps (the
     warm Ritz guard of the eigen step).
     The record keeps the fields the plain residual measured at P (eps_kkt,
@@ -349,40 +373,55 @@ class _SubspaceStep(_Step):
         self.monotone = self.outer.monotone
         self.name = f"{plain.name}-locg"
         self.P_before = None
+        self.try_plain = True
 
     def step(self, at, f, res, ctx):
-        obj, P = self.obj, at.P
         P_hat, proposal = self.outer.propose(at, ctx)
+        tol = max(INNER_TOL_FRACTION * res, 1e-15)
+        landed, inner = None, []
+        if self.try_plain:
+            at_hat = PointEvaluation(self.obj, P_hat)
+            if self.outer.bound(at_hat) <= tol or self.budget == 0:
+                landed = at_hat
+        if landed is None:
+            landed, inner = self._solve_over_subspace(at, P_hat, tol)
+            self.try_plain = not inner
+        self.P_before = at.P
+        fields = _landing(at, landed)
+        flags = {name: proposal.get(name, False)
+                 or any(getattr(rec, name) for rec in inner)
+                 for name in ("gap_degenerate", "sign_violated",
+                              "ascent_violated")}
+        return landed, dict(fields, **ctx[1], **flags, eta=fields["f"] - f,
+                            inner_iters=len(inner))
+
+    def _solve_over_subspace(self, at, P_hat, tol):
+        # The evaluation at W Z and the inner solve's records.
+        obj, P = self.obj, at.P
         R = at.riemannian_grad
+        # Deflation floor: directions below it are rounding.  R joins at
+        # unit norm when larger (its norm by _scaled_norm, which cannot
+        # overflow at extreme data scales), so the floor suits the unit
+        # scale of P_prev's orthonormal columns whatever the data's.
+        s, xi = _scaled_norm(R)
+        if s * xi > 1.0:
+            R = R / s / xi
         V = R if self.P_before is None else np.hstack([R, self.P_before])
-        # Deflation floor: directions below it are rounding at the scale of
-        # the inputs (P_prev has orthonormal columns).  ||R||_F by
-        # _scaled_norm, which cannot overflow at extreme data scales.
-        floor = 1e-12 * max(1.0, math.prod(_scaled_norm(R)))
-        W = np.hstack([P, _orth_against(P, V, floor)])
+        W = np.hstack([P, _orth_against(P, V, 1e-12)])
         # P_hat joins W only with a part outside it, which on the polar
-        # route needs a rank-deficient gradient, so that W Z0 = P_hat.  That
-        # part has P_hat's unit scale, so its floor is 1e-12 whatever R's.
+        # route needs a rank-deficient gradient, so that W Z0 = P_hat.
         r = P_hat - W @ (W.T @ P_hat)
         if np.linalg.norm(r) > 1e-12:
             W = np.hstack([W, _orth_against(W, r, 1e-12)])
         AW = at.basis_products(W)
         Z0 = _polar(W.T @ P_hat).orthogonal_factor
         inner = self.solve(obj.transform(W, AW), Z0, NpdoConfig(
-            tol=max(INNER_TOL_FRACTION * res, 1e-15),
-            max_iter=min(INNER_MAX_ITER, self.budget)))
+            tol=tol, max_iter=min(INNER_MAX_ITER, self.budget)))
         self.budget -= inner.num_iterations
         Z = inner.point
-        landed, fields = _landing(at, W @ Z, [
+        return PointEvaluation(obj, W @ Z, [
             None if X is None else X @ t.select(Z)
-            for t, X in zip(obj.terms, AW)])
-        self.P_before = P
-        flags = {name: proposal.get(name, False)
-                 or any(getattr(rec, name) for rec in inner.iterations)
-                 for name in ("gap_degenerate", "sign_violated",
-                              "ascent_violated")}
-        return landed, dict(fields, **ctx[1], **flags, eta=fields["f"] - f,
-                            inner_iters=inner.num_iterations)
+            for t, X in zip(obj.terms, AW)]), inner.iterations
 
 
 def _scf(obj: ComposedObjective, P0, cfg: NpdoConfig, step: _Step,
@@ -454,8 +493,13 @@ def npdo_locg(obj: ComposedObjective, P0, cfg: NpdoConfig | None = None,
     inner iterations of all outer steps together are at most
     ``cfg.max_iter``.  An outer step forms one full-size product block per
     quadratic term, for A W, and lands without another, so it reads each
-    term matrix once, as a plain step does.  It stops by the same rule as
-    ``npdo_scf``.
+    term matrix once, as a plain step does.  On the first outer step and
+    after one whose inner solve took no step, it first evaluates f at
+    P_hat; where the bound (eps_kkt + eps_sym) / sqrt(1 - eps_kkt^2) at
+    P_hat meets the inner tolerance, or the inner budget is spent, the
+    inner solve would take no step, and the step lands on P_hat as the
+    plain step does, with no basis, A W or inner solve.  A failed try costs
+    one more product block.  It stops by the same rule as ``npdo_scf``.
     """
     cfg = cfg or NpdoConfig()
     return _scf(obj, P0, cfg, _SubspaceStep(obj, _PolarStep, npdo_scf,

@@ -548,6 +548,20 @@ class TestExtremeScales:
         rep = nepv_scf(scaled_sep(scale), P0)
         assert rep.converged and rep.num_iterations == 1
 
+    @pytest.mark.parametrize("scale", [1e154, 1e-150])
+    def test_the_locg_basis_keeps_the_previous_iterate(self, scale):
+        # The Riemannian gradient joins the basis at unit norm when larger,
+        # so the unit-scale previous-iterate block stays above the deflation
+        # floor at any data scale: npdo_locg takes the outer and inner steps
+        # it takes at scale 1 (12 outer; at 1e154 the block once deflated
+        # away and the solve took 20).
+        P0 = random_stiefel(6, 2, 0)
+        ref = npdo_locg(scaled_sep(1.0), P0)
+        rep = npdo_locg(scaled_sep(scale), P0)
+        assert ref.converged and rep.converged
+        assert [r.inner_iters for r in rep.iterations] == [
+            r.inner_iters for r in ref.iterations]
+
     @pytest.mark.parametrize("scale", [1.0, 1e154, 1e-170])
     @pytest.mark.parametrize("route", ["npdo", "nepv"])
     def test_a_locg_first_step_gains_at_least_the_plain_step(self, route,

@@ -43,6 +43,16 @@ def test_a_changed_inner_tolerance_shows_in_the_locg_pairs(tmp_path, capsys):
     assert differing
     assert all(key.endswith("-locg") for key in differing)
     assert lines[-1] == f"{len(differing)} of 52 (instance, solver) pairs differ"
+    # With --rtol each differing pair says whether its inner iteration
+    # count, which the tolerance moves, still matches.
+    assert _tool().main([str(SRC), str(copy), "--tiny", "--rtol", "1e-10"]) == 1
+    described = [line.split("; ")[-1] for line in
+                 capsys.readouterr().out.splitlines()
+                 if line.startswith("    exit code")]
+    assert len(described) == len(differing)
+    assert "inner iterations DIFFERS" in described
+    assert set(described) <= {"inner iterations same",
+                              "inner iterations DIFFERS"}
 
 
 def test_a_changed_report_layout_shows_in_every_pair(tmp_path, capsys):
@@ -84,8 +94,8 @@ def test_a_perturbed_f_is_the_same_within_rtol(tmp_path, capsys):
     assert lines[-1] == "differing trace columns: f; report keys: f_final"
     described = [line for line in lines if line.startswith("    exit code")]
     assert described
-    assert all(line == "    exit code same; stop reason same; iterations same"
-               for line in described)
+    assert all(line == "    exit code same; stop reason same; iterations "
+               "same; inner iterations same" for line in described)
     assert tool.main([str(SRC), str(copy), "--tiny", "--rtol", "1e-16"]) == 1
     lines = capsys.readouterr().out.splitlines()
     assert not lines[-2].startswith("0 of ")

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stiefelscf import kernels, npdo, objective
+from stiefelscf import kernels, nepv, npdo, objective
 from stiefelscf.kernels import orthonormalize_against, random_stiefel
 from stiefelscf.nepv import (
     NepvConfig,
@@ -359,27 +359,46 @@ def _counted(obj):
 def test_one_product_block_per_quadratic_term_per_outer_step(family, route,
                                                               monkeypatch):
     # Every full-size product with a term matrix of a *_locg solve: one
-    # block per quadratic term per outer step (for A W), plus at most two at
-    # the start, and none in the landing, which evaluates the new point from
-    # (A W) Z.  A solve on a route the family does not declare (theta_tr on
-    # the polar route) converges nowhere near, so it runs a short budget out.
+    # block per quadratic term per outer step (for A W, or for A P_hat where
+    # the step lands on the plain step), a second only in a step whose try
+    # of the plain landing fails, plus at most two at the start, and none in
+    # the landing, which evaluates the new point from (A W) Z or takes the
+    # evaluation at P_hat.  A solve on a route the family does not declare
+    # (theta_tr on the polar route) converges nowhere near, so it runs a
+    # short budget out.
     obj = _counted(build(family_spec(family, n=30, k=3)))
     declared = getattr(obj, f"{route}_monotone")
     quad = sum(t.kind == "quadratic" for t in obj.terms)
     log = []
     monkeypatch.setattr(_Counted, "log", log)
-    in_landing = []
+    in_landing, per_step, solved = [], [], []
     real = npdo._landing
+    real_step = npdo._SubspaceStep.step
+    real_solve = npdo._SubspaceStep._solve_over_subspace
 
-    def landing(at, *args):
+    def landing(at, landed):
         before = len(log)
-        out = real(at, *args)
-        out[0].value  # what the step reads of the landed point
+        out = real(at, landed)
+        landed.value  # what the step reads of the landed point
         if at.obj is obj:  # an outer step, not one of an inner solve
             in_landing.append(len(log) - before)
         return out
 
+    def solve_over_subspace(self, *args):
+        solved.append(True)
+        return real_solve(self, *args)
+
+    def step(self, *args):
+        before, tried, solves = len(log), self.try_plain, len(solved)
+        out = real_step(self, *args)
+        failed = tried and len(solved) > solves
+        per_step.append((len(log) - before, quad * (1 + failed)))
+        return out
+
     monkeypatch.setattr(npdo, "_landing", landing)
+    monkeypatch.setattr(npdo._SubspaceStep, "_solve_over_subspace",
+                        solve_over_subspace)
+    monkeypatch.setattr(npdo._SubspaceStep, "step", step)
     _, cfg_cls = ROUTES[route]
     cfg = cfg_cls() if declared else cfg_cls(max_iter=10)
     report = ACCELERATED[route](obj, random_stiefel(obj.n, obj.k, 5), cfg)
@@ -389,7 +408,31 @@ def test_one_product_block_per_quadratic_term_per_outer_step(family, route,
     else:
         assert report.stop_reason == "max_iter" and iters == 10
     assert in_landing == [0] * iters
-    assert quad * iters <= len(log) <= quad * (iters + 2)
+    assert len(per_step) == iters
+    assert all(formed == expected for formed, expected in per_step)
+    in_steps = sum(formed for formed, _ in per_step)
+    assert in_steps <= len(log) <= in_steps + 2 * quad
+
+
+def test_a_locg_solve_whose_inner_solves_never_step_forms_the_plain_products(
+        monkeypatch):
+    # mbsub at n = 30 with a dominant D: no inner solve of npdo_locg takes a
+    # step, so each outer step lands on the plain step's iterate and forms
+    # what a plain step forms, and npdo_scf and npdo_locg form the same
+    # term-matrix products.
+    spec = family_spec("mbsub", n=30, k=3)
+    spec.matrices["D"] = 10.0 * spec.matrices["D"]
+    obj = _counted(build(spec))
+    P0 = random_stiefel(obj.n, obj.k, 5)
+    logs = []
+    for solve in (npdo_scf, npdo_locg):
+        log = []
+        monkeypatch.setattr(_Counted, "log", log)
+        report = solve(obj, P0, NpdoConfig())
+        assert report.converged and report.num_iterations > 1
+        logs.append(log)
+    assert all(rec.inner_iters == 0 for rec in report.iterations)
+    assert logs[0] and logs[1] == logs[0]
 
 
 @pytest.mark.parametrize("solve", [npdo_scf, npdo_locg, nepv_scf, nepv_locg])
@@ -590,6 +633,64 @@ def test_locg_steps_gain_at_least_the_plain_step(family, seed, n, k, theta):
                 f"plain gain {plain.f - f!r}")
 
 
+STEP_KINDS = {"npdo": npdo._PolarStep, "nepv": nepv._EigenStep}
+
+
+@pytest.mark.parametrize("family", CATALOG + INDEFINITE_TRCP)
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(3, 16),
+       k=st.integers(1, 3), extra=st.integers(0, 6),
+       theta=st.sampled_from([0.0, 0.3, 0.5, 1.0]))
+def test_the_plain_landing_bound_holds_over_any_basis(family, seed, n, k,
+                                                      extra, theta):
+    # Each step kind's bound at P_hat, the plain step's iterate, is at least
+    # its residual of the reduced problem over W = [P_hat, orth(random)] Q,
+    # Q orthogonal, at Z0 = W'P_hat, so W Z0 = P_hat: the residual the inner
+    # solve of a subspace step tests first.
+    k = min(k, n)
+    rng = np.random.default_rng(seed)
+    obj = build(random_catalog_spec(family, n, k, rng, theta))
+    for route, kind in STEP_KINDS.items():
+        P_hat, _ = one_step(ROUTES[route][0], obj, random_stiefel(n, k, seed))
+        W = np.hstack([P_hat, orthonormalize_against(
+            P_hat, rng.standard_normal((n, min(extra, n - k))))])
+        W = W @ random_stiefel(W.shape[1], W.shape[1], seed + 1)
+        reduced = obj.transform(W)
+        res, _ = kind(reduced).residual(reduced.at(W.T @ P_hat))
+        bound = kind(obj).bound(obj.at(P_hat))
+        assert res <= bound * (1 + 1e-12) + 1e-14, (
+            f"{family}/{route}: residual {res!r} > bound {bound!r}")
+
+
+@pytest.mark.parametrize("family", CATALOG + INDEFINITE_TRCP)
+@settings(max_examples=5, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(3, 20),
+       k=st.integers(1, 3), theta=st.sampled_from([0.0, 0.3, 0.5, 1.0]))
+def test_the_plain_landing_is_exact(family, seed, n, k, theta):
+    # A subspace step that lands on P_hat ends where its inner solve would
+    # have ended: with the bound forced to inf, so that every step runs the
+    # inner solve, a *_locg solve of a declared route stops for the same
+    # reason after as many outer steps, with the same inner iteration count
+    # in every record and f_final within 1e-12 relative.
+    k = min(k, n)
+    rng = np.random.default_rng(seed)
+    obj = build(random_catalog_spec(family, n, k, rng, theta))
+    P0 = random_stiefel(n, k, seed)
+    for route, kind in STEP_KINDS.items():
+        if not getattr(obj, f"{route}_monotone"):
+            continue
+        cfg = ROUTES[route][1](max_iter=300)
+        landed = ACCELERATED[route](obj, P0, cfg)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(kind, "bound", lambda self, at: np.inf)
+            solved = ACCELERATED[route](obj, P0, cfg)
+        assert landed.stop_reason == solved.stop_reason, f"{family}/{route}"
+        assert [rec.inner_iters for rec in landed.iterations] == [
+            rec.inner_iters for rec in solved.iterations], f"{family}/{route}"
+        assert abs(landed.f_final - solved.f_final) <= 1e-12 * max(
+            1.0, abs(solved.f_final)), f"{family}/{route}"
+
+
 @pytest.mark.parametrize("family", CATALOG + INDEFINITE_TRCP)
 @settings(max_examples=10, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(3, 16),
@@ -645,10 +746,13 @@ def test_quadratic_term_matrices_are_exactly_symmetric(family, seed, n, k,
 
 @pytest.mark.parametrize("family", ["sep", "mbsub"])
 def test_carried_products_stay_close_over_a_long_solve(family, monkeypatch):
-    # No outer step recomputes A P: each lands with (A W) Z from the A P it
-    # carried in.  After 250 outer steps the carried products still match a
-    # fresh A P within 1e-12 relative.  A slow spectrum (relative gap 1e-3)
-    # and an unreachable tolerance keep the solve going.
+    # No outer step recomputes A P: with the plain landing's bound forced to
+    # inf, each step runs its inner solve and lands with (A W) Z from the
+    # A P it carried in.  After 250 outer steps the carried products still
+    # match a fresh A P within 1e-12 relative.  A slow spectrum (relative
+    # gap 1e-3) and an unreachable tolerance keep the solve going; over 200
+    # of its inner solves take no step, so without the forced bound most
+    # steps would land on P_hat with fresh products.
     n, k = 50, 2
     vals = np.concatenate([[1.5, 1.0], np.linspace(0.999, 0.01, n - 2)])
     rng = np.random.default_rng(10)
@@ -660,13 +764,13 @@ def test_carried_products_stay_close_over_a_long_solve(family, monkeypatch):
     landed = []
     real = npdo._landing
 
-    def landing(at, *args):
-        out = real(at, *args)
+    def landing(at, evaluation):
         if at.obj is obj:  # an outer step, not one of an inner solve
-            landed.append(out[0])
-        return out
+            landed.append(evaluation)
+        return real(at, evaluation)
 
     monkeypatch.setattr(npdo, "_landing", landing)
+    monkeypatch.setattr(npdo._PolarStep, "bound", lambda self, at: np.inf)
     report = npdo_locg(obj, random_stiefel(n, k, 6),
                        NpdoConfig(tol=1e-300, max_iter=250))
     assert report.stop_reason == "max_iter" and len(landed) == 250

@@ -20,10 +20,11 @@ pair that differs is printed with what differs, and the exit code is 1 if
 any pair differs, else 0.
 
 With ``--rtol`` each pair that differs is also printed with whether its
-exit code, stop reason and iteration count match, and with the largest
-relative difference in ``f_final`` and in each trace column, a difference
-|a - b| taken relative to max(1, |a|), as the package's own rounding
-slacks are.  A pair whose problem file, exit code, texts and non-numeric
+exit code, stop reason, iteration count and inner iteration count (the
+report's ``diagnostics.inner_iters``, 0 for the plain solvers) match, and
+with the largest relative difference in ``f_final`` and in each trace
+column, a difference |a - b| taken relative to max(1, |a|), as the
+package's own rounding slacks are.  A pair whose problem file, exit code, texts and non-numeric
 values match, and whose numbers (trace cells and report values alike) all
 lie within RTOL, counts as the same; only the other pairs set exit code 1.
 The output then ends with one line naming every trace column and every
@@ -212,8 +213,8 @@ def _trace_rel(a: str | None, b: str | None) -> dict[str, float]:
 
 def numeric_diff(a: dict, b: dict) -> dict:
     """How two sides' outputs of one pair (see ``_outputs``) differ:
-    whether the exit code, stop reason and iteration count match, the
-    relative difference in ``f_final``, the largest one per trace column,
+    whether the exit code, stop reason, iteration count and inner
+    iteration count match, the relative difference in ``f_final``, the largest one per trace column,
     the one of each report value that differs, by key path, and ``worst``,
     the largest relative difference over everything (inf where a
     non-numeric part differs)."""
@@ -230,7 +231,10 @@ def numeric_diff(a: dict, b: dict) -> dict:
     out = {"exit code": a["exit code"] == b["exit code"],
            "stop reason": (field(reports[0], "diagnostics", "stop_reason")
                            == field(reports[1], "diagnostics", "stop_reason")),
-           "iterations": field(reports[0], "iters") == field(reports[1], "iters")}
+           "iterations": field(reports[0], "iters") == field(reports[1], "iters"),
+           "inner iterations": (
+               field(reports[0], "diagnostics", "inner_iters")
+               == field(reports[1], "diagnostics", "inner_iters"))}
     out["f_final"] = max(_json_diffs(*(field(r, "f_final") for r in reports))
                          .values(), default=0.0)
     out["columns"] = _trace_rel(a["trace"], b["trace"])
@@ -244,7 +248,8 @@ def numeric_diff(a: dict, b: dict) -> dict:
 def _describe(diff: dict) -> list[str]:
     # The two lines printed under a differing pair in --rtol mode.
     match = "; ".join(f"{name} {'same' if diff[name] else 'DIFFERS'}"
-                      for name in ("exit code", "stop reason", "iterations"))
+                      for name in ("exit code", "stop reason", "iterations",
+                                   "inner iterations"))
     cols = ", ".join(f"{name} {rel:.1e}" for name, rel in diff["columns"].items())
     path, rel = max(diff["report"].items(), key=lambda item: item[1],
                     default=("", 0.0))
