@@ -32,7 +32,7 @@ def _polar_square(M: np.ndarray) -> np.ndarray:
     # Orthogonal polar factor of a square matrix; identity for (near-)zero M.
     if np.linalg.norm(M) < 1e-300:
         return np.eye(M.shape[0])
-    return _polar(M).orthogonal_factor
+    return _polar(M)[0]
 
 
 def _is_psd_matrix(S: np.ndarray, scale: float, tol: float = 1e-10) -> bool:
@@ -116,10 +116,10 @@ class PolarAlignment:
         return drivers
 
     def rotate(self, P_hat, at):
-        Q = np.eye(P_hat.shape[1])
         drivers = self._drivers(at)
         if not drivers:
-            return Q, P_hat
+            return None, P_hat
+        Q = np.eye(P_hat.shape[1])
         for cols, w, D in drivers:
             if cols is None:
                 Q = _polar_square(w * (P_hat.T @ D))
@@ -150,7 +150,9 @@ class PolarAlignment:
 
 
 def align_rotation(rule, P_hat, at_prev):
-    """Apply an alignment rule: returns (Q, P_next = P_hat @ Q).
+    """Apply an alignment rule: returns (Q, P_next = P_hat @ Q), with
+    Q = None and P_next = P_hat itself when the rule rotates nothing
+    (``blocks=()``).
 
     ``at_prev`` is the objective's evaluation at the previous iterate,
     ``obj.at(P_prev)``; it may be None for a rule with a fixed driver or no

@@ -53,11 +53,11 @@ from .alignment import _polar_square, align_rotation
 from .kernels import (
     RITZ_MAX_BLOCKS,
     _scaled_norm,
+    _svd,
     _sym,
     _top_k,
     require_stiefel,
     ritz_top_k,
-    trace_norm,
 )
 from .npdo import (
     INNER_TOL_FRACTION,
@@ -210,7 +210,7 @@ class _EigenStep(_Step):
                       sign_violated=sign_violated)
         if self.ratio is not None:
             PhD = spect.eigenbasis.T @ self.ratio.D
-            fields["d_trace_norm"] = trace_norm(PhD)
+            fields["d_trace_norm"] = float(_svd(PhD, compute_uv=False).sum())
             fields["d_cross"] = float(np.trace(PhD @ (P.T @ spect.eigenbasis)))
         return P_next, fields
 

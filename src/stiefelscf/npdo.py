@@ -185,25 +185,27 @@ def kkt_residuals(obj: ComposedObjective, P):
     gradient with an entry that is not finite raises ``ValueError``.
     """
     P = require_stiefel(P)
-    return _kkt_residuals_from_grad(P, obj.euclidean_grad(P))
+    return _kkt_residuals_from_grad(P, obj.euclidean_grad(P))[:2]
 
 
 def _kkt_residuals_from_grad(P, G):
-    # Both residuals are ratios of norms, so G may be scaled (by
+    # (eps_kkt, eps_sym, tr(P'G)), from one k-by-k product P'G.  Both
+    # residuals are ratios of norms, so G may be scaled (by
     # ``kernels._scaled_norm``, at data scales whose plain norms overflow or
-    # underflow).  A gradient with an inf or NaN entry has no finite norm
-    # and is refused, as ``objective.FactoredField`` refuses such a field.
+    # underflow), and the trace is scaled back.  A gradient with an inf or
+    # NaN entry has no finite norm and is refused, as
+    # ``objective.FactoredField`` refuses such a field.
     s, xi = _scaled_norm(G)
     if not np.isfinite(xi):
         raise ValueError("gradient has non-finite entries")
     if s * xi < ZERO_GRAD_FLOOR:
-        return 0.0, 0.0
+        return 0.0, 0.0, 0.0
     if s != 1.0:
         G = G / s
     PtG = P.T @ G
     eps_kkt = float(np.linalg.norm(G - P @ PtG) / xi)
     eps_sym = float(np.linalg.norm(PtG - PtG.T) / xi)
-    return eps_kkt, eps_sym
+    return eps_kkt, eps_sym, s * float(np.trace(PtG))
 
 
 def npdo_certificates(obj: ComposedObjective, P) -> dict:
@@ -218,7 +220,7 @@ def npdo_certificates(obj: ComposedObjective, P) -> dict:
     P, G = at.P, at.euclidean_grad
     Lam = P.T @ G
     sym_lam = _sym(Lam)
-    eps_kkt, eps_sym = _kkt_residuals_from_grad(P, G)
+    eps_kkt, eps_sym, _ = _kkt_residuals_from_grad(P, G)
     return _alignment_certificates(at, {
         "lambda_min_of_multiplier": float(np.linalg.eigvalsh(sym_lam)[0]),
         "multiplier_norm": float(np.linalg.norm(sym_lam, 2)),
@@ -262,10 +264,6 @@ def _landing(at: PointEvaluation, landed: PointEvaluation) -> dict:
         np.linalg.norm(P_next - P @ (P.T @ P_next)))}
 
 
-def _sigma_min(pol) -> float:
-    return float(np.linalg.eigvalsh(pol.psd_factor)[0])
-
-
 class _Step:
     """One kind of SCF step, as the driver ``_scf`` sees it.
 
@@ -294,7 +292,14 @@ class _Step:
 
 
 class _PolarStep(_Step):
-    """Polar factor of the Euclidean gradient, then alignment."""
+    """Polar factor of the Euclidean gradient G, then alignment.
+
+    The residual forms the k-by-k P'G once, for eps_kkt, eps_sym and
+    tr(P'G), and takes one thin SVD of G for its polar factor, its trace
+    norm ||G||_* = sum(s) and ``sigma_min`` = s[-1]; the step's trace gain
+    eta is ||G||_* - tr(P'G).  With the product of the landed evaluation,
+    one per quadratic term, that is all the arithmetic of a plain step.
+    """
 
     name = "npdo"
 
@@ -304,22 +309,21 @@ class _PolarStep(_Step):
 
     def residual(self, at):
         G = at.euclidean_grad
-        eps_kkt, eps_sym = _kkt_residuals_from_grad(at.P, G)
-        pol = _polar(G)
-        return eps_kkt + eps_sym, (pol, dict(
-            eps_kkt=eps_kkt, eps_sym=eps_sym, sigma_min=_sigma_min(pol)))
+        eps_kkt, eps_sym, trace = _kkt_residuals_from_grad(at.P, G)
+        Q, s = _polar(G)
+        return eps_kkt + eps_sym, ((Q, float(s.sum()) - trace), dict(
+            eps_kkt=eps_kkt, eps_sym=eps_sym, sigma_min=float(s[-1])))
 
     def propose(self, at, ctx):
-        pol, fields = ctx
-        eta = pol.trace_norm - float(np.trace(at.P.T @ at.euclidean_grad))
-        _, P_next = align_rotation(self.obj.alignment, pol.orthogonal_factor, at)
+        (Q, eta), fields = ctx
+        _, P_next = align_rotation(self.obj.alignment, Q, at)
         return P_next, dict(fields, eta=eta)
 
     def bound(self, at):
         # The reduced gradient W'G keeps Z0'W'G = P'G: so its asymmetry, and
         # a norm of at least ||P'G||_F = sqrt(1 - eps_kkt^2) ||G||_F, while
         # its KKT part W'(G - PP'G) is at most ||G - PP'G||_F.
-        eps_kkt, eps_sym = _kkt_residuals_from_grad(at.P, at.euclidean_grad)
+        eps_kkt, eps_sym, _ = _kkt_residuals_from_grad(at.P, at.euclidean_grad)
         if eps_kkt >= 1.0:
             return math.inf
         return (eps_kkt + eps_sym) / math.sqrt(1.0 - eps_kkt * eps_kkt)
@@ -414,7 +418,7 @@ class _SubspaceStep(_Step):
         if np.linalg.norm(r) > 1e-12:
             W = np.hstack([W, _orth_against(W, r, 1e-12)])
         AW = at.basis_products(W)
-        Z0 = _polar(W.T @ P_hat).orthogonal_factor
+        Z0 = _polar(W.T @ P_hat)[0]
         inner = self.solve(obj.transform(W, AW), Z0, NpdoConfig(
             tol=tol, max_iter=min(INNER_MAX_ITER, self.budget)))
         self.budget -= inner.num_iterations
@@ -472,7 +476,9 @@ def npdo_scf(obj: ComposedObjective, P0, cfg: NpdoConfig | None = None,
     (``stop_reason="ascent_violated"``, the point it landed on returned).
     Infeasible starts are projected by one alignment application.
     ``callback``, if given, is called as callback(i, P_next) after every
-    step.
+    step.  A step costs one full-size product per quadratic term (the
+    evaluation at P_next), one thin SVD of the gradient G and one k-by-k
+    P'G; the alignment adds a k-by-k polar factor when the rule has one.
     """
     cfg = cfg or NpdoConfig()
     return _scf(obj, P0, cfg, _PolarStep(obj), callback)

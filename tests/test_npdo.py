@@ -60,9 +60,9 @@ class TestKktResiduals:
 class TestAlignRotation:
     def test_identity(self):
         P_hat = random_stiefel(5, 2, 0)
+        # A rule without drivers rotates nothing and builds no Q.
         Q, P = align_rotation(PolarAlignment(blocks=()), P_hat, None)
-        assert np.allclose(Q, np.eye(2))
-        assert P is P_hat or np.allclose(P, P_hat)
+        assert Q is None and P is P_hat
 
     def test_sign_flip_k1(self):
         D = np.array([[1.0], [0.0]])
@@ -217,6 +217,29 @@ class TestNpdoScf:
             "D": np.random.default_rng(9).standard_normal((10, 2))}))
         rep = npdo_scf(obj, random_stiefel(10, 2, 5))
         assert all(r.eta >= -1e-12 * max(1.0, abs(r.f)) for r in rep.iterations)
+
+    @pytest.mark.parametrize("solve", [npdo_scf, npdo_locg])
+    def test_sigma_min_of_a_rank_deficient_gradient(self, solve):
+        # sep with a PSD A of rank r < k: every gradient 2 A P has rank r,
+        # and each record's sigma_min is its smallest singular value, which
+        # is nonnegative, never a rounding below 0.
+        n, k = 20, 4
+        for seed in range(6):
+            rng = np.random.default_rng(seed)
+            r = 1 + seed % 3
+            V = np.linalg.qr(rng.standard_normal((n, r)))[0]
+            A = sym_part((V * rng.uniform(1.0, 2.0, r)) @ V.T)
+            obj = build(ProblemSpec("sep", n, k, {"A": A}))
+            P0 = random_stiefel(n, k, seed)
+            landed = []
+            rep = solve(obj, P0, NpdoConfig(max_iter=30),
+                        lambda i, P: landed.append(P))
+            assert rep.num_iterations >= 1
+            for rec, P in zip(rep.iterations, [P0] + landed):
+                G = obj.euclidean_grad(P)
+                assert rec.sigma_min >= 0.0
+                assert abs(rec.sigma_min - np.linalg.svd(
+                    G, compute_uv=False)[-1]) <= 1e-14 * np.linalg.norm(G)
 
     def test_infeasible_start_projected(self):
         # A start with P'D not PSD gets one alignment application.

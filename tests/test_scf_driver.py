@@ -6,6 +6,7 @@ lifting rest on."""
 
 import ast
 import dataclasses
+import functools
 import json
 import os
 import subprocess
@@ -285,6 +286,7 @@ def test_no_full_decomposition_of_the_field(solve, monkeypatch):
     # The eigenvector step needs only the top k+1 eigenpairs of the n x n
     # field, and a solve computes no exit certificates: no full eigh,
     # eigvalsh, SVD or spectral norm of an n x n matrix during a solve.
+    # SVDs are counted both in numpy and at the package's LAPACK binding.
     n = 60
     obj = build(family_spec("mbsub", n=n, k=3))
     full = []
@@ -300,6 +302,7 @@ def test_no_full_decomposition_of_the_field(solve, monkeypatch):
     for name in ("eigh", "eigvalsh", "svd", "norm"):
         monkeypatch.setattr(np.linalg, name, counting(
             name, getattr(np.linalg, name), spectral_only=name == "norm"))
+    monkeypatch.setattr(kernels, "_gesdd", counting("gesdd", kernels._gesdd))
     report = solve(obj, random_stiefel(n, 3, 5), NepvConfig())
     assert report.converged and report.num_iterations >= 1
     assert full == []
@@ -329,6 +332,66 @@ def test_one_product_per_quadratic_term_per_iteration(family, route,
     iters = report.num_iterations
     assert report.converged and iters >= 1
     assert quad * iters <= len(products) <= quad * (iters + 2)
+
+
+@pytest.mark.parametrize("family", ["sep", "mbsub"])
+def test_one_gradient_svd_per_residual(family, monkeypatch):
+    # A plain polar step decomposes nothing but its gradient: one thin SVD
+    # of it per residual, at the package's LAPACK binding, so
+    # num_iterations + 1 in a converged solve, and no eigh or eigvalsh
+    # after the start's feasibility test.  The subspace step's inner steps
+    # take one SVD of the reduced gradient each.
+    obj = build(family_spec(family, n=30, k=3))
+    grads, events, inner = [], [], []
+    grad = objective.PointEvaluation.euclidean_grad.func
+    recorded = functools.cached_property(
+        lambda at: grads.append(grad(at)) or grads[-1])
+    recorded.__set_name__(objective.PointEvaluation, "euclidean_grad")
+    monkeypatch.setattr(objective.PointEvaluation, "euclidean_grad", recorded)
+
+    def gesdd(a, *args, **kwargs):
+        if any(a is G for G in grads):
+            events.append(("svd", len(a)))
+        return real_gesdd(a, *args, **kwargs)
+
+    def start(*args):
+        evaluation = real_start(*args)
+        events.append(("started", 0))
+        return evaluation
+
+    def inner_solve(*args):
+        report = real_scf(*args)
+        inner.append(report)
+        return report
+
+    real_gesdd, real_start, real_scf = (
+        kernels._gesdd, npdo._feasible_start, npdo.npdo_scf)
+    monkeypatch.setattr(kernels, "_gesdd", gesdd)
+    monkeypatch.setattr(npdo, "_feasible_start", start)
+    for name in ("eigh", "eigvalsh"):
+        real = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name, lambda *a, _real=real, **kw: (
+            events.append(("eig", 0)) or _real(*a, **kw)))
+
+    def residuals(report):
+        return report.num_iterations + (report.stop_reason == "converged")
+
+    P0 = random_stiefel(obj.n, obj.k, 5)
+    report = npdo_scf(obj, P0)
+    assert report.converged and report.num_iterations >= 1
+    assert events.count(("svd", obj.n)) == len(
+        [e for e in events if e[0] == "svd"]) == residuals(report)
+    assert ("eig", 0) not in events[events.index(("started", 0)):]
+
+    events.clear()
+    monkeypatch.setattr(npdo, "npdo_scf", inner_solve)
+    report = npdo_locg(obj, P0)
+    assert report.converged
+    reduced = [rows for kind, rows in events if kind == "svd" and rows < obj.n]
+    assert events.count(("svd", obj.n)) == residuals(report)
+    assert len(reduced) == sum(residuals(r) for r in inner)
+    assert sum(r.num_iterations for r in inner) == sum(
+        rec.inner_iters for rec in report.iterations)
 
 
 class _Counted(np.ndarray):
