@@ -116,16 +116,23 @@ class PolarAlignment:
         return drivers
 
     def rotate(self, P_hat, at):
+        Q = self._rotation(P_hat, at)
+        if Q is None:
+            return np.eye(P_hat.shape[1]), P_hat
+        return Q, P_hat @ Q
+
+    def _rotation(self, P_hat, at):
+        # The rotation Q of ``rotate``, or None for a rule with no drivers.
         drivers = self._drivers(at)
         if not drivers:
-            return None, P_hat
+            return None
         Q = np.eye(P_hat.shape[1])
         for cols, w, D in drivers:
             if cols is None:
                 Q = _polar_square(w * (P_hat.T @ D))
             else:
                 Q[np.ix_(cols, cols)] = _polar_square(w * (P_hat[:, cols].T @ D))
-        return Q, P_hat @ Q
+        return Q
 
     def _weighted(self, at):
         # (P[:, C_j], w_j D_j) per block at the evaluation's point P.
@@ -151,7 +158,7 @@ class PolarAlignment:
 
 def align_rotation(rule, P_hat, at_prev):
     """Apply an alignment rule: returns (Q, P_next = P_hat @ Q), with
-    Q = None and P_next = P_hat itself when the rule rotates nothing
+    Q the identity and P_next = P_hat itself when the rule rotates nothing
     (``blocks=()``).
 
     ``at_prev`` is the objective's evaluation at the previous iterate,
@@ -159,3 +166,10 @@ def align_rotation(rule, P_hat, at_prev):
     blocks.
     """
     return rule.rotate(P_hat, at_prev)
+
+
+def _aligned(rule, P_hat, at_prev):
+    # P_next of ``align_rotation`` alone, for the solvers, which discard Q:
+    # a rule with no drivers returns P_hat itself and builds no identity.
+    Q = rule._rotation(P_hat, at_prev)
+    return P_hat if Q is None else P_hat @ Q

@@ -11,13 +11,16 @@ fast as one full product does (0.42-0.54 of the time of A @ X at k = 2, 4
 and 8 in one run of ``tools/product_timing.py``).  Every function is a pure
 function of its inputs, so results are safe to share between threads.
 
-The solvers' own decompositions call LAPACK through bindings resolved once
-by ``scipy.linalg.get_lapack_funcs``: ``dsyevr`` for the top eigenpairs and
-``dgesdd`` for the thin SVD behind every polar factor (``_svd``), which
-returns the same bits as ``np.linalg.svd`` (the same LAPACK driver)
-without numpy's wrapper: 5-6 us less per call at 12-by-4 and 40-by-3, and
-2-5 us at 1000-by-4, on one thread.  A plain polar step takes one such SVD
-of its gradient.
+The decompositions call LAPACK through bindings resolved once by
+``scipy.linalg.get_lapack_funcs``: ``dsyevr`` for the top eigenpairs and
+``dgesdd`` (``_svd``) for the thin SVD behind every polar factor and trace
+norm, public or internal.  ``_svd`` skips numpy's wrapper: 5-6 us less per
+call than ``np.linalg.svd`` at 12-by-4 and 40-by-3, and 2-5 us at
+1000-by-4, on one thread.  numpy and scipy ship separate OpenBLAS builds,
+so the two need not agree bit for bit; with the numpy 2.4 and scipy 1.17
+wheels they did, on 1500 random shapes (n up to 1000, k up to 16, C and
+Fortran order, some rank-deficient).  A plain polar step takes one such
+SVD of its gradient.
 
 Sign conventions
 ----------------
@@ -202,7 +205,7 @@ def polar_factor(B) -> PolarDecomposition:
     n, k = B.shape
     if k > n:
         raise ValueError(f"polar_factor needs a tall matrix, got shape {B.shape}")
-    U, s, Vt = np.linalg.svd(B, full_matrices=False)
+    U, s, Vt = _svd(B)
     Lam = _sym(Vt.T @ (s[:, None] * Vt))
     return PolarDecomposition(U @ Vt, Lam, float(s.sum()))
 
@@ -211,11 +214,15 @@ _gesdd, = scipy.linalg.get_lapack_funcs(("gesdd",), dtype=np.float64)
 
 
 def _svd(B: np.ndarray, compute_uv: bool = True):
-    # Thin SVD (U, s, Vt) of a nonempty B by LAPACK's dgesdd, unchecked, or
-    # the singular values alone with compute_uv=False; either matches
-    # np.linalg.svd bit for bit, being the same driver called the same
-    # way.  A LAPACK failure (a NaN entry, no convergence) raises
+    # Thin SVD (U, s, Vt) of B by LAPACK's dgesdd, unchecked, or the
+    # singular values alone with compute_uv=False: the shapes and order of
+    # np.linalg.svd(B, full_matrices=False), empty B included (dgesdd
+    # rejects it).  A LAPACK failure (a NaN entry, no convergence) raises
     # ``np.linalg.LinAlgError``, as np.linalg.svd does.
+    if not B.size:
+        n, k = B.shape
+        s = np.zeros(0)
+        return (np.zeros((n, 0)), s, np.zeros((0, k))) if compute_uv else s
     U, s, Vt, info = _gesdd(B, compute_uv=int(compute_uv), full_matrices=0)
     if info != 0:
         raise np.linalg.LinAlgError(f"dgesdd failed with info = {info}")
@@ -355,8 +362,7 @@ def ritz_top_k(H, P, HP, guard, tol: float,
 
 def trace_norm(B) -> float:
     """Sum of the singular values of ``B`` (nuclear norm)."""
-    B = as_matrix(B, "B")
-    return float(np.linalg.svd(B, compute_uv=False).sum())
+    return float(_svd(as_matrix(B, "B"), compute_uv=False).sum())
 
 
 def canonical_sin_theta(X, Y) -> tuple[float, float]:

@@ -49,7 +49,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .alignment import _polar_square, align_rotation
+from .alignment import _aligned, _polar_square
 from .kernels import (
     RITZ_MAX_BLOCKS,
     _scaled_norm,
@@ -203,7 +203,7 @@ class _EigenStep(_Step):
             # rotation: first align the eigenbasis to the polar frame of the
             # gradient, then apply the objective's own rule.
             basis = basis @ _polar_square(basis.T @ at.euclidean_grad)
-        _, P_next = align_rotation(obj.alignment, basis, at)
+        P_next = _aligned(obj.alignment, basis, at)
         fields = dict(residuals, gap=spect.gap,
                       eta=eta, m_asymmetry=at.field.asymmetry,
                       gap_degenerate=spect.gap < GAP_DEGENERATE,

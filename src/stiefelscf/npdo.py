@@ -49,7 +49,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .alignment import align_rotation
+from .alignment import _aligned
 from .kernels import _orth_against, _polar, _scaled_norm, _sym, require_stiefel
 from .objective import ComposedObjective, PointEvaluation
 
@@ -243,7 +243,7 @@ def _feasible_start(obj: ComposedObjective, P0) -> PointEvaluation:
         # Objective undefined outside the feasible subset (powered atoms):
         # that alone marks the start as infeasible.
         pass
-    _, P = align_rotation(rule, start.P, start)
+    P = _aligned(rule, start.P, start)
     return PointEvaluation(obj, P)
 
 
@@ -316,7 +316,7 @@ class _PolarStep(_Step):
 
     def propose(self, at, ctx):
         (Q, eta), fields = ctx
-        _, P_next = align_rotation(self.obj.alignment, Q, at)
+        P_next = _aligned(self.obj.alignment, Q, at)
         return P_next, dict(fields, eta=eta)
 
     def bound(self, at):

@@ -387,7 +387,7 @@ def outer_sum(dim: int) -> OuterFunction:
     """phi(x) = sum(x)."""
     return OuterFunction(
         dim,
-        lambda x: float(x.sum()),
+        lambda x: float(np.add.reduce(x)),
         lambda x: np.ones(dim),
     )
 

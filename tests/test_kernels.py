@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 from stiefelscf import kernels
 from stiefelscf.nepv import GAP_DEGENERATE
 from stiefelscf.kernels import (
+    _polar,
+    _svd,
     _sym,
     _thin_matmul,
     _top_k,
@@ -149,6 +151,55 @@ class TestPolarFactor:
             polar_factor(np.ones((2, 3)))
         with pytest.raises(ValueError):
             polar_factor(np.array([[np.nan, 0.0], [0.0, 1.0], [0, 0]]))
+
+
+class TestSvdBinding:
+    # Every polar factor and trace norm goes through ``_svd``, the package's
+    # dgesdd binding: the public kernels give the solvers' bits, and those
+    # agree with np.linalg.svd to rounding (numpy and scipy may link
+    # different LAPACK builds, so bit equality is not asserted here).
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(1, 60), data=st.data(), seed=st.integers(0, 2**32 - 1),
+           fortran=st.booleans(), repeat=st.booleans())
+    def test_polar_and_trace_norm_share_the_binding(self, n, data, seed,
+                                                    fortran, repeat):
+        k = data.draw(st.integers(1, min(n, 8)), label="k")
+        B = np.random.default_rng(seed).standard_normal((n, k))
+        if repeat and k > 1:
+            B[:, -1] = B[:, 0]  # rank-deficient
+        if fortran:
+            B = np.asfortranarray(B)
+        Q, s = _polar(B)
+        pol = polar_factor(B)
+        assert np.array_equal(Q, pol.orthogonal_factor)
+        assert float(s.sum()) == pol.trace_norm
+        # dgesdd takes another route to the singular values alone, so
+        # those agree with s only to rounding, as np.linalg.svd's do.
+        s_np = np.linalg.svd(B, compute_uv=False)
+        for values in (s, _svd(B, compute_uv=False)):
+            assert np.allclose(values, s_np, rtol=0.0, atol=1e-13 * s_np[0])
+        assert trace_norm(B) == pytest.approx(float(s_np.sum()), rel=1e-13)
+        assert np.all(s >= 0.0) and np.all(np.diff(s) <= 0.0)
+        assert np.allclose(Q.T @ Q, np.eye(k), atol=1e-13)
+        if s_np[-1] > 1e-4 * s_np[0]:
+            U, _, Vt = np.linalg.svd(B, full_matrices=False)
+            assert np.allclose(Q, U @ Vt, rtol=0.0, atol=1e-9)
+
+    @pytest.mark.parametrize("shape", [(0, 3), (3, 0), (0, 0)])
+    def test_empty_matrices_have_numpys_shapes(self, shape):
+        # dgesdd rejects an empty matrix; _svd answers as np.linalg.svd.
+        B = np.zeros(shape)
+        got, want = _svd(B), np.linalg.svd(B, full_matrices=False)
+        assert [x.shape for x in got] == [x.shape for x in want]
+        assert _svd(B, compute_uv=False).shape == (0,)
+        assert trace_norm(B) == 0.0
+
+    @pytest.mark.parametrize("compute_uv", [True, False])
+    def test_a_lapack_failure_raises_linalg_error(self, compute_uv):
+        B = np.ones((5, 2))
+        B[1, 1] = np.nan
+        with pytest.raises(np.linalg.LinAlgError, match="dgesdd"):
+            _svd(B, compute_uv=compute_uv)
 
 
 class TestTopKEigenpairs:

@@ -6,6 +6,7 @@ import pytest
 from stiefelscf.alignment import (
     BlockOverlapError,
     PolarAlignment,
+    _aligned,
     align_rotation,
 )
 from stiefelscf.kernels import polar_factor, random_stiefel, sym_part, trace_norm
@@ -60,9 +61,18 @@ class TestKktResiduals:
 class TestAlignRotation:
     def test_identity(self):
         P_hat = random_stiefel(5, 2, 0)
-        # A rule without drivers rotates nothing and builds no Q.
         Q, P = align_rotation(PolarAlignment(blocks=()), P_hat, None)
-        assert Q is None and P is P_hat
+        assert np.allclose(Q, np.eye(2))
+        assert P is P_hat or np.allclose(P, P_hat)
+
+    def test_the_solvers_form_keeps_only_p_next(self):
+        # The solvers discard Q: with no drivers they get P_hat itself and
+        # no identity is built; with one, the same P_next as align_rotation.
+        P_hat = random_stiefel(5, 2, 0)
+        assert _aligned(PolarAlignment(blocks=()), P_hat, None) is P_hat
+        rule = PolarAlignment(np.random.default_rng(1).standard_normal((5, 2)))
+        assert np.array_equal(_aligned(rule, P_hat, None),
+                              align_rotation(rule, P_hat, None)[1])
 
     def test_sign_flip_k1(self):
         D = np.array([[1.0], [0.0]])

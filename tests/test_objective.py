@@ -203,6 +203,11 @@ class TestComposedObjective:
         obj = ComposedObjective(n, k, terms, outer_ratio_squared(0.5))
         assert obj.value(np.array([[1.0], [0.0]])) == pytest.approx(1.0)
 
+    def test_outer_sum_takes_any_sequence(self):
+        phi = outer_sum(3)
+        assert phi.value([1, 2, 3]) == phi.value((1.0, 2.0, 3.0)) == 6.0
+        assert phi.value(np.array([0.5, 0.25, 0.125])) == 0.875
+
     @pytest.mark.parametrize("outer", [outer_theta_ratio, outer_ratio_squared])
     def test_ratio_outers_refuse_a_denominator_at_the_floor(self, outer):
         phi = outer(0.5)
