@@ -12,9 +12,15 @@ and 8 in one run of ``tools/product_timing.py``).  Every function is a pure
 function of its inputs, so results are safe to share between threads.
 
 The decompositions call LAPACK through bindings resolved once by
-``scipy.linalg.get_lapack_funcs``: ``dsyevr`` for the top eigenpairs and
-``dgesdd`` (``_svd``) for the thin SVD behind every polar factor and trace
-norm, public or internal.  ``_svd`` skips numpy's wrapper: 5-6 us less per
+``scipy.linalg.get_lapack_funcs``:
+
+- ``dsyevr`` for the top eigenpairs;
+- ``dgesdd`` (``_svd``) for the thin SVD behind every polar factor and
+  trace norm, public or internal;
+- ``dpotrf`` (``_factors``) for the Cholesky factorizations that certify a
+  problem matrix positive (semi)definite when it is built.
+
+``_svd`` skips numpy's wrapper: 5-6 us less per
 call than ``np.linalg.svd`` at 12-by-4 and 40-by-3, and 2-5 us at
 1000-by-4, on one thread.  numpy and scipy ship separate OpenBLAS builds,
 so the two need not agree bit for bit; with the numpy 2.4 and scipy 1.17
@@ -155,11 +161,26 @@ def require_symmetric(H, name: str = "H") -> np.ndarray:
     if H.shape[0] != H.shape[1]:
         raise ValueError(f"{name} must be square, got shape {H.shape}")
     # Both norms by _scaled_norm: a plain norm overflows at data scales past
-    # about 1e154 (and keeps its bits inside PLAIN_NORM_RANGE).
+    # about 1e154 (and keeps its bits inside PLAIN_NORM_RANGE).  The test is
+    # relative at every scale, so a matrix with ||H||_F < 1 gets no absolute
+    # allowance; the zero matrix passes, its asymmetry being 0.
     asym, size = math.prod(_scaled_norm(H - H.T)), math.prod(_scaled_norm(H))
-    if asym > SYMMETRY_TOL * max(size, 1.0):
+    if asym > SYMMETRY_TOL * size:
         raise ValueError(f"{name} is not symmetric within {SYMMETRY_TOL:.1e}")
     return 0.5 * (H + H.T)
+
+
+_potrf, = scipy.linalg.get_lapack_funcs(("potrf",), dtype=np.float64)
+
+
+def _factors(M: np.ndarray) -> bool:
+    # Whether LAPACK's dpotrf completes the Cholesky factorization of the
+    # exactly symmetric M, that is whether M is numerically positive
+    # definite.  M is overwritten: it goes to dpotrf in Fortran order, as
+    # itself or as M.T (the same matrix), so f2py copies nothing.
+    _, info = _potrf(M if M.flags.f_contiguous else M.T, lower=0, clean=0,
+                     overwrite_a=1)
+    return info == 0
 
 
 def _lead_signs(V: np.ndarray) -> np.ndarray:
@@ -267,8 +288,9 @@ def top_k_eigenpairs(H, k: int) -> SpectralTopK:
     eigenvectors are computed and transformed back, where a full
     eigendecomposition transforms all n.  The routine comes straight from
     ``get_lapack_funcs``: ``scipy.linalg.eigh(subset_by_index=...)`` adds a
-    fixed per-call cost that outweighs the saving at small n.  A LAPACK
-    failure raises ``np.linalg.LinAlgError``.
+    fixed per-call cost that outweighs the saving at small n.  Where
+    dsyevr fails or returns too few pairs, a full ``np.linalg.eigh``
+    supplies them, and its failure raises ``np.linalg.LinAlgError``.
     """
     H = require_symmetric(H)
     n = H.shape[0]
@@ -283,15 +305,14 @@ def _top_k(H: np.ndarray, k: int, work: np.ndarray) -> SpectralTopK:
     # that dsyevr then overwrites (the bits of _sym(H), with no copy made by
     # f2py).  il..iu are 1-based indices into the ascending spectrum.  On a
     # tightly clustered spectrum dsyevr can return fewer than the k+1 pairs
-    # asked for with info = 0; the full eigh of H then supplies them.
+    # asked for with info = 0, or fail with info > 0; the full eigh of H
+    # then supplies them.
     n = H.shape[0]
     np.add(H, H.T, out=work)
     work *= 0.5
     w, V, m, _, info = _syevr(work, compute_v=1, range="I",
                               il=max(n - k, 1), iu=n, overwrite_a=1)
-    if info != 0:
-        raise np.linalg.LinAlgError(f"dsyevr failed with info = {info}")
-    if m != min(k + 1, n):
+    if info != 0 or m != min(k + 1, n):
         (w, V), m = np.linalg.eigh(_sym(H)), n
     w, V = w[m - 1::-1], V[:, ::-1]  # descending
     vals = w[:k].copy()

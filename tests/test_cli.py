@@ -519,6 +519,19 @@ class TestRun:
         assert err.startswith("error: ") and err.count("\n") == 1, err
         assert named in err
 
+    @pytest.mark.parametrize("scale", [1e-20, 1e-170])
+    def test_asymmetric_matrix_below_unit_scale_exits_one(self, tmp_path,
+                                                         capsys, scale):
+        # The symmetry test is relative: a wrong matrix at a small data
+        # scale is refused as at any other.
+        A = scale * np.array([[1.0, 1.0, 0], [0, 1.0, 0], [0, 0, 1.0]])
+        p = write_problem(tmp_path / "a.json", {
+            "family": "sep", "n": 3, "k": 2, "matrices": {"A": A.tolist()}})
+        assert main(["run", "--problem", str(p)]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert "A is not symmetric" in err
+
     @pytest.mark.parametrize("solver, declared", [
         ("npdo", False), ("npdo-locg", False), ("nepv", True),
         ("nepv-locg", True)])

@@ -258,6 +258,22 @@ class TestTopKEigenpairs:
         V = out.eigenbasis
         assert np.linalg.norm(H @ V - V * out.eigenvalues) <= 1e-10
 
+    def test_a_failed_range_solve_falls_back_to_eigh(self):
+        # On this spectrum dsyevr failed with info = 1, which raised
+        # LinAlgError; the full eigh supplies the pairs instead.
+        spectrum = [0.0, 2.0, -1.2349168807773334, 1.9976362761322708, 2.0,
+                    2.0, 2.0, -1.0, 2.875, 0.0, 2.0, 1.0]
+        n, k = len(spectrum), 5
+        Q, _ = np.linalg.qr(np.random.default_rng(1_073_545_072)
+                            .standard_normal((n, n)))
+        H = sym_part((Q * (1e-3 * np.array(spectrum))) @ Q.T)
+        out = top_k_eigenpairs(H, k)
+        w = np.linalg.eigh(H)[0][::-1]
+        assert np.max(np.abs(out.eigenvalues - w[:k])) <= 1e-12
+        assert abs(out.gap - (w[k - 1] - w[k])) <= 1e-12
+        V = out.eigenbasis
+        assert np.linalg.norm(H @ V - V * out.eigenvalues) <= 1e-10
+
     def test_degenerate_spectrum(self):
         out = top_k_eigenpairs(np.eye(4), 2)
         assert np.allclose(out.eigenvalues, [1.0, 1.0])
@@ -414,6 +430,37 @@ class TestSymPart:
     def test_rejects_nonsquare(self):
         with pytest.raises(ValueError):
             sym_part(np.ones((2, 3)))
+
+
+class TestRequireSymmetric:
+    # The symmetry test is relative at every scale: below unit scale it
+    # once allowed an absolute 1e-12, which let any tiny matrix through.
+
+    @pytest.mark.parametrize("H", [
+        np.array([[0.0, 1e-20], [0.0, 0.0]]),
+        1e-170 * np.array([[1.0, 2.0], [0.0, 1.0]]),
+        1e-170 * np.triu(np.random.default_rng(0).standard_normal((5, 5))),
+    ], ids=["upper-1e-20", "2x2-1e-170", "triu-1e-170"])
+    def test_refuses_an_asymmetric_matrix_below_unit_scale(self, H):
+        with pytest.raises(ValueError, match="not symmetric"):
+            require_symmetric(H)
+
+    @pytest.mark.parametrize("scale", [1e-170, 1e-20, 1.0, 1e154, 1e300])
+    def test_passes_a_symmetric_matrix_at_any_scale(self, scale):
+        G = np.random.default_rng(1).standard_normal((6, 6))
+        A = (G + G.T) * scale
+        assert np.array_equal(require_symmetric(A), A)
+
+    def test_passes_rounding_level_asymmetry_below_unit_scale(self):
+        G = np.random.default_rng(2).standard_normal((6, 6))
+        A = 1e-170 * (G @ G.T)
+        off = A.copy()
+        off[0, 1] = np.nextafter(off[0, 1], np.inf)
+        out = require_symmetric(off)
+        assert np.array_equal(out, out.T)
+
+    def test_the_zero_matrix_passes(self):
+        assert not require_symmetric(np.zeros((3, 3))).any()
 
 
 def test_require_symmetric_holds_one_n_by_n_array_at_a_time():

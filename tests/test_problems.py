@@ -1,11 +1,14 @@
 import dataclasses
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+import scipy.special
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from stiefelscf import kernels
 from stiefelscf.diagnostics import gradient_check
 from stiefelscf.kernels import polar_factor, random_stiefel, sym_part
 from stiefelscf.nepv import nepv_scf
@@ -15,6 +18,9 @@ from stiefelscf.problems import (
     OUTER_PRESETS,
     MLifting,
     ProblemSpec,
+    _check_psd,
+    _check_ratio_denominator,
+    _logsumexp,
     build,
     build_procrustes_ls,
     generalized_kkt_residual,
@@ -49,6 +55,31 @@ def family_instances(n=7, k=2, seed=0):
     yield build(ProblemSpec("sumct", n, k, {
         "A_list": [A, make_psd(n, seed + 5)],
         "D_list": [D[:, :1], D[:, 1:]]}, blocks=((0,), (1,))))
+
+
+def planted(n, eigenvalues, seed, scale=1.0):
+    # scale * Q diag(eigenvalues) Q', exactly symmetric, for a random
+    # orthogonal Q.
+    Q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((n, n)))
+    return sym_part((Q * np.asarray(eigenvalues, dtype=float)) @ Q.T) * scale
+
+
+def psd_bounds(A):
+    # (rho_lo, ||A||_2) with rho_lo = max(||A||_F / sqrt(n), max |a_ii|),
+    # the lower bound on ||A||_2 that the first Cholesky test shifts by.
+    lo = max(np.linalg.norm(A) / np.sqrt(len(A)), np.abs(np.diag(A)).max())
+    return lo, np.linalg.norm(A, 2)
+
+
+def band_matrix(n, seed, scale=1.0):
+    # A matrix PSD by the rule lambda_min >= -1e-10 ||A||_2 whose lambda_min
+    # lies below -1e-10 rho_lo: B + 1e-10 rho_lo I does not factor, B +
+    # 1e-10 ||B||_F I does, and eigvalsh decides.
+    spectrum = np.r_[1.0, np.full(n - 2, 0.1), 0.0]
+    lo, norm2 = psd_bounds(planted(n, spectrum, seed))
+    assert lo < 0.9 * norm2
+    spectrum[-1] = -1e-10 * 0.5 * (lo + norm2)
+    return planted(n, spectrum, seed, scale)
 
 
 # Each phi preset written out, unweighted.
@@ -180,21 +211,37 @@ class TestBuilders:
 
     @pytest.mark.parametrize("family", ["sep", "trcp", "umds"])
     def test_one_spectrum_per_matrix(self, family, monkeypatch):
-        # The PSD test of each n x n matrix runs one eigvalsh.
+        # A PSD matrix is certified by one Cholesky factorization (dpotrf)
+        # and takes no spectrum.  Only a matrix planted in the band between
+        # the two Cholesky tests takes one, an eigvalsh that then decides.
         n = 6
-        mats = ({"A": make_psd(n, 1)} if family == "sep"
-                else {"A_list": [make_psd(n, 1), make_psd(n, 2)]})
-        spectra = []
-        real = np.linalg.eigvalsh
+        calls = {"eigvalsh": 0, "dpotrf": 0}
+        real_eigvalsh, real_potrf = np.linalg.eigvalsh, kernels._potrf
 
-        def counting(a, *args, **kwargs):
+        def counting_eigvalsh(a, *args, **kwargs):
             if np.shape(a) == (n, n):
-                spectra.append(1)
-            return real(a, *args, **kwargs)
+                calls["eigvalsh"] += 1
+            return real_eigvalsh(a, *args, **kwargs)
 
-        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
-        obj = build(ProblemSpec(family, n, 2, mats))
-        assert len(spectra) == len(mats.get("A_list", [None]))
+        def counting_potrf(a, *args, **kwargs):
+            calls["dpotrf"] += 1
+            return real_potrf(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
+        monkeypatch.setattr(kernels, "_potrf", counting_potrf)
+
+        def spec(first):
+            mats = ({"A": first} if family == "sep"
+                    else {"A_list": [first, make_psd(n, 2)]})
+            return ProblemSpec(family, n, 2, mats)
+
+        matrices = 1 if family == "sep" else 2
+        obj = build(spec(make_psd(n, 1)))
+        assert calls == {"eigvalsh": 0, "dpotrf": matrices}
+        assert obj.npdo_monotone and obj.nepv_monotone
+        calls.update(eigvalsh=0, dpotrf=0)
+        obj = build(spec(band_matrix(n, 3)))
+        assert calls == {"eigvalsh": 1, "dpotrf": matrices + 1}
         assert obj.npdo_monotone and obj.nepv_monotone
 
     def test_squared_ratio_family_monotone_solve(self):
@@ -563,3 +610,104 @@ class TestDiagonalAtom:
         assert len(obj.terms) == 2 and obj.outer.dim == n + 1
         held = sum(t.matrix.nbytes for t in obj.terms if t.matrix is not None)
         assert held <= A.nbytes + 8 * n * k
+
+
+def eigvalsh_psd(A):
+    # The PSD rule as it reads on the full spectrum.
+    w = np.linalg.eigvalsh(A)
+    return bool(w[0] >= -1e-10 * max(abs(w[0]), abs(w[-1]), 1e-300))
+
+
+def eigvalsh_ratio_error(B, k):
+    # The ratio denominator's checks on the full spectrum: the error
+    # message, or None when B passes.
+    w = np.linalg.eigvalsh(B)
+    if w[0] < -1e-10 * max(abs(w[0]), abs(w[-1]), 1e-300):
+        return f"olda: B must be positive semidefinite (lambda_min = {w[0]:.3e})"
+    if w[:k].sum() <= 0.0:
+        return (f"olda: sum of the {k} smallest eigenvalues of B must be "
+                f"positive (rank(B) > n - k), got {w[:k].sum():.3e}")
+    return None
+
+
+@st.composite
+def symmetric_matrices(draw):
+    # Random PSD (full and low rank), indefinite, zero and n = 1 matrices,
+    # and, about half the time, spectra with lambda_min planted within two
+    # decades on either side of the PSD threshold -1e-10 ||A||_2, but not
+    # within 1e-3 of it, at scales from 1e-170 to 1e160.
+    n = draw(st.integers(1, 30), label="n")
+    kind = draw(st.one_of(st.just("planted"), st.sampled_from(
+        ["psd", "low rank", "indefinite", "zero"])), label="kind")
+    scale = draw(st.sampled_from([1.0, 1e154, 1e-170, 1e160]), label="scale")
+    seed = draw(st.integers(0, 2**32 - 1), label="seed")
+    if kind == "zero":
+        return np.zeros((n, n))
+    rng = np.random.default_rng(seed)
+    spectrum = rng.uniform(0.0, 1.0, n)
+    if kind == "low rank":
+        spectrum[rng.random(n) < 0.5] = 0.0
+    elif kind == "indefinite":
+        spectrum = rng.uniform(-1.0, 1.0, n)
+    elif kind == "planted" and n > 1:
+        t = draw(st.floats(-12.0, -8.0), label="log10 |lambda_min|")
+        sign = draw(st.sampled_from([-1.0, 1.0]), label="sign")
+        assume(abs(10.0 ** (t + 10.0) - 1.0) > 1e-3)
+        spectrum[-1] = sign * 10.0 ** t
+    if kind != "indefinite":
+        spectrum[0] = 1.0  # ||A||_2 = 1 before scaling
+    return planted(n, spectrum, seed, scale)
+
+
+class TestPsdCertificate:
+    # _check_psd decides by at most two Cholesky factorizations, and the
+    # ratio denominator by one, what the full spectrum decides.
+
+    @settings(max_examples=400, deadline=None)
+    @given(A=symmetric_matrices())
+    def test_check_psd_decides_as_the_spectrum(self, A):
+        assert _check_psd(A) == eigvalsh_psd(A)
+
+    @settings(max_examples=300, deadline=None)
+    @given(B=symmetric_matrices(), data=st.data())
+    def test_ratio_denominator_decides_as_the_spectrum(self, B, data):
+        k = data.draw(st.integers(1, len(B)), label="k")
+        try:
+            _check_ratio_denominator(B, k, "olda")
+            error = None
+        except ValueError as exc:
+            error = str(exc)
+        assert error == eigvalsh_ratio_error(B, k)
+
+    @pytest.mark.parametrize("kind", ["psd", "indefinite", "band"])
+    def test_check_psd_holds_one_n_by_n_array_at_a_time(self, kind):
+        # Every build runs this on each quadratic matrix, so its peak memory
+        # is the benchmark's: at most one n-by-n array beyond the input,
+        # whatever the scale and whichever test decides.
+        n = 300
+        A0 = {"psd": lambda: make_psd(n, 0),
+              "indefinite": lambda: planted(n, np.linspace(-1.0, 1.0, n), 0),
+              "band": lambda: band_matrix(n, 0)}[kind]()
+        for scale in (1.0, 1e154, 1e-170):
+            A = A0 * scale
+            tracemalloc.start()
+            try:
+                out = _check_psd(A)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert out == (kind != "indefinite")
+            assert peak < 1.5 * A.nbytes
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), size=st.integers(1, 60),
+       spread=st.sampled_from([1e-3, 1.0, 30.0, 700.0]), ties=st.booleans())
+def test_logsumexp_matches_scipy(seed, size, spread, ties):
+    # The logsumexp preset's numpy form, to a few ulp of scipy.special's.
+    y = np.random.default_rng(seed).uniform(-spread, spread, size)
+    if ties:
+        y[-1] = y.max()
+    ref = scipy.special.logsumexp(y)
+    ulp = np.spacing(max(abs(ref), abs(y.max())))
+    assert abs(_logsumexp(y) - ref) <= 4 * ulp
