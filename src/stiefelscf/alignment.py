@@ -35,16 +35,6 @@ def _polar_square(M: np.ndarray) -> np.ndarray:
     return _polar(M)[0]
 
 
-def _is_psd_matrix(S: np.ndarray, scale: float, tol: float = 1e-10) -> bool:
-    # Membership test for {P : P'D >= 0}: the product must be symmetric, not
-    # just have a PSD symmetric part (a skew component breaks the theory's
-    # trace inequalities).
-    guard = tol * max(scale, 1.0)
-    if np.linalg.norm(S - S.T) > guard:
-        return False
-    return bool(np.linalg.eigvalsh(_sym(S))[0] >= -guard)
-
-
 @dataclass(frozen=True)
 class PolarAlignment:
     """Q = blockdiag_j polar(P_hat[:, C_j]' D_j), the identity off the blocks.
@@ -64,9 +54,10 @@ class PolarAlignment:
     assume a valid rule.
 
     The methods read the objective through ``at``, its ``PointEvaluation``
-    at the point in question (P_prev for ``rotate``), so the partials and
-    scriptD come from products the solver already formed there.  A rule
-    with a fixed driver accepts ``at=None`` in ``rotate``.
+    at the point in question (P_prev for ``align_rotation``), so the
+    partials and scriptD come from products the solver already formed
+    there.  A rule with a fixed driver or no blocks accepts ``at=None`` in
+    ``align_rotation``.
     """
 
     D: np.ndarray | None = None
@@ -115,14 +106,9 @@ class PolarAlignment:
             drivers.append((cols, phi[idx] * t.c, t.matrix))
         return drivers
 
-    def rotate(self, P_hat, at):
-        Q = self._rotation(P_hat, at)
-        if Q is None:
-            return np.eye(P_hat.shape[1]), P_hat
-        return Q, P_hat @ Q
-
     def _rotation(self, P_hat, at):
-        # The rotation Q of ``rotate``, or None for a rule with no drivers.
+        # The rotation Q of ``align_rotation``, or None for a rule with no
+        # drivers.
         drivers = self._drivers(at)
         if not drivers:
             return None
@@ -134,23 +120,17 @@ class PolarAlignment:
                 Q[np.ix_(cols, cols)] = _polar_square(w * (P_hat[:, cols].T @ D))
         return Q
 
-    def _weighted(self, at):
-        # (P[:, C_j], w_j D_j) per block at the evaluation's point P.
-        P = at.P
-        return [(P if cols is None else P[:, cols], w * D)
-                for cols, w, D in self._drivers(at)]
-
     def psd_margin(self, at):
-        blocks = self._weighted(at)
+        # (min_j lambda_min(sym(P_j' w_j D_j)), max_j ||w_j D_j||_2) at the
+        # evaluation's point P, P_j = P[:, C_j]; None with no drivers.
+        P = at.P
+        blocks = [(P if cols is None else P[:, cols], w * D)
+                  for cols, w, D in self._drivers(at)]
         if not blocks:
             return None
         margin = min(float(np.linalg.eigvalsh(_sym(P_j.T @ D_j))[0])
                      for P_j, D_j in blocks)
         return margin, max(float(np.linalg.norm(D_j, 2)) for _, D_j in blocks)
-
-    def is_feasible(self, at):
-        return all(_is_psd_matrix(P_j.T @ D_j, np.linalg.norm(D_j, 2))
-                   for P_j, D_j in self._weighted(at))
 
     def transform(self, T):
         return self if self.D is None else replace(self, D=T.T @ self.D)
@@ -165,7 +145,10 @@ def align_rotation(rule, P_hat, at_prev):
     ``obj.at(P_prev)``; it may be None for a rule with a fixed driver or no
     blocks.
     """
-    return rule.rotate(P_hat, at_prev)
+    Q = rule._rotation(P_hat, at_prev)
+    if Q is None:
+        return np.eye(P_hat.shape[1]), P_hat
+    return Q, P_hat @ Q
 
 
 def _aligned(rule, P_hat, at_prev):

@@ -19,7 +19,6 @@ from __future__ import annotations
 import argparse
 import json
 import logging
-import math
 import os
 import sys
 import tempfile
@@ -151,11 +150,8 @@ def load_problem(path) -> ProblemSpec:
 
 
 def _fmt(x) -> str:
-    if x is None:
-        return ""
-    if isinstance(x, float) and not math.isfinite(x):
-        return "inf" if x > 0 else ("-inf" if x < 0 else "nan")
-    return repr(float(x))
+    # repr(float(x)) writes a non-finite value as "inf", "-inf" or "nan".
+    return "" if x is None else repr(float(x))
 
 
 def write_trace(path, report) -> None:
@@ -209,14 +205,37 @@ def _certificates(obj, P, framework: str) -> dict:
             else nepv_certificates)(obj, P)
 
 
+def _audit_refusal(audit: str, obj, report, framework: str) -> str | None:
+    """Why ``audit`` does not cover ``report``'s solve of ``obj``, or None.
+
+    The series bound holds for plain steps of ``framework`` only (the outer
+    records of ``nepv_locg`` carry no gap, which would weigh every term 0),
+    and only the plain eigenvector route of a ratio problem records the
+    alignment terms the theta bound replays.
+    """
+    if audit == "series" and report.solver not in ("", framework):
+        return "series audit needs --solver npdo or nepv"
+    if audit == "theta":
+        if obj.theta_data is None:
+            return "theta audit requested for a non-ratio problem"
+        if report.solver != "nepv":
+            return "theta audit needs --solver nepv"
+    return None
+
+
 def run_audits(which: set[str], obj, report, spec, framework: str, *,
                certs: dict | None = None) -> tuple[dict, bool]:
     """Execute the requested audits; returns (diagnostics, all_passed).
 
-    The ``certs`` audit checks the certificates of ``framework`` at the
-    report's point: ``certs`` when given (as ``run_one`` computed them for
-    its report), else computed here.
+    An audit that does not cover the solve (``_audit_refusal``) raises
+    ``ProblemFileError`` with the reason.  The ``certs`` audit checks the
+    certificates of ``framework`` at the report's point: ``certs`` when
+    given (as ``run_one`` computed them for its report), else computed here.
     """
+    for audit in sorted(which):
+        reason = _audit_refusal(audit, obj, report, framework)
+        if reason is not None:
+            raise ProblemFileError(reason)
     diag: dict = {}
     ok = True
     if "grad" in which:
@@ -224,22 +243,11 @@ def run_audits(which: set[str], obj, report, spec, framework: str, *,
         diag["gradient_check"] = err
         ok &= err <= 1e-6
     if "series" in which:
-        try:
-            res = series_audit(report, framework)
-        except ValueError:
-            # series_audit refuses a *_locg report: the summability bound
-            # holds for plain steps only, as the theta bound does.
-            raise ProblemFileError("series audit needs --solver npdo or nepv")
+        res = series_audit(report, framework)
         diag["series"] = res
         ok &= res["ok"]
     if "theta" in which:
         ratio = obj.theta_data
-        if ratio is None:
-            raise ProblemFileError("theta audit requested for a non-ratio problem")
-        if report.solver != "nepv":
-            # Only the plain eigenvector route records the alignment terms
-            # the per-step bound replays.
-            raise ProblemFileError("theta audit needs --solver nepv")
         res = theta_step_audit(report, ratio.B, ratio.D, ratio.theta)
         diag["theta_step"] = res
         ok &= res["ok"]
@@ -325,14 +333,10 @@ def run_one(args) -> int:
 
     audits_ok = True
     if args.audit:
-        which = ({"grad", "series", "theta", "certs"} if args.audit == "all"
-                 else {args.audit})
-        if args.audit == "all":
-            # Skip the audits whose bounds do not cover this solve.
-            if args.solver.endswith("-locg"):
-                which.discard("series")
-            if obj.theta_data is None or args.solver != "nepv":
-                which.discard("theta")
+        # "all" skips the audits whose bounds do not cover this solve.
+        which = ({a for a in ("grad", "series", "theta", "certs")
+                  if _audit_refusal(a, obj, report, framework) is None}
+                 if args.audit == "all" else {args.audit})
         try:
             diag, audits_ok = run_audits(which, obj, report, spec, framework,
                                          certs=certs)

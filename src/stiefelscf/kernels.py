@@ -6,27 +6,27 @@ the package keeps, such as the objectives' term matrices, are stored fully
 and exactly symmetric, A == A.T bit for bit (``require_symmetric`` and
 ``sym_part`` return such copies).  A product A X of an n-by-n matrix and a
 thin X is formed by ``_thin_matmul`` in row panels small enough for BLAS's
-unpacked small-matrix GEMM kernel, which at n = 1000 reads A about twice as
-fast as one full product does (0.42-0.54 of the time of A @ X at k = 2, 4
-and 8 in one run of ``tools/product_timing.py``).  Every function is a pure
-function of its inputs, so results are safe to share between threads.
+unpacked small-matrix GEMM kernel (see ``PANEL_MNK``).  Every function is a
+pure function of its inputs, so results are safe to share between threads.
 
 The decompositions call LAPACK through bindings resolved once by
 ``scipy.linalg.get_lapack_funcs``:
 
 - ``dsyevr`` for the top eigenpairs;
-- ``dgesdd`` (``_svd``) for the thin SVD behind every polar factor and
-  trace norm, public or internal;
+- ``dgesdd`` (``_svd``) for every SVD, public or internal: polar factors,
+  trace norms, canonical angles and orthonormal bases;
 - ``dpotrf`` (``_factors``) for the Cholesky factorizations that certify a
   problem matrix positive (semi)definite when it is built.
 
 ``_svd`` skips numpy's wrapper: 5-6 us less per
 call than ``np.linalg.svd`` at 12-by-4 and 40-by-3, and 2-5 us at
 1000-by-4, on one thread.  numpy and scipy ship separate OpenBLAS builds,
-so the two need not agree bit for bit; with the numpy 2.4 and scipy 1.17
-wheels they did, on 1500 random shapes (n up to 1000, k up to 16, C and
-Fortran order, some rank-deficient).  A plain polar step takes one such
-SVD of its gradient.
+so the two need not agree bit for bit.  With the numpy 2.4 and scipy 1.17
+wheels they did on 1500 random shapes (n up to 1000, k up to 16, C and
+Fortran order, some rank-deficient), but not on every basis of the warm
+Ritz solve: there the results differ in the last bits, which moved one
+benchmark solve's trace gains by 1.7e-12 relative.  A plain polar step
+takes one such SVD of its gradient.
 
 Sign conventions
 ----------------
@@ -109,7 +109,25 @@ def _sym(M: np.ndarray) -> np.ndarray:
 # Most multiply-adds in one row panel of ``_thin_matmul``.  OpenBLAS
 # (0.3.31, Haswell kernels, one thread) runs a GEMM with M N K <= 100^3 on
 # its small-matrix kernel, which skips packing: at n = 1000, k = 4 a
-# 250-row panel took 333 us per 1000 rows and a 251-row panel 876 us.
+# 250-row panel took 333 us per 1000 rows and a 251-row panel 876 us.  At
+# n <= 200 and k <= 25 one panel covers A and the product is A @ X.  One
+# run of ``tools/product_timing.py`` gave, in median us per product:
+#
+#     n, k       A @ X   panels   ratio
+#     1000, 2     971.7    406.3    0.42
+#     1000, 4    1015.5    458.8    0.45
+#     1000, 8    1184.1    644.2    0.54
+#     1000, 12   1597.0   1027.5    0.64
+#     1000, 16   1482.9    843.9    0.57
+#     2000, 4    4594.2   1915.0    0.42
+#     200, 8       20.8     23.7    1.14
+#     200, 24      45.8     50.3    1.10
+#     40, 3         2.5      5.2    2.04
+#
+# so an NPDo solve at n = 1000, where the product is most of the work,
+# takes about 30% less time (``sep``/npdo on ``polar-route``: 428 to 294
+# ms, 433 steps either way), and at n <= 200 the panel loop adds a
+# microsecond or three.
 PANEL_MNK = 100**3
 
 
@@ -355,7 +373,7 @@ def ritz_top_k(H, P, HP, guard, tol: float,
         return None
     g /= norm_g
     # An orthonormal basis W of [P, g] and HW = H W, from one product.
-    U, s, Vt = np.linalg.svd(np.hstack([P, g]), full_matrices=False)
+    U, s, Vt = _svd(np.hstack([P, g]))
     W, HW = U, np.hstack([HP, H @ g]) @ (Vt.T / s)
     HX, last = HW, np.inf
     for left in range(RITZ_MAX_BLOCKS - 1, -1, -1):
@@ -398,7 +416,7 @@ def canonical_sin_theta(X, Y) -> tuple[float, float]:
     Y = as_matrix(Y, "Y")
     if X.shape != Y.shape:
         raise ValueError(f"shape mismatch: {X.shape} vs {Y.shape}")
-    sigma = np.clip(scipy.linalg.svdvals(X.T @ Y), 0.0, 1.0)
+    sigma = np.clip(_svd(X.T @ Y, compute_uv=False), 0.0, 1.0)
     sines_sq = np.clip(1.0 - sigma**2, 0.0, None)
     dist2 = float(np.sqrt(sines_sq.max()))
     dist_f = float(np.sqrt(sines_sq.sum()))
@@ -410,7 +428,7 @@ def _orth(V: np.ndarray, floor: float = 0.0) -> np.ndarray:
     # singular value is at or below 1e-12 * sigma_max or ``floor``.
     if V.shape[1] == 0:
         return V
-    U, s, _ = np.linalg.svd(V, full_matrices=False)
+    U, s, _ = _svd(V)
     if s.size == 0 or s[0] == 0.0:
         return V[:, :0]
     keep = s > max(1e-12 * s[0], floor)
@@ -433,7 +451,7 @@ def orthonormalize_against(P, V) -> np.ndarray:
         raise ValueError(f"row mismatch: P has {P.shape[0]}, V has {V.shape[0]}")
     if V.shape[1] == 0:
         return V
-    return _orth_against(P, V, 1e-12 * float(np.linalg.norm(V, 2)))
+    return _orth_against(P, V, 1e-12 * float(_svd(V, compute_uv=False)[0]))
 
 
 def _orth_against(P: np.ndarray, V: np.ndarray, floor: float) -> np.ndarray:

@@ -88,12 +88,10 @@ NepvConfig = NpdoConfig
 GAP_DEGENERATE = 1e-10
 
 # Fields of order below this take the dense step only: there the dense
-# solve costs about as much as the warm Krylov blocks.  With a warm step
-# that formed H the measured crossover lay between n = 60 and n = 80; with
-# the matrix-free warm step the per-step time of mbsub, theta_tr and
-# procrustes solves crosses between n = 50 and n = 70 at k = 3 and near
-# n = 50 at k = 8 (BLAS at one thread).  The bound stays at 80, where warm
-# steps are 0.6-0.9 times the dense cost.
+# solve costs about as much as the warm Krylov blocks.  The per-step time
+# of mbsub, theta_tr and procrustes solves crosses between n = 50 and
+# n = 70 at k = 3 and near n = 50 at k = 8 (BLAS at one thread).  The bound
+# stays at 80, where warm steps are 0.6-0.9 times the dense cost.
 WARM_MIN_N = 80
 
 

@@ -94,7 +94,7 @@ class NpdoConfig:
     Residuals are always scaled by the Frobenius norm of the gradient or
     field; each subspace inner solve uses ``INNER_TOL_FRACTION`` and at most
     ``INNER_MAX_ITER`` iterations.  ``max_iter = 0`` takes no step: the
-    solve returns its (projected) start, which ``npdo_certificates`` or
+    solve returns its aligned start, which ``npdo_certificates`` or
     ``nepv.nepv_certificates`` then certify.
     """
 
@@ -212,18 +212,19 @@ def npdo_certificates(obj: ComposedObjective, P) -> dict:
     """Exit certificates of the polar route at P.
 
     The smallest eigenvalue and spectral norm of the symmetrized multiplier
-    P'G (nonnegative at a certified point), the asymmetry ||P'G - G'P||_F,
-    the KKT residuals of ``kkt_residuals`` and, for a rule with a D, the
-    alignment PSD margin; G is the Euclidean gradient at P.
+    P'G (nonnegative at a certified point), both read off one eigvalsh, the
+    asymmetry ||P'G - G'P||_F, the KKT residuals of ``kkt_residuals`` and,
+    for a rule with a D, the alignment PSD margin; G is the Euclidean
+    gradient at P.
     """
     at = PointEvaluation(obj, require_stiefel(P))
     P, G = at.P, at.euclidean_grad
     Lam = P.T @ G
-    sym_lam = _sym(Lam)
+    w = np.linalg.eigvalsh(_sym(Lam))  # ascending
     eps_kkt, eps_sym, _ = _kkt_residuals_from_grad(P, G)
     return _alignment_certificates(at, {
-        "lambda_min_of_multiplier": float(np.linalg.eigvalsh(sym_lam)[0]),
-        "multiplier_norm": float(np.linalg.norm(sym_lam, 2)),
+        "lambda_min_of_multiplier": float(w[0]),
+        "multiplier_norm": float(max(abs(w[0]), abs(w[-1]))),
         "multiplier_asymmetry": float(np.linalg.norm(Lam - Lam.T)),
         "eps_kkt": eps_kkt,
         "eps_sym": eps_sym,
@@ -231,20 +232,13 @@ def npdo_certificates(obj: ComposedObjective, P) -> dict:
 
 
 def _feasible_start(obj: ComposedObjective, P0) -> PointEvaluation:
-    # The evaluation at the start point, brought into the feasible subset by
-    # one alignment application when it lies outside (the same mechanism
-    # the iteration uses mid-run).
+    # The evaluation at the start point after one alignment application, as
+    # every iterate gets: the rotation maps any point into the feasible
+    # subset and fixes one already in it, up to rounding.  A rule that
+    # rotates nothing keeps the evaluation at P0.
     start = PointEvaluation(obj, require_stiefel(P0))
-    rule = obj.alignment
-    try:
-        if rule.is_feasible(start):
-            return start
-    except ValueError:
-        # Objective undefined outside the feasible subset (powered atoms):
-        # that alone marks the start as infeasible.
-        pass
-    P = _aligned(rule, start.P, start)
-    return PointEvaluation(obj, P)
+    P = _aligned(obj.alignment, start.P, start)
+    return start if P is start.P else PointEvaluation(obj, P)
 
 
 def _alignment_certificates(at: PointEvaluation, certs: dict) -> dict:
@@ -430,7 +424,7 @@ class _SubspaceStep(_Step):
 
 def _scf(obj: ComposedObjective, P0, cfg: NpdoConfig, step: _Step,
          callback=None) -> SolveReport:
-    # The one SCF loop and the one stop rule: project the start, then test
+    # The one SCF loop and the one stop rule: align the start, then test
     # the residual, step, flag and record the step, and test for a stop (a
     # flagged ascent violation first, then stagnation) until the budget runs
     # out.  A record that carries ``sign_violated`` switches the ascent
@@ -474,7 +468,7 @@ def npdo_scf(obj: ComposedObjective, P0, cfg: NpdoConfig | None = None,
     Iterates until eps_kkt + eps_sym <= tol, the iteration budget runs out,
     f stagnates or a step breaks the declared ascent
     (``stop_reason="ascent_violated"``, the point it landed on returned).
-    Infeasible starts are projected by one alignment application.
+    The start is aligned like every iterate, by one alignment application.
     ``callback``, if given, is called as callback(i, P_next) after every
     step.  A step costs one full-size product per quadratic term (the
     evaluation at P_next), one thin SVD of the gradient G and one k-by-k

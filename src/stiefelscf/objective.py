@@ -21,40 +21,19 @@ keeps them.  The term values, f, the outer partials, both gradients, the
 alignment matrix scriptD and the field are derived from those products, so
 one point costs one A P product per quadratic term however many of them a
 solver step asks for.  Those derived attributes, and the field's, are lazy
-attributes (``_lazy``) rather than ``functools.cached_property``, which
-on Python 3.10 and 3.11 takes a lock on each first read: 0.66 against
-0.31 us per read on CPython 3.11, on the 5-10 such reads of every step.
-The solvers carry the evaluation at each iterate from the step that
-produced it to the next.  An evaluation can also be handed its products.
-The subspace step forms A W for its basis W = [P, ...] with one product
-per term matrix (``PointEvaluation.basis_products``, which
-reuses the A P the evaluation holds); ``transform`` builds W' A W from that
-A W, and the point P = W Z it lands on is evaluated from (A W) Z, so the
-landed point costs no A P product.
+attributes (``_lazy``).  The solvers carry the evaluation at each iterate
+from the step that produced it to the next.  An evaluation can also be
+handed its products.  The subspace step forms A W for its basis
+W = [P, ...] with one product per term matrix
+(``PointEvaluation.basis_products``, which reuses the A P the evaluation
+holds); ``transform`` builds W' A W from that A W, and the point
+P = W Z it lands on is evaluated from (A W) Z, so the landed point costs
+no A P product.
 
 Each of these full-size products with a term matrix, A P_i, A W and A T, is
-formed by ``kernels._thin_matmul`` in row panels A[i:i+r] @ X of at most
-``kernels.PANEL_MNK`` = 100^3 multiply-adds each, the size up to which
-OpenBLAS runs its small-matrix GEMM kernel, which skips packing.  At n <= 200
-and k <= 25 one panel covers A and the product is A @ X.  One run of
-``tools/product_timing.py`` on OpenBLAS 0.3.31 (Haswell kernels, one thread)
-gave, in median microseconds per product:
-
-    n, k       A @ X   panels   ratio
-    1000, 2     971.7    406.3    0.42
-    1000, 4    1015.5    458.8    0.45
-    1000, 8    1184.1    644.2    0.54
-    1000, 12   1597.0   1027.5    0.64
-    1000, 16   1482.9    843.9    0.57
-    2000, 4    4594.2   1915.0    0.42
-    200, 8       20.8     23.7    1.14
-    200, 24      45.8     50.3    1.10
-    40, 3         2.5      5.2    2.04
-
-so an NPDo solve at n = 1000, where the product is most of the work, takes
-about 30% less time (``sep``/npdo on ``polar-route``: 428 to 294 ms, 433
-steps either way), and at n <= 200 the kernel's own per-call cost adds a
-microsecond or three.
+formed by ``kernels._thin_matmul`` in row panels of at most
+``kernels.PANEL_MNK`` multiply-adds each; the timings that set the panel
+size are kept there.
 
 The diagonal atom is the density of the Kohn-Sham-type model of Liu, Wang,
 Wen and Yuan (SIAM J. Matrix Anal. Appl. 35(2), 2014): its coordinate
@@ -63,10 +42,7 @@ gradient is 2 R' diag(w) R P_i and its field 2 R' diag(w) R for the outer
 partials w of its coordinates.  ``AtomicTerm.diagonal`` builds
 it with R the identity, stored as None, which costs nothing to hold: the
 field then adds 2 w to the diagonal of H, and no product is formed.
-``transform`` maps R to R T.  It stands in for n rank-one quadratic atoms
-e_r e_r', which held one dense n-by-n matrix and formed one n-by-k product
-each per evaluation (121 terms and 14 MB for ``dft`` at n = 120, 8 GB at
-n = 1000).
+``transform`` maps R to R T.
 
 The field has one object per point, ``FactoredField``, which
 ``PointEvaluation.field`` builds from the products the evaluation already
@@ -81,16 +57,14 @@ n-by-n H is formed, for a dense eigensolve, for the norm where the Gram
 identity gives none, and for the certificates.  The mismatch M(P) is U'P
 for either recipe, so M and its asymmetry need no H.
 
-A formed field is made afresh at each evaluation.  Those 14 MB of row
-atoms had also kept glibc from trimming the top of its heap; without them
-the heap is trimmed after each step, and the next step's fresh n-by-n
-arrays fault in zeroed pages.  So the dense eigenvector step (``nepv``)
-owns one n-by-n array for the whole solve, which it symmetrizes H into and
-LAPACK overwrites.  Counting ``ru_minflt`` around each ``eigen-route``
-solve of the benchmark loop (n = 200), an ``mbsub``/nepv solve took 8361
-minor page faults without that array, 379 with it and 0 with the row
-atoms, and the workload's ``solves_per_kref`` was about 100, 131 and 118,
-while every step still formed H.
+A formed field is made afresh at each evaluation, and glibc trims the top
+of its heap after each step, so the next step's fresh n-by-n arrays would
+fault in zeroed pages.  So the dense eigenvector step (``nepv``) owns one
+n-by-n array for the whole solve, which it symmetrizes H into and LAPACK
+overwrites.  Counting ``ru_minflt`` around each ``eigen-route`` solve of
+the benchmark loop (n = 200), an ``mbsub``/nepv solve took 8361 minor page
+faults without that array and 379 with it, and the workload's
+``solves_per_kref`` was about 100 and 131.
 
 The objective's ``value``, ``euclidean_grad``, ``riemannian_grad``,
 ``script_d`` and ``field`` methods, and the single-term ``eval_atomic`` and
@@ -173,8 +147,10 @@ class _lazy:
     finds it without calling the descriptor.
 
     It is ``functools.cached_property`` without the lock that one takes on
-    each first read on Python 3.10 and 3.11.  No lock is needed, because
-    an evaluation or a field is never shared between threads.
+    each first read on Python 3.10 and 3.11: 0.66 against 0.31 us per read
+    on CPython 3.11, on the 5-10 such reads of every step.  No lock is
+    needed, because an evaluation or a field is never shared between
+    threads.
     """
 
     def __init__(self, func):

@@ -185,6 +185,20 @@ class TestRun:
         assert doc["iters"] == 1
         assert doc["f_final"] == pytest.approx(8.0)
 
+    def test_trace_writes_non_finite_cells_as_their_repr(self, tmp_path):
+        # Python floats and numpy scalars alike: "inf", "-inf", "nan", and
+        # an empty cell for a field the solver does not fill.
+        recs = [IterationRecord(0, f=np.float64(np.inf), eps_kkt=-np.inf,
+                                eps_sym=float("nan"), sigma_min=np.float64(2.0),
+                                eta=np.float64(-np.inf), step_angle=np.nan)]
+        report = SolveReport(point=np.eye(2), f_final=np.inf, f_initial=0.0,
+                             converged=False, stop_reason="max_iter",
+                             iterations=recs)
+        trace = tmp_path / "trace.csv"
+        cli.write_trace(trace, report)
+        assert trace.read_text() == (
+            TRACE_HEADER + "\n0,inf,-inf,nan,,2.0,-inf,nan,\n")
+
     def test_bad_file_exit_one(self, tmp_path, capsys):
         p = write_problem(tmp_path / "bad.json", {"family": "nope", "n": 2, "k": 1})
         assert main(["run", "--problem", str(p)]) == EXIT_INPUT

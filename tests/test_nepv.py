@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from stiefelscf import nepv as nepv_module
 from stiefelscf import objective as objective_module
+from stiefelscf.alignment import align_rotation
 from stiefelscf.cli import run_audits
 from stiefelscf.kernels import random_stiefel, sym_part, top_k_eigenpairs
 from stiefelscf.nepv import (
@@ -92,8 +93,8 @@ class TestNepvScfStep:
         A = sym_part(rng.standard_normal((n, n)))
         D = rng.standard_normal((n, k))
         obj = build(ProblemSpec("quad_lin2", n, k, {"A": A, "D": D}))
-        P = obj.alignment.rotate(random_stiefel(n, k, 1),
-                                 obj.at(random_stiefel(n, k, 1)))[1]
+        P = align_rotation(obj.alignment, random_stiefel(n, k, 1),
+                           obj.at(random_stiefel(n, k, 1)))[1]
         f = obj.value(P)
         landed = []
         nepv_scf(obj, P, NepvConfig(tol=1e-300, max_iter=20),

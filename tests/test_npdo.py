@@ -203,6 +203,24 @@ class TestNpdoScf:
         assert c["lambda_min_of_multiplier"] >= -1e-8 * c["multiplier_norm"]
         assert c["eps_sym"] <= 1e-8
 
+    @pytest.mark.parametrize("shift", [0.0, -3.0])
+    def test_certificates_match_the_multiplier_spectrum(self, shift):
+        # The certificates' one eigvalsh of sym(P'G) gives lambda_min and the
+        # spectral norm, whether the largest or the most negative
+        # eigenvalue sets it (at a random P of an indefinite sep).
+        n, k = 12, 2
+        A = make_psd(n, 12) + shift * np.eye(n)
+        obj = build(ProblemSpec("sep", n, k, {"A": A}))
+        P = random_stiefel(n, k, 3)
+        S = sym_part(P.T @ obj.euclidean_grad(P))
+        w = np.linalg.eigvalsh(S)
+        assert (abs(w[0]) > abs(w[-1])) == (shift < 0)
+        norm = np.linalg.norm(S, 2)
+        certs = npdo_certificates(obj, P)
+        assert certs["multiplier_norm"] == pytest.approx(norm, rel=1e-12, abs=0.0)
+        assert certs["lambda_min_of_multiplier"] == pytest.approx(
+            w[0], rel=0.0, abs=1e-12 * norm)
+
     def test_sumct_monotone_and_per_block_psd(self):
         n, k = 12, 4
         rng = np.random.default_rng(8)
@@ -383,12 +401,16 @@ class TestConfig:
         D = np.random.default_rng(4).standard_normal((n, k))
         obj = build(ProblemSpec("mbsub", n, k, {"A": make_psd(n, 3), "D": D}))
         P0 = random_stiefel(n, k, 0)
-        assert not obj.alignment.is_feasible(obj.at(P0))
+        guard = 1e-10 * max(np.linalg.norm(D, 2), 1.0)
+        S0 = P0.T @ D
+        assert np.linalg.norm(S0 - S0.T) > guard
         for solve in (npdo_scf, npdo_locg):
             report = solve(obj, P0, NpdoConfig(max_iter=0))
             assert report.num_iterations == 0
             assert report.stop_reason == "max_iter" and not report.converged
-            assert obj.alignment.is_feasible(obj.at(report.point))
+            S = report.point.T @ D
+            assert np.linalg.norm(S - S.T) <= guard
+            assert np.linalg.eigvalsh(sym_part(S))[0] >= -guard
             certs = npdo_certificates(obj, report.point)
             assert certs["alignment_psd_margin"] >= (
                 -1e-12 * max(certs["alignment_matrix_norm"], 1.0))

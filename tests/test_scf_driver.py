@@ -16,10 +16,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stiefelscf import kernels, nepv, npdo, objective
+from stiefelscf.alignment import _aligned
 from stiefelscf.kernels import orthonormalize_against, random_stiefel
 from stiefelscf.nepv import (
     NepvConfig,
@@ -339,8 +341,8 @@ def test_one_gradient_svd_per_residual(family, monkeypatch):
     # A plain polar step decomposes nothing but its gradient: one thin SVD
     # of it per residual, at the package's LAPACK binding, so
     # num_iterations + 1 in a converged solve, and no eigh or eigvalsh
-    # after the start's feasibility test.  The subspace step's inner steps
-    # take one SVD of the reduced gradient each.
+    # after the start.  The subspace step's inner steps take one SVD of the
+    # reduced gradient each.
     obj = build(family_spec(family, n=30, k=3))
     grads, events, inner = [], [], []
     grad = objective.PointEvaluation.euclidean_grad.func
@@ -392,6 +394,93 @@ def test_one_gradient_svd_per_residual(family, monkeypatch):
     assert len(reduced) == sum(residuals(r) for r in inner)
     assert sum(r.num_iterations for r in inner) == sum(
         rec.inner_iters for rec in report.iterations)
+
+
+@pytest.mark.parametrize("solve", [npdo_scf, npdo_locg, nepv_scf])
+def test_the_start_takes_no_spectrum(solve, monkeypatch):
+    # The start is aligned as every iterate is, with no membership test
+    # first: no eigvalsh and no spectral norm of the alignment matrix.
+    obj = build(family_spec("mbsub", n=30, k=3))
+    events, inside = [], []
+    real_start = npdo._feasible_start
+    eigvalsh, norm = np.linalg.eigvalsh, np.linalg.norm
+
+    def start(*args):
+        inside.append(True)
+        try:
+            return real_start(*args)
+        finally:
+            inside.pop()
+
+    def counted_eigvalsh(*args, **kwargs):
+        if inside:
+            events.append("eigvalsh")
+        return eigvalsh(*args, **kwargs)
+
+    def counted_norm(x, ord=None, *args, **kwargs):
+        if inside and ord == 2:
+            events.append("norm2")
+        return norm(x, ord, *args, **kwargs)
+
+    monkeypatch.setattr(npdo, "_feasible_start", start)
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted_eigvalsh)
+    monkeypatch.setattr(np.linalg, "norm", counted_norm)
+    report = solve(obj, random_stiefel(obj.n, obj.k, 5), NpdoConfig(max_iter=3))
+    assert report.num_iterations >= 1
+    assert events == []
+
+
+def test_every_svd_goes_through_the_binding(monkeypatch):
+    # The solvers and canonical_sin_theta take every SVD from the dgesdd
+    # binding kernels._svd, the warm Ritz solve's start basis and the
+    # subspace step's orthonormal bases included.
+    def refuse(*args, **kwargs):
+        raise AssertionError("an SVD outside kernels._svd")
+
+    monkeypatch.setattr(np.linalg, "svd", refuse)
+    monkeypatch.setattr(scipy.linalg, "svdvals", refuse)
+    warm, ritz = [], nepv.ritz_top_k
+    monkeypatch.setattr(nepv, "ritz_top_k", lambda *a, **kw: (
+        warm.append(ritz(*a, **kw)) or warm[-1]))
+    n = nepv.WARM_MIN_N + 20
+    obj = build(family_spec("mbsub", n=n, k=3))
+    P0 = random_stiefel(n, 3, 5)
+    assert nepv_scf(obj, P0, NepvConfig(max_iter=20)).num_iterations >= 1
+    assert any(pairs is not None for pairs in warm)
+    for solve in (npdo_locg, nepv_locg):
+        report = solve(obj, P0, NpdoConfig(max_iter=20))
+        assert sum(rec.inner_iters for rec in report.iterations) >= 1
+    dist2, dist_f = kernels.canonical_sin_theta(P0, random_stiefel(n, 3, 6))
+    assert 0.0 < dist2 <= dist_f
+
+
+# Catalog families whose alignment rule rotates: a fixed D, scriptD or
+# per-block drivers.
+ROTATING = ["mbsub", "quad_lin2", "sumct", "theta_tr", "occa", "theta_tr_sq",
+            "procrustes"]
+
+
+@pytest.mark.parametrize("family", ROTATING)
+@settings(max_examples=8, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(3, 12),
+       k=st.integers(1, 3), theta=st.sampled_from([0.0, 0.3, 0.5, 1.0]))
+def test_the_start_is_aligned_like_every_iterate(family, seed, n, k, theta):
+    # A solve that takes no step returns its start after one alignment,
+    # bit for bit, on both routes, plain or accelerated; aligning that
+    # point again moves it and f by rounding only.
+    rng = np.random.default_rng(seed)
+    obj = build(random_catalog_spec(family, n, k, rng, theta))
+    assert obj.alignment.blocks != ()
+    P0 = random_stiefel(n, k, seed)
+    start = _aligned(obj.alignment, P0, obj.at(P0))
+    cfg = NpdoConfig(max_iter=0)
+    for solve in (npdo_scf, npdo_locg, nepv_scf, nepv_locg):
+        P = solve(obj, P0, cfg).point
+        assert np.array_equal(P, start), solve.__name__
+        again = solve(obj, P, cfg)
+        assert np.linalg.norm(again.point - P) <= 1e-12, solve.__name__
+        f = obj.value(P)
+        assert abs(again.f_final - f) <= MONOTONE_SLACK * max(1.0, abs(f))
 
 
 class _Counted(np.ndarray):
@@ -645,7 +734,7 @@ def test_locg_converged_means_the_plain_residual_met_tol(family, seed, n, k,
 def test_declared_ascent_holds_on_random_psd_instances(family, seed, n, k,
                                                        theta):
     # Every solver of a route a family declares monotone, plain or
-    # accelerated, records a non-decreasing f, from the projected start on,
+    # accelerated, records a non-decreasing f, from the aligned start on,
     # within MONOTONE_SLACK, and so never stops for a violated ascent.
     rng = np.random.default_rng(seed)
     obj = build(random_catalog_spec(family, n, k, rng, theta))
