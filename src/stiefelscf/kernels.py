@@ -14,7 +14,10 @@ The decompositions call LAPACK through bindings resolved once by
 
 - ``dsyevr`` for the top eigenpairs;
 - ``dgesdd`` (``_svd``) for every SVD, public or internal: polar factors,
-  trace norms, canonical angles and orthonormal bases;
+  trace norms, canonical angles and the rank-revealing first pass of
+  Gram-Schmidt;
+- ``dgeqrf`` and ``dorgqr`` (``_qr_basis``) for the Householder QR of
+  Gram-Schmidt's second pass, which has no rank to decide;
 - ``dpotrf`` (``_factors``) for the Cholesky factorizations that certify a
   problem matrix positive (semi)definite when it is built.
 
@@ -351,7 +354,11 @@ def ritz_top_k(H, P, HP, guard, tol: float,
 
     The space starts from X0 = [P, guard], with ``HP`` = H @ P given, and
     grows by the blocks H X_j, each orthonormalized against the space so
-    far, up to ``RITZ_MAX_BLOCKS`` of them.  After each block a
+    far, up to ``RITZ_MAX_BLOCKS`` of them.  The start basis is P and the
+    guard projected off P twice, with no decomposition; each block takes
+    one SVD, the Gram-Schmidt pass that decides its rank, and one
+    Householder QR, the second pass, which has no rank to decide (see
+    ``_orth_against``).  After each block a
     Rayleigh-Ritz solve gives the top k+1 Ritz pairs (theta_i, v_i) and the
     residual R = H V - V Theta of their vectors V.  The top k are returned,
     with ``gap`` = theta_k - theta_{k+1} and ``next_vector`` = v_{k+1}, as
@@ -366,25 +373,31 @@ def ritz_top_k(H, P, HP, guard, tol: float,
     ``objective.FactoredField``, which applies the field from its terms'
     parts without forming it.  P must be orthonormal; neither is checked.
     """
-    k = P.shape[1]
+    n, k = P.shape
     g = guard - P @ (P.T @ guard)
     norm_g = np.linalg.norm(g)
     if not norm_g > 1e-8 * np.linalg.norm(guard):
         return None
-    g /= norm_g
-    # An orthonormal basis W of [P, g] and HW = H W, from one product.
-    U, s, Vt = _svd(np.hstack([P, g]))
-    W, HW = U, np.hstack([HP, H @ g]) @ (Vt.T / s)
-    HX, last = HW, np.inf
+    # Projected twice, g is orthogonal to range(P) to working precision, so
+    # W = [P, g] is orthonormal as it stands.  W and HW = H W grow in place
+    # in buffers sized for every block; W[:, :m] holds the space so far.
+    g -= P @ (P.T @ g)
+    g /= np.linalg.norm(g)
+    W = np.empty((n, (RITZ_MAX_BLOCKS + 1) * (k + 1)), order="F")
+    HW = np.empty_like(W)
+    m = k + 1
+    W[:, :k], W[:, k:m], HW[:, :k], HW[:, k:m] = P, g, HP, H @ g
+    HX, last = HW[:, :m], np.inf
     for left in range(RITZ_MAX_BLOCKS - 1, -1, -1):
-        Y = _orth_against(W, HX, 1e-12 * np.linalg.norm(HX))
+        Y = _orth_against(W[:, :m], HX, 1e-12 * np.linalg.norm(HX))
         if Y.shape[1]:
             HX = H @ Y
-            W, HW = np.hstack([W, Y]), np.hstack([HW, HX])
-        theta, Z = np.linalg.eigh(_sym(W.T @ HW))
+            W[:, m:m + Y.shape[1]], HW[:, m:m + Y.shape[1]] = Y, HX
+            m += Y.shape[1]
+        theta, Z = np.linalg.eigh(_sym(W[:, :m].T @ HW[:, :m]))
         theta, Z = theta[:-k - 2:-1], Z[:, :-k - 2:-1]  # top k+1, descending
-        V = W @ Z
-        R = HW @ Z - V * theta
+        V = W[:, :m] @ Z
+        R = HW[:, :m] @ Z - V * theta
         res = float(np.linalg.norm(R[:, :k]))
         if res <= tol:
             break
@@ -423,16 +436,20 @@ def canonical_sin_theta(X, Y) -> tuple[float, float]:
     return dist2, dist_f
 
 
-def _orth(V: np.ndarray, floor: float = 0.0) -> np.ndarray:
-    # Orthonormal basis of range(V) by SVD, without the directions whose
-    # singular value is at or below 1e-12 * sigma_max or ``floor``.
-    if V.shape[1] == 0:
-        return V
-    U, s, _ = _svd(V)
-    if s.size == 0 or s[0] == 0.0:
-        return V[:, :0]
-    keep = s > max(1e-12 * s[0], floor)
-    return U[:, keep]
+_geqrf, _orgqr = scipy.linalg.get_lapack_funcs(("geqrf", "orgqr"),
+                                               dtype=np.float64)
+
+
+def _qr_basis(B: np.ndarray) -> np.ndarray:
+    # The orthonormal factor Q of the thin Householder QR B = Q R, by
+    # LAPACK's dgeqrf and dorgqr, unchecked: B is tall, nonempty and of full
+    # column rank.  A LAPACK failure raises ``np.linalg.LinAlgError``.
+    qr, tau, _, info = _geqrf(B, overwrite_a=1)
+    if info == 0:
+        Q, _, info = _orgqr(qr, tau, overwrite_a=1)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"Householder QR failed with info = {info}")
+    return Q
 
 
 def orthonormalize_against(P, V) -> np.ndarray:
@@ -455,13 +472,17 @@ def orthonormalize_against(P, V) -> np.ndarray:
 
 
 def _orth_against(P: np.ndarray, V: np.ndarray, floor: float) -> np.ndarray:
-    # Two passes of classical Gram-Schmidt against orthonormal P, each
-    # followed by an SVD orthonormalization; the first pass drops directions
-    # with singular values at or below ``floor``.
-    W = _orth(V - P @ (P.T @ V), floor)
-    if W.shape[1]:
-        W = _orth(W - P @ (P.T @ W))
-    return W
+    # Two passes of classical Gram-Schmidt against orthonormal P.  The first
+    # orthonormalizes by SVD and drops the directions whose singular values
+    # are at or below 1e-12 * sigma_max or ``floor``, which every caller sets
+    # at about 1e-12 ||V|| or more.  So the kept directions hold at most
+    # about eps * 1e12 = 1e-4 of range(P), the second projection leaves
+    # singular values of at least 1 - 1e-4, and its Householder QR has no
+    # rank to decide; after it the basis is orthogonal to P to working
+    # precision (twice is enough).
+    U, s, _ = _svd(V - P @ (P.T @ V))
+    W = U[:, s > max(1e-12 * s.max(initial=0.0), floor)]
+    return _qr_basis(W - P @ (P.T @ W)) if W.shape[1] else W
 
 
 def random_stiefel(n: int, k: int, seed: int = 0) -> np.ndarray:

@@ -90,8 +90,12 @@ GAP_DEGENERATE = 1e-10
 # Fields of order below this take the dense step only: there the dense
 # solve costs about as much as the warm Krylov blocks.  The per-step time
 # of mbsub, theta_tr and procrustes solves crosses between n = 50 and
-# n = 70 at k = 3 and near n = 50 at k = 8 (BLAS at one thread).  The bound
-# stays at 80, where warm steps are 0.6-0.9 times the dense cost.
+# n = 70 at k = 3 and near n = 50 at k = 8 (BLAS at one thread).  With one
+# SVD and one QR per Krylov block, ``tools/ritz_timing.py`` puts the warm
+# solve alone at 1.4 times the dense one at n = 40 (169 against 124 us at
+# k = 3, 304 against 208 at k = 8), even at n = 60 and 0.6-0.8 times it at
+# n = 80.  The bound stays at 80: below it a failed attempt, which pays for
+# both, eats what a passing one saves.
 WARM_MIN_N = 80
 
 

@@ -576,6 +576,20 @@ class TestRun:
         main(["run", "--problem", str(mbsub_file), "--seed", "2", "--trace", str(t2)])
         assert t1.read_bytes() != t2.read_bytes()
 
+    def test_each_call_parses_its_own_arguments(self, sep_file, monkeypatch):
+        # The parser is built once and kept; no value of one call carries
+        # into the next, an omitted --seed included.
+        seen = []
+        monkeypatch.setattr(cli, "run_one", lambda args: seen.append(
+            vars(args).copy()) or EXIT_OK)
+        for argv in (["--seed", "7", "--solver", "npdo", "--tol", "1e-3"],
+                     ["--seed", "3"], [], ["--seed", "7"]):
+            assert main(["run", "--problem", str(sep_file), *argv]) == EXIT_OK
+        assert [(a["seed"], a["solver"], a["tol"]) for a in seen] == [
+            (7, "npdo", 1e-3), (3, "nepv", 1e-8), (0, "nepv", 1e-8),
+            (7, "nepv", 1e-8)]
+        assert cli.build_parser() is cli.build_parser()
+
 
 class TestBatch:
     def test_runs_directory(self, tmp_path):

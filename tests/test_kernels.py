@@ -46,6 +46,40 @@ def outer_residual(H, P):
     return HP, np.linalg.norm(HP - P @ (P.T @ HP))
 
 
+def assert_ritz_pairs(H, P, HP, out, tol):
+    # What an accepted warm solve promises: orthonormal Ritz vectors within
+    # tol of being eigenvectors, Ky Fan against tr(P'HP) (range(P) lies in
+    # the space), Cauchy interlacing, and a unit (k+1)-th vector orthogonal
+    # to the basis.
+    n, k = P.shape
+    V, theta = out.eigenbasis, out.eigenvalues
+    assert np.allclose(V.T @ V, np.eye(k), atol=1e-13)
+    assert np.linalg.norm(H @ V - V * theta) <= tol
+    assert theta.sum() >= np.trace(P.T @ HP) - 1e-12
+    w = np.linalg.eigvalsh(H)[::-1]
+    assert np.all(theta <= w[:k] + 1e-12)
+    g = out.next_vector
+    assert g.shape == (n, 1)
+    assert np.linalg.norm(V.T @ g) <= 1e-12
+    assert np.linalg.norm(g) == pytest.approx(1.0)
+
+
+def degenerate_spectrum(n, k):
+    # lambda_k = lambda_{k+1} = 3: a warm step must not report a gap.
+    return np.concatenate([np.linspace(0.0, 2.0, n - k - 1), [3.0, 3.0],
+                           np.linspace(3.5, 4.0, k - 1)])
+
+
+class CountingField:
+    # A symmetric matrix applied as ``H @ X``, counting the applies.
+    def __init__(self, H):
+        self.H, self.applies = H, 0
+
+    def __matmul__(self, X):
+        self.applies += 1
+        return self.H @ X
+
+
 class TestRitzTopK:
     N, K = 120, 4
     SEPARATED = np.concatenate([np.linspace(0.0, 2.5, N - K),
@@ -60,19 +94,10 @@ class TestRitzTopK:
         HP, res = outer_residual(H, P)
         out = ritz_top_k(H, P, HP, prev.next_vector, 0.25 * res, 0.0)
         assert out is not None
-        V, theta = out.eigenbasis, out.eigenvalues
-        assert np.allclose(V.T @ V, np.eye(k), atol=1e-13)
-        assert np.linalg.norm(H @ V - V * theta) <= 0.25 * res
-        # Ky Fan within the space: range(P) lies in it.
-        assert theta.sum() >= np.trace(P.T @ HP) - 1e-12
-        # Cauchy interlacing: no Ritz value exceeds its eigenvalue.
-        w = np.linalg.eigvalsh(H)[::-1]
-        assert np.all(theta <= w[:k] + 1e-12)
+        assert_ritz_pairs(H, P, HP, out, 0.25 * res)
         g = out.next_vector
-        assert g.shape == (self.N, 1)
-        assert np.linalg.norm(V.T @ g) <= 1e-12
-        assert np.linalg.norm(g) == pytest.approx(1.0)
-        assert out.gap == pytest.approx(theta[-1] - (g.T @ H @ g).item())
+        assert out.gap == pytest.approx(out.eigenvalues[-1]
+                                        - (g.T @ H @ g).item())
 
     def test_none_when_the_residual_test_cannot_pass(self):
         H, H_prev = field_and_previous_step(self.SEPARATED, 1, 1e-1)
@@ -84,17 +109,78 @@ class TestRitzTopK:
     @pytest.mark.parametrize("n, k", [(100, 3), (120, 8)])
     @pytest.mark.parametrize("drift", [1e-4, 1e-2, 0.3])
     def test_degenerate_gap_is_flagged_or_refused(self, n, k, drift):
-        # lambda_k = lambda_{k+1} = 3: a warm step must not report a gap.
-        spectrum = np.concatenate([np.linspace(0.0, 2.0, n - k - 1),
-                                   [3.0, 3.0], np.linspace(3.5, 4.0, k - 1)])
         for seed in range(5):
-            H, H_prev = field_and_previous_step(spectrum, seed, drift)
+            H, H_prev = field_and_previous_step(degenerate_spectrum(n, k),
+                                                seed, drift)
             prev = top_k_eigenpairs(H_prev, k)
             P = prev.eigenbasis
             HP, res = outer_residual(H, P)
             for floor in (0.0, GAP_DEGENERATE):
                 out = ritz_top_k(H, P, HP, prev.next_vector, 0.25 * res, floor)
                 assert out is None or out.gap < GAP_DEGENERATE
+
+    @pytest.mark.parametrize("degenerate", [False, True])
+    def test_one_svd_and_one_qr_per_krylov_block(self, degenerate,
+                                                 monkeypatch):
+        # The start basis [P, g] takes no decomposition; each block the
+        # space grows by takes one SVD (the rank-deciding Gram-Schmidt pass)
+        # and one Householder QR (the second pass), counted at the LAPACK
+        # bindings.  Blocks are counted as the field applies after H g.
+        n, k = self.N, self.K
+        spectrum = degenerate_spectrum(n, k) if degenerate else self.SEPARATED
+        calls = []
+        for name in ("_gesdd", "_geqrf"):
+            real = getattr(kernels, name)
+            monkeypatch.setattr(kernels, name, lambda *a, _n=name, _r=real,
+                                **kw: calls.append(_n) or _r(*a, **kw))
+        accepted = 0
+        for seed in range(4):
+            for drift in (1e-3, 1e-1):
+                H, H_prev = field_and_previous_step(spectrum, seed, drift)
+                prev = top_k_eigenpairs(H_prev, k)
+                P = prev.eigenbasis
+                HP, res = outer_residual(H, P)
+                field = CountingField(H)
+                calls.clear()
+                out = ritz_top_k(field, P, HP, prev.next_vector, 0.25 * res,
+                                 0.0)
+                blocks = field.applies - 1
+                assert 1 <= blocks <= kernels.RITZ_MAX_BLOCKS
+                assert calls.count("_gesdd") == calls.count("_geqrf") == blocks
+                accepted += out is not None
+        # A degenerate gap is refused, and the rule holds there too.
+        assert accepted == 0 if degenerate else accepted >= 1
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), k=st.integers(1, 8),
+           seed=st.integers(0, 2**32 - 1),
+           kind=st.sampled_from(["separated", "low_rank", "repeated",
+                                 "degenerate"]),
+           drift=st.sampled_from([1e-6, 1e-3, 0.3]))
+    def test_accepted_pairs_hold_on_every_field(self, data, k, seed, kind,
+                                                drift):
+        # A field with one repeated eigenvalue below the top k has a Krylov
+        # space of few dimensions, so a block deflates; a low-rank field has
+        # most of its range in [P, g]; with lambda_k = lambda_{k+1} the step
+        # must refuse or flag the gap.
+        n = data.draw(st.integers(4 * (k + 1) + 1, 120), label="n")
+        top = np.linspace(3.0, 4.0, k)
+        spectrum = {
+            "separated": np.concatenate([np.linspace(0.0, 2.5, n - k), top]),
+            "low_rank": np.concatenate([np.zeros(n - k - 1), [1.0], top]),
+            "repeated": np.concatenate([np.full(n - k, 1.0), top]),
+            "degenerate": degenerate_spectrum(n, k),
+        }[kind]
+        H, H_prev = field_and_previous_step(spectrum, seed, drift)
+        prev = top_k_eigenpairs(H_prev, k)
+        P = prev.eigenbasis
+        HP, res = outer_residual(H, P)
+        out = ritz_top_k(H, P, HP, prev.next_vector, 0.25 * res,
+                         GAP_DEGENERATE)
+        if out is not None:
+            assert_ritz_pairs(H, P, HP, out, 0.25 * res)
+        if kind == "degenerate":
+            assert out is None or out.gap < GAP_DEGENERATE
 
 
 class TestPolarFactor:
@@ -613,6 +699,34 @@ class TestOrthonormalizeAgainst:
         assert W.shape[0] == n and W.shape[1] <= r
         assert np.linalg.norm(W.T @ W - np.eye(W.shape[1])) <= 1e-12
         assert np.linalg.norm(P.T @ W) <= 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), k=st.integers(1, 8), seed=st.integers(0, 2**32 - 1),
+       scale=st.sampled_from([1e-3, 1.0, 1e3]))
+def test_orth_against_is_orthonormal_to_working_precision(data, k, seed,
+                                                          scale):
+    # V mixes columns outside range(W), columns inside it and columns that
+    # nearly repeat others.  With the floor orthonormalize_against sets,
+    # the SVD pass decides the rank and the QR pass leaves Y orthonormal and
+    # orthogonal to W to working precision.
+    n = data.draw(st.integers(4 * (k + 1) + 1, 120), label="n")
+    p = data.draw(st.integers(k, 4 * (k + 1)), label="p")
+    free = data.draw(st.integers(0, min(n - p, k + 1)), label="free")
+    inside = data.draw(st.integers(0, k + 1), label="inside")
+    near = data.draw(st.sampled_from([0.0, 1e-10, 1e-6]), label="near")
+    rng = np.random.default_rng(seed)
+    W = random_stiefel(n, p, seed)
+    cols = [rng.standard_normal((n, free)), W @ rng.standard_normal((p, inside))]
+    if near and free:
+        cols.append(cols[0] + near * rng.standard_normal((n, free)))
+    V = scale * np.hstack(cols)
+    if not V.shape[1]:
+        return
+    Y = kernels._orth_against(W, V, 1e-12 * np.linalg.norm(V, 2))
+    assert Y.shape[1] <= V.shape[1] - inside
+    assert np.linalg.norm(Y.T @ Y - np.eye(Y.shape[1])) <= 1e-13
+    assert np.linalg.norm(W.T @ Y) <= 1e-13
 
 
 class TestRandomStiefel:

@@ -432,8 +432,9 @@ def test_the_start_takes_no_spectrum(solve, monkeypatch):
 
 def test_every_svd_goes_through_the_binding(monkeypatch):
     # The solvers and canonical_sin_theta take every SVD from the dgesdd
-    # binding kernels._svd, the warm Ritz solve's start basis and the
-    # subspace step's orthonormal bases included.
+    # binding kernels._svd, the warm Ritz solve's Krylov blocks and the
+    # subspace step's orthonormal bases included (the warm solve's start
+    # basis takes none).
     def refuse(*args, **kwargs):
         raise AssertionError("an SVD outside kernels._svd")
 
