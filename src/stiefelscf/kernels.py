@@ -8,6 +8,14 @@ and exactly symmetric, A == A.T bit for bit (``require_symmetric`` and
 thin X is formed by ``_thin_matmul`` in row panels small enough for BLAS's
 unpacked small-matrix GEMM kernel (see ``PANEL_MNK``).  Every function is a
 pure function of its inputs, so results are safe to share between threads.
+The package runs one thread of its own: a product in ``_thin_matmul``'s
+share window (at least ``SHARE_MIN_MNK`` multiply-adds, an A of at most
+``SHARE_MAX_ENTRIES`` entries) is offered to a helper thread, started on
+the first such product unless the process may run on one CPU only.  The
+caller and the helper take row panels from one iterator; each panel is
+the same BLAS call as in the serial loop, written to its own rows of the
+result, so the product is bit for bit the serial one whichever thread ran
+which panel.
 
 The decompositions call LAPACK through bindings resolved once by
 ``scipy.linalg.get_lapack_funcs``:
@@ -42,7 +50,11 @@ row index.  The polar factors need no such rule: flipping a singular pair
 
 from __future__ import annotations
 
+import functools
 import math
+import os
+import queue
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -133,20 +145,146 @@ def _sym(M: np.ndarray) -> np.ndarray:
 # microsecond or three.
 PANEL_MNK = 100**3
 
+# The products whose row panels ``_thin_matmul`` shares with the helper
+# thread: at least SHARE_MIN_MNK multiply-adds (two full panels) and an A
+# of at most SHARE_MAX_ENTRIES entries.  One run of
+# ``tools/product_timing.py --repeats 61`` with the window opened to every
+# size (OpenBLAS 0.3.31, BLAS at one thread, 2 vCPUs) gave, in median us
+# per product:
+#
+#     n, k      serial   shared
+#     200, 8      14.7     20.5
+#     200, 32     48.8     43.9
+#     500, 8      86.4     72.8
+#     1000, 2    276.7    185.1
+#     1000, 4    340.6    218.1
+#     1000, 8    414.2    286.5
+#     1000, 16   569.5    413.0
+#     1950, 4   1337.2    807.2
+#     2000, 4   1381.0   1346.2
+#     3000, 4   3146.9   3081.2
+#
+# Beyond about 30 MB of A the two threads wait on memory: over six runs at
+# n = 1990 to 3000 sharing lost up to 15% (2000, 4: 1409 against 1620 us)
+# and gained at most 4% at k <= 8 (7% at 2000, 16).  Below the lower end
+# the offer can cost more than the helper saves (200, 8, one panel: 6 us
+# more); the lower end keeps every NEPv product at n <= 200, at most
+# 1.28M multiply-adds, serial.
+SHARE_MIN_MNK = 2 * PANEL_MNK
+SHARE_MAX_ENTRIES = 1950**2
+
 
 def _thin_matmul(A: np.ndarray, X: np.ndarray) -> np.ndarray:
     # A @ X for a thin X, unchecked, formed in row panels A[i:i+r] @ X of at
     # most PANEL_MNK multiply-adds each, written into one C-ordered result;
     # below that size the one panel is A @ X.  X is made C-contiguous once:
     # a Fortran-ordered X loses part of the small kernel's gain at k >= 8
-    # (405 against 344 us per 1000 rows at n = 1000, k = 8).
+    # (405 against 344 us per 1000 rows at n = 1000, k = 8).  Inside the
+    # share window the helper thread takes panels from the same iterator.
     X = np.ascontiguousarray(X)
     (n, m), k = A.shape, X.shape[1]
     rows = max(1, PANEL_MNK // max(1, m * k))
     out = np.empty((n, k))
-    for i in range(0, n, rows):
-        np.matmul(A[i:i + rows], X, out=out[i:i + rows])
+    starts = range(0, n, rows)
+    if SHARE_MIN_MNK <= n * m * k and n * m <= SHARE_MAX_ENTRIES:
+        _share(functools.partial(_panels, A, X, out, rows, iter(starts)))
+    else:
+        _panels(A, X, out, rows, starts)
     return out
+
+
+def _panels(A, X, out, rows, starts) -> None:
+    # out[i:i+rows] = A[i:i+rows] @ X for each panel start i.  Threads that
+    # share one iterator of starts each take the next start: every panel
+    # is formed once, by the same BLAS call whichever thread makes it.
+    for i in starts:
+        np.matmul(A[i:i + rows], X, out=out[i:i + rows])
+
+
+class _Job:
+    # A call of ``run`` offered to the helper.  Whoever takes ``claim``
+    # first owns the offer: the helper, which then calls ``run``, or the
+    # caller, which so withdraws an offer the helper has not started.  Two
+    # locks and a SimpleQueue hand a job over for 30-50 us less than a
+    # ThreadPoolExecutor(1) submit and cancel (n = 1000, k = 4: 217 against
+    # 268 us per product).
+    __slots__ = ("run", "claim", "done", "error")
+
+    def __init__(self, run):
+        self.run, self.error = run, None
+        self.claim, self.done = threading.Lock(), threading.Lock()
+        self.done.acquire()
+
+    def serve(self) -> None:
+        # In the helper: run the job unless the caller withdrew it.
+        if self.claim.acquire(blocking=False):
+            try:
+                self.run()
+            except BaseException as exc:  # re-raised by the caller in join()
+                self.error = exc
+            finally:
+                self.done.release()
+
+    def join(self) -> None:
+        # In the caller, after its own run(): withdraw the offer, or wait
+        # for the helper to finish the one panel it may still be on.
+        if self.claim.acquire(blocking=False):
+            return
+        self.done.acquire()
+        if self.error is not None:
+            raise self.error
+
+
+# The helper's job queue: None until the first product in the share window,
+# False when the process may run on one CPU only.
+_helper = None
+_helper_lock = threading.Lock()
+
+
+def _serve(jobs: queue.SimpleQueue) -> None:
+    while True:
+        jobs.get().serve()
+
+
+def _helper_jobs():
+    global _helper
+    with _helper_lock:
+        if _helper is None:
+            cpus = (len(os.sched_getaffinity(0))
+                    if hasattr(os, "sched_getaffinity") else os.cpu_count())
+            if (cpus or 1) > 1:
+                _helper = queue.SimpleQueue()
+                threading.Thread(target=_serve, args=(_helper,), daemon=True,
+                                 name="stiefelscf-panels").start()
+            else:
+                _helper = False
+    return _helper
+
+
+def _forget_helper() -> None:
+    # A forked child has no helper thread, and the lock may have been held
+    # by another thread at the fork; the child starts afresh when needed.
+    global _helper, _helper_lock
+    _helper, _helper_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_helper)
+
+
+def _share(run) -> None:
+    # Call run() here while the helper, if there is one and it is free in
+    # time, calls it too; return once neither thread runs it.
+    jobs = _helper if _helper is not None else _helper_jobs()
+    if jobs is False:
+        run()
+        return
+    job = _Job(run)
+    jobs.put(job)
+    try:
+        run()
+    finally:
+        job.join()
 
 
 # Frobenius norms inside this range are taken plainly: their squares can

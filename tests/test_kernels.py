@@ -1,4 +1,10 @@
+import os
+import subprocess
+import sys
+import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -591,32 +597,228 @@ def assert_is_the_product(out, A, X):
     assert np.abs(out - A @ X).max() <= 1e-14 * scale
 
 
+def serial_panels(A, X):
+    # The kernel's row-panel loop with every panel on the calling thread:
+    # the reference the shared path equals bit for bit.
+    X = np.ascontiguousarray(X)
+    (n, m), k = A.shape, X.shape[1]
+    rows = max(1, kernels.PANEL_MNK // max(1, m * k))
+    out = np.empty((n, k))
+    for i in range(0, n, rows):
+        np.matmul(A[i:i + rows], X, out=out[i:i + rows])
+    return out
+
+
+def share_window(open_):
+    # The share window opened to every size, or closed to every size.
+    return mock.patch.multiple(kernels, SHARE_MIN_MNK=0 if open_ else np.inf,
+                               SHARE_MAX_ENTRIES=np.inf)
+
+
+def logging_matmul(threads):
+    # np.matmul, adding the id of each thread that calls it to ``threads``.
+    matmul = np.matmul
+
+    def logged(*args, **kwargs):
+        threads.add(threading.get_ident())
+        return matmul(*args, **kwargs)
+
+    return mock.patch.object(np, "matmul", logged)
+
+
+# The helper thread exists only where the process may run on two CPUs.
+CPUS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+        else os.cpu_count() or 1)
+needs_two_cpus = pytest.mark.skipif(CPUS < 2, reason="no helper on one CPU")
+
+
 @settings(max_examples=80, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 64), data=st.data(),
-       layout=st.sampled_from(LAYOUTS), symmetric=st.booleans())
+       layout=st.sampled_from(LAYOUTS), symmetric=st.booleans(),
+       shared=st.booleans())
 def test_thin_matmul_is_the_product_for_every_layout(seed, n, data, layout,
-                                                    symmetric):
+                                                    symmetric, shared):
     # Row panels of at most PANEL_MNK multiply-adds give A X whatever the
     # layout of X and whether or not A is symmetric.  PANEL_MNK is drawn
     # from 1 (one row per panel) to n^2 k (one panel).  The result is
-    # C-contiguous.
+    # C-contiguous, and with the share window open, so that the helper
+    # thread may take panels too, it is the serial loop's bit for bit.
     k = data.draw(st.integers(1, n), label="k")
     panel_mnk = data.draw(st.integers(1, n * n * k), label="PANEL_MNK")
     A, X = thin_product_case(np.random.default_rng(seed), n, k, layout,
                              symmetric)
-    with mock.patch.object(kernels, "PANEL_MNK", panel_mnk):
+    with mock.patch.object(kernels, "PANEL_MNK", panel_mnk), \
+            share_window(shared):
         out = _thin_matmul(A, X)
+        serial = serial_panels(A, X)
     assert_is_the_product(out, A, X)
+    assert np.array_equal(out, serial)
+
+
+@pytest.mark.parametrize("layout", LAYOUTS)
+@pytest.mark.parametrize("n, k, panel_mnk", [(64, 1, 5 * 64), (61, 3, 1)])
+def test_shared_panels_are_the_serial_loop(layout, n, k, panel_mnk):
+    # The shared path at k = 1 with a ragged last panel (64 rows in panels
+    # of 5) and at one row per panel: bit for bit the serial loop, call
+    # after call.
+    A, X = thin_product_case(np.random.default_rng(n), n, k, layout, False)
+    with mock.patch.object(kernels, "PANEL_MNK", panel_mnk), \
+            share_window(True):
+        serial = serial_panels(A, X)
+        for _ in range(50):
+            assert np.array_equal(_thin_matmul(A, X), serial)
 
 
 @pytest.mark.parametrize("layout", LAYOUTS)
 def test_thin_matmul_is_the_product_at_n_1000(layout):
-    # The unpatched PANEL_MNK at the polar-route shape n = 1000, k = 4: four
-    # panels of 250 rows, with a non-symmetric A.
+    # The unpatched PANEL_MNK and share window at the polar-route shape
+    # n = 1000, k = 4: four panels of 250 rows, shared with the helper
+    # thread, with a non-symmetric A.
     assert kernels.PANEL_MNK // (1000 * 4) == 250
+    assert kernels.SHARE_MIN_MNK <= 1000 * 1000 * 4
+    assert 1000 * 1000 <= kernels.SHARE_MAX_ENTRIES
     A, X = thin_product_case(np.random.default_rng(1), 1000, 4, layout, False)
-    assert_is_the_product(_thin_matmul(A, X), A, X)
+    out = _thin_matmul(A, X)
+    assert_is_the_product(out, A, X)
+    assert np.array_equal(out, serial_panels(A, X))
 
+
+def test_the_window_keeps_small_and_large_products_serial():
+    # n <= 200 with up to 32 columns (the largest NEPv products) and an A
+    # beyond SHARE_MAX_ENTRIES entries run every panel on the caller.
+    threads = set()
+    rng = np.random.default_rng(2)
+    for n, k in ((200, 32), (40, 3), (2000, 4)):
+        A, X = thin_product_case(rng, n, k, "C", True)
+        with logging_matmul(threads):
+            out = _thin_matmul(A, X)
+        assert np.array_equal(out, serial_panels(A, X))
+    assert threads == {threading.get_ident()}
+
+
+@needs_two_cpus
+def test_the_helper_takes_panels():
+    # At n = 1000, k = 4 the helper thread runs some of the four panels:
+    # within a few products a panel runs on a thread other than the
+    # caller's.
+    A, X = thin_product_case(np.random.default_rng(4), 1000, 4, "C", True)
+    serial = serial_panels(A, X)
+    threads = set()
+    with logging_matmul(threads):
+        for _ in range(50):
+            assert np.array_equal(_thin_matmul(A, X), serial)
+            if len(threads) > 1:
+                break
+    assert len(threads) == 2 and threading.get_ident() in threads
+
+
+@needs_two_cpus
+def test_a_busy_helper_does_not_stall_the_product():
+    # With the helper blocked on an event, the caller withdraws its offer
+    # and forms every panel itself: the product returns, exact, while the
+    # helper is still blocked.
+    started, release = threading.Event(), threading.Event()
+
+    def block():
+        started.set()
+        release.wait(60)
+
+    A, X = thin_product_case(np.random.default_rng(5), 1000, 4, "C", True)
+    serial = serial_panels(A, X)
+    blocker = kernels._Job(block)
+    kernels._helper_jobs().put(blocker)
+    try:
+        assert started.wait(10)
+        result = []
+        caller = threading.Thread(
+            target=lambda: result.append(_thin_matmul(A, X)))
+        caller.start()
+        caller.join(10)
+        assert not caller.is_alive()
+        assert not release.is_set()
+        assert np.array_equal(result[0], serial)
+    finally:
+        release.set()
+        blocker.join()
+
+
+def test_concurrent_callers_get_the_serial_result():
+    # Four callers at once on two CPUs, as ``cli.run_batch`` runs its
+    # files, share the one helper, with thread switches forced often: a
+    # panel lost or written into another caller's result would show.
+    rng = np.random.default_rng(6)
+    cases = [thin_product_case(rng, 1000, k, layout, False)
+             for k, layout in ((2, "C"), (4, "F"), (4, "column slice"),
+                               (8, "fancy index"))]
+    expected = [serial_panels(A, X) for A, X in cases]
+
+    def products(A, X):
+        return [_thin_matmul(A, X) for _ in range(25)]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(4) as pool:
+            futures = [pool.submit(products, A, X) for A, X in cases]
+            results = [future.result(timeout=120) for future in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    for outs, want in zip(results, expected):
+        assert all(np.array_equal(out, want) for out in outs)
+
+
+def fresh_python(code, *args):
+    # What a fresh interpreter on this package prints running ``code``
+    # with ``args``, split into words.
+    src = Path(kernels.__file__).resolve().parents[1]
+    return subprocess.run(
+        [sys.executable, "-c", code, *args], capture_output=True, text=True,
+        check=True, env=dict(os.environ, PYTHONPATH=str(src))).stdout.split()
+
+
+def test_import_starts_no_thread():
+    assert fresh_python("import threading, stiefelscf\n"
+                        "print(threading.active_count())") == ["1"]
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
+                    reason="needs os.sched_setaffinity")
+def test_one_cpu_starts_no_helper():
+    # A process narrowed to one CPU forms the n = 1000 product on its own
+    # thread and starts no other; with every CPU the same product starts
+    # the helper where there are two.
+    code = ("import os, sys, threading\n"
+            "if sys.argv[1:] == ['one']:\n"
+            "    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+            "import numpy as np\n"
+            "from stiefelscf import kernels\n"
+            "A, X = np.ones((1000, 1000)), np.ones((1000, 4))\n"
+            "assert (kernels._thin_matmul(A, X) == 1000.0).all()\n"
+            "print(kernels._helper is False, threading.active_count())\n")
+    assert fresh_python(code, "one") == ["True", "1"]
+    if CPUS > 1:
+        assert fresh_python(code) == ["False", "2"]
+
+
+
+@needs_two_cpus
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_a_forked_child_starts_its_own_helper():
+    # The parent's helper thread does not survive a fork: the child forgets
+    # it and starts its own on its first shared product, which is exact.
+    code = ("import os, threading\n"
+            "import numpy as np\n"
+            "from stiefelscf import kernels\n"
+            "A, X = np.ones((1000, 1000)), np.ones((1000, 4))\n"
+            "kernels._thin_matmul(A, X)\n"
+            "pid = os.fork()\n"
+            "if pid == 0:\n"
+            "    forgot = kernels._helper is None\n"
+            "    exact = (kernels._thin_matmul(A, X) == 1000.0).all()\n"
+            "    ok = forgot and exact and threading.active_count() == 2\n"
+            "    os._exit(0 if ok else 1)\n"
+            "print(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))\n")
+    assert fresh_python(code) == ["0"]
 
 class TestCanonicalSinTheta:
     def test_same_subspace(self):

@@ -5,6 +5,8 @@ import importlib.util
 import shutil
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 
@@ -121,3 +123,33 @@ def test_false_convergence_is_counted_on_each_side(tmp_path, capsys):
     assert false
     assert f"0 old, {len(false)} new pairs say converged above 1.01 x tol " \
            "1e-08" in lines
+
+
+def _eta_pair(f, eta, shift):
+    # One pair's outputs on two sides whose traces differ only in the eta
+    # cell of their one row, by ``shift``.
+    header = ("iter,f,eps_kkt,eps_sym,eps_nepv,gap_or_sigmamin,eta,"
+              "step_angle,m_asymmetry")
+    return [{"exit code": 0, "problem": "{}", "report": None,
+             "trace": f"{header}\n1,{f!r},0,0,0,0,{e!r},0,0\n"}
+            for e in (eta, eta + shift)]
+
+
+@pytest.mark.parametrize("shift", [1e-12, 3e-12])
+def test_eta_is_judged_at_the_rounding_floor_of_f(shift):
+    # eta is a difference of two sums the size of f, so a shift of a few
+    # ulps of f = 305.5 is within rtol 1e-12 however small eta is; 3e-12
+    # relative to max(1, |eta|) would exceed it.
+    tool = _tool()
+    diff = tool.numeric_diff(*_eta_pair(305.5, 2e-13, shift))
+    assert 0 < diff["columns"]["eta"] <= shift / 300
+    assert diff["worst"] <= 1e-12
+    assert tool._rel(2e-13, 2e-13 + 3e-12) > 1e-12
+
+
+def test_an_eta_shift_at_f_near_one_differs():
+    # At f = 1 a 1e-9 shift in eta is 1e-9 relative: beyond rtol 1e-12.
+    diff = _tool().numeric_diff(*_eta_pair(1.0, 0.5, 1e-9))
+    assert diff["columns"]["eta"] == pytest.approx(1e-9, rel=1e-6)
+    assert diff["worst"] > 1e-12
+    assert {name for name, rel in diff["columns"].items() if rel} == {"eta"}

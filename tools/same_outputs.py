@@ -24,9 +24,13 @@ exit code, stop reason, iteration count and inner iteration count (the
 report's ``diagnostics.inner_iters``, 0 for the plain solvers) match, and
 with the largest relative difference in ``f_final`` and in each trace
 column, a difference |a - b| taken relative to max(1, |a|), as the
-package's own rounding slacks are.  A pair whose problem file, exit code, texts and non-numeric
-values match, and whose numbers (trace cells and report values alike) all
-lie within RTOL, counts as the same; only the other pairs set exit code 1.
+package's own rounding slacks are.  An ``eta`` cell's difference is taken
+relative to max(1, |f|) of the same row instead: ``eta`` is a difference
+of two sums the size of f (a trace gain, or the realized f-gain), so its
+rounding is ulps of f, not of eta.  A pair whose problem file, exit code,
+texts and non-numeric values match, and whose numbers (trace cells and
+report values alike) all lie within RTOL, counts as the same; only the
+other pairs set exit code 1.
 The output then ends with one line naming every trace column and every
 report key path that differs in any pair.
 
@@ -152,14 +156,14 @@ def false_convergence(out: Path, tol: float) -> dict[str, float]:
     return found
 
 
-def _rel(a: float, b: float) -> float:
-    # |a - b| relative to max(1, |a|); 0 for equal values, inf for unequal
-    # ones of which one is not finite.
+def _rel(a: float, b: float, scale: float | None = None) -> float:
+    # |a - b| relative to max(1, |scale|), scale defaulting to a; 0 for
+    # equal values, inf for unequal ones of which one is not finite.
     if a == b:
         return 0.0
     if not (math.isfinite(a) and math.isfinite(b)):
         return float("inf")
-    return abs(a - b) / max(1.0, abs(a))
+    return abs(a - b) / max(1.0, abs(a if scale is None else scale))
 
 
 def _number(x):
@@ -193,8 +197,9 @@ def _json_diffs(a, b, path: str = "") -> dict[str, float]:
 
 
 def _trace_rel(a: str | None, b: str | None) -> dict[str, float]:
-    # Per trace column, the largest relative difference; the key "rows" is
-    # inf when the header or the row count differs.
+    # Per trace column, the largest relative difference, an eta cell's
+    # relative to the row's f; the key "rows" is inf when the header or the
+    # row count differs.
     if a is None or b is None:
         return {"rows": 0.0 if a == b else float("inf")}
     (head_a, *rows_a), (head_b, *rows_b) = a.splitlines(), b.splitlines()
@@ -203,11 +208,14 @@ def _trace_rel(a: str | None, b: str | None) -> dict[str, float]:
     names = head_a.split(",")
     worst = dict.fromkeys(names, 0.0)
     for row_a, row_b in zip(rows_a, rows_b):
-        for name, x, y in zip(names, row_a.split(","), row_b.split(",")):
+        cells = row_a.split(",")
+        f = _number(dict(zip(names, cells)).get("f"))
+        for name, x, y in zip(names, cells, row_b.split(",")):
             if x != y:
                 nx, ny = _number(x), _number(y)
+                scale = f if name == "eta" else None
                 worst[name] = max(worst[name], float("inf") if nx is None
-                                  or ny is None else _rel(nx, ny))
+                                  or ny is None else _rel(nx, ny, scale))
     return worst
 
 
