@@ -202,6 +202,9 @@ def theta_step_audit(report, B, D, theta: float) -> dict:
     where eta is the recorded trace gain, s_k/S_k are the sums of the k
     smallest/largest eigenvalues of B, and the last term is contributed by
     the alignment rotation.  At theta = 0 the B-dependent factors are 1.
+    D is not read: the step records carry ||Phat'D||_tr and
+    tr(Phat'D P'Phat) (``d_trace_norm``, ``d_cross``), 0 for a ratio with
+    no D, so D may be None.
     Returns {"ok", "worst_slack"} with slack = LHS - RHS per step.
     """
     theta = float(theta)

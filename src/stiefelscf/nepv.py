@@ -156,7 +156,10 @@ class _EigenStep(_Step):
     tr(P'AP + P'D) >= 0 is checked at the incoming P of each step; a
     violation sets the record's ``sign_violated``, on which the driver
     switches the ascent check off for the rest of the solve.  A gap below
-    ``GAP_DEGENERATE`` sets the record's ``gap_degenerate``.
+    ``GAP_DEGENERATE`` sets the record's ``gap_degenerate``.  A ratio
+    step's record carries ``d_trace_norm`` = ||Phat'D||_tr and ``d_cross`` =
+    tr(Phat'D P'Phat) for ``diagnostics.theta_step_audit``; both are 0.0,
+    their exact value, for a ratio with no D term.
 
     The top k pairs come from the warm Ritz solve where the module
     docstring says so, else from the dense solve.  ``warm`` holds when the
@@ -211,6 +214,8 @@ class _EigenStep(_Step):
                       gap_degenerate=spect.gap < GAP_DEGENERATE,
                       sign_violated=sign_violated)
         if self.ratio is not None:
+            fields["d_trace_norm"] = fields["d_cross"] = 0.0
+        if self.ratio is not None and self.ratio.D is not None:
             PhD = spect.eigenbasis.T @ self.ratio.D
             fields["d_trace_norm"] = float(_svd(PhD, compute_uv=False).sum())
             fields["d_cross"] = float(np.trace(PhD @ (P.T @ spect.eigenbasis)))

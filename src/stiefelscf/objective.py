@@ -88,7 +88,9 @@ the outer partials; otherwise (column-block terms, as in sumct) it is the
 (x2 + x3) / x1^theta over (tr(P'BP), tr(P'AP), tr(P'D)) the composition
 gives (2 / b^theta) (A + sym(D P') - theta (a + d) / b B) with
 M = b^-theta D'P; ``ComposedObjective.theta_data`` reads theta off the outer
-function and A, B and D off the terms.
+function and A, B and D off the terms.  A ratio with no A or no D (olda and
+occa build none) has no term for it and one coordinate fewer, so no product
+with an all-zero matrix is formed; its ``theta_data`` holds None there.
 """
 
 from __future__ import annotations
@@ -387,59 +389,58 @@ def _ratio_point(x) -> np.ndarray:
     return x
 
 
+def _ratio_outer(theta: float, squared: bool, parts: int) -> OuterFunction:
+    # phi(x) = N / x1^theta, or N^2 / x1^(2 theta) when ``squared``, over
+    # x = [x1, ..., x_(1+parts)]: the denominator, then the parts = 1 or 2
+    # numerator coordinates, whose sum is N.  N is summed by hand, since
+    # x[1:].sum() would add about 1.5 us to each call.
+    th = float(theta)
+    e = 2.0 * th if squared else th
+    two = parts == 2
+
+    def value(x):
+        x = _ratio_point(x)
+        num = x[1] + x[2] if two else x[1]
+        return float((num**2 if squared else num) / x[0] ** e)
+
+    def partials(x):
+        x = _ratio_point(x)
+        num = x[1] + x[2] if two else x[1]
+        top = num**2 if squared else num
+        p0 = -e * top / x[0] ** (e + 1.0)
+        w = (2.0 * num if squared else 1.0) / x[0] ** e
+        return np.array((p0, w, w) if two else (p0, w))
+
+    return OuterFunction(1 + parts, value, partials,
+                         theta=None if squared else th)
+
+
 def outer_theta_ratio(theta: float) -> OuterFunction:
     """phi(x) = (x2 + x3) / x1^theta over x = [x1, x2, x3].
 
     The trace-ratio outer function; not convex, supplied for the direct
     ratio objectives, whose composition field is the trace-ratio field.
     """
-    th = float(theta)
-
-    def value(x):
-        x = _ratio_point(x)
-        return float((x[1] + x[2]) / x[0] ** th)
-
-    def partials(x):
-        x = _ratio_point(x)
-        p = np.empty(3)
-        p[0] = -th * (x[1] + x[2]) / x[0] ** (th + 1.0)
-        p[1] = 1.0 / x[0] ** th
-        p[2] = 1.0 / x[0] ** th
-        return p
-
-    return OuterFunction(3, value, partials, theta=th)
+    return _ratio_outer(theta, False, 2)
 
 
 def outer_ratio_squared(theta: float) -> OuterFunction:
     """phi(x) = (x2 + x3)^2 / x1^(2 theta), convex for theta in [0, 1/2]
     on the domain x1 > 0, x2 + x3 >= 0."""
-    th = float(theta)
-
-    def value(x):
-        x = _ratio_point(x)
-        return float((x[1] + x[2]) ** 2 / x[0] ** (2.0 * th))
-
-    def partials(x):
-        x = _ratio_point(x)
-        num = x[1] + x[2]
-        p = np.empty(3)
-        p[0] = -2.0 * th * num**2 / x[0] ** (2.0 * th + 1.0)
-        p[1] = 2.0 * num / x[0] ** (2.0 * th)
-        p[2] = p[1]
-        return p
-
-    return OuterFunction(3, value, partials)
+    return _ratio_outer(theta, True, 2)
 
 
 @dataclass(frozen=True)
 class ThetaRatioData:
     """Exponent and matrices of a trace ratio tr(P'AP + P'D) / tr(P'BP)^theta,
-    as read off a ratio objective by ``ComposedObjective.theta_data``."""
+    as read off a ratio objective by ``ComposedObjective.theta_data``.  A or
+    D is None when the objective has no term for it (one of them is
+    present)."""
 
     theta: float
-    A: np.ndarray
+    A: np.ndarray | None
     B: np.ndarray
-    D: np.ndarray
+    D: np.ndarray | None
 
 
 class FactoredField:
@@ -605,6 +606,11 @@ def field_gram(obj: "ComposedObjective") -> tuple:
     return inner, np.array([np.diag(A) for A in mats]).reshape(len(mats), obj.n)
 
 
+# The term kinds of a trace ratio: the denominator B, then A, D or both.
+_RATIO_LAYOUTS = (("quadratic", "quadratic", "linear"),
+                  ("quadratic", "quadratic"), ("quadratic", "linear"))
+
+
 @dataclass(frozen=True)
 class ComposedObjective:
     """Objective f = phi o T over n-by-k Stiefel points.
@@ -619,11 +625,11 @@ class ComposedObjective:
     field is written as what that field belongs to, a sum of column-block
     terms.
 
-    ``theta_data`` is a read-only view, derived rather than stored: for an
-    ``outer_theta_ratio`` over the full-column terms (B, A, D), quadratic,
-    quadratic and linear with m = s = c = 1, it is
-    ``ThetaRatioData(outer.theta, A, B, D)`` with the terms' own matrices,
-    else None.
+    ``theta_data`` is a read-only view, derived rather than stored: for a
+    trace-ratio outer (one with ``outer.theta`` set) over the full-column
+    terms (B, A, D), (B, A) or (B, D), B and A quadratic and D linear, each
+    with m = s = c = 1, it is ``ThetaRatioData(outer.theta, A, B, D)`` with
+    the terms' own matrices and None for an absent A or D, else None.
 
     ``alignment`` is the ``PolarAlignment`` rule the solvers use to map
     subproblem solutions back into the feasible subset; the default
@@ -687,13 +693,13 @@ class ComposedObjective:
     def theta_data(self) -> ThetaRatioData | None:
         """The trace-ratio data read off the outer function and the terms,
         or None (see above)."""
-        kinds = ("quadratic", "quadratic", "linear")
         if (self.outer.theta is None or self.field_recipe != "composition"
-                or tuple(t.kind for t in self.terms) != kinds
+                or tuple(t.kind for t in self.terms) not in _RATIO_LAYOUTS
                 or any((t.m, t.s, t.c) != (1, 1.0, 1.0) for t in self.terms)):
             return None
-        B, A, D = (t.matrix for t in self.terms)
-        return ThetaRatioData(self.outer.theta, A, B, D)
+        num = {t.kind: t.matrix for t in self.terms[1:]}
+        return ThetaRatioData(self.outer.theta, num.get("quadratic"),
+                              self.terms[0].matrix, num.get("linear"))
 
     def at(self, P) -> "PointEvaluation":
         """The evaluation of f at P; P is validated here, once."""
@@ -891,8 +897,7 @@ class PointEvaluation:
     @property
     def theta_sign_ok(self) -> bool:
         """Sign condition tr(P'AP + P'D) >= 0 of a trace ratio (the ratio's
-        numerator, terms 1 and 2); True for other objectives."""
+        numerator, the terms after B); True for other objectives."""
         if self.obj.theta_data is None:
             return True
-        x = self.term_values
-        return float(x[1] + x[2]) >= 0.0
+        return float(self.term_values[1:].sum()) >= 0.0

@@ -6,8 +6,8 @@ sep          tr(P'AP), the symmetric eigenvalue problem
 mbsub        tr(P'AP + P'D), the MAXBET subproblem
 sumct        sum_i tr(P_i'A_iP_i + P_i'D_i) over a column partition
 theta_tr     (tr(P'AP + P'D)) / tr(P'BP)^theta, 0 <= theta <= 1
-olda         theta_tr with theta = 1, D = 0 (trace-ratio discriminant analysis)
-occa         theta_tr with theta = 1/2, A = 0 (orthogonal CCA)
+olda         theta_tr with theta = 1 and no D (trace-ratio discriminant analysis)
+occa         theta_tr with theta = 1/2 and no A (orthogonal CCA)
 theta_tr_sq  the squared ratio as a convex composition, 0 <= theta <= 1/2
 umds        sum_i ||P'A_iP||_F^2
 trcp         phi(tr(P'A_1P), ..., tr(P'A_NP)) for a convex phi preset
@@ -59,9 +59,8 @@ from .objective import (
     AtomicTerm,
     ComposedObjective,
     OuterFunction,
-    outer_ratio_squared,
+    _ratio_outer,
     outer_sum,
-    outer_theta_ratio,
 )
 
 __all__ = [
@@ -106,13 +105,15 @@ _PHI_PRESETS = {
 
 OUTER_PRESETS = tuple(_PHI_PRESETS)
 
-# Trace-ratio families: (fixed theta, or None to read spec.theta; how A is
-# read; how D is read), each matrix "required", "optional" or "zero".
+# Trace-ratio families: (fixed theta, or None to read spec.theta; the
+# numerator matrices read).  A family with one numerator matrix requires
+# it; the others may be missing.  Only a numerator matrix that is read and
+# nonzero makes a term, so olda builds (B, A) and occa (B, D).
 _RATIO_FAMILIES = {
-    "theta_tr": (None, "optional", "optional"),
-    "olda": (1.0, "required", "zero"),
-    "occa": (0.5, "zero", "required"),
-    "theta_tr_sq": (None, "optional", "optional"),
+    "theta_tr": (None, "AD"),
+    "olda": (1.0, "A"),
+    "occa": (0.5, "D"),
+    "theta_tr_sq": (None, "AD"),
 }
 
 
@@ -152,11 +153,7 @@ def _matrix(M, name: str, shape, symmetric=False) -> np.ndarray:
     return M
 
 
-def _get(spec: ProblemSpec, name: str, shape, symmetric=False,
-         role="required") -> np.ndarray:
-    # role "optional" reads a missing matrix as zero, "zero" ignores it.
-    if role == "zero" or (role == "optional" and name not in spec.matrices):
-        return np.zeros(shape)
+def _get(spec: ProblemSpec, name: str, shape, symmetric=False) -> np.ndarray:
     if name not in spec.matrices:
         raise ValueError(f"family {spec.family!r} requires matrix {name!r}")
     return _matrix(spec.matrices[name], name, shape, symmetric)
@@ -326,7 +323,7 @@ def build(spec: ProblemSpec) -> ComposedObjective:
 
     if fam in _RATIO_FAMILIES:
         # The squared ratio differs in its theta range, outer and alignment.
-        theta, A_role, D_role = _RATIO_FAMILIES[fam]
+        theta, names = _RATIO_FAMILIES[fam]
         squared = fam == "theta_tr_sq"
         if theta is None:
             if spec.theta is None:
@@ -338,21 +335,25 @@ def build(spec: ProblemSpec) -> ComposedObjective:
                        if squared else "")
                 raise ValueError(f"{fam}: theta must lie in "
                                  f"[0, {theta_max:g}]{why}, got {theta}")
-        A = _get(spec, "A", (n, n), symmetric=True, role=A_role)
-        D = _get(spec, "D", (n, k), role=D_role)
-        if not (A.any() or D.any()):
+        num = {}
+        for name in names:
+            if name in spec.matrices or len(names) == 1:
+                M = _get(spec, name, (n, n) if name == "A" else (n, k),
+                         symmetric=name == "A")
+                if M.any():
+                    num[name] = (_quadratic(M) if name == "A"
+                                 else AtomicTerm.linear(M))
+        if not num:
             # The numerator tr(P'AP + P'D) would be 0 at every point.
             raise ValueError(f"{fam} needs a nonzero 'A' or 'D' (the ratio's "
                              "numerator); both are zero or missing")
         B = _get(spec, "B", (n, n), symmetric=True)
         _check_ratio_denominator(B, k, fam)
-        terms = (_quadratic(B), _quadratic(A),
-                 AtomicTerm.linear(D))
-        if not D.any():
-            align = PolarAlignment(blocks=())
-        else:
-            align = PolarAlignment() if squared else PolarAlignment(D)
-        outer = (outer_ratio_squared if squared else outer_theta_ratio)(theta)
+        terms = (_quadratic(B), *num.values())
+        D = num.get("D")
+        align = (PolarAlignment(blocks=()) if D is None
+                 else PolarAlignment(None if squared else D.matrix))
+        outer = _ratio_outer(theta, squared, len(terms) - 1)
         return ComposedObjective(
             n, k, terms, outer, alignment=align,
             npdo_monotone=False, nepv_monotone=True)

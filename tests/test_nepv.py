@@ -328,6 +328,9 @@ def warm_family_spec(family, n, k, rng):
     if family == "olda":
         return ProblemSpec("olda", n, k, {
             "A": separated_psd(rng, n, k), "B": separated_psd(rng, n, k, 1.0)})
+    if family == "occa":
+        return ProblemSpec("occa", n, k, {
+            "B": separated_psd(rng, n, k, 1.0), "D": rng.standard_normal((n, k))})
     # procrustes: C with singular values sqrt(linspace(4, 0.25)).
     U, _ = np.linalg.qr(rng.standard_normal((n + 5, n)))
     V, _ = np.linalg.qr(rng.standard_normal((n, n)))
@@ -359,6 +362,26 @@ class TestWarmStep:
             which.add("theta")
         diag, ok = run_audits(which, obj, warm, None, "nepv")
         assert ok, diag
+
+    @pytest.mark.parametrize("family, solver", [
+        ("occa", nepv_scf), ("olda", nepv_scf), ("olda", nepv_locg)])
+    def test_no_product_with_an_all_zero_matrix(self, family, solver,
+                                                monkeypatch):
+        # occa builds no A term and olda no D term, so no full-size product
+        # multiplies an all-zero matrix, the warm Krylov blocks' included.
+        n, k = 100, 3
+        obj = build(warm_family_spec(family, n, k, np.random.default_rng(6)))
+        nonzero, warm = [], []
+        thin, ritz = objective_module._thin_matmul, nepv_module.ritz_top_k
+        monkeypatch.setattr(objective_module, "_thin_matmul",
+                            lambda A, X: nonzero.append(A.any()) or thin(A, X))
+        monkeypatch.setattr(nepv_module, "ritz_top_k",
+                            lambda H, P, *a: warm.append(len(P)) or ritz(H, P, *a))
+        solver(obj, random_stiefel(n, k, 0))
+        assert warm and nonzero
+        assert nonzero.count(False) == 0
+        if family == "olda":
+            assert obj.at(random_stiefel(n, k, 1)).field.U is None
 
     def test_dense_solves_are_the_exception(self, monkeypatch):
         n, k = 200, 8

@@ -13,7 +13,12 @@ from stiefelscf.diagnostics import gradient_check
 from stiefelscf.kernels import polar_factor, random_stiefel, sym_part
 from stiefelscf.nepv import nepv_scf
 from stiefelscf.npdo import npdo_scf
-from stiefelscf.objective import AtomicTerm, ComposedObjective
+from stiefelscf.objective import (
+    AtomicTerm,
+    ComposedObjective,
+    outer_ratio_squared,
+    outer_theta_ratio,
+)
 from stiefelscf.problems import (
     OUTER_PRESETS,
     MLifting,
@@ -94,26 +99,30 @@ class TestBuilders:
         assert rep.f_final == pytest.approx(8.0, abs=1e-10)
 
     def test_occa_is_theta_half_with_zero_a(self):
+        # Both sides drop the zero A and build the same two terms.
         n, k = 5, 2
         D = np.random.default_rng(0).standard_normal((n, k))
         B = make_psd(n, 1, 1.0)
         occa = build(ProblemSpec("occa", n, k, {"B": B, "D": D}))
         theta = build(ProblemSpec("theta_tr", n, k,
                                   {"A": np.zeros((n, n)), "B": B, "D": D}, theta=0.5))
+        assert len(occa.terms) == len(theta.terms) == 2
         for seed in range(5):
             P = random_stiefel(n, k, seed)
-            assert occa.value(P) == pytest.approx(theta.value(P), rel=1e-12)
+            assert occa.value(P) == theta.value(P)
         assert occa.theta_data.theta == 0.5
 
     def test_olda_is_theta_one_with_zero_d(self):
+        # Both sides read no D and build the same two terms.
         n, k = 5, 2
         A = make_psd(n, 2)
         B = make_psd(n, 3, 1.0)
         olda = build(ProblemSpec("olda", n, k, {"A": A, "B": B}))
         theta = build(ProblemSpec("theta_tr", n, k, {"A": A, "B": B}, theta=1.0))
+        assert len(olda.terms) == len(theta.terms) == 2
         for seed in range(5):
             P = random_stiefel(n, k, seed)
-            assert olda.value(P) == pytest.approx(theta.value(P), rel=1e-12)
+            assert olda.value(P) == theta.value(P)
         assert olda.theta_data.theta == 1.0
 
     def test_every_family_passes_gradient_check(self):
@@ -499,14 +508,23 @@ class TestRatioObjective:
                 <= 1e-12 * np.linalg.norm(M_ref))
 
     def test_theta_data_is_a_view_of_the_terms(self):
+        # olda has no D term and occa no A term: theta_data holds None there.
         olda = build(ProblemSpec("olda", 5, 2, {"A": make_psd(5, 1),
                                                 "B": make_psd(5, 2, 1.0)}))
         td = olda.theta_data
         assert td.theta == 1.0
         assert td.B is olda.terms[0].matrix
         assert td.A is olda.terms[1].matrix
-        assert td.D is olda.terms[2].matrix
+        assert td.D is None
         assert olda.field_recipe == "composition"
+        D = np.random.default_rng(3).standard_normal((5, 2))
+        occa = build(ProblemSpec("occa", 5, 2, {"B": make_psd(5, 2, 1.0),
+                                                "D": D}))
+        td = occa.theta_data
+        assert td.theta == 0.5
+        assert td.B is occa.terms[0].matrix
+        assert td.A is None
+        assert td.D is occa.terms[1].matrix
         assert "theta_data" not in {f.name for f in dataclasses.fields(ComposedObjective)}
         sq = build(ProblemSpec("theta_tr_sq", 5, 2, {"A": make_psd(5, 1),
                                                      "B": make_psd(5, 2, 1.0)},
@@ -542,6 +560,64 @@ class TestRatioObjective:
         lifted, lift = lift_m_orthogonal(obj, M)
         T = np.linalg.inv(lift.R)
         self.assert_view(lifted, 0.7, T.T @ A @ T, T.T @ B @ T, T.T @ D)
+
+
+RATIO_READS = {"theta_tr": "AD", "theta_tr_sq": "AD", "olda": "A", "occa": "D"}
+
+
+@settings(max_examples=80, deadline=None)
+@given(family=st.sampled_from(sorted(RATIO_READS)), data=st.data(),
+       n=st.integers(3, 7), seed=st.integers(0, 2**16))
+def test_a_ratio_has_a_term_per_nonzero_numerator_matrix(family, data, n,
+                                                         seed):
+    # Each numerator matrix the family reads is drawn nonzero, all-zero or
+    # missing.  The built objective has a term for each nonzero one only,
+    # and agrees with the three-term ratio over explicit zero matrices.
+    k = 1 + seed % (n - 1)
+    rng = np.random.default_rng(seed)
+    full = {"A": sym_part(rng.standard_normal((n, n))),
+            "D": rng.standard_normal((n, k))}
+    B = make_psd(n, seed + 1, 1.0)
+    squared = family == "theta_tr_sq"
+    theta = {"olda": 1.0, "occa": 0.5}.get(
+        family, data.draw(st.floats(0.0, 0.5 if squared else 1.0)))
+    state = {name: data.draw(st.sampled_from(["nonzero", "zero", "missing"]))
+             for name in RATIO_READS[family]}
+    matrices = {"B": B}
+    for name, how in state.items():
+        if how != "missing":
+            matrices[name] = (full[name] if how == "nonzero"
+                              else np.zeros_like(full[name]))
+    spec = ProblemSpec(family, n, k, matrices, theta=theta)
+    present = [name for name, how in state.items() if how == "nonzero"]
+    if not present:
+        alone = len(state) == 1 and "missing" in state.values()
+        with pytest.raises(ValueError, match="requires matrix" if alone
+                           else "nonzero 'A' or 'D'"):
+            build(spec)
+        return
+    obj = build(spec)
+    assert len(obj.terms) == 1 + len(present)
+    td = obj.theta_data
+    if squared:
+        assert td is None
+    else:
+        assert (td.A is None) == ("A" not in present)
+        assert (td.D is None) == ("D" not in present)
+    A, D = (full[name] if name in present else np.zeros_like(full[name])
+            for name in "AD")
+    ref = ComposedObjective(
+        n, k, (AtomicTerm.quadratic(B), AtomicTerm.quadratic(A),
+               AtomicTerm.linear(D)),
+        (outer_ratio_squared if squared else outer_theta_ratio)(theta))
+    P = random_stiefel(n, k, seed + 2)
+    at, want = obj.at(P), ref.at(P)
+    assert abs(at.value - want.value) <= 1e-12 * abs(want.value)
+    for got, exp in ((at.euclidean_grad, want.euclidean_grad),
+                     (at.field.H, want.field.H),
+                     (at.field.mismatch, want.field.mismatch)):
+        assert np.linalg.norm(got - exp) <= 1e-12 * np.linalg.norm(exp)
+    assert at.theta_sign_ok == want.theta_sign_ok
 
 
 def _row_atom_dft(obj):

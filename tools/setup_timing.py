@@ -15,8 +15,8 @@ It prints two things:
   milliseconds of one ``problems.build``, R builds, from seeded exactly
   symmetric matrices, PSD (``psd_ms``) and indefinite (``indefinite_ms``).
   The indefinite column makes each quadratic matrix indefinite, except the
-  denominator B of ``olda``, which stays positive definite as the family
-  requires.
+  ratio denominator B of ``olda`` and ``occa``, which stays positive
+  definite as the families require; ``occa`` has no quadratic numerator.
 
 Import time plus the builds of an instance set is what the benchmark's
 ``setup_s`` measures, so a change to either shows here first.  BLAS is
@@ -46,7 +46,7 @@ from stiefelscf.problems import ProblemSpec, build  # noqa: E402
 DEFAULT_SIZES = (1000, 200, 40)
 K = 4
 FAMILIES = ("sep", "mbsub", "quad_lin2", "sumct", "umds", "trcp", "dft",
-            "olda")
+            "olda", "occa")
 
 IMPORT_PROBE = (
     "import time, numpy\n"
@@ -102,9 +102,10 @@ def spec(family: str, n: int, psd: bool, seed: int = 0) -> ProblemSpec:
     if family in ("umds", "trcp"):
         return ProblemSpec(family, n, K, {"A_list": [A, A2]},
                            phi="quad_penalty", phi_weight=0.5)
-    if family == "olda":
+    if family in ("olda", "occa"):
         B = _symmetric(rng, n, True) + np.eye(n)
-        return ProblemSpec(family, n, K, {"A": A, "B": B})
+        num = {"A": A} if family == "olda" else {"D": D}
+        return ProblemSpec(family, n, K, dict(num, B=B))
     raise ValueError(f"no timing spec for family {family!r}")
 
 
